@@ -75,15 +75,15 @@ def cmd_enumerate(args):
     net = load_network(args.net)
     box = _box(args)
     if args.mode == "brute":
-        atlas = enumerate_brute(
-            net, box=box, h_max=args.h_max,
-            tau_lp=args.tau_lp, tau_dim=args.tau_dim, threads=args.threads,
-        )
         if args.h_max > H_MAX_BRUTE:
             print(
                 f"warning: brute-force guard raised to {args.h_max} "
                 f"(2^h candidates)", file=sys.stderr,
             )
+        atlas = enumerate_brute(
+            net, box=box, h_max=args.h_max,
+            tau_lp=args.tau_lp, tau_dim=args.tau_dim,
+        )
     else:
         rng = np.random.default_rng(args.seed)
         seed_pt = (
@@ -93,7 +93,7 @@ def cmd_enumerate(args):
         )
         atlas = enumerate_traverse(
             net, seed_pt, box=box, rng=rng,
-            tau_lp=args.tau_lp, tau_dim=args.tau_dim, threads=args.threads,
+            tau_lp=args.tau_lp, tau_dim=args.tau_dim,
         )
     order = sorted(atlas.regions, key=lambda b: b.to01())
     with open(args.out_regions, "w") as fh:
@@ -216,16 +216,18 @@ def build_parser():
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def tolerances(p):
-        p.add_argument("--tau-lp", type=float, default=lp.TAU_LP)
-        p.add_argument("--tau-dim", type=float, default=lp.TAU_DIM)
-        p.add_argument("--tau-bit", type=float, default=TAU_BIT)
+    defaults = {"--tau-lp": lp.TAU_LP, "--tau-dim": lp.TAU_DIM, "--tau-bit": TAU_BIT}
+
+    def tolerances(p, *flags):
+        """Register the tolerance flags a subcommand honours."""
+        for flag in flags:
+            p.add_argument(flag, type=float, default=defaults[flag])
 
     p = sub.add_parser("bits", help="activation bit vectors of sample points")
     p.add_argument("--net", required=True)
     p.add_argument("--points", required=True)
     p.add_argument("--out", required=True)
-    tolerances(p)
+    tolerances(p, "--tau-bit")
     p.set_defaults(func=cmd_bits)
 
     p = sub.add_parser("enumerate", help="enumerate all regions (brute or traverse)")
@@ -235,17 +237,16 @@ def build_parser():
     p.add_argument("--upper", help="comma-separated box upper bounds")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--h-max", type=int, default=H_MAX_BRUTE)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out-regions", required=True)
     p.add_argument("--out-edges")
-    tolerances(p)
+    tolerances(p, "--tau-lp", "--tau-dim")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("region", help="region of a single point")
     p.add_argument("--net", required=True)
     p.add_argument("--point", required=True, help="comma-separated coordinates")
     p.add_argument("--out")
-    tolerances(p)
+    tolerances(p, "--tau-lp", "--tau-dim", "--tau-bit")
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("distmat", help="Hamming matrix from a bit-vector file")

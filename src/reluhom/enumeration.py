@@ -7,7 +7,6 @@ hits the box wall is kept as metadata, never inside the Hamming bits.
 """
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +19,8 @@ from .errors import (
     InfeasibleSystemError,
     ResourceCapError,
 )
-from .network import BitVector, bit_vector, on_boundary
-from .regions import assemble, neighbors, region_from_bits
+from .network import TAU_BIT, BitVector, bit_vector, on_boundary
+from .regions import neighbors, region_from_bits
 
 H_MAX_BRUTE = 24
 
@@ -91,8 +90,11 @@ def _finalize(net, atlas):
 
 
 def enumerate_brute(net, box=None, h_max=H_MAX_BRUTE,
-                    tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM, threads=1):
-    """Test all 2^h patterns for a feasible full-dimensional region."""
+                    tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
+    """Test all 2^h patterns for a feasible full-dimensional region.
+
+    Pattern j has bit i = (j >> i) & 1; each is built just before its test.
+    """
     h = net.h
     if h > h_max:
         raise ResourceCapError(
@@ -100,34 +102,22 @@ def enumerate_brute(net, box=None, h_max=H_MAX_BRUTE,
             "raise the limit explicitly to proceed"
         )
     extra = box.rows() if box is not None else (None, None)
-    candidates = [
-        BitVector.from_bits([(j >> i) & 1 for i in range(h)])
-        for j in range(1 << h)
-    ]
     atlas = DecompositionAtlas(box=box)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            found = pool.map(
-                lambda b: _try_region(net, b, extra, tau_lp, tau_dim), candidates
-            )
-            for bits, region in zip(candidates, found):
-                if region is not None:
-                    atlas.regions[bits] = region
-    else:
-        for bits in candidates:
-            region = _try_region(net, bits, extra, tau_lp, tau_dim)
-            if region is not None:
-                atlas.regions[bits] = region
+    for j in range(1 << h):
+        bits = BitVector.from_bits([(j >> i) & 1 for i in range(h)])
+        region = _try_region(net, bits, extra, tau_lp, tau_dim)
+        if region is not None:
+            atlas.regions[bits] = region
     return _finalize(net, atlas)
 
 
-def _draw_seed(net, seed, box, rng, tau_bit=1e-10, attempts=100):
+def _draw_seed(net, seed, box, rng, attempts=100):
     """Return a generic start point, redrawing if seed sits on a boundary."""
     x = np.asarray(seed, dtype=np.float64)
     if box is not None and not box.contains(x):
         raise BoundaryPointError("seed lies outside the box")
     for _ in range(attempts):
-        if not on_boundary(net, x, tau_bit):
+        if not on_boundary(net, x, TAU_BIT):
             return x
         if box is not None:
             x = rng.uniform(box.lower, box.upper)
@@ -137,11 +127,11 @@ def _draw_seed(net, seed, box, rng, tau_bit=1e-10, attempts=100):
 
 
 def enumerate_traverse(net, seed, box=None, rng=None,
-                       tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM, threads=1):
+                       tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
     """Grow the atlas from the seed's region through active-bit flips.
 
-    FIFO frontier, each region expanded exactly once; with threads > 1 each
-    frontier wave expands in parallel, which keeps the result deterministic.
+    FIFO frontier: each region is expanded exactly once, and each flip of
+    one of its active bits not yet in the atlas is tested as a new region.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -155,28 +145,14 @@ def enumerate_traverse(net, seed, box=None, rng=None,
         raise DegenerateSystemError("seed region is not full-dimensional")
     atlas.regions[first.bits] = first
     frontier = deque([first.bits])
-
-    def expand(bits):
-        return [
-            (cand, _try_region(net, cand, extra, tau_lp, tau_dim))
-            for cand in neighbors(atlas.regions[bits], h)
-            if cand not in atlas.regions
-        ]
-
     while frontier:
-        if threads > 1:
-            wave = list(frontier)
-            frontier.clear()
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = pool.map(expand, wave)
-        else:
-            wave = [frontier.popleft()]
-            results = [expand(wave[0])]
-        for batch in results:
-            for cand, region in batch:
-                if region is not None and cand not in atlas.regions:
-                    atlas.regions[cand] = region
-                    frontier.append(cand)
+        for cand in neighbors(atlas.regions[frontier.popleft()], h):
+            if cand in atlas.regions:
+                continue
+            region = _try_region(net, cand, extra, tau_lp, tau_dim)
+            if region is not None:
+                atlas.regions[cand] = region
+                frontier.append(cand)
     return _finalize(net, atlas)
 
 

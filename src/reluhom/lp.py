@@ -184,8 +184,8 @@ def _solve_leq(obj, A, b):
     return LpOutcome(OPTIMAL, float(obj @ x), x)
 
 
-def is_feasible(A, c, tol=TAU_LP):
-    """True iff {x : Ax <= c} is non-empty (phase-1 test)."""
+def is_feasible(A, c):
+    """True iff {x : Ax <= c} is non-empty (phase-1 test at tolerance TAU_LP)."""
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     out = solve(LinearProgram(np.zeros(A.shape[1]), A, c))
     return out.status != INFEASIBLE

@@ -15,7 +15,6 @@ from .errors import (
     BoundaryPointError,
     DegenerateSystemError,
     DimensionMismatch,
-    InfeasibleSystemError,
 )
 from .network import BitVector, TAU_BIT, bit_vector, on_boundary
 
@@ -115,19 +114,22 @@ def _duplicate_rows(A, c):
 
 
 def essentialize(A, c, tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
-    """Minimal subsystem (A', c') plus the surviving row indices.
+    """Minimal subsystem (A', c'), the surviving row indices and an interior point.
 
-    Requires a feasible, full-dimensional system; identical hyperplanes keep
-    the lowest-index copy, then rows are tested for redundancy in ascending
-    order against the current survivor set.
+    One Chebyshev LP, its radius capped above tau_dim (at 1 by default),
+    decides feasibility (InfeasibleSystemError) and full dimension
+    (DegenerateSystemError when the radius is at most tau_dim) and gives the
+    interior witness returned last.
+    Identical hyperplanes then keep the lowest-index copy, and rows are
+    tested for redundancy in ascending order against the current survivor set.
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     c = np.asarray(c, dtype=np.float64)
     if A.shape[0] != c.size:
         raise DimensionMismatch(f"rows {A.shape[0]} != rhs length {c.size}")
-    if not lp.is_feasible(A, c, tau_lp):
-        raise InfeasibleSystemError("system has no solution")
-    if lp.chebyshev_radius(A, c) <= tau_dim:
+    # any cap above tau_dim decides full dimension as the uncapped radius would
+    center, radius = lp.chebyshev_center(A, c, r_cap=max(1.0, 2.0 * tau_dim))
+    if radius <= tau_dim:
         raise DegenerateSystemError("region is not full-dimensional")
 
     norms = np.linalg.norm(A, axis=1)
@@ -139,7 +141,7 @@ def essentialize(A, c, tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
         else:
             pos += 1
     keep = np.array(keep, dtype=np.int64)
-    return A[keep], c[keep], keep
+    return A[keep], c[keep], keep, center
 
 
 def region_of(net, x, tau_bit=TAU_BIT, tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
@@ -162,8 +164,7 @@ def region_from_bits(net, bits, extra_A=None, extra_c=None,
     if extra_A is not None:
         A = np.vstack([A, extra_A])
         c = np.concatenate([c, extra_c])
-    A_ess, c_ess, active = essentialize(A, c, tau_lp, tau_dim)
-    center, _ = lp.chebyshev_center(A, c, r_cap=1.0)
+    A_ess, c_ess, active, center = essentialize(A, c, tau_lp, tau_dim)
     return Region(
         bits=bits,
         A=A,

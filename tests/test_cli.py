@@ -181,3 +181,11 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             cli.main(["bits", "--net", "x.json"])
         assert exc.value.code == 2
+
+    def test_removed_threads_flag_exits_2(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([
+                "enumerate", "--net", "x.json", "--threads", "2",
+                "--out-regions", "r.jsonl",
+            ])
+        assert exc.value.code == 2

@@ -62,14 +62,6 @@ class TestTraverse:
         b = enumeration.enumerate_traverse(net, seed=np.array([-3.0, 2.5]))
         assert atlas_keys(a) == atlas_keys(b)
 
-    def test_threads_match_serial(self):
-        net = random_net(2, [4, 4], 7)
-        s = np.array([0.2, 0.3])
-        a = enumeration.enumerate_traverse(net, seed=s, threads=1)
-        b = enumeration.enumerate_traverse(net, seed=s, threads=4)
-        assert atlas_keys(a) == atlas_keys(b)
-        assert a.edges == b.edges
-
 
 class TestBounded:
     def test_box_restricts_and_flags(self):

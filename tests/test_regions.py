@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from reluhom import lp, network, regions
-from reluhom.errors import BoundaryPointError, DegenerateSystemError
+from reluhom.errors import (
+    BoundaryPointError,
+    DegenerateSystemError,
+    InfeasibleSystemError,
+)
 from oracles import polygon_facet_count
 
 
@@ -121,6 +125,15 @@ class TestEssentialize:
         with pytest.raises(DegenerateSystemError):
             regions.essentialize(A, c)
 
+    def test_tau_dim_compares_the_whole_inradius(self):
+        # the square |x|, |y| <= 2 has inradius 2, above the default LP cap
+        A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        c = np.full(4, 2.0)
+        center = regions.essentialize(A, c, tau_dim=1.5)[3]
+        assert np.all(A @ center < c)
+        with pytest.raises(DegenerateSystemError):
+            regions.essentialize(A, c, tau_dim=2.5)
+
 
 class TestRegionOf:
     def test_interior_witness_reproduces_bits(self, net_2331):
@@ -155,6 +168,49 @@ class TestRegionOf:
             out = lp.solve(lp.LinearProgram(B[j], Arest, crest))
             clips = out.status == lp.UNBOUNDED or out.value > d[j] + 1e-7
             assert ((net_2331.h + j) in reg.active_bits) == clips
+
+
+class TestLpBudget:
+    """One LP decides feasibility and full dimension and finds the interior
+    witness; every other LP of region_from_bits is a redundancy test."""
+
+    @pytest.fixture
+    def lps_besides_redundancy(self, monkeypatch):
+        calls = {"solve": 0, "is_redundant": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # is_redundant solves exactly one LP per call
+        monkeypatch.setattr(lp, "solve", counted("solve", lp.solve))
+        monkeypatch.setattr(lp, "is_redundant", counted("is_redundant", lp.is_redundant))
+        return lambda: calls["solve"] - calls["is_redundant"]
+
+    @pytest.fixture
+    def net_x1(self):
+        # z = (x1, x1 - 1, -x1): the patterns below cut out x1 <= 0 <= x1 - 1
+        # (empty) and x1 <= 0 <= x1 (the line x1 = 0)
+        W1 = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
+        b1 = np.array([0.0, -1.0, 0.0])
+        return network.NetworkSpec((W1, np.ones((1, 3))), (b1, np.zeros(1)), 2)
+
+    def test_accepted_pattern(self, net_2331, lps_besides_redundancy):
+        bits = network.bit_vector(net_2331, np.array([0.3, -0.7]))
+        regions.region_from_bits(net_2331, bits)
+        assert lps_besides_redundancy() == 1
+
+    def test_infeasible_pattern(self, net_x1, lps_besides_redundancy):
+        with pytest.raises(InfeasibleSystemError):
+            regions.region_from_bits(net_x1, network.BitVector.from01("010"))
+        assert lps_besides_redundancy() == 1
+
+    def test_lower_dimensional_pattern(self, net_x1, lps_besides_redundancy):
+        with pytest.raises(DegenerateSystemError):
+            regions.region_from_bits(net_x1, network.BitVector.from01("000"))
+        assert lps_besides_redundancy() == 1
 
 
 class TestNeighbors:
