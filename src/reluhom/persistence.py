@@ -1,9 +1,10 @@
 """Vietoris-Rips persistence over a distance matrix.
 
 Threshold graphs are turned into their clique complex, simplices enter at
-their diameter, and homology over the two-element field is read off by
-column reduction (with clearing; the naive oracle in the test suite pins
-correctness).  Intervals follow the [birth, death) convention.
+their diameter, and persistence over the two-element field is read off
+from cohomology, coboundaries reduced bottom-up with clearing (the naive
+homology oracle in the test suite pins correctness).  Intervals follow the
+[birth, death) convention.
 """
 
 import math
@@ -131,36 +132,64 @@ def _encode(verts, n):
     return key
 
 
+def _coboundary(verts, face_verts, n):
+    """Anti-transpose of the boundary matrix of `verts` as a CSR triple.
+
+    Column c is the face `face_verts[n_faces-1-c]`, so faces come in
+    reverse filtration order; its rows are its cofaces j in `verts`, each
+    stored reversed as n_cofaces-1-j.  Built in place to keep the peak small.
+    """
+    n_cofaces, n_faces = verts.shape[0], face_verts.shape[0]
+    dim = verts.shape[1] - 1
+    face_keys = _encode(face_verts, n)
+    face_order = np.argsort(face_keys)
+    sorted_keys = face_keys[face_order]
+    del face_keys
+    facets = np.empty((n_cofaces, dim + 1), dtype=np.int64)
+    for drop in range(dim + 1):
+        pos = np.searchsorted(sorted_keys, _encode(np.delete(verts, drop, axis=1), n))
+        facets[:, drop] = face_order[pos]
+    del sorted_keys, face_order
+    facets = facets.reshape(-1)
+    np.subtract(n_faces - 1, facets, out=facets)          # face -> column c
+    col_ptr = np.zeros(n_faces + 1, dtype=np.int64)
+    np.cumsum(np.bincount(facets, minlength=n_faces), out=col_ptr[1:])
+    col_rows = np.argsort(facets, kind="stable")          # entries by column
+    del facets
+    col_rows //= dim + 1                                  # entry -> coface j
+    np.subtract(n_cofaces - 1, col_rows, out=col_rows)    # j -> row
+    return col_ptr, col_rows
+
+
 def compute_barcodes(filtration):
-    """Persistence pairs via column reduction, highest dimension first."""
+    """Persistence pairs from cohomology, coboundaries reduced bottom-up with clearing.
+
+    For d = 1..top, the coboundaries of the (d-1)-simplices are reduced in
+    reverse filtration order: the anti-transpose of the boundary matrix of
+    the d-simplices.  Its pivots are the pairs of homology (de Silva,
+    Morozov, Vejdemo-Johansson, 2011).  A (d-1)-simplex that the previous
+    pass paired as a death has a zero reduced coboundary and is skipped
+    (clearing), so top-dimension simplices are only ever rows.
+    """
     blocks = filtration.blocks
     n = filtration.n_points
     top = len(blocks) - 1
 
     lows = [None] * (top + 1)
-    cleared = [np.zeros(blocks[d][0].shape[0], dtype=bool) for d in range(top + 1)]
-
-    for d in range(top, 0, -1):
-        verts, _ = blocks[d]
-        n_cols = verts.shape[0]
-        row_verts, _ = blocks[d - 1]
-        n_rows = row_verts.shape[0]
-        if n_cols == 0:
-            lows[d] = np.empty(0, dtype=np.int64)
-            continue
-        row_keys = _encode(row_verts, n)
-        row_order = np.argsort(row_keys)
-        facets = np.empty((n_cols, d + 1), dtype=np.int64)
-        for drop in range(d + 1):
-            sub = np.delete(verts, drop, axis=1)
-            pos = np.searchsorted(row_keys[row_order], _encode(sub, n))
-            facets[:, drop] = row_order[pos]
-        col_rows = facets.reshape(-1)
-        col_ptr = np.arange(0, (n_cols + 1) * (d + 1), d + 1, dtype=np.int64)
-        low = _kernels.reduce_columns(col_ptr, col_rows, n_rows, cleared[d])
-        lows[d] = np.asarray(low)
-        pivots = lows[d][lows[d] >= 0]
-        cleared[d - 1][pivots] = True
+    cleared = np.zeros(blocks[0][0].shape[0], dtype=bool)
+    for d in range(1, top + 1):
+        n_cofaces = blocks[d][0].shape[0]
+        n_faces = blocks[d - 1][0].shape[0]
+        col_ptr, col_rows = _coboundary(blocks[d][0], blocks[d - 1][0], n)
+        low = _kernels.reduce_columns(col_ptr, col_rows, n_cofaces, cleared)
+        del col_ptr, col_rows
+        cols = np.flatnonzero(low >= 0)
+        rows = low[cols]
+        lows[d] = np.full(n_cofaces, -1, dtype=np.int64)
+        lows[d][n_cofaces - 1 - rows] = n_faces - 1 - cols
+        # the deaths, indexed as the next pass's columns
+        cleared = np.zeros(n_cofaces, dtype=bool)
+        cleared[rows] = True
 
     pairs = [[] for _ in range(filtration.max_dim + 1)]
     for d in range(1, top + 1):

@@ -3,10 +3,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from reluhom.network import NetworkSpec
+
+# Property tests draw the same examples on every run and are not timed, so
+# tier-1 stays reproducible and does not flake on a slow or busy machine.
+settings.register_profile(
+    "reluhom", derandomize=True, deadline=None, max_examples=100, database=None
+)
+settings.load_profile("reluhom")
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from reluhom import persistence
+from reluhom import _kernels, persistence
 from reluhom.errors import FormatError, ResourceCapError
 from oracles import naive_barcodes, n_components, mst_weights
 
@@ -161,6 +162,63 @@ class TestBarcodes:
             for b, e in bars(bc, q, include_zero=True):
                 n_endpoints += 1 if e == math.inf else 2
         assert n_endpoints == n_simplices
+
+
+class TestCohomologyReduction:
+    def test_coboundaries_reduced_bottom_up_with_clearing(self, monkeypatch):
+        calls = []
+        reduce_columns = _kernels.reduce_columns
+
+        def recording(col_ptr, col_rows, n_rows, skip):
+            low = reduce_columns(col_ptr, col_rows, n_rows, skip)
+            calls.append((len(col_ptr) - 1, int(np.sum(skip)), int(np.sum(low >= 0))))
+            return low
+
+        monkeypatch.setattr(_kernels, "reduce_columns", recording)
+        d = euclidean_matrix(circle_points(12))
+        f = persistence.build_filtration(d, max_dim=2)
+        persistence.compute_barcodes(f)
+        sizes = [verts.shape[0] for verts, _ in f.blocks]
+        assert all(sizes)
+        # one pass per dimension 1..3, whose columns are the simplices one
+        # dimension down: the top block's tetrahedra are never columns
+        assert [n_cols for n_cols, _, _ in calls] == sizes[:-1]
+        # clearing: the pass of dimension d skips the previous pass's deaths
+        assert calls[0][1] == 0
+        for prev, cur in zip(calls, calls[1:]):
+            assert cur[1] == prev[2]
+        assert sum(skipped for _, skipped, _ in calls) > 0
+
+
+@st.composite
+def distance_problems(draw):
+    """Small distance matrices, Euclidean or with tied integer entries."""
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        coord = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+        pts = np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)))
+        d = euclidean_matrix(pts)
+    else:
+        entries = draw(st.lists(st.integers(1, 3), min_size=n * n, max_size=n * n))
+        d = np.triu(np.array(entries, dtype=float).reshape(n, n), 1)
+        d = d + d.T
+    values = sorted(set(d[np.triu_indices(n, 1)].tolist())) or [0.0]
+    t_max = draw(
+        st.none()
+        | st.sampled_from(values)
+        | st.floats(0.0, values[-1], allow_nan=False)
+    )
+    return d, draw(st.integers(0, 3)), t_max
+
+
+@given(distance_problems())
+def test_barcode_equals_naive_oracle(problem):
+    d, max_dim, t_max = problem
+    f = persistence.build_filtration(d, max_dim=max_dim, t_max=t_max)
+    bc = persistence.compute_barcodes(f)
+    want = naive_barcodes(d, max_dim, t_max)
+    for q in range(max_dim + 1):
+        assert bars(bc, q, include_zero=True) == sorted(want.get(q, []))
 
 
 class TestLowerDistanceIO:
