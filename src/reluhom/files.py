@@ -1,4 +1,12 @@
-"""Small file helpers shared by the CLI: point sets and bit-string files."""
+"""Small file helpers shared by the CLI: point sets and bit-string files.
+
+A points file is JSON, ``{"points": [[...], ...]}``, one list of floats per
+point, all of one length.  A bits file holds one activation pattern per
+point, each a line of ASCII ``0``/``1`` digits (bit 0 first), all lines of
+one length; blank lines are skipped.  Bits files are read and written one
+line at a time, each line parsed or rendered by array operations, not one
+Python call per bit.
+"""
 
 import json
 
@@ -22,22 +30,31 @@ def read_points(path):
 
 
 def write_points(points, path):
+    # json.dumps runs the C encoder; json.dump(obj, fh) would not
+    text = json.dumps({"points": [np.asarray(p).tolist() for p in points]})
     with open(path, "w") as fh:
-        json.dump({"points": [np.asarray(p).tolist() for p in points]}, fh)
+        fh.write(text)
 
 
 def read_bits(path):
-    """One 0/1 string per line -> list of BitVector."""
+    """One 0/1 string per line -> list of BitVector, all of one length."""
     vectors = []
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
-                if line:
-                    try:
-                        vectors.append(BitVector.from01(line))
-                    except FormatError as exc:
-                        raise FormatError(f"{path}:{lineno}: {exc}") from exc
+                if not line:
+                    continue
+                try:
+                    v = BitVector.from01(line)
+                except FormatError as exc:
+                    raise FormatError(f"{path}:{lineno}: {exc}") from exc
+                if vectors and len(v) != len(vectors[0]):
+                    raise FormatError(
+                        f"{path}:{lineno}: {len(v)} bits, "
+                        f"but the first line has {len(vectors[0])}"
+                    )
+                vectors.append(v)
     except OSError as exc:
         raise FormatError(f"cannot read bits file {path}: {exc}") from exc
     return vectors

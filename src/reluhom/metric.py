@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionMismatch, FormatError
+from .errors import DimensionMismatch, FormatError, NonFiniteEntry
 from .network import BitVector
 
 
@@ -26,6 +26,10 @@ class DistanceMatrix:
         d = np.asarray(self.data, dtype=np.float64)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise DimensionMismatch(f"not square: {d.shape}")
+        nan = np.isnan(d)
+        if nan.any():
+            i, j = np.argwhere(nan)[0]
+            raise NonFiniteEntry(f"entry ({i}, {j}) is NaN")
         if np.any(np.diagonal(d) != 0.0):
             raise FormatError("matrix is not hollow")
         if not np.array_equal(d, d.T):

@@ -58,16 +58,20 @@ class BitVector:
 
     @classmethod
     def from01(cls, text):
+        """Parse a line of ASCII 0/1 digits (surrounding whitespace ignored)."""
         text = text.strip()
-        if not text or set(text) - {"0", "1"}:
+        # non-ASCII characters become "?"; every byte but "0"/"1" then maps
+        # above 1 (those below "0" wrap around)
+        bits = np.frombuffer(text.encode("ascii", "replace"), np.uint8) - ord("0")
+        if not bits.size or bits.max() > 1:
             raise FormatError(f"not a 0/1 string: {text!r}")
-        return cls.from_bits([int(ch) for ch in text])
+        return cls.from_bits(bits)
 
     def to_array(self):
         return np.unpackbits(self.words.view(np.uint8), bitorder="little")[: self.n]
 
     def to01(self):
-        return "".join("1" if b else "0" for b in self.to_array())
+        return (self.to_array() + ord("0")).tobytes().decode("ascii")
 
     def flip(self, i):
         if not 0 <= i < self.n:

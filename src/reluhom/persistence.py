@@ -215,12 +215,17 @@ def compute_barcodes(filtration):
 
 
 # ---------------------------------------------------------------------------
-# lower-distance-matrix text format (one row per point after the first,
-# comma-separated entries D[i,0..i-1])
+# Lower-distance-matrix (LDM) text format: line i (i = 1..n-1) holds the
+# comma-separated entries D[i, 0..i-1].  An entry with an integral value is
+# written as an integer without a decimal point, any other entry as its
+# Python repr (so "inf" for an infinite distance); parsing the text gives
+# back the same doubles bit for bit.  Rows are formatted from Python floats
+# (no numpy scalar per entry) and parsed with Python's float(), one line at
+# a time.
 # ---------------------------------------------------------------------------
 
 def _fmt(x):
-    return str(int(x)) if x == int(x) else repr(float(x))
+    return str(int(x)) if x.is_integer() else repr(x)
 
 
 def export_lower_distance(d, sink):
@@ -231,7 +236,7 @@ def export_lower_distance(d, sink):
         return
     D = _as_matrix(d)
     for i in range(1, D.shape[0]):
-        sink.write(",".join(_fmt(v) for v in D[i, :i]))
+        sink.write(",".join(map(_fmt, D[i, :i].tolist())))
         sink.write("\n")
 
 
@@ -246,13 +251,14 @@ def read_lower_distance(source):
         if not line:
             continue
         try:
-            rows.append([float(tok) for tok in line.split(",")])
+            row = np.fromiter(map(float, line.split(",")), np.float64)
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
-        if len(rows[-1]) != len(rows):
+        if row.size != len(rows) + 1:
             raise FormatError(
-                f"line {lineno}: expected {len(rows)} entries, got {len(rows[-1])}"
+                f"line {lineno}: expected {len(rows) + 1} entries, got {row.size}"
             )
+        rows.append(row)
     n = len(rows) + 1
     D = np.zeros((n, n))
     for i, row in enumerate(rows, start=1):

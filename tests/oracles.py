@@ -2,8 +2,8 @@
 
 Nothing here shares code with the library paths under test: the persistence
 oracle is a plain left-to-right reduction without clearing, MST/components
-come from Kruskal and union-find, and the 2-D facet count walks the polygon
-directly.
+come from Kruskal and union-find, the 2-D facet count walks the polygon
+directly, and the text-format oracles format one entry or one bit at a time.
 """
 
 import math
@@ -154,3 +154,29 @@ def polygon_facet_count(A, c, interior, span=1e6, tol=1e-7):
             if length > tol * span:
                 facets.add(k)
     return len(facets)
+
+
+# --- text format oracles -----------------------------------------------------
+
+def ldm_text(D):
+    """Lower-distance-matrix text, formatted one numpy scalar at a time.
+
+    The per-entry formatter the format was defined with, plus "inf" for an
+    infinite entry, which that formatter could not write.
+    """
+    def fmt(x):
+        if math.isinf(x):
+            return "inf"
+        return str(int(x)) if x == int(x) else repr(float(x))
+
+    D = np.asarray(D, dtype=float)
+    return "".join(
+        ",".join(fmt(v) for v in D[i, :i]) + "\n" for i in range(1, D.shape[0])
+    )
+
+
+def bits_text(v):
+    """0/1 string of a BitVector, read one bit at a time from its words."""
+    return "".join(
+        str((int(v.words[i // 64]) >> (i % 64)) & 1) for i in range(v.n)
+    )

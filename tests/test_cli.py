@@ -131,6 +131,16 @@ class TestPipeline:
         assert rc == 0
         assert persistence.read_lower_distance(po).data[0, 1] == 1.0
 
+    def test_combine_with_infinite_entry(self, tmp_path):
+        a = np.array([[0.0, np.inf, 2.0], [np.inf, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        b = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
+        pa, pb, po = (tmp_path / n for n in ("a.ldm", "b.ldm", "o.ldm"))
+        persistence.export_lower_distance(a, pa)
+        persistence.export_lower_distance(b, pb)
+        rc = cli.main(["combine", "--a", str(pa), "--b", str(pb), "--op", "max", "--out", str(po)])
+        assert rc == 0
+        assert np.array_equal(persistence.read_lower_distance(po).data, np.maximum(a, b))
+
     def test_export_ldm(self, tmp_path):
         pts = [[0.0, 0.0], [3.0, 4.0]]
         pp, op = tmp_path / "p.json", tmp_path / "m.ldm"
@@ -169,6 +179,21 @@ class TestSamplers:
         pts = np.array(json.loads(cp.read_text())["points"])
         assert pts.shape == (20, 3)
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)
+
+
+class TestInputErrors:
+    def test_mixed_bit_lengths_exit_3_naming_the_line(self, tmp_path, capsys):
+        bitsp = tmp_path / "b.txt"
+        bitsp.write_text("0101\n1100\n110\n")
+        rc = cli.main(["distmat", "--bits", str(bitsp), "--out", str(tmp_path / "m.ldm")])
+        assert rc == 3
+        assert f"{bitsp}:3:" in capsys.readouterr().err
+
+    def test_nan_entry_exits_3_naming_the_entry(self, tmp_path, capsys):
+        p = tmp_path / "m.ldm"
+        p.write_text("nan\n")
+        assert cli.main(["persist", "--matrix", str(p)]) == 3
+        assert "(0, 1)" in capsys.readouterr().err
 
 
 class TestUsage:

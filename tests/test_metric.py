@@ -3,7 +3,7 @@ import pytest
 
 from reluhom import metric
 from reluhom.network import BitVector
-from reluhom.errors import DimensionMismatch, FormatError
+from reluhom.errors import DimensionMismatch, FormatError, NonFiniteEntry
 
 
 def bv(s):
@@ -70,6 +70,13 @@ class TestDistanceMatrix:
             metric.DistanceMatrix(np.array([[1.0, 2.0], [2.0, 0.0]]))
         with pytest.raises(FormatError):
             metric.DistanceMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (2, 2)])
+    def test_nan_entry_is_named(self, i, j):
+        d = np.zeros((3, 3))
+        d[i, j] = d[j, i] = np.nan
+        with pytest.raises(NonFiniteEntry, match=rf"\({i}, {j}\)"):
+            metric.DistanceMatrix(d)
 
     def test_combine_min_max(self):
         d1 = metric.DistanceMatrix(np.array([[0.0, 3.0], [3.0, 0.0]]))

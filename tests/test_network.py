@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from reluhom.errors import DimensionMismatch, FormatError, NonFiniteEntry
 from reluhom.network import (
@@ -16,6 +17,7 @@ from reluhom.network import (
 )
 
 from conftest import random_net
+from oracles import bits_text
 
 
 def weight_doc(layers, input_dim):
@@ -151,6 +153,25 @@ class TestBitVectorType:
             assert np.array_equal(v.to_array(), bits)
             assert BitVector.from01(v.to01()) == v
             assert v.popcount() == int(bits.sum())
+
+    @given(st.lists(st.integers(0, 1), min_size=1, max_size=200))
+    @example([1] * 64)
+    @example([0, 1] * 64)
+    @example([1] + [0] * 63 + [1])
+    def test_text_matches_per_bit_oracle(self, bits):
+        v = BitVector.from_bits(bits)
+        text = bits_text(v)
+        assert text == "".join(map(str, bits))
+        assert v.to01() == text
+        assert BitVector.from01(text) == v
+        assert BitVector.from01(f" {text}\n") == v
+
+    @pytest.mark.parametrize(
+        "text", ["0 1", "01\t10", "\u0661\u0660", "2", "012", "0b1", "", "  \n"]
+    )
+    def test_from01_rejects(self, text):
+        with pytest.raises(FormatError, match="not a 0/1 string"):
+            BitVector.from01(text)
 
     def test_flip_and_index(self):
         v = BitVector.from_bits([0, 1, 0])

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from reluhom import _kernels, persistence
-from reluhom.errors import FormatError, ResourceCapError
-from oracles import naive_barcodes, n_components, mst_weights
+from reluhom.errors import FormatError, NonFiniteEntry, ResourceCapError
+from oracles import ldm_text, naive_barcodes, n_components, mst_weights
 
 
 def bars(bc, dim, include_zero=False):
@@ -221,6 +222,36 @@ def test_barcode_equals_naive_oracle(problem):
         assert bars(bc, q, include_zero=True) == sorted(want.get(q, []))
 
 
+# LDM entries: small and huge integers, arbitrary doubles, inf
+_ldm_entries = st.one_of(
+    st.integers(0, 1000).map(float),
+    st.floats(0.0, 1e308, allow_nan=False),
+    st.integers(2**53, 2**80).map(float),
+    st.just(1e300),
+    st.just(math.inf),
+)
+
+
+@st.composite
+def ldm_matrices(draw):
+    n = draw(st.integers(1, 8))
+    entries = draw(st.lists(_ldm_entries, min_size=n * (n - 1) // 2,
+                            max_size=n * (n - 1) // 2))
+    D = np.zeros((n, n))
+    D[np.tril_indices(n, -1)] = entries
+    return D + D.T
+
+
+@given(ldm_matrices())
+def test_ldm_text_matches_per_entry_oracle(D):
+    sink = io.StringIO()
+    persistence.export_lower_distance(D, sink)
+    text = sink.getvalue()
+    assert text == ldm_text(D)
+    back = persistence.read_lower_distance(io.StringIO(text))
+    assert back.data.tobytes() == D.tobytes()
+
+
 class TestLowerDistanceIO:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(71)
@@ -236,6 +267,19 @@ class TestLowerDistanceIO:
         text = p.read_text()
         assert "1" in text and "." not in text
 
+    def test_infinite_entry_round_trips(self, tmp_path):
+        d = np.array([[0.0, np.inf, 1.5], [np.inf, 0.0, 2.0], [1.5, 2.0, 0.0]])
+        p = tmp_path / "m.ldm"
+        persistence.export_lower_distance(d, p)
+        assert p.read_text() == "inf\n1.5,2\n"
+        assert np.array_equal(persistence.read_lower_distance(p).data, d)
+
+    def test_nan_entry_rejected_by_position(self, tmp_path):
+        p = tmp_path / "nan.ldm"
+        p.write_text("1\n2,nan\n")
+        with pytest.raises(NonFiniteEntry, match=r"\(1, 2\)"):
+            persistence.read_lower_distance(p)
+
     def test_ragged_file_rejected(self, tmp_path):
         p = tmp_path / "bad.ldm"
         p.write_text("1\n2,3\n4\n")
@@ -246,6 +290,13 @@ class TestLowerDistanceIO:
         p = tmp_path / "bad.ldm"
         p.write_text("1\n2,zap\n")
         with pytest.raises(FormatError):
+            persistence.read_lower_distance(p)
+
+    @pytest.mark.parametrize("bad", ["2,,3", "2 3", "0x2,3", "2,3,"])
+    def test_malformed_entry_names_its_line(self, tmp_path, bad):
+        p = tmp_path / "bad.ldm"
+        p.write_text(f"1\n{bad}\n")
+        with pytest.raises(FormatError, match="line 2"):
             persistence.read_lower_distance(p)
 
 
