@@ -8,7 +8,7 @@ from .enumeration import (
     enumerate_brute,
     enumerate_traverse,
 )
-from .lp import LinearProgram, LpOutcome, chebyshev_radius, is_feasible, is_redundant, solve
+from .lp import LinearProgram, LpOutcome, is_redundant, solve
 from .metric import DistanceMatrix, combine, dedup_bitvectors, hamming, hamming_matrix
 from .network import BitVector, NetworkSpec, bit_vector, forward, load_network
 from .persistence import (

@@ -1,9 +1,17 @@
-"""Dense two-phase simplex for the feasibility / redundancy / inradius LPs.
+"""Dense two-phase simplex for the Chebyshev and redundancy LPs.
 
 All problems here are "maximize c.x subject to A x <= b" with free variables
 (split into positive/negative parts internally).  Bland's rule guards
 against cycling; the sizes involved (rows = hidden nodes, cols = input
-dimension) keep the dense tableau cheap.
+dimension) keep the dense tableau cheap.  Phase 1 runs only when some
+right-hand side is negative: the Chebyshev LP of an untranslated system
+needs it, while `regions.essentialize` translates each system to its
+Chebyshev center first, so its redundancy LPs start from the slack basis
+(and a row that a ray from the center certifies gets no LP at all).
+
+A row is redundant at tolerance `tol` when maximizing it over the other
+rows gives at most its right-hand side plus `tol`; an unbounded maximum
+keeps the row.
 """
 
 from dataclasses import dataclass
@@ -28,13 +36,11 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """maximize objective.x subject to A x <= c, optional box bounds on x."""
+    """maximize objective.x subject to A x <= c, with x free."""
 
     objective: np.ndarray
     A: np.ndarray
     c: np.ndarray
-    lower: np.ndarray = None
-    upper: np.ndarray = None
 
 
 @dataclass(frozen=True)
@@ -100,16 +106,6 @@ def solve(lp):
         raise DimensionMismatch(
             f"LP shapes disagree: A {A.shape}, c {c.shape}, objective {obj.shape}"
         )
-    rows = [A]
-    rhs = [c]
-    if lp.lower is not None:
-        rows.append(-np.eye(n))
-        rhs.append(-np.asarray(lp.lower, dtype=np.float64))
-    if lp.upper is not None:
-        rows.append(np.eye(n))
-        rhs.append(np.asarray(lp.upper, dtype=np.float64))
-    A = np.vstack(rows)
-    c = np.concatenate(rhs)
     return _solve_leq(obj, A, c)
 
 
@@ -184,13 +180,6 @@ def _solve_leq(obj, A, b):
     return LpOutcome(OPTIMAL, float(obj @ x), x)
 
 
-def is_feasible(A, c):
-    """True iff {x : Ax <= c} is non-empty (phase-1 test at tolerance TAU_LP)."""
-    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-    out = solve(LinearProgram(np.zeros(A.shape[1]), A, c))
-    return out.status != INFEASIBLE
-
-
 def is_redundant(A, c, i, tol=TAU_LP):
     """True iff row i is implied by the remaining rows.
 
@@ -210,37 +199,27 @@ def is_redundant(A, c, i, tol=TAU_LP):
     return out.value <= c[i] + tol
 
 
-def chebyshev_center(A, c, r_cap=None):
+def chebyshev_center(A, c, r_cap):
     """Center and radius of the largest inscribed ball of {x : Ax <= c}.
 
-    Returns (center, radius); radius is inf when balls of any size fit
-    (the region contains arbitrarily large balls) and no cap is given.
+    The radius is capped at r_cap, so the LP is bounded even when the
+    region contains arbitrarily large balls.
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     c = np.asarray(c, dtype=np.float64)
     m, n = A.shape
     norms = np.linalg.norm(A, axis=1)
-    rows = np.hstack([A, norms[:, None]])
-    rows = np.vstack([rows, np.zeros((1, n + 1))])
-    rows[-1, -1] = -1.0                       # r >= 0
-    rhs = np.concatenate([c, [0.0]])
-    if r_cap is not None:
-        cap_row = np.zeros((1, n + 1))
-        cap_row[0, -1] = 1.0
-        rows = np.vstack([rows, cap_row])
-        rhs = np.concatenate([rhs, [float(r_cap)]])
+    rows = np.zeros((m + 2, n + 1))
+    rows[:m, :n] = A
+    rows[:m, n] = norms
+    rows[m, n] = -1.0                         # r >= 0
+    rows[m + 1, n] = 1.0                      # r <= r_cap
+    rhs = np.concatenate([c, [0.0, float(r_cap)]])
     objective = np.zeros(n + 1)
     objective[-1] = 1.0
     out = solve(LinearProgram(objective, rows, rhs))
     if out.status == INFEASIBLE:
-        raise InfeasibleSystemError("system is infeasible")
-    if out.status == UNBOUNDED:
-        # region contains arbitrarily large balls; report a capped center
-        ctr, _ = chebyshev_center(A, c, r_cap=1.0)
-        return ctr, np.inf
+        raise InfeasibleSystemError(
+            f"Chebyshev LP is {INFEASIBLE}: the {m} rows have no common point"
+        )
     return out.witness[:n], float(out.value)
-
-
-def chebyshev_radius(A, c):
-    """Radius of the largest inscribed ball; > TAU_DIM means full-dimensional."""
-    return chebyshev_center(A, c)[1]

@@ -5,6 +5,7 @@ layer-major; pruning it to the essential subsystem identifies the active
 bits, and flipping an active bit walks to the facet-neighbor.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -15,10 +16,14 @@ from .errors import (
     BoundaryPointError,
     DegenerateSystemError,
     DimensionMismatch,
+    InfeasibleSystemError,
 )
 from .network import BitVector, TAU_BIT, bit_vector, on_boundary
 
 _DUP_TOL = 1e-9
+# rays shot from each region's interior point to certify facets without LPs
+_N_RAYS = 64
+_RAY_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -113,15 +118,57 @@ def _duplicate_rows(A, c):
     return dup
 
 
+@functools.lru_cache(maxsize=None)
+def _rays(n):
+    """The fixed, read-only (n, _N_RAYS) unit directions of input dimension n."""
+    d = np.random.default_rng(_RAY_SEED).standard_normal((n, _N_RAYS))
+    d /= np.linalg.norm(d, axis=0)
+    d.flags.writeable = False
+    return d
+
+
+def _ray_facets(A, b, tau_lp):
+    """Rows of A y <= b (b > 0) that a ray from y = 0 proves essential.
+
+    Ray d meets row i at t_i = b_i / (a_i.d) when a_i.d > 0.  If row i is
+    met first and every other row no earlier than t2, the point t2 d
+    satisfies all other rows and exceeds row i by (a_i.d) t2 - b_i
+    (infinite when no other row is met).  When that exceeds tau_lp, the
+    redundancy LP of row i, against these rows or any subset of them,
+    keeps the row.
+    """
+    facet = np.zeros(A.shape[0], dtype=bool)
+    if A.shape[0] == 0:
+        return facet
+    P = A @ _rays(A.shape[1])
+    T = np.divide(b[:, None], P, out=np.full(P.shape, np.inf), where=P > 0)
+    cols = np.arange(T.shape[1])
+    first = T.argmin(axis=0)
+    hit = np.isfinite(T[first, cols])
+    T[first, cols] = np.inf
+    first, cols = first[hit], cols[hit]
+    over = P[first, cols] * T[:, cols].min(axis=0) - b[first]
+    facet[first[over > tau_lp]] = True
+    return facet
+
+
 def essentialize(A, c, tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
     """Minimal subsystem (A', c'), the surviving row indices and an interior point.
 
     One Chebyshev LP, its radius capped above tau_dim (at 1 by default),
     decides feasibility (InfeasibleSystemError) and full dimension
     (DegenerateSystemError when the radius is at most tau_dim) and gives the
-    interior witness returned last.
-    Identical hyperplanes then keep the lowest-index copy, and rows are
-    tested for redundancy in ascending order against the current survivor set.
+    interior witness z returned last.  Zero rows go, and identical
+    hyperplanes keep the lowest-index copy.
+
+    The rest is worked out on the system translated to z, A y <= c - A z,
+    whose right-hand side is at least the radius times each row norm.  Rows
+    are decided in ascending order against the current survivor set: row i
+    is redundant when the maximum of a_i.y over the other survivors is at
+    most its right-hand side plus tau_lp.  A row that one of _N_RAYS fixed
+    rays from z certifies (_ray_facets: an explicit point past the row by
+    more than tau_lp) is kept without an LP; every other row gets one
+    redundancy LP, which starts feasible, with no phase 1.
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     c = np.asarray(c, dtype=np.float64)
@@ -130,13 +177,17 @@ def essentialize(A, c, tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
     # any cap above tau_dim decides full dimension as the uncapped radius would
     center, radius = lp.chebyshev_center(A, c, r_cap=max(1.0, 2.0 * tau_dim))
     if radius <= tau_dim:
-        raise DegenerateSystemError("region is not full-dimensional")
+        raise DegenerateSystemError(
+            f"region is not full-dimensional: Chebyshev radius {radius:.3g} "
+            f"<= tau_dim {tau_dim:g}"
+        )
 
+    b = c - A @ center
     norms = np.linalg.norm(A, axis=1)
     keep = [int(i) for i in np.nonzero((norms > 0) & ~_duplicate_rows(A, c))[0]]
     pos = 0
-    while pos < len(keep):
-        if lp.is_redundant(A[keep], c[keep], pos, tau_lp):
+    for certified in _ray_facets(A[keep], b[keep], tau_lp):
+        if not certified and lp.is_redundant(A[keep], b[keep], pos, tau_lp):
             del keep[pos]
         else:
             pos += 1
@@ -164,7 +215,10 @@ def region_from_bits(net, bits, extra_A=None, extra_c=None,
     if extra_A is not None:
         A = np.vstack([A, extra_A])
         c = np.concatenate([c, extra_c])
-    A_ess, c_ess, active, center = essentialize(A, c, tau_lp, tau_dim)
+    try:
+        A_ess, c_ess, active, center = essentialize(A, c, tau_lp, tau_dim)
+    except (InfeasibleSystemError, DegenerateSystemError) as err:
+        raise type(err)(f"pattern {bits.to01()}: {err}") from err
     return Region(
         bits=bits,
         A=A,

@@ -3,7 +3,8 @@
 Nothing here shares code with the library paths under test: the persistence
 oracle is a plain left-to-right reduction without clearing, MST/components
 come from Kruskal and union-find, the 2-D facet count walks the polygon
-directly, and the text-format oracles format one entry or one bit at a time.
+directly, the essential rows come from scipy's linprog, and the text-format
+oracles format one entry or one bit at a time.
 """
 
 import math
@@ -154,6 +155,51 @@ def polygon_facet_count(A, c, interior, span=1e6, tol=1e-7):
             if length > tol * span:
                 facets.add(k)
     return len(facets)
+
+
+# --- essential rows by scipy ------------------------------------------------
+
+def essential_rows_linprog(A, c, tol):
+    """Row indices kept by an ascending redundancy sweep solved with linprog.
+
+    Zero rows go, and so does a row whose normalised (a_i, c_i) equals an
+    earlier row's.  Each remaining row, in ascending order, is dropped when
+    its maximum over the other survivors is at most c_i + tol; an unbounded
+    maximum keeps it.
+    """
+    from scipy.optimize import linprog
+
+    A = np.asarray(A, dtype=float)
+    c = np.asarray(c, dtype=float)
+    n = A.shape[1]
+    norms = np.linalg.norm(A, axis=1)
+    rows = np.hstack([A, c[:, None]])
+    survivors = []
+    for i in range(A.shape[0]):
+        if norms[i] == 0:
+            continue
+        if any(
+            norms[j] > 0
+            and np.abs(rows[i] / norms[i] - rows[j] / norms[j]).max() <= 1e-9
+            for j in range(i)
+        ):
+            continue
+        survivors.append(i)
+    pos = 0
+    while pos < len(survivors):
+        i = survivors[pos]
+        rest = survivors[:pos] + survivors[pos + 1:]
+        redundant = False
+        if rest:
+            res = linprog(-A[i], A_ub=A[rest], b_ub=c[rest],
+                          bounds=[(None, None)] * n, method="highs")
+            assert res.status in (0, 3), res.message
+            redundant = res.status == 0 and -res.fun <= c[i] + tol
+        if redundant:
+            del survivors[pos]
+        else:
+            pos += 1
+    return survivors
 
 
 # --- text format oracles -----------------------------------------------------

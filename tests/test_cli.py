@@ -81,6 +81,24 @@ class TestRegion:
         assert {"bits", "active_bits", "essential_rows", "affine", "interior_point"} <= set(rec)
         assert len(rec["essential_rows"]) == len(rec["active_bits"])
 
+    def test_tau_lp_decides_near_redundant_rows(self, tmp_path, capsys):
+        # one hidden layer z = W x + b, all bits 0 at (0.5, 0.5): the region
+        # is W x <= -b, the unit square with its corner cut by x + y <= 1.9
+        W1 = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+        b1 = -np.array([1.0, 1.0, 0.0, 0.0, 1.9])
+        net = network.NetworkSpec((W1, np.ones((1, 5))), (b1, np.zeros(1)), 2)
+        netp = tmp_path / "net.json"
+        network.save_network(net, netp)
+        active = {}
+        for tau in ("1e-8", "0.2"):
+            rc = cli.main(["region", "--net", str(netp), "--point", "0.5,0.5",
+                           "--tau-lp", tau])
+            assert rc == 0
+            rec = json.loads(capsys.readouterr().out)
+            assert rec["bits"] == "00000"
+            active[tau] = rec["active_bits"]
+        assert active == {"1e-8": [0, 1, 2, 3, 4], "0.2": [0, 1, 2, 3]}
+
     def test_boundary_point_exit_code(self, tmp_path):
         net = network.NetworkSpec(
             weights=[np.array([[1.0, 0.0]]), np.array([[1.0]])],

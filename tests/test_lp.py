@@ -12,6 +12,15 @@ def maximize(obj, A, c):
     return lp.solve(lp.LinearProgram(np.asarray(obj, float), A, c))
 
 
+def feasible(A, c):
+    """The capped Chebyshev LP decides whether {x : Ax <= c} is non-empty."""
+    try:
+        lp.chebyshev_center(A, c, r_cap=1.0)
+    except InfeasibleSystemError:
+        return False
+    return True
+
+
 class TestSolve:
     def test_1d_box(self):
         out = maximize([1.0], [[1.0], [-1.0]], [2.0, 0.0])
@@ -57,10 +66,11 @@ class TestSolve:
 
 class TestFeasible:
     def test_unit_square(self):
-        assert lp.is_feasible(SQUARE_A, SQUARE_C)
+        center, _ = lp.chebyshev_center(SQUARE_A, SQUARE_C, r_cap=1.0)
+        assert np.all(SQUARE_A @ center <= SQUARE_C + lp.TAU_LP)
 
     def test_empty(self):
-        assert not lp.is_feasible(np.array([[1.0], [-1.0]]), np.array([-1.0, 0.0]))
+        assert not feasible(np.array([[1.0], [-1.0]]), np.array([-1.0, 0.0]))
 
     def test_sampled_point_is_witness(self):
         # a system built around a known point must be feasible
@@ -69,7 +79,9 @@ class TestFeasible:
             x = rng.standard_normal(3)
             A = rng.standard_normal((6, 3))
             c = A @ x + rng.uniform(0.1, 1.0, 6)
-            assert lp.is_feasible(A, c)
+            center, radius = lp.chebyshev_center(A, c, r_cap=1.0)
+            assert radius > 0
+            assert np.all(A @ center <= c + lp.TAU_LP)
 
 
 class TestRedundant:
@@ -93,7 +105,7 @@ class TestRedundant:
         while done < 10:
             A = np.vstack([rng.standard_normal((4, 2)), SQUARE_A * 1])
             c = np.concatenate([rng.uniform(0.5, 1.5, 4), np.full(4, 5.0)])
-            if not lp.is_feasible(A, c):
+            if not feasible(A, c):
                 continue
             for i in range(4):
                 rest = np.delete(np.arange(A.shape[0]), i)
@@ -114,30 +126,35 @@ class TestRedundant:
         for _ in range(10):
             A = np.vstack([rng.standard_normal((5, 2)), SQUARE_A])
             c = np.concatenate([rng.uniform(0.5, 2.0, 5), np.full(4, 3.0)])
-            if not lp.is_feasible(A, c):
+            if not feasible(A, c):
                 continue
-            r0 = lp.chebyshev_radius(A, c)
+            # the box keeps every inradius below the cap
+            r0 = lp.chebyshev_center(A, c, r_cap=10.0)[1]
             for i in range(A.shape[0]):
                 if lp.is_redundant(A, c, i):
                     A2 = np.delete(A, i, axis=0)
                     c2 = np.delete(c, i)
-                    assert lp.is_feasible(A2, c2)
-                    assert lp.chebyshev_radius(A2, c2) == pytest.approx(
+                    assert lp.chebyshev_center(A2, c2, r_cap=10.0)[1] == pytest.approx(
                         r0, abs=lp.TAU_LP * 10
                     )
 
 
 class TestChebyshev:
     def test_unit_square(self):
-        assert lp.chebyshev_radius(SQUARE_A, SQUARE_C) == pytest.approx(0.5, abs=1e-8)
+        center, radius = lp.chebyshev_center(SQUARE_A, SQUARE_C, r_cap=1.0)
+        assert radius == pytest.approx(0.5, abs=1e-8)
+        assert center == pytest.approx([0.5, 0.5], abs=1e-8)
 
     def test_line_in_2d(self):
         A = np.array([[1.0, 0.0], [-1.0, 0.0]])
         c = np.array([0.0, 0.0])
-        assert lp.chebyshev_radius(A, c) == pytest.approx(0.0, abs=1e-8)
+        assert lp.chebyshev_center(A, c, r_cap=1.0)[1] == pytest.approx(0.0, abs=1e-8)
 
     def test_halfspace_is_unbounded(self):
-        assert lp.chebyshev_radius(np.array([[1.0, 0.0]]), np.array([0.0])) == np.inf
+        # balls of any size fit, so the radius is the cap
+        center, radius = lp.chebyshev_center(np.array([[1.0, 0.0]]), np.array([0.0]), r_cap=2.5)
+        assert radius == pytest.approx(2.5)
+        assert center[0] <= -2.5 + 1e-8
 
     def test_random_triangle_inradius(self):
         rng = np.random.default_rng(31)
@@ -160,9 +177,10 @@ class TestChebyshev:
                     normal = -normal
                 rows.append(normal)
                 rhs.append(normal @ pts[i])
-            got = lp.chebyshev_radius(np.array(rows), np.array(rhs))
+            # a cap far above any of these inradii leaves the LP's optimum alone
+            got = lp.chebyshev_center(np.array(rows), np.array(rhs), r_cap=100.0)[1]
             assert got == pytest.approx(inradius, rel=1e-6)
 
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleSystemError):
-            lp.chebyshev_radius(np.array([[1.0], [-1.0]]), np.array([-1.0, 0.0]))
+            lp.chebyshev_center(np.array([[1.0], [-1.0]]), np.array([-1.0, 0.0]), r_cap=1.0)

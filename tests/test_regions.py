@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from reluhom import lp, network, regions
 from reluhom.errors import (
@@ -7,7 +8,64 @@ from reluhom.errors import (
     DegenerateSystemError,
     InfeasibleSystemError,
 )
-from oracles import polygon_facet_count
+from oracles import essential_rows_linprog, polygon_facet_count
+
+
+# the unit square with its corner cut by x + y <= 1.9: the cut row lies 0.1
+# inside the square's corner, so it is a facet for tau_lp < 0.1 only
+CUT_SQUARE_A = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+CUT_SQUARE_C = np.array([1.0, 1.0, 0.0, 0.0, 1.9])
+
+
+@pytest.fixture
+def net_x1():
+    # z = (x1, x1 - 1, -x1): the patterns 010 and 000 cut out x1 <= 0 <= x1 - 1
+    # (empty) and x1 <= 0 <= x1 (the line x1 = 0)
+    W1 = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
+    b1 = np.array([0.0, -1.0, 0.0])
+    return network.NetworkSpec((W1, np.ones((1, 3))), (b1, np.zeros(1)), 2)
+
+
+@st.composite
+def near_degenerate_systems(draw):
+    """Full-dimensional A x <= c in 2-4 D with scaled duplicates and rows
+    tangent at a vertex, plus the tolerance to decide them at.
+
+    Hypothesis draws the shape; the entries come from a seeded generator.
+    """
+    from scipy.optimize import linprog
+
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(n + 1, 8))
+    boxed = draw(st.booleans())
+    n_tangent = draw(st.integers(0, 2))
+    n_dup = draw(st.integers(0, 2))
+    tau_lp = draw(st.sampled_from([lp.TAU_LP, 0.05]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x0 = rng.standard_normal(n)
+    A = rng.standard_normal((m, n))
+    c = A @ x0 + rng.uniform(0.1, 1.0, m)
+    if boxed:
+        A = np.vstack([A, np.eye(n), -np.eye(n)])
+        c = np.concatenate([c, x0 + 3.0, 3.0 - x0])
+    for _ in range(n_tangent):
+        # a positive combination of the rows tight at a vertex touches the
+        # region at that vertex only
+        res = linprog(-rng.standard_normal(n), A_ub=A, b_ub=c,
+                      bounds=[(None, None)] * n, method="highs")
+        if res.status != 0:
+            continue
+        tight = np.abs(A @ res.x - c) <= 1e-9
+        w = rng.uniform(0.2, 1.0, tight.sum())
+        A = np.vstack([A, w @ A[tight]])
+        c = np.append(c, w @ c[tight])
+    for _ in range(n_dup):
+        k = rng.integers(A.shape[0])
+        s = rng.uniform(0.5, 3.0)
+        A = np.vstack([A, s * A[k]])
+        c = np.append(c, s * c[k])
+    order = rng.permutation(A.shape[0])
+    return A[order], c[order], tau_lp
 
 
 def sample_interior_points(reg, rng, count=30):
@@ -119,6 +177,18 @@ class TestEssentialize:
         keep = regions.essentialize(A, c)[2]
         assert 0 in keep and 4 not in keep
 
+    def test_tau_lp_decides_near_redundant_rows(self):
+        keep = regions.essentialize(CUT_SQUARE_A, CUT_SQUARE_C, tau_lp=1e-8)[2]
+        assert keep.tolist() == [0, 1, 2, 3, 4]
+        keep = regions.essentialize(CUT_SQUARE_A, CUT_SQUARE_C, tau_lp=0.2)[2]
+        assert keep.tolist() == [0, 1, 2, 3]
+
+    @given(near_degenerate_systems())
+    def test_matches_sequential_linprog_oracle(self, system):
+        A, c, tau_lp = system
+        keep = regions.essentialize(A, c, tau_lp=tau_lp)[2]
+        assert keep.tolist() == essential_rows_linprog(A, c, tau_lp)
+
     def test_lower_dimensional_raises(self):
         A = np.array([[1.0, 0.0], [-1.0, 0.0]])
         c = np.array([0.0, 0.0])
@@ -169,6 +239,15 @@ class TestRegionOf:
             clips = out.status == lp.UNBOUNDED or out.value > d[j] + 1e-7
             assert ((net_2331.h + j) in reg.active_bits) == clips
 
+    def test_geometry_errors_name_the_pattern(self, net_x1):
+        # same types as essentialize raises, so CLI exit codes do not change
+        with pytest.raises(InfeasibleSystemError, match=r"^pattern 010: .*infeasible"):
+            regions.region_from_bits(net_x1, network.BitVector.from01("010"))
+        with pytest.raises(
+            DegenerateSystemError, match=r"^pattern 000: .*radius \S+ <= tau_dim 1e-07"
+        ):
+            regions.region_from_bits(net_x1, network.BitVector.from01("000"))
+
 
 class TestLpBudget:
     """One LP decides feasibility and full dimension and finds the interior
@@ -189,14 +268,6 @@ class TestLpBudget:
         monkeypatch.setattr(lp, "is_redundant", counted("is_redundant", lp.is_redundant))
         return lambda: calls["solve"] - calls["is_redundant"]
 
-    @pytest.fixture
-    def net_x1(self):
-        # z = (x1, x1 - 1, -x1): the patterns below cut out x1 <= 0 <= x1 - 1
-        # (empty) and x1 <= 0 <= x1 (the line x1 = 0)
-        W1 = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
-        b1 = np.array([0.0, -1.0, 0.0])
-        return network.NetworkSpec((W1, np.ones((1, 3))), (b1, np.zeros(1)), 2)
-
     def test_accepted_pattern(self, net_2331, lps_besides_redundancy):
         bits = network.bit_vector(net_2331, np.array([0.3, -0.7]))
         regions.region_from_bits(net_2331, bits)
@@ -211,6 +282,27 @@ class TestLpBudget:
         with pytest.raises(DegenerateSystemError):
             regions.region_from_bits(net_x1, network.BitVector.from01("000"))
         assert lps_besides_redundancy() == 1
+
+    def test_redundancy_lps_start_feasible_and_rays_spare_some(
+        self, net_2331, monkeypatch
+    ):
+        rhs = []
+        is_redundant = lp.is_redundant
+
+        def recorded(A, c, *args, **kwargs):
+            rhs.append(np.asarray(c))
+            return is_redundant(A, c, *args, **kwargs)
+
+        monkeypatch.setattr(lp, "is_redundant", recorded)
+        bits = network.bit_vector(net_2331, np.array([0.3, -0.7]))
+        regions.region_from_bits(net_2331, bits)
+        A, c = regions.assemble(net_2331, bits)
+        candidates = np.count_nonzero(
+            (np.linalg.norm(A, axis=1) > 0) & ~regions._duplicate_rows(A, c)
+        )
+        # a right-hand side >= 0 puts the origin in the system: no phase 1
+        assert all(np.all(r >= 0) for r in rhs)
+        assert len(rhs) < candidates
 
 
 class TestNeighbors:
