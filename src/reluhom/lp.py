@@ -1,13 +1,16 @@
-"""Dense two-phase simplex for the Chebyshev and redundancy LPs.
+"""Dense simplex for the Chebyshev and redundancy LPs, with no phase 1.
 
 All problems here are "maximize c.x subject to A x <= b" with free variables
 (split into positive/negative parts internally).  Bland's rule guards
 against cycling; the sizes involved (rows = hidden nodes, cols = input
-dimension) keep the dense tableau cheap.  Phase 1 runs only when some
-right-hand side is negative: the Chebyshev LP of an untranslated system
-needs it, while `regions.essentialize` translates each system to its
-Chebyshev center first, so its redundancy LPs start from the slack basis
-(and a row that a ray from the center certifies gets no LP at all).
+dimension) keep the dense tableau cheap.
+
+Every simplex run starts from the slack basis, so the right-hand sides it
+sees are non-negative and there are no artificial variables.  The Chebyshev
+LP has such right-hand sides by construction (see `chebyshev_center`);
+`solve` translates a system with a negative right-hand side to a point that
+LP finds.  `regions.essentialize` translates each region to its Chebyshev
+center itself, so its redundancy LPs need no such start.
 
 A row is redundant at tolerance `tol` when maximizing it over the other
 rows gives at most its right-hand side plus `tol`; an unbounded maximum
@@ -64,27 +67,29 @@ def _run_simplex(T, basis, max_iter):
     """Bland-rule simplex on a tableau whose last row is the reduced-cost row.
 
     Entries of the cost row below -_PIVOT_TOL admit improvement.  Returns
-    OPTIMAL or UNBOUNDED; raises IterationLimitError on stall.
+    OPTIMAL or UNBOUNDED; raises IterationLimitError on stall.  The scans
+    read Python-float copies of the tableau, which hold the same values.
     """
     m = T.shape[0] - 1
     for _ in range(max_iter):
-        costs = T[-1, :-1]
         entering = -1
-        for j in range(costs.size):
-            if costs[j] < -_PIVOT_TOL:
+        for j, cost in enumerate(T[-1, :-1].tolist()):
+            if cost < -_PIVOT_TOL:
                 entering = j
                 break
         if entering < 0:
             return OPTIMAL
-        col = T[:m, entering]
+        col = T[:m, entering].tolist()
+        rhs = T[:m, -1].tolist()
+        order = basis.tolist()
         best_ratio = np.inf
         leave = -1
         for r in range(m):
             if col[r] > _PIVOT_TOL:
-                ratio = T[r, -1] / col[r]
+                ratio = rhs[r] / col[r]
                 if ratio < best_ratio - _PIVOT_TOL or (
                     ratio < best_ratio + _PIVOT_TOL
-                    and (leave < 0 or basis[r] < basis[leave])
+                    and (leave < 0 or order[r] < order[leave])
                 ):
                     best_ratio = min(ratio, best_ratio)
                     leave = r
@@ -106,10 +111,22 @@ def solve(lp):
         raise DimensionMismatch(
             f"LP shapes disagree: A {A.shape}, c {c.shape}, objective {obj.shape}"
         )
-    return _solve_leq(obj, A, c)
+    if np.min(c, initial=0.0) >= 0:
+        return _solve_leq(obj, A, c)
+    # start from a point of the system: translate it there
+    try:
+        z = chebyshev_center(A, c, r_cap=1.0)[0]
+    except InfeasibleSystemError:
+        return LpOutcome(INFEASIBLE)
+    out = _solve_leq(obj, A, np.maximum(c - A @ z, 0.0))
+    if out.status != OPTIMAL:
+        return out
+    x = out.witness + z
+    return LpOutcome(OPTIMAL, float(obj @ x), x)
 
 
 def _solve_leq(obj, A, b):
+    """Simplex from the slack basis of A x <= b, which b >= 0 makes feasible."""
     m, n = A.shape
     if m == 0:
         if np.max(np.abs(obj), initial=0.0) <= _PIVOT_TOL:
@@ -117,65 +134,19 @@ def _solve_leq(obj, A, b):
         return LpOutcome(UNBOUNDED)
 
     # standard form: A(u - v) + s = b with u, v, s >= 0
-    E = np.hstack([A, -A, np.eye(m)])
-    rhs = b.astype(np.float64).copy()
-    neg = rhs < 0
-    E[neg] *= -1.0
-    rhs[neg] *= -1.0
-    art_rows = np.nonzero(neg)[0]
-    n_art = art_rows.size
-    ncols = 2 * n + m + n_art
-    T = np.zeros((m + 1, ncols + 1))
-    T[:m, : 2 * n + m] = E
-    for k, r in enumerate(art_rows):
-        T[r, 2 * n + m + k] = 1.0
-    T[:m, -1] = rhs
-    basis = np.empty(m, dtype=np.int64)
-    basis[:] = 2 * n + np.arange(m)          # slacks
-    basis[art_rows] = 2 * n + m + np.arange(n_art)
-
-    max_iter = 5000 + 200 * (m + ncols)
-
-    if n_art:
-        # phase 1: maximize -(sum of artificials)
-        T[-1, :] = 0.0
-        T[-1, 2 * n + m:-1] = 1.0
-        for r in art_rows:
-            T[-1] -= T[r]
-        status = _run_simplex(T, basis, max_iter)
-        if status != OPTIMAL or T[-1, -1] < -TAU_LP:
-            return LpOutcome(INFEASIBLE)
-        # drive remaining artificials out of the basis
-        keep_rows = np.ones(m, dtype=bool)
-        for r in range(m):
-            if basis[r] >= 2 * n + m:
-                done = False
-                for j in range(2 * n + m):
-                    if abs(T[r, j]) > _PIVOT_TOL:
-                        _pivot(T, basis, r, j)
-                        done = True
-                        break
-                if not done:
-                    keep_rows[r] = False    # redundant row
-        if not keep_rows.all():
-            T = np.vstack([T[:m][keep_rows], T[-1:]])
-            basis = basis[keep_rows]
-            m = basis.size
-        T = np.delete(T, np.s_[T.shape[1] - 1 - n_art: T.shape[1] - 1], axis=1)
-
-    # phase 2
-    full_obj = np.concatenate([obj, -obj, np.zeros(T.shape[1] - 1 - 2 * n)])
-    T[-1, :-1] = -full_obj
-    T[-1, -1] = 0.0
-    for r in range(basis.size):
-        coef = T[-1, basis[r]]
-        if coef != 0.0:
-            T[-1] -= coef * T[r]
-    status = _run_simplex(T, basis, max_iter)
+    T = np.zeros((m + 1, 2 * n + m + 1))
+    T[:m, :n] = A
+    T[:m, n: 2 * n] = -A
+    T[:m, 2 * n: -1] = np.eye(m)
+    T[:m, -1] = b
+    T[-1, :n] = -obj
+    T[-1, n: 2 * n] = obj
+    basis = 2 * n + np.arange(m)
+    status = _run_simplex(T, basis, 5000 + 200 * (2 * n + 2 * m))
     if status == UNBOUNDED:
         return LpOutcome(UNBOUNDED)
-    x_full = np.zeros(T.shape[1] - 1)
-    x_full[basis] = T[: basis.size, -1]
+    x_full = np.zeros(2 * n + m)
+    x_full[basis] = T[:m, -1]
     x = x_full[:n] - x_full[n: 2 * n]
     return LpOutcome(OPTIMAL, float(obj @ x), x)
 
@@ -200,26 +171,41 @@ def is_redundant(A, c, i, tol=TAU_LP):
 
 
 def chebyshev_center(A, c, r_cap):
-    """Center and radius of the largest inscribed ball of {x : Ax <= c}.
+    """Center and signed radius of the largest inscribed ball of {x : Ax <= c}.
 
-    The radius is capped at r_cap, so the LP is bounded even when the
-    region contains arbitrarily large balls.
+    Maximizes a free r subject to a_i.x + |a_i| r <= c_i and r <= r_cap, so
+    the LP is bounded even when the region contains arbitrarily large
+    balls.  The radius is negative when the system is empty; below -TAU_LP
+    that raises InfeasibleSystemError, as does a zero row 0 <= c_i with
+    c_i < -TAU_LP.  The LP runs on r - r0 with r0 = min(r_cap, min_i
+    c_i / |a_i|), whose right-hand sides are all non-negative.
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     c = np.asarray(c, dtype=np.float64)
-    m, n = A.shape
+    n = A.shape[1]
     norms = np.linalg.norm(A, axis=1)
-    rows = np.zeros((m + 2, n + 1))
+    zero = norms == 0
+    bad = np.flatnonzero(zero & (c < -TAU_LP))
+    if bad.size:
+        i = int(bad[0])
+        raise InfeasibleSystemError(
+            f"Chebyshev LP is {INFEASIBLE}: row {i} is 0 <= {c[i]:.3g}"
+        )
+    A, c, norms = A[~zero], c[~zero], norms[~zero]
+    m = c.size
+    r0 = min(float(r_cap), float(np.min(c / norms, initial=np.inf)))
+    rows = np.zeros((m + 1, n + 1))
     rows[:m, :n] = A
     rows[:m, n] = norms
-    rows[m, n] = -1.0                         # r >= 0
-    rows[m + 1, n] = 1.0                      # r <= r_cap
-    rhs = np.concatenate([c, [0.0, float(r_cap)]])
+    rows[m, n] = 1.0                          # r <= r_cap
+    rhs = np.maximum(np.append(c - norms * r0, float(r_cap) - r0), 0.0)
     objective = np.zeros(n + 1)
     objective[-1] = 1.0
     out = solve(LinearProgram(objective, rows, rhs))
-    if out.status == INFEASIBLE:
+    radius = r0 + out.value
+    if radius < -TAU_LP:
         raise InfeasibleSystemError(
-            f"Chebyshev LP is {INFEASIBLE}: the {m} rows have no common point"
+            f"Chebyshev LP is {INFEASIBLE}: signed radius {radius:.3g} < 0, "
+            f"the {m} rows have no common point"
         )
-    return out.witness[:n], float(out.value)
+    return out.witness[:n], radius

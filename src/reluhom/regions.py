@@ -6,6 +6,7 @@ bits, and flipping an active bit walks to the facet-neighbor.
 """
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -24,6 +25,9 @@ _DUP_TOL = 1e-9
 # rays shot from each region's interior point to certify facets without LPs
 _N_RAYS = 64
 _RAY_SEED = 0
+# n-subsets of those facets tried as weak-duality certificates of redundancy
+_N_BASES = 256
+_DUAL_TOL = 1e-9   # residual of a certificate, relative to its row's largest entry
 
 
 @dataclass(frozen=True)
@@ -101,20 +105,32 @@ def affine_map(net, bits):
 
 
 def _duplicate_rows(A, c):
-    """Indices of rows repeating an earlier hyperplane (same row up to scale)."""
+    """Indices of rows repeating an earlier hyperplane (same row up to scale).
+
+    Row j repeats row i < j when their normalised (a, c) agree within
+    _DUP_TOL entry by entry and row i is not itself a repeat.  Such rows are
+    close in Euclidean distance too, so the Gram matrix of the normalised
+    rows picks the candidate pairs, and the entrywise test decides them.
+    """
     norms = np.linalg.norm(A, axis=1)
     dup = np.zeros(A.shape[0], dtype=bool)
-    scale = np.where(norms > 0, norms, 1.0)
-    normed = np.hstack([A / scale[:, None], (c / scale)[:, None]])
-    for i in range(A.shape[0]):
-        if norms[i] == 0 or dup[i]:
-            continue
-        later = np.nonzero(
-            (norms > 0)
-            & (np.arange(A.shape[0]) > i)
-            & (np.abs(normed - normed[i]).max(axis=1) <= _DUP_TOL)
-        )[0]
-        dup[later] = True
+    nz = np.flatnonzero(norms > 0)
+    N = np.hstack([A[nz], c[nz, None]]) / norms[nz, None]
+    sq = np.einsum("ij,ij->i", N, N)
+    pair_sq = sq[:, None] + sq[None, :]
+    # entrywise within _DUP_TOL means a squared distance of at most
+    # k _DUP_TOL^2; the second term bounds the rounding of the Gram form
+    k = N.shape[1]
+    near = pair_sq - 2.0 * (N @ N.T) <= (
+        k * _DUP_TOL**2 + 4 * (k + 2) * np.finfo(np.float64).eps * pair_sq
+    )
+    first, later = np.nonzero(np.triu(near, 1))
+    same = np.abs(N[first] - N[later]).max(axis=1) <= _DUP_TOL
+    # pairs come in ascending order of the first row, so dup[i] is final
+    # before row i marks its repeats
+    for i, j in zip(nz[first[same]].tolist(), nz[later[same]].tolist()):
+        if not dup[i]:
+            dup[j] = True
     return dup
 
 
@@ -152,6 +168,39 @@ def _ray_facets(A, b, tau_lp):
     return facet
 
 
+def _dual_implied(A, b, facet, tau_lp):
+    """Rows of A y <= b that weak duality over the certified facets drops.
+
+    For an n-subset B of the facet rows and a row i outside them, a
+    lambda >= 0 with A_B^T lambda = a_i gives a_i.y = lambda.A_B y <=
+    lambda.b_B on every system that contains B.  When that bound is at most
+    b_i + tau_lp, the redundancy LP of row i against any survivor set
+    containing B drops the row, so it needs no LP.  The first _N_BASES
+    subsets are tried in one batch; the pseudo-inverse gives the
+    least-squares lambda of a singular A_B (parallel facets), which counts
+    only when its residual is tiny.
+    """
+    implied = np.zeros(A.shape[0], dtype=bool)
+    rest = np.flatnonzero(~facet)
+    n = A.shape[1]
+    subsets = itertools.combinations(np.flatnonzero(facet).tolist(), n)
+    bases = np.array(list(itertools.islice(subsets, _N_BASES)), np.int64).reshape(-1, n)
+    if rest.size == 0 or bases.shape[0] == 0:
+        return implied
+    AB_T = A[bases].transpose(0, 2, 1)                 # (bases, n, n)
+    targets = A[rest].T                                # (n, rows)
+    lam = np.linalg.pinv(AB_T) @ targets               # (bases, n, rows)
+    residual = np.abs(AB_T @ lam - targets).max(axis=1)
+    bound = np.einsum("kn,knr->kr", b[bases], lam)
+    certified = (
+        (lam.min(axis=1) >= 0)
+        & (residual <= _DUAL_TOL * np.abs(targets).max(axis=0))
+        & (bound <= b[rest] + tau_lp)
+    )
+    implied[rest[certified.any(axis=0)]] = True
+    return implied
+
+
 def essentialize(A, c, tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
     """Minimal subsystem (A', c'), the surviving row indices and an interior point.
 
@@ -165,10 +214,13 @@ def essentialize(A, c, tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
     whose right-hand side is at least the radius times each row norm.  Rows
     are decided in ascending order against the current survivor set: row i
     is redundant when the maximum of a_i.y over the other survivors is at
-    most its right-hand side plus tau_lp.  A row that one of _N_RAYS fixed
-    rays from z certifies (_ray_facets: an explicit point past the row by
-    more than tau_lp) is kept without an LP; every other row gets one
-    redundancy LP, which starts feasible, with no phase 1.
+    most its right-hand side plus tau_lp.  Two certificates decide rows
+    without an LP, each exactly as the LP would: a row that one of _N_RAYS
+    fixed rays from z certifies (_ray_facets: an explicit point past the
+    row by more than tau_lp) is kept, and a row that a non-negative
+    combination of n certified facets bounds by at most its right-hand
+    side plus tau_lp (_dual_implied: weak duality) is dropped.  Every other
+    row gets one redundancy LP, which starts from the slack basis.
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     c = np.asarray(c, dtype=np.float64)
@@ -185,9 +237,13 @@ def essentialize(A, c, tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
     b = c - A @ center
     norms = np.linalg.norm(A, axis=1)
     keep = [int(i) for i in np.nonzero((norms > 0) & ~_duplicate_rows(A, c))[0]]
+    facet = _ray_facets(A[keep], b[keep], tau_lp)
+    implied = _dual_implied(A[keep], b[keep], facet, tau_lp)
     pos = 0
-    for certified in _ray_facets(A[keep], b[keep], tau_lp):
-        if not certified and lp.is_redundant(A[keep], b[keep], pos, tau_lp):
+    for certified, dropped in zip(facet, implied):
+        if dropped or (
+            not certified and lp.is_redundant(A[keep], b[keep], pos, tau_lp)
+        ):
             del keep[pos]
         else:
             pos += 1

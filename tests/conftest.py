@@ -1,5 +1,6 @@
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from reluhom import lp
 from reluhom.network import NetworkSpec
 
 # Property tests draw the same examples on every run and are not timed, so
@@ -81,3 +83,29 @@ def net_221():
     W2 = np.array([[2.0, -3.0]])
     b2 = np.array([0.5])
     return NetworkSpec((W1, W2), (b1, b2), 2)
+
+
+@pytest.fixture
+def lp_counter(monkeypatch):
+    """Counts the LPs solved, the redundancy tests among them and the simplex
+    pivots, and records the smallest right-hand side of each LP solved."""
+    counts = SimpleNamespace(solves=0, redundancy=0, pivots=0, min_rhs=[])
+    solve, is_redundant, pivot = lp.solve, lp.is_redundant, lp._pivot
+
+    def counted_solve(problem):
+        counts.solves += 1
+        counts.min_rhs.append(float(np.min(problem.c, initial=np.inf)))
+        return solve(problem)
+
+    def counted_is_redundant(*args, **kwargs):
+        counts.redundancy += 1       # one LP, counted by counted_solve too
+        return is_redundant(*args, **kwargs)
+
+    def counted_pivot(*args):
+        counts.pivots += 1
+        return pivot(*args)
+
+    monkeypatch.setattr(lp, "solve", counted_solve)
+    monkeypatch.setattr(lp, "is_redundant", counted_is_redundant)
+    monkeypatch.setattr(lp, "_pivot", counted_pivot)
+    return counts

@@ -3,8 +3,9 @@
 Nothing here shares code with the library paths under test: the persistence
 oracle is a plain left-to-right reduction without clearing, MST/components
 come from Kruskal and union-find, the 2-D facet count walks the polygon
-directly, the essential rows come from scipy's linprog, and the text-format
-oracles format one entry or one bit at a time.
+directly, the essential rows come from scipy's linprog, repeated rows from a
+row-at-a-time scan, and the text-format oracles format one entry or one bit
+at a time.
 """
 
 import math
@@ -155,6 +156,29 @@ def polygon_facet_count(A, c, interior, span=1e6, tol=1e-7):
             if length > tol * span:
                 facets.add(k)
     return len(facets)
+
+
+# --- repeated hyperplanes, one row at a time --------------------------------
+
+def duplicate_rows_loop(A, c, tol):
+    """Rows whose normalised (a_j, c_j) is within tol, entry by entry, of an
+    earlier nonzero row that is not itself a repeat; zero rows never repeat."""
+    A = np.asarray(A, dtype=float)
+    c = np.asarray(c, dtype=float)
+    norms = np.linalg.norm(A, axis=1)
+    dup = np.zeros(A.shape[0], dtype=bool)
+    scale = np.where(norms > 0, norms, 1.0)
+    normed = np.hstack([A / scale[:, None], (c / scale)[:, None]])
+    for i in range(A.shape[0]):
+        if norms[i] == 0 or dup[i]:
+            continue
+        later = np.nonzero(
+            (norms > 0)
+            & (np.arange(A.shape[0]) > i)
+            & (np.abs(normed - normed[i]).max(axis=1) <= tol)
+        )[0]
+        dup[later] = True
+    return dup
 
 
 # --- essential rows by scipy ------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
+from scipy.optimize import linprog
 
 from reluhom import lp
 from reluhom.errors import DimensionMismatch, InfeasibleSystemError, IterationLimitError
@@ -19,6 +21,39 @@ def feasible(A, c):
     except InfeasibleSystemError:
         return False
     return True
+
+
+@st.composite
+def systems(draw):
+    """A x <= c in 1-3 D with right-hand sides of both signs, sometimes zero
+    rows or a box, and an objective.
+
+    Hypothesis draws the shape; the entries come from a seeded generator.
+    """
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((m, n))
+    A[rng.random(m) < draw(st.sampled_from([0.0, 0.2]))] = 0.0
+    c = rng.standard_normal(m) + draw(st.sampled_from([-0.5, 0.0, 1.0]))
+    if draw(st.booleans()):
+        # a box around a random point bounds the system
+        x0 = rng.standard_normal(n)
+        A = np.vstack([A, np.eye(n), -np.eye(n)])
+        c = np.concatenate([c, x0 + rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n) - x0])
+    return A, c, rng.standard_normal(n)
+
+
+def linprog_signed_radius(A, c):
+    """Uncapped signed Chebyshev radius by linprog: inf when balls of any size
+    fit, None when the system is empty (a zero row 0 <= c_i < 0)."""
+    norms = np.linalg.norm(A, axis=1)
+    obj = np.zeros(A.shape[1] + 1)
+    obj[-1] = -1.0
+    res = linprog(obj, A_ub=np.hstack([A, norms[:, None]]), b_ub=c,
+                  bounds=[(None, None)] * obj.size, method="highs")
+    assert res.status in (0, 2, 3), res.message
+    return {0: -res.fun if res.status == 0 else None, 2: None, 3: np.inf}[res.status]
 
 
 class TestSolve:
@@ -57,6 +92,21 @@ class TestSolve:
             assert ref.status == 0
             assert out.value == pytest.approx(-ref.fun, abs=1e-6)
             checked += 1
+
+    @given(systems())
+    def test_negative_rhs_matches_linprog(self, system):
+        A, c, obj = system
+        assume(np.min(c) < 0)
+        # keep clear of systems that are empty or not within rounding
+        radius = linprog_signed_radius(A, c)
+        assume(radius is None or abs(radius) > 1e-6)
+        ref = linprog(-obj, A_ub=A, b_ub=c, bounds=[(None, None)] * obj.size,
+                      method="highs")
+        out = maximize(obj, A, c)
+        assert out.status == {0: lp.OPTIMAL, 2: lp.INFEASIBLE, 3: lp.UNBOUNDED}[ref.status]
+        if out.status == lp.OPTIMAL:
+            assert out.value == pytest.approx(-ref.fun, rel=1e-7, abs=1e-7)
+            assert np.all(A @ out.witness <= c + 1e-7)
 
     def test_iteration_limit_reported(self):
         T = np.array([[1.0, 0.0], [-1.0, 0.0]])
@@ -180,6 +230,33 @@ class TestChebyshev:
             # a cap far above any of these inradii leaves the LP's optimum alone
             got = lp.chebyshev_center(np.array(rows), np.array(rhs), r_cap=100.0)[1]
             assert got == pytest.approx(inradius, rel=1e-6)
+
+    @given(systems(), st.sampled_from([0.25, 1.0, 10.0]))
+    def test_capped_signed_radius_matches_linprog(self, system, r_cap):
+        A, c, _ = system
+        radius = linprog_signed_radius(A, c)
+        assume(radius is None or abs(radius) > 1e-6)
+        # empty exactly when linprog finds no point of the system
+        empty = radius is None or radius < 0
+        feasible = linprog(np.zeros(A.shape[1]), A_ub=A, b_ub=c,
+                           bounds=[(None, None)] * A.shape[1], method="highs")
+        assert empty == (feasible.status == 2)
+        if empty:
+            with pytest.raises(InfeasibleSystemError, match="infeasible"):
+                lp.chebyshev_center(A, c, r_cap=r_cap)
+            return
+        center, got = lp.chebyshev_center(A, c, r_cap=r_cap)
+        assert got == pytest.approx(min(radius, r_cap), rel=1e-7, abs=1e-9)
+        norms = np.linalg.norm(A, axis=1)
+        assert np.all(A @ center + norms * got <= c + 1e-7)
+
+    def test_zero_rows(self):
+        # 0 <= 1 leaves the unit square's inradius alone; 0 <= -1 is empty
+        A = np.vstack([SQUARE_A, [0.0, 0.0]])
+        center, radius = lp.chebyshev_center(A, np.append(SQUARE_C, 1.0), r_cap=1.0)
+        assert radius == pytest.approx(0.5, abs=1e-8)
+        with pytest.raises(InfeasibleSystemError, match="row 4 is 0 <= -1"):
+            lp.chebyshev_center(A, np.append(SQUARE_C, -1.0), r_cap=1.0)
 
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleSystemError):

@@ -1,20 +1,33 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from reluhom import lp, network, regions
+from scipy.optimize import linprog
+
+from reluhom import enumeration, lp, network, regions
 from reluhom.errors import (
     BoundaryPointError,
     DegenerateSystemError,
     InfeasibleSystemError,
 )
-from oracles import essential_rows_linprog, polygon_facet_count
+from oracles import duplicate_rows_loop, essential_rows_linprog, polygon_facet_count
 
 
 # the unit square with its corner cut by x + y <= 1.9: the cut row lies 0.1
 # inside the square's corner, so it is a facet for tau_lp < 0.1 only
 CUT_SQUARE_A = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
 CUT_SQUARE_C = np.array([1.0, 1.0, 0.0, 0.0, 1.9])
+# the square |x|, |y| <= 1 and y <= 1.05: at tau_lp = 0.1 rays certify rows
+# 0, 1 and 3 only, and the parallel pair (0, 1) spans no certificate for
+# rows 2 and 4, whose normals it cannot combine
+PARALLEL_A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.0, 1.0]])
+PARALLEL_C = np.array([1.0, 1.0, 1.0, 1.0, 1.05])
+# row 1 repeats row 0, and row 2 repeats row 1 but not row 0: only a row that
+# is not itself a repeat marks later copies, so row 2 stays
+REPEAT_CHAIN = (
+    np.array([[1.0, 0.0], [2.0, 0.0], [1.0, 0.0]]),
+    np.array([1.0, 2.0 * (1.0 + 0.6 * regions._DUP_TOL), 1.0 + 1.2 * regions._DUP_TOL]),
+)
 
 
 @pytest.fixture
@@ -66,6 +79,32 @@ def near_degenerate_systems(draw):
         c = np.append(c, s * c[k])
     order = rng.permutation(A.shape[0])
     return A[order], c[order], tau_lp
+
+
+@st.composite
+def rows_with_repeats(draw):
+    """Rows in 1-4 D with zero rows, scaled repeats and near repeats whose
+    normalised right-hand side sits just inside or just outside _DUP_TOL.
+
+    Hypothesis draws the shape; the entries come from a seeded generator.
+    """
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((m, n))
+    c = rng.standard_normal(m) * draw(st.sampled_from([1.0, 1e3]))
+    for _ in range(draw(st.integers(0, 6))):
+        k = int(rng.integers(A.shape[0]))
+        s = rng.uniform(0.1, 10.0)
+        gap = draw(st.sampled_from([0.0, 0.3, 0.6, 0.999, 1.001, 1.4, 2.0]))
+        # a repeat of row k, its normalised c moved by gap * _DUP_TOL
+        A = np.vstack([A, s * A[k]])
+        c = np.append(c, s * (c[k] + gap * regions._DUP_TOL * np.linalg.norm(A[k])))
+    for _ in range(draw(st.integers(0, 2))):
+        A = np.vstack([A, np.zeros(n)])
+        c = np.append(c, rng.standard_normal())
+    order = rng.permutation(A.shape[0])
+    return A[order], c[order]
 
 
 def sample_interior_points(reg, rng, count=30):
@@ -177,6 +216,22 @@ class TestEssentialize:
         keep = regions.essentialize(A, c)[2]
         assert 0 in keep and 4 not in keep
 
+    @given(rows_with_repeats())
+    @example(REPEAT_CHAIN)
+    def test_duplicate_rows_match_loop_oracle(self, system):
+        A, c = system
+        got = regions._duplicate_rows(A, c)
+        assert got.tolist() == duplicate_rows_loop(A, c, regions._DUP_TOL).tolist()
+
+    def test_parallel_facets_certify_nothing(self):
+        # at tau_lp = 0.1 the pseudo-inverse of the singular basis (0, 1)
+        # fits the normal (0, 1) of rows 2 and 4 with lambda = 0, whose bound
+        # 0 would drop both: the residual rejects it
+        for tau_lp, want in ((lp.TAU_LP, [0, 1, 2, 3]), (0.1, [0, 1, 3, 4])):
+            keep = regions.essentialize(PARALLEL_A, PARALLEL_C, tau_lp=tau_lp)[2]
+            assert keep.tolist() == want
+            assert want == essential_rows_linprog(PARALLEL_A, PARALLEL_C, tau_lp)
+
     def test_tau_lp_decides_near_redundant_rows(self):
         keep = regions.essentialize(CUT_SQUARE_A, CUT_SQUARE_C, tau_lp=1e-8)[2]
         assert keep.tolist() == [0, 1, 2, 3, 4]
@@ -239,6 +294,16 @@ class TestRegionOf:
             clips = out.status == lp.UNBOUNDED or out.value > d[j] + 1e-7
             assert ((net_2331.h + j) in reg.active_bits) == clips
 
+    def test_zero_row_with_negative_rhs_is_infeasible(self, net_2331):
+        # with every layer-1 unit off, each layer-2 row is zero with right-hand
+        # side -b2 (bit 0) or b2 (bit 1); these bits make every one negative
+        b2 = net_2331.biases[1]
+        bits = network.BitVector.from_bits([0, 0, 0] + [int(v < 0) for v in b2])
+        A, c = regions.assemble(net_2331, bits)
+        assert np.all(A[3:] == 0) and np.all(c[3:] < 0)
+        with pytest.raises(InfeasibleSystemError, match=r"^pattern 000\d{3}: .*infeasible"):
+            regions.region_from_bits(net_2331, bits)
+
     def test_geometry_errors_name_the_pattern(self, net_x1):
         # same types as essentialize raises, so CLI exit codes do not change
         with pytest.raises(InfeasibleSystemError, match=r"^pattern 010: .*infeasible"):
@@ -254,19 +319,8 @@ class TestLpBudget:
     witness; every other LP of region_from_bits is a redundancy test."""
 
     @pytest.fixture
-    def lps_besides_redundancy(self, monkeypatch):
-        calls = {"solve": 0, "is_redundant": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        # is_redundant solves exactly one LP per call
-        monkeypatch.setattr(lp, "solve", counted("solve", lp.solve))
-        monkeypatch.setattr(lp, "is_redundant", counted("is_redundant", lp.is_redundant))
-        return lambda: calls["solve"] - calls["is_redundant"]
+    def lps_besides_redundancy(self, lp_counter):
+        return lambda: lp_counter.solves - lp_counter.redundancy
 
     def test_accepted_pattern(self, net_2331, lps_besides_redundancy):
         bits = network.bit_vector(net_2331, np.array([0.3, -0.7]))
@@ -303,6 +357,50 @@ class TestLpBudget:
         # a right-hand side >= 0 puts the origin in the system: no phase 1
         assert all(np.all(r >= 0) for r in rhs)
         assert len(rhs) < candidates
+
+
+    def test_no_lp_starts_from_a_negative_rhs(self, net_2331, lp_counter):
+        # every pattern, accepted or not, with and without a box: the
+        # simplex always starts from the slack basis, so no LP needs a
+        # feasible start found first
+        box = enumeration.BoxRegion(np.full(2, -1.0), np.full(2, 1.0))
+        enumeration.enumerate_brute(net_2331)
+        enumeration.enumerate_brute(net_2331, box=box)
+        assert lp_counter.solves > 2**net_2331.h and lp_counter.pivots > 0
+        assert min(lp_counter.min_rhs) >= 0
+
+    def test_redundancy_lps_only_for_rows_no_certificate_decides(
+        self, net_2331, lp_counter
+    ):
+        uncertified = dual_only = 0
+        for j in range(2**net_2331.h):
+            bits = network.BitVector.from_bits([(j >> i) & 1 for i in range(net_2331.h)])
+            try:
+                reg = regions.region_from_bits(net_2331, bits)
+            except (InfeasibleSystemError, DegenerateSystemError):
+                continue
+            A, c = regions.assemble(net_2331, bits)
+            rows = (np.linalg.norm(A, axis=1) > 0) & ~regions._duplicate_rows(A, c)
+            A, b = A[rows], (c - A @ reg.interior)[rows]
+            facet = regions._ray_facets(A, b, lp.TAU_LP)
+            for i in np.flatnonzero(~facet):
+                # weak duality over the ray facets, by linprog: their
+                # polyhedron bounds row i by at most b_i + tau_lp
+                res = linprog(-A[i], A_ub=A[facet], b_ub=b[facet],
+                              bounds=[(None, None)] * 2, method="highs")
+                if res.status == 0 and -res.fun <= b[i] + lp.TAU_LP:
+                    dual_only += 1
+                else:
+                    uncertified += 1
+        assert dual_only > 0
+        assert lp_counter.redundancy <= uncertified
+
+    def test_tau_lp_counts_in_the_duality_bound(self, lp_counter):
+        # at tau_lp = 0.2 the cut row x + y <= 1.9 is 0.1 below the bound 2
+        # that rows 0 and 1 give it, so duality drops it with no LP
+        keep = regions.essentialize(CUT_SQUARE_A, CUT_SQUARE_C, tau_lp=0.2)[2]
+        assert keep.tolist() == [0, 1, 2, 3]
+        assert lp_counter.redundancy == 0
 
 
 class TestNeighbors:
