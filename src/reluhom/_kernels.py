@@ -56,7 +56,7 @@ def _pop_odd(heap):
     return -1
 
 
-def reduce_columns(col_ptr, col_rows, n_rows, skip):
+def reduce_columns(col_ptr, col_rows, skip):
     n_cols = len(col_ptr) - 1
     low = np.full(n_cols, -1, dtype=np.int64)
     ptr = col_ptr.tolist()

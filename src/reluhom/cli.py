@@ -54,16 +54,6 @@ def _box(args):
     return BoxRegion(_vector(args.lower), _vector(args.upper))
 
 
-def _read_matrix(path):
-    with open(path) as fh:
-        return persistence.read_lower_distance(fh)
-
-
-def _write_matrix(d, path):
-    with open(path, "w") as fh:
-        persistence.export_lower_distance(d, fh)
-
-
 def cmd_bits(args):
     net = load_network(args.net)
     points = read_points(args.points)
@@ -134,19 +124,19 @@ def cmd_region(args):
 def cmd_distmat(args):
     vectors = read_bits(args.bits)
     d = metric.hamming_matrix(vectors, deduplicate=args.dedup)
-    _write_matrix(d, args.out)
+    persistence.export_lower_distance(d, args.out)
     return EXIT_OK
 
 
 def cmd_combine(args):
-    da = _read_matrix(args.a)
-    db = _read_matrix(args.b)
-    _write_matrix(metric.combine(da, db, args.op), args.out)
+    da = persistence.read_lower_distance(args.a)
+    db = persistence.read_lower_distance(args.b)
+    persistence.export_lower_distance(metric.combine(da, db, args.op), args.out)
     return EXIT_OK
 
 
 def cmd_persist(args):
-    d = _read_matrix(args.matrix)
+    d = persistence.read_lower_distance(args.matrix)
     filtration = persistence.build_filtration(
         d, max_dim=args.max_dim, t_max=args.t_max, simplex_cap=args.simplex_cap
     )
@@ -171,7 +161,7 @@ def cmd_export_ldm(args):
     pts = np.asarray(points)
     diff = pts[:, None, :] - pts[None, :, :]
     d = metric.DistanceMatrix(np.sqrt((diff ** 2).sum(axis=2)))
-    _write_matrix(d, args.out)
+    persistence.export_lower_distance(d, args.out)
     return EXIT_OK
 
 

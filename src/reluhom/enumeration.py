@@ -83,7 +83,7 @@ def _finalize(net, atlas):
     h = net.h
     for bits, region in atlas.regions.items():
         atlas.boundary_flags[bits] = any(k >= h for k in region.active_bits)
-        for other in neighbors(region, h):
+        for other in neighbors(region):
             if other in atlas.regions:
                 atlas.edges.add(frozenset((bits, other)))
     return atlas
@@ -93,7 +93,8 @@ def enumerate_brute(net, box=None, h_max=H_MAX_BRUTE,
                     tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
     """Test all 2^h patterns for a feasible full-dimensional region.
 
-    Pattern j has bit i = (j >> i) & 1; each is built just before its test.
+    Pattern j has bit i = (j >> i) & 1, so it is BitVector(h, j); each is
+    built just before its test.
     """
     h = net.h
     if h > h_max:
@@ -104,7 +105,7 @@ def enumerate_brute(net, box=None, h_max=H_MAX_BRUTE,
     extra = box.rows() if box is not None else (None, None)
     atlas = DecompositionAtlas(box=box)
     for j in range(1 << h):
-        bits = BitVector.from_bits([(j >> i) & 1 for i in range(h)])
+        bits = BitVector(h, j)
         region = _try_region(net, bits, extra, tau_lp, tau_dim)
         if region is not None:
             atlas.regions[bits] = region
@@ -137,7 +138,6 @@ def enumerate_traverse(net, seed, box=None, rng=None,
         rng = np.random.default_rng(0)
     x0 = _draw_seed(net, seed, box, rng)
     extra = box.rows() if box is not None else (None, None)
-    h = net.h
     atlas = DecompositionAtlas(box=box)
 
     first = _try_region(net, bit_vector(net, x0), extra, tau_lp, tau_dim)
@@ -146,7 +146,7 @@ def enumerate_traverse(net, seed, box=None, rng=None,
     atlas.regions[first.bits] = first
     frontier = deque([first.bits])
     while frontier:
-        for cand in neighbors(atlas.regions[frontier.popleft()], h):
+        for cand in neighbors(atlas.regions[frontier.popleft()]):
             if cand in atlas.regions:
                 continue
             region = _try_region(net, cand, extra, tau_lp, tau_dim)

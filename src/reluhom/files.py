@@ -4,8 +4,8 @@ A points file is JSON, ``{"points": [[...], ...]}``, one list of floats per
 point, all of one length.  A bits file holds one activation pattern per
 point, each a line of ASCII ``0``/``1`` digits (bit 0 first), all lines of
 one length; blank lines are skipped.  Bits files are read and written one
-line at a time, each line parsed or rendered by array operations, not one
-Python call per bit.
+line at a time, each line parsed or rendered as one Python int
+(``BitVector.from01`` / ``to01``), not one Python call per bit.
 """
 
 import json
@@ -55,7 +55,7 @@ def read_bits(path):
                         f"but the first line has {len(vectors[0])}"
                     )
                 vectors.append(v)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read bits file {path}: {exc}") from exc
     return vectors
 

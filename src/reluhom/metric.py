@@ -12,7 +12,6 @@ import numpy as np
 
 from . import _kernels
 from .errors import DimensionMismatch, FormatError, NonFiniteEntry
-from .network import BitVector
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,7 @@ def hamming(a, b):
     """Number of differing bits between two equal-length bit vectors."""
     if len(a) != len(b):
         raise DimensionMismatch(f"bit vector lengths differ: {len(a)} vs {len(b)}")
-    return int(np.bitwise_count(np.bitwise_xor(a.words, b.words)).sum())
+    return (a.value ^ b.value).bit_count()
 
 
 def dedup_bitvectors(vectors):
@@ -77,14 +76,6 @@ def dedup_bitvectors(vectors):
     return distinct, assignment
 
 
-def _pack_rows(vectors):
-    nwords = vectors[0].words.size
-    out = np.empty((len(vectors), nwords), dtype=np.uint64)
-    for i, v in enumerate(vectors):
-        out[i] = v.words
-    return out
-
-
 def hamming_matrix(vectors, deduplicate=False, labels=None):
     """Pairwise Hamming distances, optionally over distinct vectors only."""
     if not vectors:
@@ -101,7 +92,8 @@ def hamming_matrix(vectors, deduplicate=False, labels=None):
             first.setdefault(k, labels[i])
         labels = [first[k] for k in range(len(distinct))]
         vectors = distinct
-    d = _kernels.hamming_matrix_packed(_pack_rows(vectors)).astype(np.float64)
+    words = np.stack([v.words for v in vectors])
+    d = _kernels.hamming_matrix_packed(words).astype(np.float64)
     return DistanceMatrix(d, tuple(labels))
 
 

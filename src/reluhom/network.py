@@ -3,10 +3,13 @@
 A network is a chain of affine layers; every hidden layer is followed by a
 coordinate-wise ReLU, the output layer is affine only.  The activation
 pattern of a point is the binary vector, in layer-major node-ascending
-order, recording which hidden pre-activations were strictly positive.
+order, recording which hidden pre-activations were strictly positive.  A
+``BitVector`` stores it as its length plus one Python int; only the
+Hamming-matrix kernel sees it as 64-bit words.
 """
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,28 +21,21 @@ TAU_BIT = 1e-12
 
 
 class BitVector:
-    """Immutable activation pattern packed into 64-bit words.
+    """Immutable activation pattern of ``n`` bits held in one Python int.
 
-    Bit ``i`` of the canonical layer-major order lives at word ``i // 64``,
-    position ``i % 64``.  Instances are hashable and usable as dict keys.
+    Bit ``i`` of the canonical layer-major order is bit ``i`` of ``value``,
+    so xor, popcount, hashing and indexing are Python int operations.
+    Instances are hashable and usable as dict keys.
     """
 
-    __slots__ = ("n", "words", "_key")
+    __slots__ = ("n", "value")
 
-    def __init__(self, n, words):
-        words = np.ascontiguousarray(words, dtype=np.uint64)
-        if words.size != (n + 63) // 64:
-            raise DimensionMismatch(
-                f"expected {(n + 63) // 64} words for {n} bits, got {words.size}"
-            )
-        if n % 64 and words.size:
-            mask = np.uint64((1 << (n % 64)) - 1)
-            words = words.copy()
-            words[-1] &= mask
-        words.setflags(write=False)
+    def __init__(self, n, value):
+        value = operator.index(value)
+        if value < 0 or value.bit_length() > n:
+            raise DimensionMismatch(f"{value} is not a pattern of {n} bits")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "words", words)
-        object.__setattr__(self, "_key", (n, words.tobytes()))
+        object.__setattr__(self, "value", value)
 
     def __setattr__(self, name, value):
         raise AttributeError("BitVector is immutable")
@@ -49,53 +45,55 @@ class BitVector:
         bits = np.asarray(bits, dtype=np.uint8)
         if bits.ndim != 1:
             raise DimensionMismatch("bit sequence must be one-dimensional")
-        n = bits.size
-        packed = np.packbits(bits, bitorder="little")
-        pad = (-packed.size) % 8
-        if pad:
-            packed = np.concatenate([packed, np.zeros(pad, dtype=np.uint8)])
-        return cls(n, packed.view(np.uint64))
+        packed = np.packbits(bits, bitorder="little").tobytes()
+        return cls(bits.size, int.from_bytes(packed, "little"))
 
     @classmethod
     def from01(cls, text):
         """Parse a line of ASCII 0/1 digits (surrounding whitespace ignored)."""
         text = text.strip()
-        # non-ASCII characters become "?"; every byte but "0"/"1" then maps
-        # above 1 (those below "0" wrap around)
-        bits = np.frombuffer(text.encode("ascii", "replace"), np.uint8) - ord("0")
-        if not bits.size or bits.max() > 1:
+        # int(..., 2) alone would also take "_", a sign and non-ASCII digits
+        if not text or text.strip("01"):
             raise FormatError(f"not a 0/1 string: {text!r}")
-        return cls.from_bits(bits)
+        return cls(len(text), int(text[::-1], 2))
+
+    @property
+    def words(self):
+        """Read-only uint64 array: bit i is bit i % 64 of word i // 64."""
+        raw = self.value.to_bytes(8 * ((self.n + 63) // 64), "little")
+        return np.frombuffer(raw, dtype="<u8")
 
     def to_array(self):
-        return np.unpackbits(self.words.view(np.uint8), bitorder="little")[: self.n]
+        raw = np.frombuffer(self.value.to_bytes((self.n + 7) // 8, "little"), np.uint8)
+        return np.unpackbits(raw, bitorder="little")[: self.n]
 
     def to01(self):
-        return (self.to_array() + ord("0")).tobytes().decode("ascii")
+        # the sentinel bit n keeps the leading zeros; bin() writes it as "0b1"
+        return bin(self.value | (1 << self.n))[3:][::-1]
 
     def flip(self, i):
         if not 0 <= i < self.n:
             raise IndexError(i)
-        words = self.words.copy()
-        words[i // 64] ^= np.uint64(1) << np.uint64(i % 64)
-        return BitVector(self.n, words)
+        return BitVector(self.n, self.value ^ (1 << i))
 
     def popcount(self):
-        return int(np.bitwise_count(self.words).sum())
+        return self.value.bit_count()
 
     def __getitem__(self, i):
         if not 0 <= i < self.n:
             raise IndexError(i)
-        return int((self.words[i // 64] >> np.uint64(i % 64)) & np.uint64(1))
+        return (self.value >> i) & 1
 
     def __len__(self):
         return self.n
 
     def __eq__(self, other):
-        return isinstance(other, BitVector) and self._key == other._key
+        if not isinstance(other, BitVector):
+            return False
+        return self.n == other.n and self.value == other.value
 
     def __hash__(self):
-        return hash(self._key)
+        return hash((self.n, self.value))
 
     def __repr__(self):
         return f"BitVector({self.to01()!r})"

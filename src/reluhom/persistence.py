@@ -181,7 +181,7 @@ def compute_barcodes(filtration):
         n_cofaces = blocks[d][0].shape[0]
         n_faces = blocks[d - 1][0].shape[0]
         col_ptr, col_rows = _coboundary(blocks[d][0], blocks[d - 1][0], n)
-        low = _kernels.reduce_columns(col_ptr, col_rows, n_cofaces, cleared)
+        low = _kernels.reduce_columns(col_ptr, col_rows, cleared)
         del col_ptr, col_rows
         cols = np.flatnonzero(low >= 0)
         rows = low[cols]
@@ -243,8 +243,11 @@ def export_lower_distance(d, sink):
 def read_lower_distance(source):
     """Parse lower-triangular CSV back into a DistanceMatrix."""
     if isinstance(source, (str, os.PathLike)):
-        with open(source) as fh:
-            return read_lower_distance(fh)
+        try:
+            with open(source) as fh:
+                return read_lower_distance(fh)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise FormatError(f"cannot read distance file {source}: {exc}") from exc
     rows = []
     for lineno, line in enumerate(source, start=1):
         line = line.strip()

@@ -60,48 +60,38 @@ class Region:
 
 
 def _hat_maps(net, bits):
-    """Composed affine maps (What_j, bhat_j) for every hidden layer."""
-    offsets = net.bit_offsets()
-    bit_arr = bits.to_array().astype(np.float64)
-    hats = []
-    w_hat = net.weights[0]
-    b_hat = net.biases[0]
-    hats.append((w_hat, b_hat))
-    for j in range(1, net.n_hidden_layers):
-        s_prev = bit_arr[offsets[j - 1]: offsets[j]]
-        w_hat = net.weights[j] @ (s_prev[:, None] * w_hat)
-        b_hat = net.weights[j] @ (s_prev * b_hat) + net.biases[j]
-        hats.append((w_hat, b_hat))
-    return hats
+    """A pattern's system (A, c) and output map (M, v), from one pass.
 
-
-def assemble(net, bits):
-    """Inequality system A x <= c of an activation pattern (rows layer-major)."""
+    Hidden layer j's pre-activations are What_j x + bhat_j on the region,
+    composed through the 0/1 masks of the layers before it; the output
+    layer composed the same way gives M x + v.
+    """
     if len(bits) != net.h:
         raise DimensionMismatch(f"bit vector length {len(bits)} != h = {net.h}")
     offsets = net.bit_offsets()
     bit_arr = bits.to_array().astype(np.float64)
     A_blocks = []
     c_blocks = []
-    for j, (w_hat, b_hat) in enumerate(_hat_maps(net, bits)):
-        sign = 1.0 - 2.0 * bit_arr[offsets[j]: offsets[j + 1]]  # bit 1 -> -1
+    w_hat = net.weights[0]
+    b_hat = net.biases[0]
+    for j in range(net.n_hidden_layers):
+        s = bit_arr[offsets[j]: offsets[j + 1]]
+        sign = 1.0 - 2.0 * s  # bit 1 -> -1
         A_blocks.append(sign[:, None] * w_hat)
         c_blocks.append(sign * (-b_hat))
-    return np.vstack(A_blocks), np.concatenate(c_blocks)
+        w_hat = net.weights[j + 1] @ (s[:, None] * w_hat)
+        b_hat = net.weights[j + 1] @ (s * b_hat) + net.biases[j + 1]
+    return (np.vstack(A_blocks), np.concatenate(c_blocks)), (w_hat, b_hat)
+
+
+def assemble(net, bits):
+    """Inequality system A x <= c of an activation pattern (rows layer-major)."""
+    return _hat_maps(net, bits)[0]
 
 
 def affine_map(net, bits):
     """The affine map (M, v) the network applies on this pattern's region."""
-    if len(bits) != net.h:
-        raise DimensionMismatch(f"bit vector length {len(bits)} != h = {net.h}")
-    offsets = net.bit_offsets()
-    bit_arr = bits.to_array().astype(np.float64)
-    w_hat, b_hat = _hat_maps(net, bits)[-1]
-    s_last = bit_arr[offsets[-2]: offsets[-1]]
-    w_out = net.weights[-1]
-    M = w_out @ (s_last[:, None] * w_hat)
-    v = w_out @ (s_last * b_hat) + net.biases[-1]
-    return M, v
+    return _hat_maps(net, bits)[1]
 
 
 def _duplicate_rows(A, c):
@@ -267,7 +257,7 @@ def region_from_bits(net, bits, extra_A=None, extra_c=None,
 
     Extra rows (e.g. box bounds) take indices h, h+1, ... in active_bits.
     """
-    A, c = assemble(net, bits)
+    (A, c), affine = _hat_maps(net, bits)
     if extra_A is not None:
         A = np.vstack([A, extra_A])
         c = np.concatenate([c, extra_c])
@@ -282,19 +272,18 @@ def region_from_bits(net, bits, extra_A=None, extra_c=None,
         A_essential=A_ess,
         c_essential=c_ess,
         active_bits=tuple(int(i) for i in active),
-        affine=affine_map(net, bits),
+        affine=affine,
         interior=center,
     )
 
 
-def neighbors(region, h=None):
+def neighbors(region):
     """Bit vectors of the facet-neighbors: one active-bit flip each.
 
-    Active indices >= h (box rows, when present) are not flippable and are
-    skipped; pass h to make the cutoff explicit, default = bit count.
+    Active indices >= h = len(region.bits) are box rows, when present; they
+    are not flippable and are skipped.
     """
-    if h is None:
-        h = len(region.bits)
+    h = len(region.bits)
     return [region.bits.flip(k) for k in region.active_bits if k < h]
 
 

@@ -207,6 +207,26 @@ class TestInputErrors:
         assert rc == 3
         assert f"{bitsp}:3:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe"], ids=["missing", "not-utf8"])
+    @pytest.mark.parametrize("command", ["persist", "combine", "distmat"])
+    def test_unreadable_input_exits_3_naming_the_file(
+        self, tmp_path, capsys, command, content
+    ):
+        bad = tmp_path / "bad.in"
+        if content is not None:
+            bad.write_bytes(content)
+        good = tmp_path / "good.ldm"
+        good.write_text("1\n")
+        out = str(tmp_path / "m.ldm")
+        argv = {
+            "persist": ["persist", "--matrix", str(bad)],
+            "combine": ["combine", "--a", str(good), "--b", str(bad), "--op", "min",
+                        "--out", out],
+            "distmat": ["distmat", "--bits", str(bad), "--out", out],
+        }[command]
+        assert cli.main(argv) == 3
+        assert str(bad) in capsys.readouterr().err
+
     def test_nan_entry_exits_3_naming_the_entry(self, tmp_path, capsys):
         p = tmp_path / "m.ldm"
         p.write_text("nan\n")

@@ -106,9 +106,7 @@ def test_reduce_columns_matches_dense_reduction(problem):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_pop_odd", bounded_pop_odd)
-        got = _kernels.reduce_columns(
-            col_ptr, col_rows, n_rows, np.array(skip, dtype=bool)
-        )
+        got = _kernels.reduce_columns(col_ptr, col_rows, np.array(skip, dtype=bool))
     # a skipped column is one known to reduce to zero: the oracle sees it empty
     kept = [[] if s else c for c, s in zip(columns, skip)]
     assert got.tolist() == dense_lows(kept, n_rows)

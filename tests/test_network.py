@@ -1,5 +1,6 @@
 import io
 import json
+import random
 
 import numpy as np
 import pytest
@@ -154,7 +155,7 @@ class TestBitVectorType:
             assert BitVector.from01(v.to01()) == v
             assert v.popcount() == int(bits.sum())
 
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=200))
+    @given(st.lists(st.integers(0, 1), min_size=0, max_size=200))
     @example([1] * 64)
     @example([0, 1] * 64)
     @example([1] + [0] * 63 + [1])
@@ -163,11 +164,44 @@ class TestBitVectorType:
         text = bits_text(v)
         assert text == "".join(map(str, bits))
         assert v.to01() == text
-        assert BitVector.from01(text) == v
-        assert BitVector.from01(f" {text}\n") == v
+        if bits:
+            assert BitVector.from01(text) == v
+            assert BitVector.from01(f" {text}\n") == v
+        assert v.popcount() == sum(bits)
+        assert v.to_array().tolist() == bits
+        assert v.words.tolist() == [
+            sum(b << (i % 64) for i, b in enumerate(bits) if i // 64 == w)
+            for w in range(-(-len(bits) // 64))
+        ]
+        for i, b in enumerate(bits):
+            assert v[i] == b
+            flipped = bits[:i] + [1 - b] + bits[i + 1:]
+            assert v.flip(i).to01() == "".join(map(str, flipped))
+        for i in (-1, len(bits)):
+            with pytest.raises(IndexError):
+                v[i]
+            with pytest.raises(IndexError):
+                v.flip(i)
+
+    def test_value_is_the_pattern(self):
+        rng = random.Random(0)
+        for h in range(1, 131):
+            for j in (0, 1 << (h - 1), (1 << h) - 1, rng.getrandbits(h)):
+                v = BitVector(h, j)
+                assert v == BitVector.from_bits([(j >> i) & 1 for i in range(h)])
+                assert v.value == j
+        for n, value in ((0, 1), (3, 8), (64, 1 << 64), (3, -1)):
+            with pytest.raises(DimensionMismatch):
+                BitVector(n, value)
+        assert BitVector(1, 0) != BitVector(2, 0)
+        assert len({BitVector(1, 0), BitVector(2, 0)}) == 2
+        with pytest.raises(ValueError, match="read-only"):
+            BitVector(70, 5).words[0] = 1
 
     @pytest.mark.parametrize(
-        "text", ["0 1", "01\t10", "\u0661\u0660", "2", "012", "0b1", "", "  \n"]
+        "text",
+        ["0 1", "01\t10", "\u0661\u0660", "2", "012", "0b1", "", "  \n",
+         "1_0", "+1", "-1"],
     )
     def test_from01_rejects(self, text):
         with pytest.raises(FormatError, match="not a 0/1 string"):

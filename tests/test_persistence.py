@@ -170,8 +170,8 @@ class TestCohomologyReduction:
         calls = []
         reduce_columns = _kernels.reduce_columns
 
-        def recording(col_ptr, col_rows, n_rows, skip):
-            low = reduce_columns(col_ptr, col_rows, n_rows, skip)
+        def recording(col_ptr, col_rows, skip):
+            low = reduce_columns(col_ptr, col_rows, skip)
             calls.append((len(col_ptr) - 1, int(np.sum(skip)), int(np.sum(low >= 0))))
             return low
 

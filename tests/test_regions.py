@@ -294,6 +294,23 @@ class TestRegionOf:
             clips = out.status == lp.UNBOUNDED or out.value > d[j] + 1e-7
             assert ((net_2331.h + j) in reg.active_bits) == clips
 
+    def test_composed_maps_built_once_per_region(self, net_2331, monkeypatch):
+        calls = []
+        hat_maps = regions._hat_maps
+
+        def counting(net, bits):
+            calls.append(bits)
+            return hat_maps(net, bits)
+
+        monkeypatch.setattr(regions, "_hat_maps", counting)
+        bits = network.bit_vector(net_2331, np.random.default_rng(21).standard_normal(2))
+        reg = regions.region_from_bits(net_2331, bits)
+        assert calls == [bits]
+        A, c = regions.assemble(net_2331, bits)
+        M, v = regions.affine_map(net_2331, bits)
+        assert np.array_equal(reg.A, A) and np.array_equal(reg.c, c)
+        assert np.array_equal(reg.affine[0], M) and np.array_equal(reg.affine[1], v)
+
     def test_zero_row_with_negative_rhs_is_infeasible(self, net_2331):
         # with every layer-1 unit off, each layer-2 row is zero with right-hand
         # side -b2 (bit 0) or b2 (bit 1); these bits make every one negative
@@ -408,7 +425,7 @@ class TestNeighbors:
         rng = np.random.default_rng(17)
         x = rng.standard_normal(2)
         reg = regions.region_of(net_2331, x)
-        nbrs = regions.neighbors(reg, net_2331.h)
+        nbrs = regions.neighbors(reg)
         assert len(nbrs) == len(reg.active_bits)
         for flipped in nbrs:
             # each candidate differs in exactly one position
