@@ -1,12 +1,12 @@
 """Hot numeric kernels: the packed Hamming matrix and GF(2) column reduction.
 
-There is one backend, plain numpy and Python; ``tests/test_kernels.py``
-checks it exactly against independent oracles.  ``USING_NUMBA`` is always
-``False``: it is kept only because the benchmark records it in its
-environment report.
+The reduction holds a column as a plain list of distinct rows, and as a
+Python set of rows once additions start; there is no heap and no
+multiplicity count.  There is one backend, plain numpy and Python;
+``tests/test_kernels.py`` checks it exactly against independent oracles.
+``USING_NUMBA`` is always ``False``: it is kept only because the benchmark
+records it in its environment report.
 """
-
-import heapq
 
 import numpy as np
 
@@ -35,59 +35,33 @@ def hamming_matrix_packed(words):
 # Column reduction over GF(2)
 # ---------------------------------------------------------------------------
 #
-# Columns arrive as a CSR triple (col_ptr, col_rows) and are reduced left to
-# right; a column's pivot is its largest row of odd multiplicity.  Returns
-# the pivot row of each column (-1 when the column reduces to zero).
-# Columns flagged in `skip` are known to reduce to zero (clearing) and are
-# not touched.  The kernel stores a column only when reduced: a pivot column
-# that no addition changed is re-read from its CSR slice when a later column
-# needs it.
-
-def _pop_odd(heap):
-    """Pop the largest row of odd multiplicity off a negated heap, or -1."""
-    while heap:
-        v = heapq.heappop(heap)
-        odd = True
-        while heap and heap[0] == v:
-            heapq.heappop(heap)
-            odd = not odd
-        if odd:
-            return -v
-    return -1
-
+# Columns are reduced left to right; a column's pivot is its largest row.  A
+# column is a plain list until its pivot is already owned, then a row set:
+# each addition is one set xor and a fresh max.  Only columns that additions
+# changed are stored; an unchanged pivot column is re-read from its slice.
 
 def reduce_columns(col_ptr, col_rows, skip):
-    n_cols = len(col_ptr) - 1
-    low = np.full(n_cols, -1, dtype=np.int64)
+    """Pivot row of each CSR column after reduction, or -1 for a zero column.
+
+    Rows within a column must be distinct.  Columns flagged in `skip` are
+    known to reduce to zero (clearing) and are not touched.
+    """
+    low = np.full(len(col_ptr) - 1, -1, dtype=np.int64)
     ptr = col_ptr.tolist()
     owner = {}
-    stored = {}      # reduced columns without their pivot, for changed columns
+    reduced = {}     # row sets of the columns that additions changed
     for j in np.flatnonzero(~skip).tolist():
-        heap = [-r for r in col_rows[ptr[j]:ptr[j + 1]].tolist()]
-        heapq.heapify(heap)
-        pivot = _pop_odd(heap)
-        changed = False
-        while pivot >= 0:
-            k = owner.get(pivot)
-            if k is None:
-                break
-            changed = True
-            rest = stored.get(k)
-            if rest is None:
-                # unchanged column: its slice minus the (odd) pivot copies
-                rest = [r for r in col_rows[ptr[k]:ptr[k + 1]].tolist() if r != pivot]
-            for r in rest:
-                heapq.heappush(heap, -r)
-            pivot = _pop_odd(heap)
-        if pivot < 0:
-            continue
-        low[j] = pivot
-        owner[pivot] = j
-        if changed:
-            rest = []
-            v = _pop_odd(heap)
-            while v >= 0:
-                rest.append(v)
-                v = _pop_odd(heap)
-            stored[j] = rest
+        col = col_rows[ptr[j]:ptr[j + 1]].tolist()
+        pivot = max(col, default=-1)
+        k = owner.get(pivot)
+        if k is not None:
+            col = set(col)
+            while k is not None:
+                col ^= reduced.get(k) or set(col_rows[ptr[k]:ptr[k + 1]].tolist())
+                pivot = max(col, default=-1)
+                k = owner.get(pivot)
+            reduced[j] = col
+        if pivot >= 0:
+            low[j] = pivot
+            owner[pivot] = j
     return low

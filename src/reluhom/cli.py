@@ -1,7 +1,8 @@
 """Command-line front end: weights + samples in, atlases/matrices/barcodes out.
 
-Exit codes: 0 success, 2 usage, 3 input format, 4 infeasible or degenerate
-geometry, 5 resource cap exceeded.
+Exit codes: 0 success, 2 usage, 3 malformed input or an unreadable or
+unwritable file, 4 infeasible or degenerate geometry, 5 resource cap
+exceeded.
 """
 
 import argparse
@@ -301,7 +302,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, NonFiniteEntry, DimensionMismatch) as exc:
+    except (FormatError, NonFiniteEntry, DimensionMismatch, OSError) as exc:
+        # OSError: an output file that cannot be written; its text names the path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except (InfeasibleSystemError, DegenerateSystemError, BoundaryPointError) as exc:

@@ -164,53 +164,36 @@ def _coboundary(verts, face_verts, n):
 def compute_barcodes(filtration):
     """Persistence pairs from cohomology, coboundaries reduced bottom-up with clearing.
 
-    For d = 1..top, the coboundaries of the (d-1)-simplices are reduced in
-    reverse filtration order: the anti-transpose of the boundary matrix of
-    the d-simplices.  Its pivots are the pairs of homology (de Silva,
-    Morozov, Vejdemo-Johansson, 2011).  A (d-1)-simplex that the previous
-    pass paired as a death has a zero reduced coboundary and is skipped
-    (clearing), so top-dimension simplices are only ever rows.
+    For d = 1..max_dim+1, the coboundaries of the (d-1)-simplices are
+    reduced in reverse filtration order: the anti-transpose of the boundary
+    matrix of the d-simplices.  Each pivot pairs a (d-1)-simplex birth (its
+    column) with a d-simplex death (its row) (de Silva, Morozov,
+    Vejdemo-Johansson, 2011), read off all pivots of a pass at once.  A
+    (d-1)-simplex that the previous pass paired as a death has a zero
+    reduced coboundary and is skipped (clearing), so top-dimension simplices
+    are only ever rows.  A simplex that no pass pairs is an essential class.
     """
-    blocks = filtration.blocks
-    n = filtration.n_points
-    top = len(blocks) - 1
-
-    lows = [None] * (top + 1)
-    cleared = np.zeros(blocks[0][0].shape[0], dtype=bool)
-    for d in range(1, top + 1):
-        n_cofaces = blocks[d][0].shape[0]
-        n_faces = blocks[d - 1][0].shape[0]
+    blocks, n = filtration.blocks, filtration.n_points
+    vals = [v for _, v in blocks]
+    paired = [np.zeros(v.size, dtype=bool) for v in vals]
+    pairs = [[] for _ in range(filtration.max_dim + 1)]
+    cleared = np.zeros(vals[0].size, dtype=bool)
+    for d in range(1, len(blocks)):
+        n_faces, n_cofaces = vals[d - 1].size, vals[d].size
         col_ptr, col_rows = _coboundary(blocks[d][0], blocks[d - 1][0], n)
         low = _kernels.reduce_columns(col_ptr, col_rows, cleared)
         del col_ptr, col_rows
         cols = np.flatnonzero(low >= 0)
-        rows = low[cols]
-        lows[d] = np.full(n_cofaces, -1, dtype=np.int64)
-        lows[d][n_cofaces - 1 - rows] = n_faces - 1 - cols
+        faces = n_faces - 1 - cols
+        cofaces = n_cofaces - 1 - low[cols]
+        pairs[d - 1].extend(zip(vals[d - 1][faces].tolist(), vals[d][cofaces].tolist()))
+        paired[d - 1][faces] = True
+        paired[d][cofaces] = True
         # the deaths, indexed as the next pass's columns
         cleared = np.zeros(n_cofaces, dtype=bool)
-        cleared[rows] = True
-
-    pairs = [[] for _ in range(filtration.max_dim + 1)]
-    for d in range(1, top + 1):
-        vals_lo = blocks[d - 1][1]
-        vals_hi = blocks[d][1]
-        for j, r in enumerate(lows[d]):
-            if r >= 0 and d - 1 <= filtration.max_dim:
-                pairs[d - 1].append((float(vals_lo[r]), float(vals_hi[j])))
-    # essential classes: unpaired cycles
-    for p in range(filtration.max_dim + 1):
-        vals = blocks[p][1]
-        paired_row = np.zeros(vals.size, dtype=bool)
-        if p + 1 <= top and lows[p + 1].size:
-            piv = lows[p + 1][lows[p + 1] >= 0]
-            paired_row[piv] = True
-        if p == 0:
-            own_zero = np.ones(vals.size, dtype=bool)
-        else:
-            own_zero = lows[p] < 0   # includes cleared columns
-        for i in np.nonzero(own_zero & ~paired_row)[0]:
-            pairs[p].append((float(vals[i]), math.inf))
+        cleared[low[cols]] = True
+    for p, bars in enumerate(pairs):
+        bars.extend((b, math.inf) for b in vals[p][~paired[p]].tolist())
     return Barcode(tuple(tuple(sorted(p)) for p in pairs))
 
 
@@ -248,6 +231,8 @@ def read_lower_distance(source):
                 return read_lower_distance(fh)
         except (OSError, UnicodeDecodeError) as exc:
             raise FormatError(f"cannot read distance file {source}: {exc}") from exc
+        except FormatError as exc:
+            raise FormatError(f"{source}: {exc}") from exc
     rows = []
     for lineno, line in enumerate(source, start=1):
         line = line.strip()

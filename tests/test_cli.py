@@ -227,6 +227,42 @@ class TestInputErrors:
         assert cli.main(argv) == 3
         assert str(bad) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", ["1\nx,2\n", "1\n2\n"], ids=["entry", "row-length"])
+    def test_combine_names_the_malformed_file(self, tmp_path, capsys, content):
+        good, bad = tmp_path / "good.ldm", tmp_path / "bad.ldm"
+        good.write_text("1\n2,3\n")
+        bad.write_text(content)
+        argv = ["combine", "--a", str(good), "--b", str(bad), "--op", "min",
+                "--out", str(tmp_path / "m.ldm")]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{bad}: line 2:" in err and str(good) not in err
+
+    @pytest.mark.parametrize(
+        "command", ["distmat", "persist", "bits", "enumerate", "sample-circle"]
+    )
+    def test_unwritable_output_exits_3_naming_the_file(
+        self, netfile, tmp_path, capsys, command
+    ):
+        _, netp = netfile
+        out = str(tmp_path / "nodir" / "out.txt")
+        bitsp, ldmp = tmp_path / "b.txt", tmp_path / "m.ldm"
+        bitsp.write_text("01\n11\n")
+        ldmp.write_text("1\n")
+        ptp = tmp_path / "pts.json"
+        write_points(ptp, [[1.0, 0.0], [0.0, 1.0]])
+        argv = {
+            "distmat": ["distmat", "--bits", str(bitsp), "--out", out],
+            "persist": ["persist", "--matrix", str(ldmp), "--out", out],
+            "bits": ["bits", "--net", str(netp), "--points", str(ptp), "--out", out],
+            "enumerate": ["enumerate", "--net", str(netp), "--out-regions", out],
+            "sample-circle": ["sample-circle", "--anchors", str(ptp), "--count", "4",
+                              "--out", out],
+        }[command]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and out in err
+
     def test_nan_entry_exits_3_naming_the_entry(self, tmp_path, capsys):
         p = tmp_path / "m.ldm"
         p.write_text("nan\n")

@@ -69,7 +69,7 @@ def dense_lows(columns, n_rows):
 
 @st.composite
 def csr_problems(draw):
-    """Random small CSR matrices, repeated rows allowed, with skip flags.
+    """Random small CSR matrices, rows distinct within a column, with skip flags.
 
     Columns are dense enough that a column changed by additions is often
     added into a later one, and its reduced pivot is often not in its slice.
@@ -77,7 +77,7 @@ def csr_problems(draw):
     n_rows = draw(st.integers(2, 8))
     columns = draw(
         st.lists(
-            st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=5),
+            st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=5, unique=True),
             min_size=4,
             max_size=16,
         )
@@ -94,18 +94,21 @@ def test_reduce_columns_matches_dense_reduction(problem):
     n_rows, columns, skip = problem
     col_ptr = np.cumsum([0] + [len(c) for c in columns]).astype(np.int64)
     col_rows = np.array([r for c in columns for r in c], dtype=np.int64)
-    pops = 0
-    pop_odd = _kernels._pop_odd
+    pivots = []
 
-    def bounded_pop_odd(heap):
-        # a wrong column addition can cycle forever: fail instead of hanging
-        nonlocal pops
-        pops += 1
-        assert pops < 100_000, "reduction does not terminate"
-        return pop_odd(heap)
+    def checked_max(col, **kwargs):
+        # adding a reduced column cancels the pivot and adds only lower rows;
+        # adding a changed column's original slice can raise the pivot, and a
+        # wrong addition can cycle forever: fail instead of hanging
+        pivot = max(col, **kwargs)
+        if not isinstance(col, list):          # after an addition
+            assert pivot < pivots[-1], "an addition did not lower the pivot"
+        pivots.append(pivot)
+        assert len(pivots) < 100_000, "reduction does not terminate"
+        return pivot
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernels, "_pop_odd", bounded_pop_odd)
+        mp.setattr(_kernels, "max", checked_max, raising=False)
         got = _kernels.reduce_columns(col_ptr, col_rows, np.array(skip, dtype=bool))
     # a skipped column is one known to reduce to zero: the oracle sees it empty
     kept = [[] if s else c for c, s in zip(columns, skip)]

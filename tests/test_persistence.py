@@ -222,6 +222,23 @@ def test_barcode_equals_naive_oracle(problem):
         assert bars(bc, q, include_zero=True) == sorted(want.get(q, []))
 
 
+@given(distance_problems())
+def test_coboundary_rows_are_distinct_cofaces(problem):
+    # reduce_columns relies on this: rows within a column are distinct
+    d, max_dim, t_max = problem
+    f = persistence.build_filtration(d, max_dim=max_dim, t_max=t_max)
+    for dim in range(1, len(f.blocks)):
+        cofaces, faces = f.blocks[dim][0], f.blocks[dim - 1][0]
+        col_ptr, col_rows = persistence._coboundary(cofaces, faces, f.n_points)
+        assert len(col_ptr) == faces.shape[0] + 1 and col_ptr[-1] == col_rows.size
+        for lo, hi in zip(col_ptr[:-1], col_ptr[1:]):
+            rows = col_rows[lo:hi]
+            assert np.unique(rows).size == rows.size
+        assert np.all((col_rows >= 0) & (col_rows < cofaces.shape[0]))
+        counts = np.bincount(col_rows, minlength=cofaces.shape[0])
+        assert np.all(counts == dim + 1)
+
+
 # LDM entries: small and huge integers, arbitrary doubles, inf
 _ldm_entries = st.one_of(
     st.integers(0, 1000).map(float),
