@@ -10,7 +10,7 @@ from .enumeration import (
 )
 from .lp import LinearProgram, LpOutcome, is_redundant, solve
 from .metric import DistanceMatrix, combine, dedup_bitvectors, hamming, hamming_matrix
-from .network import BitVector, NetworkSpec, bit_vector, forward, load_network
+from .network import BitVector, NetworkSpec, bit_vector, bit_vectors, forward, load_network
 from .persistence import (
     Barcode,
     Filtration,

@@ -30,7 +30,8 @@ from .errors import (
     ResourceCapError,
 )
 from .files import read_bits, read_points, write_bits, write_points
-from .network import TAU_BIT, bit_vector, load_network
+# bit_vector stays a cli name: perfbench's tracer test looks it up here
+from .network import TAU_BIT, bit_vector, bit_vectors, load_network  # noqa: F401
 from .regions import region_of
 
 EXIT_OK = 0
@@ -57,8 +58,7 @@ def _box(args):
 
 def cmd_bits(args):
     net = load_network(args.net)
-    points = read_points(args.points)
-    write_bits([bit_vector(net, p, args.tau_bit) for p in points], args.out)
+    write_bits(bit_vectors(net, read_points(args.points), args.tau_bit), args.out)
     return EXIT_OK
 
 
@@ -158,11 +158,12 @@ def cmd_persist(args):
 
 
 def cmd_export_ldm(args):
-    points = read_points(args.points)
-    pts = np.asarray(points)
-    diff = pts[:, None, :] - pts[None, :, :]
-    d = metric.DistanceMatrix(np.sqrt((diff ** 2).sum(axis=2)))
-    persistence.export_lower_distance(d, args.out)
+    pts = np.asarray(read_points(args.points))
+    # one row at a time: memory is the n x n output, not an (n, n, m) difference
+    d = np.empty((pts.shape[0], pts.shape[0]))
+    for i, p in enumerate(pts):
+        d[i] = np.sqrt(((pts - p) ** 2).sum(axis=1))
+    persistence.export_lower_distance(metric.DistanceMatrix(d), args.out)
     return EXIT_OK
 
 

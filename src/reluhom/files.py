@@ -1,10 +1,10 @@
 """Small file helpers shared by the CLI: point sets and bit-string files.
 
-A points file is JSON, ``{"points": [[...], ...]}``, one list of floats per
-point, all of one length.  A bits file holds one activation pattern per
-point, each a line of ASCII ``0``/``1`` digits (bit 0 first), all lines of
-one length; blank lines are skipped.  Bits files are read and written one
-line at a time, each line parsed or rendered as one Python int
+A points file is JSON, ``{"points": [[...], ...]}``, one list of finite
+floats per point, all of one length.  A bits file holds one activation
+pattern per point, each a line of ASCII ``0``/``1`` digits (bit 0 first),
+all lines of one length; blank lines are skipped.  Bits files are read and
+written one line at a time, each line parsed or rendered as one Python int
 (``BitVector.from01`` / ``to01``), not one Python call per bit.
 """
 
@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, NonFiniteEntry
 from .network import BitVector
 
 
@@ -24,8 +24,15 @@ def read_points(path):
         pts = [np.asarray(p, dtype=np.float64) for p in doc["points"]]
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"cannot read points file {path}: {exc}") from exc
-    if pts and any(p.shape != pts[0].shape for p in pts):
+    if not pts:
+        return pts
+    if pts[0].ndim != 1:
+        raise FormatError(f"points in {path} are not lists of numbers")
+    if any(p.shape != pts[0].shape for p in pts):
         raise FormatError(f"points in {path} have mixed lengths")
+    bad = np.flatnonzero(~np.isfinite(np.asarray(pts)).all(axis=1))
+    if bad.size:
+        raise NonFiniteEntry(f"{path}: point {bad[0]} has a non-finite coordinate")
     return pts
 
 

@@ -196,21 +196,32 @@ def save_network(net, path):
 
 
 def _check_input(net, x):
+    """One point of shape (m,) or a batch of shape (k, m), as finite float64."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (net.input_dim,):
+    if x.ndim not in (1, 2) or x.shape[-1] != net.input_dim:
         raise DimensionMismatch(
-            f"input has shape {x.shape}, network expects ({net.input_dim},)"
+            f"input has shape {x.shape}, network expects ({net.input_dim},) "
+            f"or (k, {net.input_dim})"
         )
+    bad = ~np.isfinite(x)
+    if bad.any():
+        where = f"point {np.argwhere(bad)[0][0]}" if x.ndim == 2 else "input"
+        raise NonFiniteEntry(f"{where} has a non-finite coordinate")
     return x
 
 
 def preactivations(net, x):
-    """Per hidden layer, the affine values W_i F_{i-1}(x) + b_i before ReLU."""
+    """Per hidden layer, the affine values W_i F_{i-1}(x) + b_i before ReLU.
+
+    For a batch of k points each array has shape (k, width), one row per
+    point; one point gives one (width,) array per layer.
+    """
     x = _check_input(net, x)
     pre = []
     cur = x
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        z = w @ cur + b
+        z = cur @ w.T
+        z += b
         pre.append(z)
         cur = np.maximum(z, 0.0)
     return pre
@@ -218,21 +229,46 @@ def preactivations(net, x):
 
 def forward(net, x):
     """Evaluate the network; returns (hidden layer outputs, final output)."""
-    x = _check_input(net, x)
-    outputs = []
-    cur = x
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        cur = np.maximum(w @ cur + b, 0.0)
-        outputs.append(cur)
-    out = net.weights[-1] @ cur + net.biases[-1]
-    return outputs, out
+    outputs = [np.maximum(z, 0.0) for z in preactivations(net, x)]
+    return outputs, outputs[-1] @ net.weights[-1].T + net.biases[-1]
+
+
+#: bytes of one (rows x widest hidden layer) float64 block in bit_vectors;
+#: 256 rows of a 256-wide net
+BIT_BLOCK_BYTES = 512 * 1024
+
+
+def bit_vectors(net, points, tol=TAU_BIT):
+    """Activation patterns of a sequence of points: bit 1 iff z > tol.
+
+    Points run in blocks of rows sized by BIT_BLOCK_BYTES, so the layer
+    temporaries stay small however many points there are.  Each block is
+    one matmul and one comparison per layer and one packbits; each row of
+    packed bytes becomes one BitVector int.
+    """
+    if len(points) == 0:
+        return []
+    x = _check_input(net, points)
+    if x.ndim != 2:
+        raise DimensionMismatch(
+            f"points have shape {x.shape}, expected (k, {net.input_dim})"
+        )
+    rows = max(1, BIT_BLOCK_BYTES // (8 * max(net.hidden_sizes)))
+    h = net.h
+    out = []
+    for start in range(0, x.shape[0], rows):
+        pre = preactivations(net, x[start:start + rows])
+        packed = np.packbits(
+            np.concatenate([z > tol for z in pre], axis=1), axis=1, bitorder="little"
+        )
+        del pre          # free this block's layers before the next block's
+        out.extend(BitVector(h, int.from_bytes(row, "little")) for row in packed)
+    return out
 
 
 def bit_vector(net, x, tol=TAU_BIT):
-    """Activation pattern of x: bit 1 iff the pre-activation exceeds tol."""
-    pre = preactivations(net, x)
-    bits = np.concatenate([(z > tol).astype(np.uint8) for z in pre])
-    return BitVector.from_bits(bits)
+    """Activation pattern of one point x: bit 1 iff the pre-activation exceeds tol."""
+    return bit_vectors(net, [x], tol)[0]
 
 
 def on_boundary(net, x, tol=TAU_BIT):

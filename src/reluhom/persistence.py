@@ -202,10 +202,17 @@ def compute_barcodes(filtration):
 # comma-separated entries D[i, 0..i-1].  An entry with an integral value is
 # written as an integer without a decimal point, any other entry as its
 # Python repr (so "inf" for an infinite distance); parsing the text gives
-# back the same doubles bit for bit.  Rows are formatted from Python floats
-# (no numpy scalar per entry) and parsed with Python's float(), one line at
-# a time.
+# back the same doubles bit for bit.  The writer walks the lower triangle in
+# blocks of whole rows of about LDM_BLOCK entries: each distinct value of a
+# block is formatted once, and the rows are joined from that vocabulary, so
+# a Hamming matrix with a few hundred distinct distances costs a few hundred
+# formatting calls per block and memory stays one block whatever n is.  The
+# reader parses with Python's float(), one line at a time.
 # ---------------------------------------------------------------------------
+
+#: entries per block of rows in export_lower_distance (at least one row)
+LDM_BLOCK = 1 << 14
+
 
 def _fmt(x):
     return str(int(x)) if x.is_integer() else repr(x)
@@ -218,9 +225,21 @@ def export_lower_distance(d, sink):
             export_lower_distance(d, fh)
         return
     D = _as_matrix(d)
-    for i in range(1, D.shape[0]):
-        sink.write(",".join(map(_fmt, D[i, :i].tolist())))
-        sink.write("\n")
+    n = D.shape[0]
+    step = max(1, LDM_BLOCK // max(n, 1))
+    for lo in range(1, n, step):
+        hi = min(n, lo + step)
+        # row lo + r of the block holds D[lo + r, :lo + r]
+        entries = D[lo:hi, :hi][np.tri(hi - lo, hi, lo - 1, dtype=bool)]
+        values, inverse = np.unique(entries, return_inverse=True)
+        # -0.0 and 0.0 share a slot; both are written "0"
+        words = np.array(list(map(_fmt, values.tolist())), dtype=object)
+        words = words[inverse].tolist()
+        ends = np.cumsum(np.arange(lo, hi)).tolist()
+        sink.write("".join(
+            ",".join(words[end - i:end]) + "\n"
+            for i, end in zip(range(lo, hi), ends)
+        ))
 
 
 def read_lower_distance(source):

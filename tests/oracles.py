@@ -4,8 +4,8 @@ Nothing here shares code with the library paths under test: the persistence
 oracle is a plain left-to-right reduction without clearing, MST/components
 come from Kruskal and union-find, the 2-D facet count walks the polygon
 directly, the essential rows come from scipy's linprog, repeated rows from a
-row-at-a-time scan, and the text-format oracles format one entry or one bit
-at a time.
+row-at-a-time scan, the text-format oracles format one entry or one bit
+at a time, and activation patterns come from one point at a time.
 """
 
 import math
@@ -250,3 +250,21 @@ def bits_text(v):
     return "".join(
         str((int(v.words[i // 64]) >> (i % 64)) & 1) for i in range(v.n)
     )
+
+
+# --- activation patterns, one point at a time -------------------------------
+
+def point_preactivations(net, x):
+    """Hidden pre-activations of one point, each layer as w @ a + b."""
+    pre = []
+    cur = np.asarray(x, dtype=float)
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        z = w @ cur + b
+        pre.append(z)
+        cur = np.maximum(z, 0.0)
+    return pre
+
+
+def point_bits(net, x, tol):
+    """0/1 list of one point's pattern: bit 1 iff its pre-activation > tol."""
+    return [int(z > tol) for layer in point_preactivations(net, x) for z in layer]

@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from reluhom import cli, network, persistence
 from conftest import random_net
+from oracles import ldm_text, point_bits
 
 
 @pytest.fixture
@@ -30,6 +32,25 @@ class TestBits:
         assert rc == 0
         lines = out.read_text().splitlines()
         assert lines == [network.bit_vector(net, p).to01() for p in pts]
+        assert lines == ["".join(map(str, point_bits(net, p, network.TAU_BIT)))
+                         for p in pts]
+
+    def test_empty_points_file_gives_empty_bits_file(self, netfile, tmp_path):
+        _, netp = netfile
+        ptp, out = tmp_path / "pts.json", tmp_path / "bits.txt"
+        write_points(ptp, [])
+        rc = cli.main(["bits", "--net", str(netp), "--points", str(ptp), "--out", str(out)])
+        assert rc == 0
+        assert out.read_text() == ""
+
+    def test_wrong_length_point_exits_3(self, netfile, tmp_path, capsys):
+        _, netp = netfile
+        ptp = tmp_path / "pts.json"
+        write_points(ptp, [[1.0, 2.0, 3.0]] * 4)
+        argv = ["bits", "--net", str(netp), "--points", str(ptp),
+                "--out", str(tmp_path / "bits.txt")]
+        assert cli.main(argv) == 3
+        assert "network expects (2," in capsys.readouterr().err
 
 
 class TestEnumerate:
@@ -166,6 +187,33 @@ class TestPipeline:
         assert cli.main(["export-ldm", "--points", str(pp), "--out", str(op)]) == 0
         assert op.read_text().strip() == "5"
 
+    def test_export_ldm_is_the_pairwise_difference_formula(self, tmp_path):
+        rng = np.random.default_rng(17)
+        for scale in (1.0, 10.0, 1e2, 1e3, 1e4):
+            pts = rng.standard_normal((60, 16)) * scale
+            pp, op = tmp_path / "p.json", tmp_path / "m.ldm"
+            write_points(pp, pts)
+            assert cli.main(["export-ldm", "--points", str(pp), "--out", str(op)]) == 0
+            diff = pts[:, None, :] - pts[None, :, :]
+            assert op.read_text() == ldm_text(np.sqrt((diff ** 2).sum(axis=2)))
+
+    def test_export_ldm_memory_is_the_matrix(self, tmp_path, monkeypatch):
+        """No (n, n, m) difference: the peak is a small multiple of n^2 doubles."""
+        n, m = 400, 16
+        pp = tmp_path / "p.json"
+        write_points(pp, np.random.default_rng(3).standard_normal((n, m)))
+        kept = []
+        monkeypatch.setattr(persistence, "export_lower_distance",
+                            lambda d, sink: kept.append(d))
+        tracemalloc.start()
+        try:
+            rc = cli.main(["export-ldm", "--points", str(pp), "--out", "unused"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0 and kept[0].size == n
+        assert peak < 3 * n * n * 8, f"peak {peak} bytes"
+
     def test_persist_table_output(self, tmp_path, capsys):
         d = np.array([[0.0, 2.0], [2.0, 0.0]])
         p = tmp_path / "m.ldm"
@@ -262,6 +310,27 @@ class TestInputErrors:
         assert cli.main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and out in err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("command", ["bits", "export-ldm"])
+    def test_non_finite_point_exits_3_naming_it(
+        self, netfile, tmp_path, capsys, command, bad
+    ):
+        _, netp = netfile
+        ptp, out = tmp_path / "pts.json", tmp_path / "out.txt"
+        write_points(ptp, [[0.5, 1.0], [bad, 1.0]])
+        argv = {
+            "bits": ["bits", "--net", str(netp), "--points", str(ptp), "--out", str(out)],
+            "export-ldm": ["export-ldm", "--points", str(ptp), "--out", str(out)],
+        }[command]
+        assert cli.main(argv) == 3
+        assert f"{ptp}: point 1 has a non-finite coordinate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("point", ["nan,1", "1,inf"])
+    def test_non_finite_region_point_exits_3(self, netfile, capsys, point):
+        _, netp = netfile
+        assert cli.main(["region", "--net", str(netp), "--point", point]) == 3
+        assert "non-finite" in capsys.readouterr().err
 
     def test_nan_entry_exits_3_naming_the_entry(self, tmp_path, capsys):
         p = tmp_path / "m.ldm"

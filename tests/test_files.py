@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from reluhom.errors import FormatError
+from reluhom.errors import FormatError, NonFiniteEntry
 from reluhom.files import read_bits, read_points, write_bits, write_points
 from reluhom.network import BitVector
 from oracles import bits_text
@@ -62,3 +62,26 @@ def test_points_text_is_the_json_dump_text(tmp_path):
     assert path.read_text() == want.getvalue()
     back = read_points(path)
     assert all(np.array_equal(a, b) for a, b in zip(back, pts))
+
+
+@pytest.mark.parametrize(
+    "doc, error, message",
+    [
+        ('{"points": [1.0, 2.0]}', FormatError, "not lists of numbers"),
+        ('{"points": [[1.0], [2.0, 3.0]]}', FormatError, "mixed lengths"),
+        ('{"points": [[1.0, 2.0], [3.0, NaN], [Infinity, 0.0]]}', NonFiniteEntry,
+         "point 1 has a non-finite coordinate"),
+    ],
+)
+def test_read_points_rejects_by_name(tmp_path, doc, error, message):
+    path = tmp_path / "pts.json"
+    path.write_text(doc)
+    with pytest.raises(error, match=re.escape(message)) as exc:
+        read_points(path)
+    assert str(path) in str(exc.value)
+
+
+def test_read_points_empty(tmp_path):
+    path = tmp_path / "pts.json"
+    path.write_text('{"points": []}')
+    assert read_points(path) == []

@@ -1,16 +1,19 @@
 import io
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from reluhom.errors import DimensionMismatch, FormatError, NonFiniteEntry
+from reluhom import network
 from reluhom.network import (
     BitVector,
     NetworkSpec,
     bit_vector,
+    bit_vectors,
     forward,
     load_network,
     on_boundary,
@@ -18,7 +21,7 @@ from reluhom.network import (
 )
 
 from conftest import random_net
-from oracles import bits_text
+from oracles import bits_text, point_bits, point_preactivations
 
 
 def weight_doc(layers, input_dim):
@@ -142,6 +145,104 @@ class TestBitVectorOp:
         net = load_network(weight_doc([([[1]], [0]), ([[1]], [0])], input_dim=1))
         assert on_boundary(net, [0.0])
         assert not on_boundary(net, [0.5])
+
+
+def rounding_bound(net, x):
+    """Per hidden unit, twice a float64 bound on how far a computed
+    pre-activation of x can lie from the exact one, for any summation order.
+
+    A sum of K products and a bias is within gamma_{K+1} (|W| |a| + |b|) of
+    its exact value for the input a it was given, gamma_k = k u / (1 - k u);
+    an input already off by e moves it by at most |W| e more (ReLU is
+    1-Lipschitz).  Two computations of z each lie within this of the exact
+    value, so they differ by at most twice it.
+    """
+    u = np.finfo(np.float64).eps / 2
+    a = np.abs(np.asarray(x, dtype=float))
+    err = np.zeros_like(a)
+    bounds = []
+    for w, b, z in zip(net.weights[:-1], net.biases[:-1], point_preactivations(net, x)):
+        k = w.shape[1] + 1
+        gamma = k * u / (1 - k * u)
+        aw = np.abs(w)
+        err = gamma * (aw @ (a + 2 * err) + np.abs(b)) + aw @ err
+        bounds.append(2 * err)
+        a = np.maximum(z, 0.0)
+    return np.concatenate(bounds)
+
+
+class TestBitVectors:
+    @pytest.mark.parametrize("k", [0, 1, 255, 256, 257, 600])
+    def test_matches_per_point_oracle(self, k):
+        net = random_net(16, [256, 256], seed=3)
+        assert network.BIT_BLOCK_BYTES // (8 * 256) == 256   # blocks of 256 rows
+        pts = np.random.default_rng(k).standard_normal((k, 16)) * 2
+        got = bit_vectors(net, list(pts))
+        assert len(got) == k
+        decided = 0
+        for x, v in zip(pts, got):
+            z = np.concatenate(point_preactivations(net, x))
+            want = np.array(point_bits(net, x, network.TAU_BIT))
+            sure = np.abs(z - network.TAU_BIT) > rounding_bound(net, x)
+            assert np.array_equal(v.to_array()[sure], want[sure])
+            decided += sure.sum()
+        assert decided >= 0.999 * k * net.h
+
+    def test_bit_vector_is_a_batch_of_one(self):
+        net = random_net(3, [5, 4], seed=8)
+        for x in np.random.default_rng(9).standard_normal((20, 3)):
+            assert bit_vector(net, x, 0.1) == bit_vectors(net, [x], 0.1)[0]
+            assert bit_vector(net, x, 0.1).to_array().tolist() == point_bits(net, x, 0.1)
+
+    def test_tolerance_is_honoured(self):
+        net = load_network(weight_doc([([[1], [-1]], [0, 0]), ([[1, 1]], [0])], input_dim=1))
+        pts = [[0.5], [-0.05], [2.0]]
+        assert [v.to01() for v in bit_vectors(net, pts, 0.1)] == ["10", "00", "10"]
+        assert [v.to01() for v in bit_vectors(net, pts)] == ["10", "01", "10"]
+
+    def test_batched_preactivations_and_forward(self):
+        net = random_net(4, [6, 5], seed=12, out_dim=2)
+        pts = np.random.default_rng(13).standard_normal((7, 4))
+        pre = preactivations(net, pts)
+        assert [z.shape for z in pre] == [(7, 6), (7, 5)]
+        hidden, out = forward(net, pts)
+        assert out.shape == (7, 2)
+        for i, x in enumerate(pts):
+            for zb, zo in zip(pre, point_preactivations(net, x)):
+                assert np.allclose(zb[i], zo, rtol=0, atol=1e-12)
+            assert np.allclose(out[i], forward(net, x)[1], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "points", [np.ones((3, 2)), np.ones(3), np.ones((2, 3, 1)), [[1.0, 2.0]]]
+    )
+    def test_wrong_shape_rejected(self, points):
+        net = random_net(3, [4], seed=1)
+        with pytest.raises(DimensionMismatch):
+            bit_vectors(net, points)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        net = random_net(2, [3, 3], seed=2)
+        pts = np.ones((300, 2))
+        pts[299, 1] = bad
+        with pytest.raises(NonFiniteEntry, match="point 299"):
+            bit_vectors(net, pts)
+        for fn in (preactivations, forward, bit_vector):
+            with pytest.raises(NonFiniteEntry):
+                fn(net, [bad, 1.0])
+
+    def test_peak_memory_below_one_unchunked_layer(self):
+        net = random_net(16, [256, 256], seed=3)
+        pts = list(np.random.default_rng(0).standard_normal((2000, 16)))
+        layer = 2000 * 256 * 8
+        tracemalloc.start()
+        try:
+            got = bit_vectors(net, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 2000
+        assert peak < layer, f"peak {peak} bytes, one unchunked layer {layer}"
 
 
 class TestBitVectorType:

@@ -1,11 +1,13 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from reluhom import _kernels, persistence
+from reluhom.metric import DistanceMatrix
 from reluhom.errors import FormatError, NonFiniteEntry, ResourceCapError
 from oracles import ldm_text, naive_barcodes, n_components, mst_weights
 
@@ -267,6 +269,92 @@ def test_ldm_text_matches_per_entry_oracle(D):
     assert text == ldm_text(D)
     back = persistence.read_lower_distance(io.StringIO(text))
     assert back.data.tobytes() == D.tobytes()
+
+
+@st.composite
+def ldm_block_matrices(draw):
+    """n up to 300, so the writer's blocks of rows end mid-matrix.
+
+    Entries come from a small drawn vocabulary (small and huge integers,
+    -0.0, inf, 1e300, arbitrary doubles), mixed with a drawn share of
+    uniformly random finite non-negative bit patterns.
+    """
+    n = draw(st.integers(1, 300))
+    vocab = np.array(draw(st.lists(st.one_of(_ldm_entries, st.just(-0.0)),
+                                   min_size=1, max_size=6)))
+    share = draw(st.sampled_from([0.0, 0.01, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = n * (n - 1) // 2
+    entries = vocab[rng.integers(0, vocab.size, m)]
+    doubles = rng.integers(0, 0x7FF0000000000000, m).view(np.float64)
+    mixed = rng.random(m) < share
+    entries[mixed] = doubles[mixed]
+    D = np.zeros((n, n))
+    D[np.tril_indices(n, -1)] = entries
+    return D + D.T
+
+
+@settings(max_examples=40)
+@given(ldm_block_matrices())
+def test_ldm_blocks_match_per_entry_oracle(D):
+    sink = io.StringIO()
+    persistence.export_lower_distance(D, sink)
+    text = sink.getvalue()
+    assert text == ldm_text(D)
+    back = persistence.read_lower_distance(io.StringIO(text))
+    # -0.0 is written "0", as the oracle writes it, and reads back as 0.0
+    assert back.data.tobytes() == (D + 0.0).tobytes()
+
+
+def test_ldm_formats_each_distinct_value_once_per_block(monkeypatch):
+    n = 778
+    rng = np.random.default_rng(778)
+    D = np.triu(rng.integers(0, 513, (n, n)).astype(float), 1)
+    D = D + D.T
+    distinct = np.unique(D[np.tril_indices(n, -1)]).size
+    fmt, calls = persistence._fmt, []
+
+    def counted(x):
+        calls.append(x)
+        return fmt(x)
+
+    monkeypatch.setattr(persistence, "_fmt", counted)
+    sink = io.StringIO()
+    persistence.export_lower_distance(D, sink)
+    step = max(1, persistence.LDM_BLOCK // n)
+    blocks = -(-(n - 1) // step)
+    assert distinct <= 513 and blocks == 37
+    assert len(calls) <= blocks * distinct < n * (n - 1) // 2 // 10
+    back = persistence.read_lower_distance(io.StringIO(sink.getvalue()))
+    assert np.array_equal(back.data, D)
+
+
+class _Tally:
+    """A sink that keeps only the number of characters written."""
+
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+
+@pytest.mark.parametrize("n", [300, 900])
+def test_ldm_writer_memory_is_one_block(n):
+    """All-distinct doubles, the costliest block; at n = 900 the text is
+    about twice the bound."""
+    rng = np.random.default_rng(n)
+    D = np.triu(rng.random((n, n)) * 10.0, 1)
+    D = DistanceMatrix(D + D.T)
+    bound = 256 * persistence.LDM_BLOCK
+    sink = _Tally()
+    tracemalloc.start()
+    try:
+        persistence.export_lower_distance(D, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peak {peak} bytes for {sink.size} characters"
+    assert sink.size > n * (n - 1) // 2 * 10
 
 
 class TestLowerDistanceIO:
