@@ -78,6 +78,17 @@ def _try_region(net, bits, extra, tau_lp, tau_dim):
         return None
 
 
+def _box_rows(net, box):
+    """The box's inequality rows, or (None, None) without a box."""
+    if box is None:
+        return None, None
+    if box.lower.size != net.input_dim:
+        raise DimensionMismatch(
+            f"box has dimension {box.lower.size}, network input has {net.input_dim}"
+        )
+    return box.rows()
+
+
 def _finalize(net, atlas):
     """Adjacency from active-bit flips landing on a present region."""
     h = net.h
@@ -102,7 +113,7 @@ def enumerate_brute(net, box=None, h_max=H_MAX_BRUTE,
             f"h = {h} exceeds the brute-force guard ({h_max}); "
             "raise the limit explicitly to proceed"
         )
-    extra = box.rows() if box is not None else (None, None)
+    extra = _box_rows(net, box)
     atlas = DecompositionAtlas(box=box)
     for j in range(1 << h):
         bits = BitVector(h, j)
@@ -136,8 +147,8 @@ def enumerate_traverse(net, seed, box=None, rng=None,
     """
     if rng is None:
         rng = np.random.default_rng(0)
+    extra = _box_rows(net, box)
     x0 = _draw_seed(net, seed, box, rng)
-    extra = box.rows() if box is not None else (None, None)
     atlas = DecompositionAtlas(box=box)
 
     first = _try_region(net, bit_vector(net, x0), extra, tau_lp, tau_dim)

@@ -1,10 +1,11 @@
 """Vietoris-Rips persistence over a distance matrix.
 
-Threshold graphs are turned into their clique complex, simplices enter at
-their diameter, and persistence over the two-element field is read off
-from cohomology, coboundaries reduced bottom-up with clearing (the naive
-homology oracle in the test suite pins correctness).  Intervals follow the
-[birth, death) convention.
+Threshold graphs are turned into their clique complex, each simplex
+recording its facets as it is made, simplices enter at their diameter, and
+persistence over the two-element field is read off from cohomology: the
+coboundaries, transposes of the facet tables, are reduced bottom-up with
+clearing (the naive homology oracle in the test suite pins correctness).
+Intervals follow the [birth, death) convention.
 """
 
 import math
@@ -22,13 +23,16 @@ SIMPLEX_CAP = 50_000_000
 
 @dataclass(frozen=True)
 class Filtration:
-    """Clique filtration, one (vertices, values) block per dimension.
+    """Clique filtration: per dimension a (vertices, values) block and a facet table.
 
     Within a dimension, simplices are sorted by (value, lexicographic
     vertex tuple); globally that realizes the (value, dim, lex) order.
+    facets[d][j, k] is the row of block d-1 equal to row j of block d less
+    vertex k (0, the empty simplex, for a vertex); coboundaries transpose it.
     """
 
     blocks: tuple          # ((n_d, d+1) int32 array, (n_d,) float64 array) per dim
+    facets: tuple          # (n_d, d+1) int32 array (int64 past 2**31 rows) per dim
     max_dim: int
     t_max: float
     n_points: int
@@ -50,7 +54,14 @@ def _as_matrix(d):
 
 
 def build_filtration(d, max_dim=1, t_max=None, simplex_cap=SIMPLEX_CAP):
-    """All cliques of size <= max_dim + 2 with diameter <= t_max."""
+    """All cliques of size <= max_dim + 2 with diameter <= t_max.
+
+    Cliques grow in lexicographic order from the empty simplex, whose
+    cofaces are the vertices: a simplex is extended by each higher neighbour
+    of its last vertex adjacent to all its vertices.  Dropping vertex k of
+    the new simplex gives (facet k of its parent, new vertex), one search in
+    the previous dimension's (parent, vertex) keys, sorted as they are made.
+    """
     if max_dim < 0:
         raise FormatError("max_dim must be >= 0")
     D = _as_matrix(d)
@@ -58,37 +69,49 @@ def build_filtration(d, max_dim=1, t_max=None, simplex_cap=SIMPLEX_CAP):
     if t_max is None:
         finite = D[np.isfinite(D)]
         t_max = float(finite.max()) if finite.size else 0.0
-    adj = (D <= t_max) & ~np.eye(n, dtype=bool)
-
-    blocks = []
-    verts = np.arange(n, dtype=np.int32)[:, None]
-    vals = np.zeros(n, dtype=np.float64)
-    total = n
-    blocks.append((verts, vals))
-
-    idx = np.arange(n, dtype=np.int32)
-    for dim in range(1, max_dim + 2):
-        prev_verts, prev_vals = blocks[-1]
-        if prev_verts.shape[0] == 0:
-            blocks.append((np.empty((0, dim + 1), np.int32), np.empty(0)))
-            continue
-        # candidates: common neighbors of all clique vertices, above the max
-        mask = np.all(adj[prev_verts], axis=1)
-        mask &= idx[None, :] > prev_verts[:, -1][:, None]
-        ci, cj = np.nonzero(mask)
-        total += ci.size
+    if math.isnan(t_max):
+        raise FormatError("t_max is NaN")
+    near = D <= t_max
+    # CSR lists: row 0 holds every vertex, row v + 1 the neighbours of v above v
+    lo, hi = np.nonzero(np.triu(near, 1))
+    ptr = np.concatenate(([0, n], n + np.cumsum(np.bincount(lo, minlength=n))))
+    nbrs = np.concatenate((np.arange(n), hi)).astype(np.int32)
+    verts, vals, last = np.empty((1, 0), np.int32), np.zeros(1), np.array([-1])
+    levels, total, facets, keys = [], 0, None, None    # the empty simplex: no facets
+    for dim in range(max_dim + 2):
+        m, start = verts.shape[0], ptr[last + 1]
+        count = ptr[last + 2] - start
+        itype = np.int32 if max(count.sum(), nbrs.size, m) < 2**31 else np.int64
+        parent = np.repeat(np.arange(m, dtype=itype), count)
+        cand = np.arange(parent.size, dtype=itype)      # positions in nbrs
+        cand += np.repeat((start - np.cumsum(count) + count).astype(itype), count)
+        cand = nbrs[cand]
+        for k in range(dim - 1):
+            keep = near[verts[parent, k], cand]
+            parent = parent[keep]
+            cand = cand[keep]
+        total += parent.size
         if total > simplex_cap:
             raise ResourceCapError(
-                f"filtration would exceed {simplex_cap} simplices at dim {dim}"
-            )
-        new_verts = np.hstack([prev_verts[ci], cj[:, None].astype(np.int32)])
-        ext = D[new_verts[:, :-1], new_verts[:, -1:]].max(axis=1)
-        new_vals = np.maximum(prev_vals[ci], ext)
-        order = np.lexsort(
-            tuple(new_verts[:, k] for k in range(dim, -1, -1)) + (new_vals,)
-        )
-        blocks.append((new_verts[order], new_vals[order]))
-    return Filtration(tuple(blocks), int(max_dim), float(t_max), n)
+                f"filtration would exceed {simplex_cap} simplices at dim {dim}")
+        verts, vals = np.column_stack((verts[parent], cand)), vals[parent]
+        table = np.repeat(parent[:, None], dim + 1, axis=1)    # column dim: parent
+        for k in range(dim):
+            np.maximum(vals, D[verts[:, k], cand], out=vals)
+            face = facets[parent, k].astype(np.int64) * n + cand
+            table[:, k] = np.searchsorted(keys, face)
+        facets, keys, last = table, parent.astype(np.int64) * n + cand, verts[:, -1]
+        levels.append((verts, vals, facets))
+    del near, keys, parent, cand
+    blocks, tables, rank = [], [], np.zeros(1, np.int32)
+    while levels:
+        verts, vals, facets = levels.pop(0)
+        order = np.argsort(vals, kind="stable")       # ties stay lexicographic
+        blocks.append((verts[order], vals[order]))
+        tables.append(rank[facets[order]])
+        rank = np.empty(order.size, dtype=facets.dtype)
+        rank[order] = np.arange(order.size, dtype=rank.dtype)
+    return Filtration(tuple(blocks), tuple(tables), int(max_dim), float(t_max), n)
 
 
 @dataclass(frozen=True)
@@ -124,41 +147,18 @@ class Barcode:
         ]
 
 
-def _encode(verts, n):
-    """Pack sorted vertex rows into one comparable integer key per simplex."""
-    key = np.zeros(verts.shape[0], dtype=np.int64)
-    for k in range(verts.shape[1]):
-        key = key * n + verts[:, k]
-    return key
+def _coboundary(facets, n_faces):
+    """Anti-transpose of a boundary matrix as CSR: the transpose of its facet table.
 
-
-def _coboundary(verts, face_verts, n):
-    """Anti-transpose of the boundary matrix of `verts` as a CSR triple.
-
-    Column c is the face `face_verts[n_faces-1-c]`, so faces come in
-    reverse filtration order; its rows are its cofaces j in `verts`, each
-    stored reversed as n_cofaces-1-j.  Built in place to keep the peak small.
+    Column c is face n_faces-1-c and its rows are the cofaces j that hold
+    it, as n_cofaces-1-j: both in reverse filtration order.
     """
-    n_cofaces, n_faces = verts.shape[0], face_verts.shape[0]
-    dim = verts.shape[1] - 1
-    face_keys = _encode(face_verts, n)
-    face_order = np.argsort(face_keys)
-    sorted_keys = face_keys[face_order]
-    del face_keys
-    facets = np.empty((n_cofaces, dim + 1), dtype=np.int64)
-    for drop in range(dim + 1):
-        pos = np.searchsorted(sorted_keys, _encode(np.delete(verts, drop, axis=1), n))
-        facets[:, drop] = face_order[pos]
-    del sorted_keys, face_order
-    facets = facets.reshape(-1)
-    np.subtract(n_faces - 1, facets, out=facets)          # face -> column c
-    col_ptr = np.zeros(n_faces + 1, dtype=np.int64)
-    np.cumsum(np.bincount(facets, minlength=n_faces), out=col_ptr[1:])
-    col_rows = np.argsort(facets, kind="stable")          # entries by column
-    del facets
-    col_rows //= dim + 1                                  # entry -> coface j
-    np.subtract(n_cofaces - 1, col_rows, out=col_rows)    # j -> row
-    return col_ptr, col_rows
+    n_cofaces, width = facets.shape
+    cols = np.subtract(n_faces - 1, facets.reshape(-1))   # face -> column c
+    col_ptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n_faces))))
+    col_rows = np.argsort(cols, kind="stable")            # entries by column
+    col_rows //= width                                    # entry -> coface j
+    return col_ptr, np.subtract(n_cofaces - 1, col_rows, out=col_rows)   # j -> row
 
 
 def compute_barcodes(filtration):
@@ -173,14 +173,13 @@ def compute_barcodes(filtration):
     reduced coboundary and is skipped (clearing), so top-dimension simplices
     are only ever rows.  A simplex that no pass pairs is an essential class.
     """
-    blocks, n = filtration.blocks, filtration.n_points
-    vals = [v for _, v in blocks]
+    vals = [v for _, v in filtration.blocks]
     paired = [np.zeros(v.size, dtype=bool) for v in vals]
     pairs = [[] for _ in range(filtration.max_dim + 1)]
     cleared = np.zeros(vals[0].size, dtype=bool)
-    for d in range(1, len(blocks)):
+    for d in range(1, len(vals)):
         n_faces, n_cofaces = vals[d - 1].size, vals[d].size
-        col_ptr, col_rows = _coboundary(blocks[d][0], blocks[d - 1][0], n)
+        col_ptr, col_rows = _coboundary(filtration.facets[d], n_faces)
         low = _kernels.reduce_columns(col_ptr, col_rows, cleared)
         del col_ptr, col_rows
         cols = np.flatnonzero(low >= 0)

@@ -338,6 +338,23 @@ class TestInputErrors:
         assert cli.main(["persist", "--matrix", str(p)]) == 3
         assert "(0, 1)" in capsys.readouterr().err
 
+    def test_nan_t_max_exits_3(self, tmp_path, capsys):
+        p = tmp_path / "m.ldm"
+        p.write_text("1\n")
+        assert cli.main(["persist", "--matrix", str(p), "--t-max", "nan"]) == 3
+        assert "t_max is NaN" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["brute", "traverse"])
+    def test_box_of_wrong_dimension_exits_3(self, tmp_path, capsys, mode):
+        netp = tmp_path / "net.json"
+        network.save_network(random_net(3, [3, 3], 11), netp)
+        rc = cli.main([
+            "enumerate", "--net", str(netp), "--mode", mode, "--lower", "0,0",
+            "--upper", "1,1", "--out-regions", str(tmp_path / "r.jsonl"),
+        ])
+        assert rc == 3
+        assert "box has dimension 2, network input has 3" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_unknown_subcommand_exits_2(self):

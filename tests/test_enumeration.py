@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reluhom import enumeration, network, regions
-from reluhom.errors import ResourceCapError
+from reluhom.errors import DimensionMismatch, ResourceCapError
 from conftest import random_net
 
 
@@ -91,6 +91,15 @@ class TestBounded:
     def test_bad_box_rejected(self):
         with pytest.raises(Exception):
             enumeration.BoxRegion(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+
+    def test_box_of_wrong_dimension_rejected_by_both_modes(self):
+        net = random_net(3, [3, 3], 11)
+        box = enumeration.BoxRegion(np.zeros(2), np.ones(2))
+        with pytest.raises(DimensionMismatch, match="dimension 2, network input has 3"):
+            enumeration.enumerate_brute(net, box=box)
+        for seed in (np.full(2, 0.5), np.full(3, 0.5)):
+            with pytest.raises(DimensionMismatch, match="dimension 2, network input has 3"):
+                enumeration.enumerate_traverse(net, seed, box=box)
 
 
 class TestDualGraph:

@@ -84,6 +84,40 @@ class TestFiltration:
         with pytest.raises(ResourceCapError):
             persistence.build_filtration(d, max_dim=3, simplex_cap=50)
 
+    def test_simplex_cap_fires_before_the_block_is_built(self):
+        # 44,850 edges, then 4,455,100 triangle candidates that all pass
+        d = DistanceMatrix(euclidean_matrix(
+            np.random.default_rng(0).standard_normal((300, 4))))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError, match="at dim 2"):
+                persistence.build_filtration(d, max_dim=2, simplex_cap=100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the dense (n_edges, 2, n) adjacency gather peaked at 84.3 MiB here
+        assert peak < 72 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_peak_memory_is_a_small_multiple_of_the_output(self):
+        rng = np.random.default_rng(0)
+        t = rng.uniform(0.0, 2 * math.pi, 800)
+        pts = np.column_stack([np.cos(t), np.sin(t)]) + 0.01 * rng.standard_normal((800, 2))
+        d = DistanceMatrix(euclidean_matrix(pts))
+        tracemalloc.start()
+        try:
+            f = persistence.build_filtration(d, max_dim=1, t_max=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [verts.shape[0] for verts, _ in f.blocks] == [800, 4863, 14714]
+        held = sum(verts.nbytes + vals.nbytes for verts, vals in f.blocks)
+        held += sum(table.nbytes for table in f.facets)
+        assert peak <= 5 * held, f"peak {peak} bytes for {held} held"
+
+    def test_nan_t_max_rejected(self):
+        with pytest.raises(FormatError, match="t_max is NaN"):
+            persistence.build_filtration(FOUR_CYCLE, max_dim=1, t_max=math.nan)
+
 
 class TestBarcodes:
     def test_four_cycle(self):
@@ -225,13 +259,27 @@ def test_barcode_equals_naive_oracle(problem):
 
 
 @given(distance_problems())
+def test_facet_tables_name_each_facet(problem):
+    d, max_dim, t_max = problem
+    f = persistence.build_filtration(d, max_dim=max_dim, t_max=t_max)
+    assert len(f.facets) == len(f.blocks) == max_dim + 2
+    # a vertex's one facet is the empty simplex, 0
+    assert f.facets[0].shape == (f.n_points, 1) and not f.facets[0].any()
+    for dim in range(1, len(f.blocks)):
+        verts, faces, table = f.blocks[dim][0], f.blocks[dim - 1][0], f.facets[dim]
+        assert table.shape == verts.shape
+        for k in range(dim + 1):
+            assert np.array_equal(faces[table[:, k]], np.delete(verts, k, axis=1))
+
+
+@given(distance_problems())
 def test_coboundary_rows_are_distinct_cofaces(problem):
     # reduce_columns relies on this: rows within a column are distinct
     d, max_dim, t_max = problem
     f = persistence.build_filtration(d, max_dim=max_dim, t_max=t_max)
     for dim in range(1, len(f.blocks)):
         cofaces, faces = f.blocks[dim][0], f.blocks[dim - 1][0]
-        col_ptr, col_rows = persistence._coboundary(cofaces, faces, f.n_points)
+        col_ptr, col_rows = persistence._coboundary(f.facets[dim], faces.shape[0])
         assert len(col_ptr) == faces.shape[0] + 1 and col_ptr[-1] == col_rows.size
         for lo, hi in zip(col_ptr[:-1], col_ptr[1:]):
             rows = col_rows[lo:hi]
