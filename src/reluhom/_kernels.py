@@ -1,8 +1,9 @@
 """Hot numeric kernels: the packed Hamming matrix and GF(2) column reduction.
 
-The reduction holds a column as a plain list of distinct rows, and as a
-Python set of rows once additions start; there is no heap and no
-multiplicity count.  There is one backend, plain numpy and Python;
+The reduction walks the columns from last to first and takes a column's
+lowest row as its pivot.  It holds a column as a plain list of distinct
+rows, and as a Python set of rows once additions start; there is no heap
+and no multiplicity count.  There is one backend, plain numpy and Python;
 ``tests/test_kernels.py`` checks it exactly against independent oracles.
 ``USING_NUMBA`` is always ``False``: it is kept only because the benchmark
 records it in its environment report.
@@ -35,9 +36,9 @@ def hamming_matrix_packed(words):
 # Column reduction over GF(2)
 # ---------------------------------------------------------------------------
 #
-# Columns are reduced left to right; a column's pivot is its largest row.  A
+# Columns are reduced right to left; a column's pivot is its lowest row.  A
 # column is a plain list until its pivot is already owned, then a row set:
-# each addition is one set xor and a fresh max.  Only columns that additions
+# each addition is one set xor and a fresh min.  Only columns that additions
 # changed are stored; an unchanged pivot column is re-read from its slice.
 
 def reduce_columns(col_ptr, col_rows, skip):
@@ -50,15 +51,15 @@ def reduce_columns(col_ptr, col_rows, skip):
     ptr = col_ptr.tolist()
     owner = {}
     reduced = {}     # row sets of the columns that additions changed
-    for j in np.flatnonzero(~skip).tolist():
+    for j in np.flatnonzero(~skip)[::-1].tolist():
         col = col_rows[ptr[j]:ptr[j + 1]].tolist()
-        pivot = max(col, default=-1)
+        pivot = min(col, default=-1)
         k = owner.get(pivot)
         if k is not None:
             col = set(col)
             while k is not None:
                 col ^= reduced.get(k) or set(col_rows[ptr[k]:ptr[k + 1]].tolist())
-                pivot = max(col, default=-1)
+                pivot = min(col, default=-1)
                 k = owner.get(pivot)
             reduced[j] = col
         if pivot >= 0:

@@ -15,6 +15,7 @@ from . import lp, metric, persistence, sampling
 from .enumeration import (
     BoxRegion,
     H_MAX_BRUTE,
+    dual_graph,
     enumerate_brute,
     enumerate_traverse,
 )
@@ -86,23 +87,17 @@ def cmd_enumerate(args):
             net, seed_pt, box=box, rng=rng,
             tau_lp=args.tau_lp, tau_dim=args.tau_dim,
         )
-    order = sorted(atlas.regions, key=lambda b: b.to01())
+    regions, edges, _ = dual_graph(atlas)
     with open(args.out_regions, "w") as fh:
-        for bits in order:
-            region = atlas.regions[bits]
+        for bits in regions:
             fh.write(json.dumps({
                 "bits": bits.to01(),
-                "active_bits": list(region.active_bits),
+                "active_bits": list(atlas.regions[bits].active_bits),
                 "boundary_flag": atlas.boundary_flags[bits],
-            }))
-            fh.write("\n")
+            }) + "\n")
     if args.out_edges:
-        edges = sorted(
-            (tuple(sorted((u.to01(), v.to01()))) for u, v in map(tuple, atlas.edges))
-        )
         with open(args.out_edges, "w") as fh:
-            for u, v in edges:
-                fh.write(f"{u} {v}\n")
+            fh.writelines(f"{u.to01()} {v.to01()}\n" for u, v in edges)
     print(f"{len(atlas.regions)} regions, {len(atlas.edges)} edges")
     return EXIT_OK
 

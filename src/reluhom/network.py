@@ -10,6 +10,7 @@ Hamming-matrix kernel sees it as 64-bit words.
 
 import json
 import operator
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,31 +157,35 @@ def load_network(source):
     """Read a weight file (JSON) into a validated NetworkSpec.
 
     `source` may be a path, a text/byte stream, or an already-parsed dict.
+    A malformed document raises FormatError; when `source` is a path, the
+    message of every error names it.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
+    if isinstance(source, (str, os.PathLike)):
         try:
-            if hasattr(source, "read"):
-                doc = json.load(source)
-            else:
-                with open(source, "rb") as fh:
-                    doc = json.load(fh)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise FormatError(f"cannot parse weight file: {exc}") from exc
-    if not isinstance(doc, dict) or "input_dim" not in doc or "layers" not in doc:
-        raise FormatError('weight file must be {"input_dim": ..., "layers": [...]}')
+            with open(source, "rb") as fh:
+                return load_network(fh)
+        except OSError as exc:
+            raise FormatError(f"cannot read weight file {source}: {exc}") from exc
+        except (FormatError, DimensionMismatch, NonFiniteEntry) as exc:
+            raise type(exc)(f"{source}: {exc}") from exc
     try:
-        weights = []
-        biases = []
-        for i, layer in enumerate(doc["layers"], start=1):
-            w = np.array(layer["weights"], dtype=np.float64)
-            b = np.array(layer["bias"], dtype=np.float64)
-            weights.append(w)
-            biases.append(b)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"layer {i}: malformed weights/bias: {exc}") from exc
-    return NetworkSpec(tuple(weights), tuple(biases), int(doc["input_dim"]))
+        doc = source if isinstance(source, dict) else json.load(source)
+    except ValueError as exc:                     # bad JSON or UTF-8
+        raise FormatError(f"cannot parse weight file: {exc}") from exc
+    layers = doc.get("layers") if isinstance(doc, dict) else None
+    if not isinstance(layers, list) or "input_dim" not in doc:
+        raise FormatError('weight file must be {"input_dim": ..., "layers": [...]}')
+    part = "input_dim"
+    try:
+        input_dim = int(doc["input_dim"])
+        weights, biases = [], []
+        for i, layer in enumerate(layers, start=1):
+            part = f"layer {i}"
+            weights.append(np.array(layer["weights"], dtype=np.float64))
+            biases.append(np.array(layer["bias"], dtype=np.float64))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{part}: malformed entry: {exc}") from exc
+    return NetworkSpec(tuple(weights), tuple(biases), input_dim)
 
 
 def save_network(net, path):

@@ -3,8 +3,9 @@
 Threshold graphs are turned into their clique complex, each simplex
 recording its facets as it is made, simplices enter at their diameter, and
 persistence over the two-element field is read off from cohomology: the
-coboundaries, transposes of the facet tables, are reduced bottom-up with
-clearing (the naive homology oracle in the test suite pins correctness).
+coboundaries, transposes of the facet tables indexed in filtration order,
+are reduced with clearing (the naive homology oracle in the test suite
+pins correctness).
 Intervals follow the [birth, death) convention.
 """
 
@@ -67,8 +68,7 @@ def build_filtration(d, max_dim=1, t_max=None, simplex_cap=SIMPLEX_CAP):
     D = _as_matrix(d)
     n = D.shape[0]
     if t_max is None:
-        finite = D[np.isfinite(D)]
-        t_max = float(finite.max()) if finite.size else 0.0
+        t_max = float(np.max(D, where=np.isfinite(D), initial=0.0))
     if math.isnan(t_max):
         raise FormatError("t_max is NaN")
     near = D <= t_max
@@ -148,49 +148,43 @@ class Barcode:
 
 
 def _coboundary(facets, n_faces):
-    """Anti-transpose of a boundary matrix as CSR: the transpose of its facet table.
+    """Coboundary matrix as CSR: the transpose of the facet table.
 
-    Column c is face n_faces-1-c and its rows are the cofaces j that hold
-    it, as n_cofaces-1-j: both in reverse filtration order.
+    Column f lists the cofaces j whose facet row holds face f, in
+    filtration order.
     """
-    n_cofaces, width = facets.shape
-    cols = np.subtract(n_faces - 1, facets.reshape(-1))   # face -> column c
-    col_ptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n_faces))))
-    col_rows = np.argsort(cols, kind="stable")            # entries by column
-    col_rows //= width                                    # entry -> coface j
-    return col_ptr, np.subtract(n_cofaces - 1, col_rows, out=col_rows)   # j -> row
+    faces = facets.reshape(-1)
+    col_ptr = np.concatenate(([0], np.cumsum(np.bincount(faces, minlength=n_faces))))
+    col_rows = np.argsort(faces, kind="stable")           # entries by column
+    col_rows //= facets.shape[1]                          # entry -> coface j
+    return col_ptr, col_rows
 
 
 def compute_barcodes(filtration):
-    """Persistence pairs from cohomology, coboundaries reduced bottom-up with clearing.
+    """Persistence pairs from cohomology, coboundaries reduced with clearing.
 
-    For d = 1..max_dim+1, the coboundaries of the (d-1)-simplices are
-    reduced in reverse filtration order: the anti-transpose of the boundary
-    matrix of the d-simplices.  Each pivot pairs a (d-1)-simplex birth (its
-    column) with a d-simplex death (its row) (de Silva, Morozov,
-    Vejdemo-Johansson, 2011), read off all pivots of a pass at once.  A
-    (d-1)-simplex that the previous pass paired as a death has a zero
-    reduced coboundary and is skipped (clearing), so top-dimension simplices
-    are only ever rows.  A simplex that no pass pairs is an essential class.
+    For d = 1..max_dim+1, the coboundary matrix of the (d-1)-simplices is
+    reduced from its last column to its first, each column's pivot being its
+    lowest row.  Each pivot pairs a (d-1)-simplex birth (its column) with a
+    d-simplex death (its row) (de Silva, Morozov, Vejdemo-Johansson, 2011),
+    read off all pivots of a pass at once.  A (d-1)-simplex that the
+    previous pass paired as a death has a zero reduced coboundary and is
+    skipped (clearing), so top-dimension simplices are only ever rows.  A
+    simplex that no pass pairs is an essential class.
     """
     vals = [v for _, v in filtration.blocks]
     paired = [np.zeros(v.size, dtype=bool) for v in vals]
     pairs = [[] for _ in range(filtration.max_dim + 1)]
-    cleared = np.zeros(vals[0].size, dtype=bool)
     for d in range(1, len(vals)):
-        n_faces, n_cofaces = vals[d - 1].size, vals[d].size
-        col_ptr, col_rows = _coboundary(filtration.facets[d], n_faces)
-        low = _kernels.reduce_columns(col_ptr, col_rows, cleared)
+        col_ptr, col_rows = _coboundary(filtration.facets[d], vals[d - 1].size)
+        # paired[d - 1] holds exactly the previous pass's deaths here
+        low = _kernels.reduce_columns(col_ptr, col_rows, paired[d - 1])
         del col_ptr, col_rows
-        cols = np.flatnonzero(low >= 0)
-        faces = n_faces - 1 - cols
-        cofaces = n_cofaces - 1 - low[cols]
+        faces = np.flatnonzero(low >= 0)
+        cofaces = low[faces]
         pairs[d - 1].extend(zip(vals[d - 1][faces].tolist(), vals[d][cofaces].tolist()))
         paired[d - 1][faces] = True
         paired[d][cofaces] = True
-        # the deaths, indexed as the next pass's columns
-        cleared = np.zeros(n_cofaces, dtype=bool)
-        cleared[low[cols]] = True
     for p, bars in enumerate(pairs):
         bars.extend((b, math.inf) for b in vals[p][~paired[p]].tolist())
     return Barcode(tuple(tuple(sorted(p)) for p in pairs))

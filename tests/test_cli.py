@@ -1,5 +1,8 @@
 import json
+import re
+import shlex
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,6 +251,22 @@ class TestSamplers:
 
 
 class TestInputErrors:
+    @pytest.mark.parametrize("text", [
+        '{"input_dim": 2, "layers": 5}',
+        '{"input_dim": "two", "layers": [{"weights": [[1, 0]], "bias": [0]},'
+        ' {"weights": [[1]], "bias": [0]}]}',
+        '{"input_dim": 2, "layers": [',
+    ], ids=["layers-not-a-list", "input-dim-not-a-number", "truncated"])
+    def test_malformed_net_exits_3_naming_the_file(self, tmp_path, capsys, text):
+        netp, ptp = tmp_path / "net.json", tmp_path / "pts.json"
+        netp.write_text(text)
+        write_points(ptp, [[0.1, 0.2]])
+        argv = ["bits", "--net", str(netp), "--points", str(ptp),
+                "--out", str(tmp_path / "bits.txt")]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(netp) in err
+
     def test_mixed_bit_lengths_exit_3_naming_the_line(self, tmp_path, capsys):
         bitsp = tmp_path / "b.txt"
         bitsp.write_text("0101\n1100\n110\n")
@@ -374,3 +393,29 @@ class TestUsage:
                 "--out-regions", "r.jsonl",
             ])
         assert exc.value.code == 2
+
+
+def readme_commands():
+    """Every `reluhom ...` command in README's sh blocks, as argument lists.
+
+    Backslash continuations are joined and `#` comments dropped.
+    """
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["reluhom"]:
+                commands.append(words[1:])
+    return commands
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_parses(argv):
+    cli.build_parser().parse_args(argv)
+
+
+def test_readme_shows_every_subcommand():
+    shown = {argv[0] for argv in readme_commands()}
+    assert shown == {name[4:].replace("_", "-") for name in vars(cli)
+                     if name.startswith("cmd_")}

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reluhom import enumeration, network, regions
 from reluhom.errors import DimensionMismatch, ResourceCapError
@@ -150,3 +151,53 @@ class TestDualGraph:
                 assert np.allclose(Mu @ p + vu, Mv @ p + vv, atol=1e-8)
             checked += 1
         assert checked > 0
+
+
+@st.composite
+def small_nets(draw):
+    """Random nets: m in {1, 2, 3}, depth 1-3, h <= 8; with or without a box."""
+    m = draw(st.integers(1, 3))
+    depth = draw(st.integers(1, 3))
+    widths = []
+    for i in range(depth):
+        widths.append(draw(st.integers(1, 8 - sum(widths) - (depth - 1 - i))))
+    net = random_net(m, widths, draw(st.integers(0, 2**32 - 1)))
+    box = None
+    if draw(st.booleans()):
+        centre = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+        half = np.array(draw(st.lists(st.floats(0.25, 3.0), min_size=m, max_size=m)))
+        box = enumeration.BoxRegion(centre - half, centre + half)
+    return net, box
+
+
+@settings(max_examples=80)
+@given(small_nets())
+def test_brute_equals_traversal_on_random_nets(case):
+    net, box = case
+    brute = enumeration.enumerate_brute(net, box=box)
+    start = np.full(net.input_dim, 0.123) if box is None else (box.lower + box.upper) / 2
+    trav = enumeration.enumerate_traverse(net, start, box=box)
+    assert atlas_keys(trav) == atlas_keys(brute)
+    assert trav.edges == brute.edges
+    assert trav.boundary_flags == brute.boundary_flags
+
+
+@settings(max_examples=80)
+@given(small_nets())
+def test_adjacency_is_a_one_bit_flip_of_a_shared_facet(case):
+    # regions u, v differing only in bit k: k is a facet of u iff it is one
+    # of v iff {u, v} is an edge; and every edge is such a pair
+    net, box = case
+    atlas = enumeration.enumerate_brute(net, box=box)
+    adjacent = 0
+    for u, region in atlas.regions.items():
+        for k in range(net.h):
+            v = u.flip(k)
+            if v.value < u.value or v not in atlas.regions:
+                continue
+            in_u = k in region.active_bits
+            in_v = k in atlas.regions[v].active_bits
+            edge = frozenset((u, v)) in atlas.edges
+            assert in_u == in_v == edge, (u.to01(), v.to01(), k)
+            adjacent += edge
+    assert adjacent == len(atlas.edges)

@@ -92,27 +92,34 @@ def csr_problems(draw):
 @given(csr_problems())
 def test_reduce_columns_matches_dense_reduction(problem):
     n_rows, columns, skip = problem
-    col_ptr = np.cumsum([0] + [len(c) for c in columns]).astype(np.int64)
-    col_rows = np.array([r for c in columns for r in c], dtype=np.int64)
+    # the kernel reduces right to left to the lowest row: it gets the mirror
+    # image of the problem (columns reversed, row r -> n_rows - 1 - r), whose
+    # pivots map back to the oracle's left-to-right, largest-row ones
+    mirrored = [[n_rows - 1 - r for r in c] for c in reversed(columns)]
+    col_ptr = np.cumsum([0] + [len(c) for c in mirrored]).astype(np.int64)
+    col_rows = np.array([r for c in mirrored for r in c], dtype=np.int64)
     pivots = []
 
-    def checked_max(col, **kwargs):
-        # adding a reduced column cancels the pivot and adds only lower rows;
-        # adding a changed column's original slice can raise the pivot, and a
+    def checked_min(col, **kwargs):
+        # adding a reduced column cancels the pivot and adds only higher rows;
+        # adding a changed column's original slice can lower the pivot, and a
         # wrong addition can cycle forever: fail instead of hanging
-        pivot = max(col, **kwargs)
+        pivot = min(col, **kwargs)
         if not isinstance(col, list):          # after an addition
-            assert pivot < pivots[-1], "an addition did not lower the pivot"
+            assert pivot > pivots[-1] or pivot == -1, (
+                "an addition neither raised the pivot nor emptied the column")
         pivots.append(pivot)
         assert len(pivots) < 100_000, "reduction does not terminate"
         return pivot
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernels, "max", checked_max, raising=False)
-        got = _kernels.reduce_columns(col_ptr, col_rows, np.array(skip, dtype=bool))
+        mp.setattr(_kernels, "min", checked_min, raising=False)
+        got = _kernels.reduce_columns(
+            col_ptr, col_rows, np.array(skip[::-1], dtype=bool))
+    got = [p if p < 0 else n_rows - 1 - p for p in reversed(got.tolist())]
     # a skipped column is one known to reduce to zero: the oracle sees it empty
     kept = [[] if s else c for c, s in zip(columns, skip)]
-    assert got.tolist() == dense_lows(kept, n_rows)
+    assert got == dense_lows(kept, n_rows)
 
 
 @st.composite

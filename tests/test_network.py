@@ -68,6 +68,26 @@ class TestLoadNetwork:
         with pytest.raises(FormatError):
             load_network(io.StringIO("not json"))
 
+    @pytest.mark.parametrize("text", [
+        '{"input_dim": 2, "layers": 5}',
+        '{"input_dim": "two", "layers": [{"weights": [[1, 0]], "bias": [0]},'
+        ' {"weights": [[1]], "bias": [0]}]}',
+        '{"input_dim": 2, "layers": [',
+    ], ids=["layers-not-a-list", "input-dim-not-a-number", "truncated"])
+    def test_malformed_document_names_the_file(self, tmp_path, text):
+        path = tmp_path / "net.json"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=str(path)):
+            load_network(str(path))
+        with pytest.raises(FormatError):
+            load_network(io.StringIO(text))
+
+    def test_shape_error_names_the_file(self, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(weight_doc([([[1, 2]], [0]), ([[1]], [0])], 1)))
+        with pytest.raises(DimensionMismatch, match=f"{path}: layer 1"):
+            load_network(path)
+
 
 class TestForward:
     def test_relu_clamps_negative(self):

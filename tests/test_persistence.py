@@ -118,6 +118,33 @@ class TestFiltration:
         with pytest.raises(FormatError, match="t_max is NaN"):
             persistence.build_filtration(FOUR_CYCLE, max_dim=1, t_max=math.nan)
 
+    @pytest.mark.parametrize("d", [
+        np.zeros((0, 0)),
+        np.zeros((1, 1)),
+        np.array([[0.0, math.inf], [math.inf, 0.0]]),
+        FOUR_CYCLE,
+        np.where(FOUR_CYCLE == 2.0, math.inf, FOUR_CYCLE),
+    ], ids=["n0", "n1", "all-inf", "four-cycle", "four-cycle-inf"])
+    def test_default_t_max_is_the_largest_finite_entry(self, d):
+        finite = d[np.isfinite(d)]
+        want = finite.max() if finite.size else 0.0
+        assert persistence.build_filtration(d, max_dim=0).t_max == want
+
+    def test_default_t_max_copies_no_entries(self):
+        rng = np.random.default_rng(0)
+        d = np.triu(rng.uniform(1.0, 2.0, (1000, 1000)), 1)
+        d = DistanceMatrix(d + d.T)
+        peaks = []
+        for t_max in (None, float(d.data.max())):
+            tracemalloc.start()
+            try:
+                persistence.build_filtration(d, max_dim=0, t_max=t_max)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # a copy of the finite entries would be n * n doubles, 7.6 MiB
+        assert peaks[0] <= peaks[1] + 2 * 2**20, [p / 2**20 for p in peaks]
+
 
 class TestBarcodes:
     def test_four_cycle(self):
