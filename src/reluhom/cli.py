@@ -69,8 +69,9 @@ def cmd_enumerate(args):
     if args.mode == "brute":
         if args.h_max > H_MAX_BRUTE:
             print(
-                f"warning: brute-force guard raised to {args.h_max} "
-                f"(2^h candidates)", file=sys.stderr,
+                f"warning: brute-force guard raised to h = {args.h_max} "
+                "(the prefix search may visit up to 2^(h+1) prefixes)",
+                file=sys.stderr,
             )
         atlas = enumerate_brute(
             net, box=box, h_max=args.h_max,

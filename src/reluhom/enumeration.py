@@ -1,7 +1,8 @@
 """Full enumeration of the polyhedral decomposition and its dual graph.
 
-Two routes produce identical atlases: brute force over all 2^h candidate
-patterns, and traversal from a seed region through active-bit flips.  In
+Two routes produce identical atlases: brute force, a depth-first search
+over bit prefixes that drops every prefix without a full-dimensional
+interior, and traversal from a seed region through active-bit flips.  In
 bounded mode the box rows are appended to every system; whether a region
 hits the box wall is kept as metadata, never inside the Hamming bits.
 """
@@ -20,7 +21,7 @@ from .errors import (
     ResourceCapError,
 )
 from .network import TAU_BIT, BitVector, bit_vector, on_boundary
-from .regions import neighbors, region_from_bits
+from .regions import _compose, _inscribed_ball, neighbors, region_from_bits
 
 H_MAX_BRUTE = 24
 
@@ -102,10 +103,17 @@ def _finalize(net, atlas):
 
 def enumerate_brute(net, box=None, h_max=H_MAX_BRUTE,
                     tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
-    """Test all 2^h patterns for a feasible full-dimensional region.
+    """Every full-dimensional region, by a depth-first search over bit prefixes.
 
-    Pattern j has bit i = (j >> i) & 1, so it is BitVector(h, j); each is
-    built just before its test.
+    Rows are layer-major, so rows 0..k-1 of a pattern's system depend only
+    on its bits 0..k-1: a node at depth k holds those rows and the box
+    rows.  A node whose rows hold no ball of radius above tau_dim (the
+    Chebyshev test of essentialize) has no full-dimensional extension, so
+    it is dropped with all of them.  A child whose new row leaves the
+    parent's interior point z more than tau_dim inside needs no LP: it
+    keeps z, with the smaller of the two radii.  Each pattern reached at
+    depth h goes through region_from_bits.  The search keeps its own
+    stack, so h is limited only by h_max, which is checked before any LP.
     """
     h = net.h
     if h > h_max:
@@ -114,12 +122,41 @@ def enumerate_brute(net, box=None, h_max=H_MAX_BRUTE,
             "raise the limit explicitly to proceed"
         )
     extra = _box_rows(net, box)
+    offsets = net.bit_offsets()
+    A, c = extra if box is not None else (np.empty((0, net.input_dim)), np.empty(0))
+    # depth k, bits 0..k-1, rows, interior point z, radius lower bound at z
+    # (-inf: unknown), hidden layer j holding bit k and its map on the prefix
+    stack = [(0, 0, A, c, None, -np.inf, 0, net.weights[0], net.biases[0])]
+    found = []
+    while stack:
+        k, value, A, c, z, r, j, w_hat, b_hat = stack.pop()
+        if k == h:
+            region = _try_region(net, BitVector(h, value), extra, tau_lp, tau_dim)
+            if region is not None:
+                found.append(region)
+            continue
+        if r <= tau_dim:
+            try:
+                z, r = _inscribed_ball(A, c, tau_dim)
+            except (InfeasibleSystemError, DegenerateSystemError):
+                continue
+        while k == offsets[j + 1]:
+            s = BitVector(k, value).to_array()[offsets[j]:].astype(np.float64)
+            w_hat, b_hat = _compose(net, j, s, w_hat, b_hat)
+            j += 1
+        a, b = w_hat[k - offsets[j]], b_hat[k - offsets[j]]
+        norm = np.linalg.norm(a)
+        for bit, sign in ((1, -1.0), (0, 1.0)):       # bit 1: a.x + b >= 0
+            row, rhs = sign * a, sign * -b
+            d = (rhs - row @ z) / norm if norm > 0 else -np.inf
+            stack.append((
+                k + 1, value | bit << k, np.vstack([A, row]), np.append(c, rhs),
+                z, min(r, d), j, w_hat, b_hat,
+            ))
     atlas = DecompositionAtlas(box=box)
-    for j in range(1 << h):
-        bits = BitVector(h, j)
-        region = _try_region(net, bits, extra, tau_lp, tau_dim)
-        if region is not None:
-            atlas.regions[bits] = region
+    # ascending pattern value, whatever order the search found them in
+    for region in sorted(found, key=lambda reg: reg.bits.value):
+        atlas.regions[region.bits] = region
     return _finalize(net, atlas)
 
 

@@ -30,7 +30,7 @@ class BoundaryPointError(ReluhomError):
 
 
 class ResourceCapError(ReluhomError):
-    """A configured size guard (2^h candidates, simplex count) was exceeded."""
+    """A configured size guard (brute-force h, simplex count) was exceeded."""
 
 
 class IterationLimitError(ReluhomError):

@@ -175,16 +175,17 @@ def load_network(source):
     layers = doc.get("layers") if isinstance(doc, dict) else None
     if not isinstance(layers, list) or "input_dim" not in doc:
         raise FormatError('weight file must be {"input_dim": ..., "layers": [...]}')
-    part = "input_dim"
-    try:
-        input_dim = int(doc["input_dim"])
-        weights, biases = [], []
-        for i, layer in enumerate(layers, start=1):
-            part = f"layer {i}"
+    input_dim = doc["input_dim"]
+    # JSON true loads as bool, an int subclass
+    if not isinstance(input_dim, int) or isinstance(input_dim, bool):
+        raise FormatError(f"input_dim must be a JSON integer, got {input_dim!r}")
+    weights, biases = [], []
+    for i, layer in enumerate(layers, start=1):
+        try:
             weights.append(np.array(layer["weights"], dtype=np.float64))
             biases.append(np.array(layer["bias"], dtype=np.float64))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"{part}: malformed entry: {exc}") from exc
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise FormatError(f"layer {i}: malformed entry: {exc}") from exc
     return NetworkSpec(tuple(weights), tuple(biases), input_dim)
 
 

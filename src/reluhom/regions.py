@@ -79,9 +79,20 @@ def _hat_maps(net, bits):
         sign = 1.0 - 2.0 * s  # bit 1 -> -1
         A_blocks.append(sign[:, None] * w_hat)
         c_blocks.append(sign * (-b_hat))
-        w_hat = net.weights[j + 1] @ (s[:, None] * w_hat)
-        b_hat = net.weights[j + 1] @ (s * b_hat) + net.biases[j + 1]
+        w_hat, b_hat = _compose(net, j, s, w_hat, b_hat)
     return (np.vstack(A_blocks), np.concatenate(c_blocks)), (w_hat, b_hat)
+
+
+def _compose(net, j, s, w_hat, b_hat):
+    """Layer j + 1's map on the region from hidden layer j's map and 0/1 mask s.
+
+    Hidden layer j's pre-activations are w_hat x + b_hat; the ReLU keeps
+    the nodes with s = 1, and layer j + 1 applies its affine map to them.
+    """
+    return (
+        net.weights[j + 1] @ (s[:, None] * w_hat),
+        net.weights[j + 1] @ (s * b_hat) + net.biases[j + 1],
+    )
 
 
 def assemble(net, bits):
@@ -191,6 +202,23 @@ def _dual_implied(A, b, facet, tau_lp):
     return implied
 
 
+def _inscribed_ball(A, c, tau_dim):
+    """Chebyshev center and radius of A x <= c, which must exceed tau_dim.
+
+    The radius is capped above tau_dim (at 1 by default); any such cap
+    decides full dimension as the uncapped radius would.  An empty system
+    raises InfeasibleSystemError, a radius at most tau_dim
+    DegenerateSystemError.
+    """
+    center, radius = lp.chebyshev_center(A, c, r_cap=max(1.0, 2.0 * tau_dim))
+    if radius <= tau_dim:
+        raise DegenerateSystemError(
+            f"region is not full-dimensional: Chebyshev radius {radius:.3g} "
+            f"<= tau_dim {tau_dim:g}"
+        )
+    return center, radius
+
+
 def essentialize(A, c, tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
     """Minimal subsystem (A', c'), the surviving row indices and an interior point.
 
@@ -216,13 +244,7 @@ def essentialize(A, c, tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
     c = np.asarray(c, dtype=np.float64)
     if A.shape[0] != c.size:
         raise DimensionMismatch(f"rows {A.shape[0]} != rhs length {c.size}")
-    # any cap above tau_dim decides full dimension as the uncapped radius would
-    center, radius = lp.chebyshev_center(A, c, r_cap=max(1.0, 2.0 * tau_dim))
-    if radius <= tau_dim:
-        raise DegenerateSystemError(
-            f"region is not full-dimensional: Chebyshev radius {radius:.3g} "
-            f"<= tau_dim {tau_dim:g}"
-        )
+    center, _ = _inscribed_ball(A, c, tau_dim)
 
     b = c - A @ center
     norms = np.linalg.norm(A, axis=1)

@@ -256,7 +256,10 @@ class TestInputErrors:
         '{"input_dim": "two", "layers": [{"weights": [[1, 0]], "bias": [0]},'
         ' {"weights": [[1]], "bias": [0]}]}',
         '{"input_dim": 2, "layers": [',
-    ], ids=["layers-not-a-list", "input-dim-not-a-number", "truncated"])
+        '{"input_dim": 2.0, "layers": [{"weights": [[1, 0]], "bias": [0]},'
+        ' {"weights": [[1]], "bias": [0]}]}',
+    ], ids=["layers-not-a-list", "input-dim-not-a-number", "truncated",
+            "input-dim-not-an-integer"])
     def test_malformed_net_exits_3_naming_the_file(self, tmp_path, capsys, text):
         netp, ptp = tmp_path / "net.json", tmp_path / "pts.json"
         netp.write_text(text)

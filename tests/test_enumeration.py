@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reluhom import enumeration, network, regions
+from reluhom import enumeration, lp, network, regions
 from reluhom.errors import DimensionMismatch, ResourceCapError
 from conftest import random_net
 
@@ -40,6 +40,37 @@ class TestBrute:
         net = random_net(2, [30], 1)
         with pytest.raises(ResourceCapError):
             enumeration.enumerate_brute(net)
+
+    def test_h_cap_fires_before_any_lp(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("an LP ran before the h guard")
+
+        monkeypatch.setattr(lp, "chebyshev_center", no_lp)
+        net = random_net(2, [3, 3], 11)
+        with pytest.raises(ResourceCapError, match="h = 6 exceeds the brute-force guard"):
+            enumeration.enumerate_brute(net, h_max=5)
+
+    def test_prefix_search_lp_budget(self, monkeypatch):
+        # an infeasible prefix is dropped with all its extensions, and a child
+        # whose new row keeps its parent's interior point needs no LP
+        net = random_net(3, [5, 5], 7)
+        calls = []
+        chebyshev_center = lp.chebyshev_center
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return chebyshev_center(*args, **kwargs)
+
+        monkeypatch.setattr(lp, "chebyshev_center", counting)
+        atlas = enumeration.enumerate_brute(net)
+        # the full-dimensional prefixes of length k are the regions' first k
+        # bits; the search visits both children of each (leaves included)
+        visited = sum(
+            2 * len({b.value & ((1 << k) - 1) for b in atlas.regions})
+            for k in range(net.h)
+        )
+        assert len(calls) < 2 ** net.h
+        assert len(calls) < visited
 
     def test_region_witnesses_are_interior(self):
         net = random_net(3, [5], 9)
@@ -180,6 +211,10 @@ def test_brute_equals_traversal_on_random_nets(case):
     assert atlas_keys(trav) == atlas_keys(brute)
     assert trav.edges == brute.edges
     assert trav.boundary_flags == brute.boundary_flags
+    # both routes build each region with the same Chebyshev LP
+    for bits, region in brute.regions.items():
+        assert np.array_equal(trav.regions[bits].interior, region.interior)
+        assert trav.regions[bits].active_bits == region.active_bits
 
 
 @settings(max_examples=80)

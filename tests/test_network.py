@@ -82,6 +82,13 @@ class TestLoadNetwork:
         with pytest.raises(FormatError):
             load_network(io.StringIO(text))
 
+    @pytest.mark.parametrize("value", [2.7, "2", 2.0, True])
+    def test_input_dim_must_be_a_json_integer(self, value):
+        # each would pass int() and chain with weights of int(value) columns
+        doc = weight_doc([([[1.0] * int(value)], [0]), ([[1]], [0])], input_dim=value)
+        with pytest.raises(FormatError, match="input_dim"):
+            load_network(io.StringIO(json.dumps(doc)))
+
     def test_shape_error_names_the_file(self, tmp_path):
         path = tmp_path / "net.json"
         path.write_text(json.dumps(weight_doc([([[1, 2]], [0]), ([[1]], [0])], 1)))

@@ -229,7 +229,7 @@ class TestBarcodes:
 
 
 class TestCohomologyReduction:
-    def test_coboundaries_reduced_bottom_up_with_clearing(self, monkeypatch):
+    def test_coboundaries_reduced_last_to_first_in_filtration_order_with_clearing(self, monkeypatch):
         calls = []
         reduce_columns = _kernels.reduce_columns
 
