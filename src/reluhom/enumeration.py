@@ -1,13 +1,13 @@
 """Full enumeration of the polyhedral decomposition and its dual graph.
 
-Two routes produce identical atlases: brute force, a depth-first search
+Two routes produce identical atlases: brute force, a level-wise search
 over bit prefixes that drops every prefix without a full-dimensional
-interior, and traversal from a seed region through active-bit flips.  In
+interior, and traversal from a seed region through active-bit flips, a
+wave of regions at a time; a level or a wave is one batch of LPs.  In
 bounded mode the box rows are appended to every system; whether a region
 hits the box wall is kept as metadata, never inside the Hamming bits.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,11 +17,10 @@ from .errors import (
     BoundaryPointError,
     DegenerateSystemError,
     DimensionMismatch,
-    InfeasibleSystemError,
     ResourceCapError,
 )
 from .network import TAU_BIT, BitVector, bit_vector, on_boundary
-from .regions import _compose, _inscribed_ball, neighbors, region_from_bits
+from .regions import Region, _compose, _inscribed_balls, neighbors, regions_from_bits
 
 H_MAX_BRUTE = 24
 
@@ -67,22 +66,16 @@ class DecompositionAtlas:
         return len(self.regions)
 
 
-def _try_region(net, bits, extra, tau_lp, tau_dim):
-    """Region for a pattern, or None when infeasible / lower-dimensional."""
-    extra_A, extra_c = extra
-    try:
-        return region_from_bits(
-            net, bits, extra_A=extra_A, extra_c=extra_c,
-            tau_lp=tau_lp, tau_dim=tau_dim,
-        )
-    except (InfeasibleSystemError, DegenerateSystemError):
-        return None
+def _found(net, patterns, extra, tau_lp, tau_dim):
+    """The full-dimensional regions of the patterns, in the patterns' order."""
+    found = regions_from_bits(net, patterns, *extra, tau_lp=tau_lp, tau_dim=tau_dim)
+    return [region for region in found if isinstance(region, Region)]
 
 
 def _box_rows(net, box):
-    """The box's inequality rows, or (None, None) without a box."""
+    """The box's inequality rows, or no rows without a box."""
     if box is None:
-        return None, None
+        return np.empty((0, net.input_dim)), np.empty(0)
     if box.lower.size != net.input_dim:
         raise DimensionMismatch(
             f"box has dimension {box.lower.size}, network input has {net.input_dim}"
@@ -103,7 +96,7 @@ def _finalize(net, atlas):
 
 def enumerate_brute(net, box=None, h_max=H_MAX_BRUTE,
                     tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
-    """Every full-dimensional region, by a depth-first search over bit prefixes.
+    """Every full-dimensional region, by a level-wise search over bit prefixes.
 
     Rows are layer-major, so rows 0..k-1 of a pattern's system depend only
     on its bits 0..k-1: a node at depth k holds those rows and the box
@@ -111,9 +104,11 @@ def enumerate_brute(net, box=None, h_max=H_MAX_BRUTE,
     Chebyshev test of essentialize) has no full-dimensional extension, so
     it is dropped with all of them.  A child whose new row leaves the
     parent's interior point z more than tau_dim inside needs no LP: it
-    keeps z, with the smaller of the two radii.  Each pattern reached at
-    depth h goes through region_from_bits.  The search keeps its own
-    stack, so h is limited only by h_max, which is checked before any LP.
+    keeps z, with the smaller of the two radii.  Each depth is held as
+    stacked arrays, which replace the previous depth's, and its Chebyshev
+    LPs run as one batch; the patterns reached at depth h go through
+    regions_from_bits as one batch.  h is limited only by h_max, which is
+    checked before any LP.
     """
     h = net.h
     if h > h_max:
@@ -123,40 +118,41 @@ def enumerate_brute(net, box=None, h_max=H_MAX_BRUTE,
         )
     extra = _box_rows(net, box)
     offsets = net.bit_offsets()
-    A, c = extra if box is not None else (np.empty((0, net.input_dim)), np.empty(0))
-    # depth k, bits 0..k-1, rows, interior point z, radius lower bound at z
-    # (-inf: unknown), hidden layer j holding bit k and its map on the prefix
-    stack = [(0, 0, A, c, None, -np.inf, 0, net.weights[0], net.biases[0])]
-    found = []
-    while stack:
-        k, value, A, c, z, r, j, w_hat, b_hat = stack.pop()
-        if k == h:
-            region = _try_region(net, BitVector(h, value), extra, tau_lp, tau_dim)
-            if region is not None:
-                found.append(region)
-            continue
-        if r <= tau_dim:
-            try:
-                z, r = _inscribed_ball(A, c, tau_dim)
-            except (InfeasibleSystemError, DegenerateSystemError):
-                continue
+    # the nodes of depth k: bits 0..k-1, rows, interior points z and radius
+    # lower bounds r at z (-inf: unknown), and the map (w_hat, b_hat) on
+    # the prefix of hidden layer j, which holds bit k
+    values, A, c = [0], extra[0][None], extra[1][None]
+    z, r = np.zeros((1, net.input_dim)), np.full(1, -np.inf)
+    j, w_hat, b_hat = 0, net.weights[0][None], net.biases[0][None]
+    for k in range(h):
+        need = np.flatnonzero(r <= tau_dim)
+        z[need], r[need] = _inscribed_balls(A[need], c[need], tau_dim)
+        live = np.flatnonzero(r > tau_dim)
+        values = [values[i] for i in live.tolist()]
+        if k == h - 1:
+            break
+        A, c, z, r, w_hat, b_hat = (x[live] for x in (A, c, z, r, w_hat, b_hat))
         while k == offsets[j + 1]:
-            s = BitVector(k, value).to_array()[offsets[j]:].astype(np.float64)
+            s = [BitVector(k, value).to_array()[offsets[j]:] for value in values]
+            s = np.array(s, np.float64).reshape(len(values), k - offsets[j])
             w_hat, b_hat = _compose(net, j, s, w_hat, b_hat)
             j += 1
-        a, b = w_hat[k - offsets[j]], b_hat[k - offsets[j]]
-        norm = np.linalg.norm(a)
-        for bit, sign in ((1, -1.0), (0, 1.0)):       # bit 1: a.x + b >= 0
-            row, rhs = sign * a, sign * -b
-            d = (rhs - row @ z) / norm if norm > 0 else -np.inf
-            stack.append((
-                k + 1, value | bit << k, np.vstack([A, row]), np.append(c, rhs),
-                z, min(r, d), j, w_hat, b_hat,
-            ))
+        a, b = w_hat[:, k - offsets[j]], b_hat[:, k - offsets[j]]
+        # bit 0 children, a.x + b <= 0, then bit 1 children, a.x + b >= 0
+        row, rhs = np.concatenate([a, -a]), np.concatenate([-b, b])
+        A, c, z, r, w_hat, b_hat = (np.concatenate([x, x]) for x in (A, c, z, r, w_hat, b_hat))
+        A, c = np.concatenate([A, row[:, None]], axis=1), np.append(c, rhs[:, None], axis=1)
+        # (1, n) @ (n, 1) rounds as the dot products row @ z and row @ row
+        norm = np.sqrt((row[:, None, :] @ row[:, :, None])[:, 0, 0])
+        gap = np.divide(rhs - (row[:, None, :] @ z[:, :, None])[:, 0, 0], norm,
+                        out=np.full(rhs.shape, -np.inf), where=norm > 0)
+        r = np.minimum(r, gap)
+        values += [value | 1 << k for value in values]
+    del A, c, z, r, w_hat, b_hat        # freed before the leaves' regions are made
+    leaves = sorted(values + [value | 1 << (h - 1) for value in values])
+    found = _found(net, [BitVector(h, value) for value in leaves], extra, tau_lp, tau_dim)
     atlas = DecompositionAtlas(box=box)
-    # ascending pattern value, whatever order the search found them in
-    for region in sorted(found, key=lambda reg: reg.bits.value):
-        atlas.regions[region.bits] = region
+    atlas.regions.update((region.bits, region) for region in found)
     return _finalize(net, atlas)
 
 
@@ -181,6 +177,8 @@ def enumerate_traverse(net, seed, box=None, rng=None,
 
     FIFO frontier: each region is expanded exactly once, and each flip of
     one of its active bits not yet in the atlas is tested as a new region.
+    The frontier goes in waves: the untested flips of a wave's regions are
+    tested as one batch, whose regions form the next wave.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -188,19 +186,16 @@ def enumerate_traverse(net, seed, box=None, rng=None,
     x0 = _draw_seed(net, seed, box, rng)
     atlas = DecompositionAtlas(box=box)
 
-    first = _try_region(net, bit_vector(net, x0), extra, tau_lp, tau_dim)
-    if first is None:
+    wave = _found(net, [bit_vector(net, x0)], extra, tau_lp, tau_dim)
+    if not wave:
         raise DegenerateSystemError("seed region is not full-dimensional")
-    atlas.regions[first.bits] = first
-    frontier = deque([first.bits])
-    while frontier:
-        for cand in neighbors(atlas.regions[frontier.popleft()]):
-            if cand in atlas.regions:
-                continue
-            region = _try_region(net, cand, extra, tau_lp, tau_dim)
-            if region is not None:
-                atlas.regions[cand] = region
-                frontier.append(cand)
+    while wave:
+        atlas.regions.update((region.bits, region) for region in wave)
+        # each flip not in the atlas once, in the order the FIFO meets it
+        flips = dict.fromkeys(
+            cand for region in wave for cand in neighbors(region) if cand not in atlas.regions
+        )
+        wave = _found(net, list(flips), extra, tau_lp, tau_dim)
     return _finalize(net, atlas)
 
 

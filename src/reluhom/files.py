@@ -15,6 +15,10 @@ import numpy as np
 from .errors import FormatError, NonFiniteEntry
 from .network import BitVector
 
+# coordinates whose JSON text is made at once: json.dumps holds one string
+# per number until it joins them, many times the size of the text
+_FLOATS_PER_WRITE = 1024
+
 
 def read_points(path):
     """JSON {"points": [[...], ...]} -> list of float vectors."""
@@ -37,10 +41,16 @@ def read_points(path):
 
 
 def write_points(points, path):
-    # json.dumps runs the C encoder; json.dump(obj, fh) would not
-    text = json.dumps({"points": [np.asarray(p).tolist() for p in points]})
+    """The text of json.dumps({"points": [...]}), made and written about
+    _FLOATS_PER_WRITE coordinates at a time."""
+    step = max(1, _FLOATS_PER_WRITE // max(1, np.size(points[0]))) if len(points) else 1
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write('{"points": [')
+        for lo in range(0, len(points), step):
+            # json.dumps runs the C encoder; json.dump(obj, fh) would not
+            block = [np.asarray(p).tolist() for p in points[lo: lo + step]]
+            fh.write((", " if lo else "") + json.dumps(block)[1:-1])
+        fh.write("]}")
 
 
 def read_bits(path):

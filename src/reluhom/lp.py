@@ -1,13 +1,15 @@
 """Dense simplex for the Chebyshev and redundancy LPs, with no phase 1.
 
 All problems here are "maximize c.x subject to A x <= b" with free variables
-(split into positive/negative parts internally).  Bland's rule guards
-against cycling; the sizes involved (rows = hidden nodes, cols = input
-dimension) keep the dense tableau cheap.
+(split into positive/negative parts internally).  One Bland-rule kernel
+pivots a stack of same-shape tableaus at once, each exactly as it would
+pivot alone.  A row an LP does not use stays in place as an inert row
+(zero coefficients, right-hand side >= 0): it never enters or leaves the
+basis and leaves Bland's order over the other rows alone.
 
 Every simplex run starts from the slack basis, so the right-hand sides it
 sees are non-negative and there are no artificial variables.  The Chebyshev
-LP has such right-hand sides by construction (see `chebyshev_center`);
+LP has such right-hand sides by construction (see `chebyshev_centers`);
 `solve` translates a system with a negative right-hand side to a point that
 LP finds.  `regions.essentialize` translates each region to its Chebyshev
 center itself, so its redundancy LPs need no such start.
@@ -31,6 +33,9 @@ TAU_LP = 1e-8    # feasibility / optimality tolerance
 TAU_DIM = 1e-7   # Chebyshev radius above which a region counts as full-dimensional
 
 _PIVOT_TOL = 1e-9
+# bytes of a batch's largest temporary, far below glibc's 128 KiB mmap
+# threshold: the batches' temporaries then reuse the same heap memory
+BLOCK_BYTES = 32 * 1024
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -53,50 +58,99 @@ class LpOutcome:
     witness: np.ndarray = None
 
 
-def _pivot(T, basis, row, col):
-    T[row] /= T[row, col]
-    colvals = T[:, col].copy()
-    colvals[row] = 0.0
-    T -= np.outer(colvals, T[row])
-    T[:, col] = 0.0
-    T[row, col] = 1.0
-    basis[row] = col
+def _blocks(count, item_bytes):
+    """Slices cutting range(count) into runs of at most BLOCK_BYTES of items."""
+    step = max(1, BLOCK_BYTES // max(1, item_bytes))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
-def _run_simplex(T, basis, max_iter):
-    """Bland-rule simplex on a tableau whose last row is the reduced-cost row.
+def _pivot(T, basis, rows, cols):
+    """Pivot tableau p of the stack on entry (rows[p], cols[p]), for every p."""
+    k = np.arange(T.shape[0])
+    prow = T[k, rows] / T[k, rows, cols][:, None]
+    T[k, rows] = prow
+    colvals = T[k, :, cols]
+    colvals[k, rows] = 0.0
+    T -= colvals[:, :, None] * prow[:, None, :]
+    T[k, :, cols] = 0.0
+    T[k, rows, cols] = 1.0
+    basis[k, rows] = cols
 
-    Entries of the cost row below -_PIVOT_TOL admit improvement.  Returns
-    OPTIMAL or UNBOUNDED; raises IterationLimitError on stall.  The scans
-    read Python-float copies of the tableau, which hold the same values.
+
+def _scan(col, rhs, order):
+    """Bland's sequential ratio test on one tableau: the leaving row, ties
+    within _PIVOT_TOL going to the lower basic index."""
+    best, leave = np.inf, -1
+    for r in range(len(col)):
+        if col[r] > _PIVOT_TOL:
+            ratio = rhs[r] / col[r]
+            if ratio < best - _PIVOT_TOL or (
+                ratio < best + _PIVOT_TOL and (leave < 0 or order[r] < order[leave])
+            ):
+                best, leave = min(ratio, best), r
+    return leave
+
+
+def _leaving(col, rhs, basis):
+    """Each tableau's leaving row for entering column col (-1: unbounded):
+    with no other ratio within 2 _PIVOT_TOL of the least, `_scan` picks
+    the first least, as argmin does; a near tie is scanned."""
+    eligible = col > _PIVOT_TOL
+    ratio = np.where(eligible, rhs, np.inf) / np.where(eligible, col, 1.0)
+    leave = ratio.argmin(axis=1)
+    best = ratio[np.arange(leave.size), leave]
+    near = (ratio <= best[:, None] + 2 * _PIVOT_TOL).sum(axis=1) > 1
+    for p in np.flatnonzero(near & (best < np.inf)).tolist():
+        leave[p] = _scan(col[p].tolist(), rhs[p].tolist(), basis[p].tolist())
+    leave[best == np.inf] = -1
+    return leave
+
+
+def _simplex(T, basis, max_iter):
+    """Bland-rule simplex on a stack of tableaus, each with its cost row last.
+
+    The first column whose cost is below -_PIVOT_TOL enters.  T and basis
+    end in each LP's final state.  Returns which LPs are unbounded; raises
+    IterationLimitError when an LP has not finished after max_iter pivots.
     """
-    m = T.shape[0] - 1
+    unbounded = np.zeros(len(T), dtype=bool)
+    live = np.arange(len(T))
+    W, B = T, basis             # the unfinished LPs; finished ones go back to T
     for _ in range(max_iter):
-        entering = -1
-        for j, cost in enumerate(T[-1, :-1].tolist()):
-            if cost < -_PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
-            return OPTIMAL
-        col = T[:m, entering].tolist()
-        rhs = T[:m, -1].tolist()
-        order = basis.tolist()
-        best_ratio = np.inf
-        leave = -1
-        for r in range(m):
-            if col[r] > _PIVOT_TOL:
-                ratio = rhs[r] / col[r]
-                if ratio < best_ratio - _PIVOT_TOL or (
-                    ratio < best_ratio + _PIVOT_TOL
-                    and (leave < 0 or order[r] < order[leave])
-                ):
-                    best_ratio = min(ratio, best_ratio)
-                    leave = r
-        if leave < 0:
-            return UNBOUNDED
-        _pivot(T, basis, leave, entering)
+        improving = W[:, -1, :-1] < -_PIVOT_TOL
+        enter = improving.argmax(axis=1)
+        leave = _leaving(W[np.arange(live.size), :-1, enter], W[:, :-1, -1], B)
+        done = ~improving.any(axis=1) | (leave < 0)
+        if done.any():
+            unbounded[live] = improving.any(axis=1) & (leave < 0)
+            if W is not T:
+                T[live[done]], basis[live[done]] = W[done], B[done]
+            W, B, live, enter, leave = (a[~done] for a in (W, B, live, enter, leave))
+            if not live.size:
+                return unbounded
+        _pivot(W, B, leave, enter)
     raise IterationLimitError("simplex pivot limit exceeded")
+
+
+def _solve_leq(obj, A, b):
+    """Simplex from the slack basis of each A x <= b of a stack (b >= 0):
+    which LPs are unbounded, and the optimal points of the others."""
+    count, m, n = A.shape
+    if m == 0 or count == 0:
+        return np.max(np.abs(obj), axis=1, initial=0.0) > _PIVOT_TOL, np.zeros((count, n))
+    # standard form: A(u - v) + s = b with u, v, s >= 0
+    T = np.zeros((count, m + 1, 2 * n + m + 1))
+    T[:, :m, :n] = A
+    T[:, :m, n: 2 * n] = -A
+    T[:, :m, 2 * n: -1] = np.eye(m)
+    T[:, :m, -1] = b
+    T[:, -1, :n] = -obj
+    T[:, -1, n: 2 * n] = obj
+    basis = np.tile(2 * n + np.arange(m), (count, 1))
+    unbounded = _simplex(T, basis, 5000 + 200 * (2 * n + 2 * m))
+    x_full = np.zeros((count, 2 * n + m))
+    x_full[np.arange(count)[:, None], basis] = T[:, :m, -1]
+    return unbounded, x_full[:, :n] - x_full[:, n: 2 * n]
 
 
 def solve(lp):
@@ -111,44 +165,30 @@ def solve(lp):
         raise DimensionMismatch(
             f"LP shapes disagree: A {A.shape}, c {c.shape}, objective {obj.shape}"
         )
-    if np.min(c, initial=0.0) >= 0:
-        return _solve_leq(obj, A, c)
-    # start from a point of the system: translate it there
-    try:
-        z = chebyshev_center(A, c, r_cap=1.0)[0]
-    except InfeasibleSystemError:
-        return LpOutcome(INFEASIBLE)
-    out = _solve_leq(obj, A, np.maximum(c - A @ z, 0.0))
-    if out.status != OPTIMAL:
-        return out
-    x = out.witness + z
+    z = None
+    if np.min(c, initial=0.0) < 0:
+        # start from a point of the system: translate it there
+        try:
+            z = chebyshev_center(A, c, r_cap=1.0)[0]
+        except InfeasibleSystemError:
+            return LpOutcome(INFEASIBLE)
+        c = np.maximum(c - A @ z, 0.0)
+    unbounded, x = _solve_leq(obj[None], A[None], c[None])
+    if unbounded[0]:
+        return LpOutcome(UNBOUNDED)
+    x = x[0] if z is None else x[0] + z
     return LpOutcome(OPTIMAL, float(obj @ x), x)
 
 
-def _solve_leq(obj, A, b):
-    """Simplex from the slack basis of A x <= b, which b >= 0 makes feasible."""
-    m, n = A.shape
-    if m == 0:
-        if np.max(np.abs(obj), initial=0.0) <= _PIVOT_TOL:
-            return LpOutcome(OPTIMAL, 0.0, np.zeros(n))
-        return LpOutcome(UNBOUNDED)
-
-    # standard form: A(u - v) + s = b with u, v, s >= 0
-    T = np.zeros((m + 1, 2 * n + m + 1))
-    T[:m, :n] = A
-    T[:m, n: 2 * n] = -A
-    T[:m, 2 * n: -1] = np.eye(m)
-    T[:m, -1] = b
-    T[-1, :n] = -obj
-    T[-1, n: 2 * n] = obj
-    basis = 2 * n + np.arange(m)
-    status = _run_simplex(T, basis, 5000 + 200 * (2 * n + 2 * m))
-    if status == UNBOUNDED:
-        return LpOutcome(UNBOUNDED)
-    x_full = np.zeros(2 * n + m)
-    x_full[basis] = T[:m, -1]
-    x = x_full[:n] - x_full[n: 2 * n]
-    return LpOutcome(OPTIMAL, float(obj @ x), x)
+def redundant_rows(A, b, rest, rows, tol=TAU_LP):
+    """`is_redundant` of row rows[p] of each A[p] y <= b[p] of a stack, against
+    the rows rest[p] marks (b >= 0 there); the others are inert."""
+    k = np.arange(len(rows))
+    obj = A[k, rows]
+    unbounded, x = _solve_leq(obj, np.where(rest[:, :, None], A, 0.0), np.where(rest, b, 0.0))
+    # (1, n) @ (n, 1) rounds as the dot product obj @ x does
+    value = (obj[:, None, :] @ x[:, :, None])[:, 0, 0]
+    return ~unbounded & (value <= b[k, rows] + tol)
 
 
 def is_redundant(A, c, i, tol=TAU_LP):
@@ -170,42 +210,58 @@ def is_redundant(A, c, i, tol=TAU_LP):
     return out.value <= c[i] + tol
 
 
-def chebyshev_center(A, c, r_cap):
-    """Center and signed radius of the largest inscribed ball of {x : Ax <= c}.
+def chebyshev_centers(A, c, r_cap):
+    """Centers and signed radii of the largest inscribed balls of a stack of systems.
 
-    Maximizes a free r subject to a_i.x + |a_i| r <= c_i and r <= r_cap, so
-    the LP is bounded even when the region contains arbitrarily large
-    balls.  The radius is negative when the system is empty; below -TAU_LP
-    that raises InfeasibleSystemError, as does a zero row 0 <= c_i with
-    c_i < -TAU_LP.  The LP runs on r - r0 with r0 = min(r_cap, min_i
-    c_i / |a_i|), whose right-hand sides are all non-negative.
+    One LP per system {x : A x <= c} maximizes a free r subject to a_i.x +
+    |a_i| r <= c_i and r <= r_cap, so it is bounded even when the region
+    contains arbitrarily large balls.  The radius is negative when the
+    system is empty, -inf (with no LP) when a zero row reads 0 <= c_i <
+    -TAU_LP.  The LP runs on r - r0 with r0 = min(r_cap, min_i c_i / |a_i|),
+    whose right-hand sides are all non-negative; zero rows are inert.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-    c = np.asarray(c, dtype=np.float64)
-    n = A.shape[1]
-    norms = np.linalg.norm(A, axis=1)
+    count, m, n = A.shape
+    norms = np.linalg.norm(A, axis=2)
     zero = norms == 0
+    quot = np.divide(c, norms, out=np.full(c.shape, np.inf), where=~zero)
+    r0 = np.minimum(float(r_cap), np.min(quot, axis=1, initial=np.inf))
+    rows = np.zeros((count, m + 1, n + 1))
+    rows[:, :m, :n] = A
+    rows[:, :m, n] = norms
+    rows[:, m, n] = 1.0                           # r <= r_cap
+    rhs = np.append(c - norms * r0[:, None], (float(r_cap) - r0)[:, None], axis=1)
+    centers, radii = np.zeros((count, n)), np.full(count, -np.inf)
+    ok = np.flatnonzero(~(zero & (c < -TAU_LP)).any(axis=1))
+    objective = np.broadcast_to(np.eye(n + 1)[n], (ok.size, n + 1))
+    _, x = _solve_leq(objective, rows[ok], np.maximum(rhs[ok], 0.0))
+    centers[ok], radii[ok] = x[:, :n], r0[ok] + x[:, n]
+    return centers, radii
+
+
+def _infeasibility(A, c, radius):
+    """The InfeasibleSystemError of A x <= c, given its signed Chebyshev
+    radius, or None when the system is not empty."""
+    zero = np.linalg.norm(A, axis=1) == 0
     bad = np.flatnonzero(zero & (c < -TAU_LP))
     if bad.size:
-        i = int(bad[0])
-        raise InfeasibleSystemError(
-            f"Chebyshev LP is {INFEASIBLE}: row {i} is 0 <= {c[i]:.3g}"
+        return InfeasibleSystemError(
+            f"Chebyshev LP is {INFEASIBLE}: row {bad[0]} is 0 <= {c[bad[0]]:.3g}"
         )
-    A, c, norms = A[~zero], c[~zero], norms[~zero]
-    m = c.size
-    r0 = min(float(r_cap), float(np.min(c / norms, initial=np.inf)))
-    rows = np.zeros((m + 1, n + 1))
-    rows[:m, :n] = A
-    rows[:m, n] = norms
-    rows[m, n] = 1.0                          # r <= r_cap
-    rhs = np.maximum(np.append(c - norms * r0, float(r_cap) - r0), 0.0)
-    objective = np.zeros(n + 1)
-    objective[-1] = 1.0
-    out = solve(LinearProgram(objective, rows, rhs))
-    radius = r0 + out.value
     if radius < -TAU_LP:
-        raise InfeasibleSystemError(
+        return InfeasibleSystemError(
             f"Chebyshev LP is {INFEASIBLE}: signed radius {radius:.3g} < 0, "
-            f"the {m} rows have no common point"
+            f"the {np.count_nonzero(~zero)} rows have no common point"
         )
-    return out.witness[:n], radius
+    return None
+
+
+def chebyshev_center(A, c, r_cap):
+    """`chebyshev_centers` of the one system A x <= c; an empty system
+    raises InfeasibleSystemError."""
+    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
+    c = np.asarray(c, dtype=np.float64)
+    centers, radii = chebyshev_centers(A[None], c[None], r_cap)
+    err = _infeasibility(A, c, radii[0])
+    if err is not None:
+        raise err
+    return centers[0], float(radii[0])

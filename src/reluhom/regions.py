@@ -17,7 +17,6 @@ from .errors import (
     BoundaryPointError,
     DegenerateSystemError,
     DimensionMismatch,
-    InfeasibleSystemError,
 )
 from .network import BitVector, TAU_BIT, bit_vector, on_boundary
 
@@ -59,79 +58,86 @@ class Region:
         )
 
 
-def _hat_maps(net, bits):
-    """A pattern's system (A, c) and output map (M, v), from one pass.
+def _hat_maps(net, patterns):
+    """The stacked systems (A, c) and output maps (M, v) of patterns, in one pass.
 
-    Hidden layer j's pre-activations are What_j x + bhat_j on the region,
+    Hidden layer j's pre-activations are What_j x + bhat_j on a region,
     composed through the 0/1 masks of the layers before it; the output
     layer composed the same way gives M x + v.
     """
-    if len(bits) != net.h:
-        raise DimensionMismatch(f"bit vector length {len(bits)} != h = {net.h}")
+    for bits in patterns:
+        if len(bits) != net.h:
+            raise DimensionMismatch(f"bit vector length {len(bits)} != h = {net.h}")
     offsets = net.bit_offsets()
-    bit_arr = bits.to_array().astype(np.float64)
-    A_blocks = []
-    c_blocks = []
+    bit_arr = np.array([bits.to_array() for bits in patterns], np.float64).reshape(-1, net.h)
+    A = np.empty((len(patterns), net.h, net.input_dim))
+    c = np.empty((len(patterns), net.h))
     w_hat = net.weights[0]
     b_hat = net.biases[0]
     for j in range(net.n_hidden_layers):
-        s = bit_arr[offsets[j]: offsets[j + 1]]
+        layer = slice(offsets[j], offsets[j + 1])
+        s = bit_arr[:, layer]
         sign = 1.0 - 2.0 * s  # bit 1 -> -1
-        A_blocks.append(sign[:, None] * w_hat)
-        c_blocks.append(sign * (-b_hat))
+        A[:, layer] = sign[:, :, None] * w_hat
+        c[:, layer] = sign * (-b_hat)
         w_hat, b_hat = _compose(net, j, s, w_hat, b_hat)
-    return (np.vstack(A_blocks), np.concatenate(c_blocks)), (w_hat, b_hat)
+    return (A, c), (w_hat, b_hat)
 
 
 def _compose(net, j, s, w_hat, b_hat):
-    """Layer j + 1's map on the region from hidden layer j's map and 0/1 mask s.
+    """Layer j + 1's maps on a stack of regions from hidden layer j's maps
+    and 0/1 masks s (one row per region).
 
-    Hidden layer j's pre-activations are w_hat x + b_hat; the ReLU keeps
-    the nodes with s = 1, and layer j + 1 applies its affine map to them.
+    Hidden layer j's pre-activations are w_hat x + b_hat (in the first
+    layer, the same for all); the ReLU keeps the nodes with s = 1, and
+    layer j + 1 applies its affine map to them.  The stacked products
+    round as one region's would.
     """
     return (
-        net.weights[j + 1] @ (s[:, None] * w_hat),
-        net.weights[j + 1] @ (s * b_hat) + net.biases[j + 1],
+        net.weights[j + 1] @ (s[:, :, None] * w_hat),
+        (net.weights[j + 1] @ (s * b_hat)[:, :, None])[:, :, 0] + net.biases[j + 1],
     )
 
 
 def assemble(net, bits):
     """Inequality system A x <= c of an activation pattern (rows layer-major)."""
-    return _hat_maps(net, bits)[0]
+    return tuple(a[0] for a in _hat_maps(net, [bits])[0])
 
 
 def affine_map(net, bits):
     """The affine map (M, v) the network applies on this pattern's region."""
-    return _hat_maps(net, bits)[1]
+    return tuple(a[0] for a in _hat_maps(net, [bits])[1])
 
 
 def _duplicate_rows(A, c):
-    """Indices of rows repeating an earlier hyperplane (same row up to scale).
+    """Rows of each stacked system repeating an earlier hyperplane (same row
+    up to scale).
 
     Row j repeats row i < j when their normalised (a, c) agree within
     _DUP_TOL entry by entry and row i is not itself a repeat.  Such rows are
-    close in Euclidean distance too, so the Gram matrix of the normalised
-    rows picks the candidate pairs, and the entrywise test decides them.
+    close in Euclidean distance too, so the Gram matrix of a system's
+    normalised rows picks the candidate pairs, and the entrywise test
+    decides them.  Zero rows repeat nothing.
     """
-    norms = np.linalg.norm(A, axis=1)
-    dup = np.zeros(A.shape[0], dtype=bool)
-    nz = np.flatnonzero(norms > 0)
-    N = np.hstack([A[nz], c[nz, None]]) / norms[nz, None]
-    sq = np.einsum("ij,ij->i", N, N)
-    pair_sq = sq[:, None] + sq[None, :]
+    norms = np.linalg.norm(A, axis=2)
+    nz = norms > 0
+    N = np.concatenate([A, c[:, :, None]], axis=2) / np.where(nz, norms, 1.0)[:, :, None]
+    sq = np.einsum("sij,sij->si", N, N)
+    pair_sq = sq[:, :, None] + sq[:, None, :]
     # entrywise within _DUP_TOL means a squared distance of at most
     # k _DUP_TOL^2; the second term bounds the rounding of the Gram form
-    k = N.shape[1]
-    near = pair_sq - 2.0 * (N @ N.T) <= (
+    k = N.shape[2]
+    near = pair_sq - 2.0 * (N @ N.transpose(0, 2, 1)) <= (
         k * _DUP_TOL**2 + 4 * (k + 2) * np.finfo(np.float64).eps * pair_sq
     )
-    first, later = np.nonzero(np.triu(near, 1))
-    same = np.abs(N[first] - N[later]).max(axis=1) <= _DUP_TOL
-    # pairs come in ascending order of the first row, so dup[i] is final
-    # before row i marks its repeats
-    for i, j in zip(nz[first[same]].tolist(), nz[later[same]].tolist()):
-        if not dup[i]:
-            dup[j] = True
+    system, first, later = np.nonzero(np.triu(near & nz[:, :, None] & nz[:, None, :], 1))
+    same = np.abs(N[system, first] - N[system, later]).max(axis=1) <= _DUP_TOL
+    dup = np.zeros(nz.shape, dtype=bool)
+    # pairs come in ascending order of system and first row, so dup[s, i]
+    # is final before row i marks its repeats
+    for s, i, j in zip(system[same].tolist(), first[same].tolist(), later[same].tolist()):
+        if not dup[s, i]:
+            dup[s, j] = True
     return dup
 
 
@@ -145,78 +151,119 @@ def _rays(n):
 
 
 def _ray_facets(A, b, tau_lp):
-    """Rows of A y <= b (b > 0) that a ray from y = 0 proves essential.
+    """Rows of each stacked system A y <= b (b > 0) that a ray from y = 0
+    proves essential; rows with b = inf take no part.
 
     Ray d meets row i at t_i = b_i / (a_i.d) when a_i.d > 0.  If row i is
     met first and every other row no earlier than t2, the point t2 d
     satisfies all other rows and exceeds row i by (a_i.d) t2 - b_i
     (infinite when no other row is met).  When that exceeds tau_lp, the
     redundancy LP of row i, against these rows or any subset of them,
-    keeps the row.
+    keeps the row.  The rays go in blocks of lp.BLOCK_BYTES.
     """
-    facet = np.zeros(A.shape[0], dtype=bool)
-    if A.shape[0] == 0:
-        return facet
-    P = A @ _rays(A.shape[1])
-    T = np.divide(b[:, None], P, out=np.full(P.shape, np.inf), where=P > 0)
-    cols = np.arange(T.shape[1])
-    first = T.argmin(axis=0)
-    hit = np.isfinite(T[first, cols])
-    T[first, cols] = np.inf
-    first, cols = first[hit], cols[hit]
-    over = P[first, cols] * T[:, cols].min(axis=0) - b[first]
-    facet[first[over > tau_lp]] = True
+    facet = np.zeros(b.shape, dtype=bool)
+    for rays in lp._blocks(_N_RAYS, 8 * b.size) if b.size else []:
+        P = A @ _rays(A.shape[2])[:, rays]
+        T = np.divide(b[:, :, None], P, out=np.full(P.shape, np.inf), where=P > 0)
+        first = T.argmin(axis=1)[:, None, :]
+        hit = np.isfinite(np.take_along_axis(T, first, axis=1)[:, 0])
+        np.put_along_axis(T, first, np.inf, axis=1)
+        system, ray = np.nonzero(hit)
+        row = first[system, 0, ray]
+        over = P[system, row, ray] * T.min(axis=1)[system, ray] - b[system, row]
+        facet[system[over > tau_lp], row[over > tau_lp]] = True
+        del P, T                # before the next block makes its own
     return facet
 
 
-def _dual_implied(A, b, facet, tau_lp):
-    """Rows of A y <= b that weak duality over the certified facets drops.
+def _dual_implied(A, b, rest, facet, tau_lp):
+    """Rows of each stacked system A y <= b, among those rest marks, that
+    weak duality over the certified facets drops.
 
     For an n-subset B of the facet rows and a row i outside them, a
     lambda >= 0 with A_B^T lambda = a_i gives a_i.y = lambda.A_B y <=
     lambda.b_B on every system that contains B.  When that bound is at most
     b_i + tau_lp, the redundancy LP of row i against any survivor set
     containing B drops the row, so it needs no LP.  The first _N_BASES
-    subsets are tried in one batch; the pseudo-inverse gives the
-    least-squares lambda of a singular A_B (parallel facets), which counts
-    only when its residual is tiny.
+    subsets of each system are tried, all systems' in one batch; the
+    pseudo-inverse gives the least-squares lambda of a singular A_B
+    (parallel facets), which counts only when its residual is tiny.
     """
-    implied = np.zeros(A.shape[0], dtype=bool)
-    rest = np.flatnonzero(~facet)
-    n = A.shape[1]
-    subsets = itertools.combinations(np.flatnonzero(facet).tolist(), n)
-    bases = np.array(list(itertools.islice(subsets, _N_BASES)), np.int64).reshape(-1, n)
-    if rest.size == 0 or bases.shape[0] == 0:
-        return implied
-    AB_T = A[bases].transpose(0, 2, 1)                 # (bases, n, n)
-    targets = A[rest].T                                # (n, rows)
-    lam = np.linalg.pinv(AB_T) @ targets               # (bases, n, rows)
-    residual = np.abs(AB_T @ lam - targets).max(axis=1)
-    bound = np.einsum("kn,knr->kr", b[bases], lam)
-    certified = (
-        (lam.min(axis=1) >= 0)
-        & (residual <= _DUAL_TOL * np.abs(targets).max(axis=0))
-        & (bound <= b[rest] + tau_lp)
-    )
-    implied[rest[certified.any(axis=0)]] = True
+    implied = np.zeros(b.shape, dtype=bool)
+    n = A.shape[2]
+    owned = [
+        (s, basis) for s in np.flatnonzero(rest.any(axis=1)).tolist()
+        for basis in itertools.islice(
+            itertools.combinations(np.flatnonzero(facet[s]).tolist(), n), _N_BASES)
+    ]
+    for blk in lp._blocks(len(owned), 8 * n * b.shape[1]):
+        s = np.array([owner for owner, _ in owned[blk]])
+        B = np.array([basis for _, basis in owned[blk]], np.int64)
+        AB_T = A[s[:, None], B].transpose(0, 2, 1)          # (bases, n, n)
+        targets = A[s].transpose(0, 2, 1)                   # (bases, n, rows)
+        lam = np.linalg.pinv(AB_T) @ targets                # (bases, n, rows)
+        residual = np.abs(AB_T @ lam - targets).max(axis=1)
+        bound = np.einsum("kn,knr->kr", b[s[:, None], B], lam)
+        k, r = np.nonzero(
+            rest[s]
+            & (lam.min(axis=1) >= 0)
+            & (residual <= _DUAL_TOL * np.abs(targets).max(axis=1))
+            & (bound <= b[s] + tau_lp)
+        )
+        implied[s[k], r] = True
+        del targets, lam, residual      # before the next block makes its own
     return implied
 
 
-def _inscribed_ball(A, c, tau_dim):
-    """Chebyshev center and radius of A x <= c, which must exceed tau_dim.
+def _inscribed_balls(A, c, tau_dim):
+    """Chebyshev centers and radii of stacked systems, capped above tau_dim
+    (at 1 by default), which decides full dimension as no cap would."""
+    centers, radii = np.empty((len(A), A.shape[2])), np.empty(len(A))
+    r_cap = max(1.0, 2.0 * tau_dim)
+    for blk in lp._blocks(len(A), _tableau_bytes(A.shape[1], A.shape[2])):
+        centers[blk], radii[blk] = lp.chebyshev_centers(A[blk], c[blk], r_cap)
+    return centers, radii
 
-    The radius is capped above tau_dim (at 1 by default); any such cap
-    decides full dimension as the uncapped radius would.  An empty system
-    raises InfeasibleSystemError, a radius at most tau_dim
-    DegenerateSystemError.
-    """
-    center, radius = lp.chebyshev_center(A, c, r_cap=max(1.0, 2.0 * tau_dim))
-    if radius <= tau_dim:
-        raise DegenerateSystemError(
-            f"region is not full-dimensional: Chebyshev radius {radius:.3g} "
-            f"<= tau_dim {tau_dim:g}"
-        )
-    return center, radius
+
+def _tableau_bytes(m, n):
+    # the Chebyshev LP's tableau, the largest one-system array of _essentialize
+    return 8 * (m + 2) * (2 * n + m + 4)
+
+
+def _ball_error(A, c, radius, tau_dim):
+    """None when A x <= c, of Chebyshev radius `radius`, is full-dimensional;
+    else its InfeasibleSystemError or DegenerateSystemError."""
+    if radius > tau_dim:
+        return None
+    return lp._infeasibility(A, c, radius) or DegenerateSystemError(
+        f"region is not full-dimensional: Chebyshev radius {radius:.3g} "
+        f"<= tau_dim {tau_dim:g}"
+    )
+
+
+def _essentialize(A, c, tau_lp, tau_dim):
+    """essentialize of a stack of systems: the surviving rows (none when not
+    full-dimensional), centers and radii.  Each system decides its rows in
+    ascending order; a batch of redundancy LPs holds the next undecided row
+    of every system that has one."""
+    centers, radii = _inscribed_balls(A, c, tau_dim)
+    keep = np.zeros(c.shape, dtype=bool)
+    ok = np.flatnonzero(radii > tau_dim)
+    A, c = A[ok], c[ok]
+    b = c - (A @ centers[ok, :, None])[:, :, 0]
+    cand = (np.linalg.norm(A, axis=2) > 0) & ~_duplicate_rows(A, c)
+    facet = _ray_facets(A, np.where(cand, b, np.inf), tau_lp)
+    implied = _dual_implied(A, b, cand & ~facet, facet, tau_lp)
+    pending, alive = cand & ~facet & ~implied, cand.copy()
+    while pending.any():
+        test = np.flatnonzero(pending.any(axis=1))
+        i = pending[test].argmax(axis=1)
+        rest = alive[test] & ~(implied[test] & (np.arange(c.shape[1]) < i[:, None]))
+        rest[np.arange(test.size), i] = False
+        alive[test, i] = ~lp.redundant_rows(A[test], b[test], rest, i, tau_lp)
+        pending[test, i] = False
+    keep[ok] = alive & ~implied
+    return keep, centers, radii
 
 
 def essentialize(A, c, tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
@@ -244,23 +291,12 @@ def essentialize(A, c, tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
     c = np.asarray(c, dtype=np.float64)
     if A.shape[0] != c.size:
         raise DimensionMismatch(f"rows {A.shape[0]} != rhs length {c.size}")
-    center, _ = _inscribed_ball(A, c, tau_dim)
-
-    b = c - A @ center
-    norms = np.linalg.norm(A, axis=1)
-    keep = [int(i) for i in np.nonzero((norms > 0) & ~_duplicate_rows(A, c))[0]]
-    facet = _ray_facets(A[keep], b[keep], tau_lp)
-    implied = _dual_implied(A[keep], b[keep], facet, tau_lp)
-    pos = 0
-    for certified, dropped in zip(facet, implied):
-        if dropped or (
-            not certified and lp.is_redundant(A[keep], b[keep], pos, tau_lp)
-        ):
-            del keep[pos]
-        else:
-            pos += 1
-    keep = np.array(keep, dtype=np.int64)
-    return A[keep], c[keep], keep, center
+    keep, centers, radii = _essentialize(A[None], c[None], tau_lp, tau_dim)
+    err = _ball_error(A, c, radii[0], tau_dim)
+    if err is not None:
+        raise err
+    keep = np.flatnonzero(keep[0])
+    return A[keep], c[keep], keep, centers[0]
 
 
 def region_of(net, x, tau_bit=TAU_BIT, tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
@@ -273,30 +309,44 @@ def region_of(net, x, tau_bit=TAU_BIT, tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
     return region_from_bits(net, bits, tau_lp=tau_lp, tau_dim=tau_dim)
 
 
+def regions_from_bits(net, patterns, extra_A=None, extra_c=None,
+                      tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
+    """region_from_bits of each pattern: a Region, or the error it raises."""
+    if extra_A is None:
+        extra_A, extra_c = np.empty((0, net.input_dim)), np.empty(0)
+    rows = net.h + len(extra_c)
+    out = []
+    for blk in lp._blocks(len(patterns), _tableau_bytes(rows, net.input_dim)):
+        (A, c), (M, v) = _hat_maps(net, patterns[blk])
+        A = np.concatenate([A, np.broadcast_to(extra_A, (len(A),) + extra_A.shape)], axis=1)
+        c = np.concatenate([c, np.broadcast_to(extra_c, (len(c), len(extra_c)))], axis=1)
+        keep, centers, radii = _essentialize(A, c, tau_lp, tau_dim)
+        for s, bits in enumerate(patterns[blk]):
+            err = _ball_error(A[s], c[s], radii[s], tau_dim)
+            if err is not None:
+                out.append(type(err)(f"pattern {bits.to01()}: {err}"))
+                out[-1].__cause__ = err
+                continue
+            active = np.flatnonzero(keep[s])
+            out.append(Region(
+                bits=bits, A=A[s].copy(), c=c[s].copy(),
+                A_essential=A[s, active], c_essential=c[s, active],
+                active_bits=tuple(active.tolist()),
+                affine=(M[s].copy(), v[s].copy()), interior=centers[s].copy(),
+            ))
+    return out
+
+
 def region_from_bits(net, bits, extra_A=None, extra_c=None,
                      tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
     """Build a Region for a pattern, optionally intersected with extra rows.
 
     Extra rows (e.g. box bounds) take indices h, h+1, ... in active_bits.
     """
-    (A, c), affine = _hat_maps(net, bits)
-    if extra_A is not None:
-        A = np.vstack([A, extra_A])
-        c = np.concatenate([c, extra_c])
-    try:
-        A_ess, c_ess, active, center = essentialize(A, c, tau_lp, tau_dim)
-    except (InfeasibleSystemError, DegenerateSystemError) as err:
-        raise type(err)(f"pattern {bits.to01()}: {err}") from err
-    return Region(
-        bits=bits,
-        A=A,
-        c=c,
-        A_essential=A_ess,
-        c_essential=c_ess,
-        active_bits=tuple(int(i) for i in active),
-        affine=affine,
-        interior=center,
-    )
+    region = regions_from_bits(net, [bits], extra_A, extra_c, tau_lp, tau_dim)[0]
+    if isinstance(region, Exception):
+        raise region
+    return region
 
 
 def neighbors(region):

@@ -88,24 +88,32 @@ def net_221():
 @pytest.fixture
 def lp_counter(monkeypatch):
     """Counts the LPs solved, the redundancy tests among them and the simplex
-    pivots, and records the smallest right-hand side of each LP solved."""
+    pivots, each LP and pivot of a batch on its own, and records the
+    smallest right-hand side of each LP: as handed to `solve`, and as the
+    kernel starts from."""
     counts = SimpleNamespace(solves=0, redundancy=0, pivots=0, min_rhs=[])
-    solve, is_redundant, pivot = lp.solve, lp.is_redundant, lp._pivot
+    solve, solve_leq = lp.solve, lp._solve_leq
+    redundant_rows, pivot = lp.redundant_rows, lp._pivot
 
     def counted_solve(problem):
-        counts.solves += 1
         counts.min_rhs.append(float(np.min(problem.c, initial=np.inf)))
         return solve(problem)
 
-    def counted_is_redundant(*args, **kwargs):
-        counts.redundancy += 1       # one LP, counted by counted_solve too
-        return is_redundant(*args, **kwargs)
+    def counted_solve_leq(obj, A, b):
+        counts.solves += len(b)
+        counts.min_rhs.extend(np.min(b, axis=1, initial=np.inf).tolist())
+        return solve_leq(obj, A, b)
 
-    def counted_pivot(*args):
-        counts.pivots += 1
-        return pivot(*args)
+    def counted_redundant_rows(A, b, rest, rows, *args, **kwargs):
+        counts.redundancy += len(rows)   # one LP each, counted by counted_solve_leq too
+        return redundant_rows(A, b, rest, rows, *args, **kwargs)
+
+    def counted_pivot(T, basis, rows, cols):
+        counts.pivots += len(rows)
+        return pivot(T, basis, rows, cols)
 
     monkeypatch.setattr(lp, "solve", counted_solve)
-    monkeypatch.setattr(lp, "is_redundant", counted_is_redundant)
+    monkeypatch.setattr(lp, "_solve_leq", counted_solve_leq)
+    monkeypatch.setattr(lp, "redundant_rows", counted_redundant_rows)
     monkeypatch.setattr(lp, "_pivot", counted_pivot)
     return counts

@@ -4,8 +4,9 @@ Nothing here shares code with the library paths under test: the persistence
 oracle is a plain left-to-right reduction without clearing, MST/components
 come from Kruskal and union-find, the 2-D facet count walks the polygon
 directly, the essential rows come from scipy's linprog, repeated rows from a
-row-at-a-time scan, the text-format oracles format one entry or one bit
-at a time, and activation patterns come from one point at a time.
+row-at-a-time scan, the simplex's leaving row from the sequential ratio
+scan, the text-format oracles format one entry or one bit at a time, and
+activation patterns come from one point at a time.
 """
 
 import math
@@ -268,3 +269,20 @@ def point_preactivations(net, x):
 def point_bits(net, x, tol):
     """0/1 list of one point's pattern: bit 1 iff its pre-activation > tol."""
     return [int(z > tol) for layer in point_preactivations(net, x) for z in layer]
+
+
+# --- simplex ratio test, one row at a time ----------------------------------
+
+def bland_leaving_row(col, rhs, order, tol):
+    """Leaving row of one tableau by the sequential Bland scan: rows with
+    col > tol in order, a ratio within tol of the best so far counting as a
+    tie that the lower basic index wins; -1 when no row is eligible."""
+    best, leave = math.inf, -1
+    for r in range(len(col)):
+        if col[r] > tol:
+            ratio = rhs[r] / col[r]
+            if ratio < best - tol or (
+                ratio < best + tol and (leave < 0 or order[r] < order[leave])
+            ):
+                best, leave = min(ratio, best), r
+    return leave

@@ -13,6 +13,18 @@ from oracles import ldm_text, point_bits
 
 
 @pytest.fixture
+def cut_square_net(tmp_path):
+    """One hidden layer z = W x + b whose all-zero region (around (0.5,
+    0.5)) is the unit square with its corner cut by x + y <= 1.9; the cut-off
+    corner is the thin triangle 00001, of inradius 0.029."""
+    W1 = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+    b1 = -np.array([1.0, 1.0, 0.0, 0.0, 1.9])
+    netp = tmp_path / "cut_square.json"
+    network.save_network(network.NetworkSpec((W1, np.ones((1, 5))), (b1, np.zeros(1)), 2), netp)
+    return netp
+
+
+@pytest.fixture
 def netfile(tmp_path):
     net = random_net(2, [3, 3], 11)
     p = tmp_path / "net.json"
@@ -85,6 +97,23 @@ class TestEnumerate:
         assert any(r["boundary_flag"] for r in recs)
         assert all(set(r) == {"bits", "active_bits", "boundary_flag"} for r in recs)
 
+    @pytest.mark.parametrize("mode", ["brute", "traverse"])
+    def test_tolerances_reach_every_region(self, cut_square_net, tmp_path, mode):
+        def regions(*tolerances):
+            rp = tmp_path / "r.jsonl"
+            rc = cli.main(["enumerate", "--net", str(cut_square_net), "--mode", mode,
+                           "--out-regions", str(rp), *tolerances])
+            assert rc == 0
+            return {rec["bits"]: rec["active_bits"]
+                    for rec in map(json.loads, rp.read_text().splitlines())}
+
+        # the cut row is 0.1 inside the square's corner: a facet for tau_lp < 0.1
+        assert regions("--tau-lp", "1e-8")["00000"] == [0, 1, 2, 3, 4]
+        assert regions("--tau-lp", "0.2")["00000"] == [0, 1, 2, 3]
+        default, coarse = regions(), regions("--tau-dim", "0.05")
+        assert "00001" in default
+        assert set(default) - set(coarse) == {"00001"}
+
     def test_resource_cap_exit_code(self, tmp_path):
         net = random_net(2, [30], 1)
         netp = tmp_path / "big.json"
@@ -105,17 +134,10 @@ class TestRegion:
         assert {"bits", "active_bits", "essential_rows", "affine", "interior_point"} <= set(rec)
         assert len(rec["essential_rows"]) == len(rec["active_bits"])
 
-    def test_tau_lp_decides_near_redundant_rows(self, tmp_path, capsys):
-        # one hidden layer z = W x + b, all bits 0 at (0.5, 0.5): the region
-        # is W x <= -b, the unit square with its corner cut by x + y <= 1.9
-        W1 = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
-        b1 = -np.array([1.0, 1.0, 0.0, 0.0, 1.9])
-        net = network.NetworkSpec((W1, np.ones((1, 5))), (b1, np.zeros(1)), 2)
-        netp = tmp_path / "net.json"
-        network.save_network(net, netp)
+    def test_tau_lp_decides_near_redundant_rows(self, cut_square_net, capsys):
         active = {}
         for tau in ("1e-8", "0.2"):
-            rc = cli.main(["region", "--net", str(netp), "--point", "0.5,0.5",
+            rc = cli.main(["region", "--net", str(cut_square_net), "--point", "0.5,0.5",
                            "--tau-lp", tau])
             assert rc == 0
             rec = json.loads(capsys.readouterr().out)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,7 +47,7 @@ class TestBrute:
         def no_lp(*args, **kwargs):
             raise AssertionError("an LP ran before the h guard")
 
-        monkeypatch.setattr(lp, "chebyshev_center", no_lp)
+        monkeypatch.setattr(lp, "_solve_leq", no_lp)
         net = random_net(2, [3, 3], 11)
         with pytest.raises(ResourceCapError, match="h = 6 exceeds the brute-force guard"):
             enumeration.enumerate_brute(net, h_max=5)
@@ -55,13 +57,13 @@ class TestBrute:
         # whose new row keeps its parent's interior point needs no LP
         net = random_net(3, [5, 5], 7)
         calls = []
-        chebyshev_center = lp.chebyshev_center
+        chebyshev_centers = lp.chebyshev_centers
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return chebyshev_center(*args, **kwargs)
+        def counting(A, *args, **kwargs):
+            calls.extend([1] * len(A))      # one Chebyshev LP per system
+            return chebyshev_centers(A, *args, **kwargs)
 
-        monkeypatch.setattr(lp, "chebyshev_center", counting)
+        monkeypatch.setattr(lp, "chebyshev_centers", counting)
         atlas = enumeration.enumerate_brute(net)
         # the full-dimensional prefixes of length k are the regions' first k
         # bits; the search visits both children of each (leaves included)
@@ -236,3 +238,47 @@ def test_adjacency_is_a_one_bit_flip_of_a_shared_facet(case):
             assert in_u == in_v == edge, (u.to01(), v.to01(), k)
             adjacent += edge
     assert adjacent == len(atlas.edges)
+
+
+def atlas_fingerprint(atlas):
+    """sha256 over the regions in dict order: bits, active bits and the raw
+    float64 bytes of the interior point, essential rows and affine map."""
+    digest = hashlib.sha256()
+    for bits, region in atlas.regions.items():
+        digest.update(bits.to01().encode())
+        digest.update(np.asarray(region.active_bits, np.int64).tobytes())
+        for arr in (region.interior, region.A_essential, region.c_essential, *region.affine):
+            digest.update(np.ascontiguousarray(arr, np.float64).tobytes())
+    return digest.hexdigest()
+
+
+ENUMERATORS = {
+    "traverse": lambda net: enumeration.enumerate_traverse(net, seed=np.full(net.input_dim, 0.37)),
+    "brute": enumeration.enumerate_brute,
+}
+
+
+@pytest.mark.parametrize("name,want", [
+    ("traverse", "52b9918d826d70a0ef4a0603d526871177426a2f2efdc42fcc3a709fb77c0ca6"),
+    ("brute", "d8c97349ad46b92de3f7d318eb7bedad4d7c8208221bcf5e32da5e800c654b59"),
+])
+def test_atlas_floats_are_pinned(name, want):
+    # recorded from the one-LP-at-a-time solver: batching the LPs moves no
+    # bit of any region, nor the order of the atlas
+    assert atlas_fingerprint(ENUMERATORS[name](random_net(3, [5, 5], 7))) == want
+
+
+@pytest.mark.parametrize("name", ["traverse", "brute"])
+def test_peak_memory_is_the_atlas(name):
+    # the batches' temporaries are cut into blocks and each brute-force
+    # depth replaces the one before, so the atlas itself dominates the peak
+    net = random_net(3, [8, 8], 7)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        atlas = ENUMERATORS[name](net)
+        held, peak = (size - base for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(atlas.regions) == 583
+    assert peak <= 1.5 * held

@@ -2,6 +2,7 @@ import io
 import json
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,29 @@ def test_points_text_is_the_json_dump_text(tmp_path):
     assert path.read_text() == want.getvalue()
     back = read_points(path)
     assert all(np.array_equal(a, b) for a, b in zip(back, pts))
+
+
+@pytest.mark.parametrize("count", [0, 1, 341, 342, 1000])
+def test_points_text_in_blocks_is_the_json_dump_text(tmp_path, count):
+    # 341 3-D points fill one block of _FLOATS_PER_WRITE coordinates
+    pts = list(np.random.default_rng(3).standard_normal((count, 3)))
+    path = tmp_path / "pts.json"
+    write_points(pts, path)
+    assert path.read_text() == json.dumps({"points": [p.tolist() for p in pts]})
+
+
+def test_points_text_is_written_a_block_at_a_time(tmp_path):
+    # the text of 2,000 16-D points is 0.66 MB, one block's 22 kB
+    pts = list(np.random.default_rng(4).standard_normal((2000, 16)))
+    path = tmp_path / "pts.json"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write_points(pts, path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ from scipy.optimize import linprog
 
 from reluhom import lp
 from reluhom.errors import DimensionMismatch, InfeasibleSystemError, IterationLimitError
+from oracles import bland_leaving_row
 
 SQUARE_A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 SQUARE_C = np.array([1.0, 0.0, 1.0, 0.0])
@@ -109,9 +110,9 @@ class TestSolve:
             assert np.all(A @ out.witness <= c + 1e-7)
 
     def test_iteration_limit_reported(self):
-        T = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        with pytest.raises(IterationLimitError):
-            lp._run_simplex(T.copy(), np.array([0]), max_iter=0)
+        T = np.array([[[1.0, 0.0], [-1.0, 0.0]]])
+        with pytest.raises(IterationLimitError, match="simplex pivot limit exceeded"):
+            lp._simplex(T.copy(), np.array([[0]]), max_iter=0)
 
 
 class TestFeasible:
@@ -261,3 +262,61 @@ class TestChebyshev:
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleSystemError):
             lp.chebyshev_center(np.array([[1.0], [-1.0]]), np.array([-1.0, 0.0]), r_cap=1.0)
+
+
+class TestKernel:
+    """The batched ratio test picks, for every tableau of a stack, the row
+    that the sequential Bland scan picks for that tableau alone."""
+
+    def test_leaving_rows_of_degenerate_tableaus(self):
+        tol = lp._PIVOT_TOL
+        col = np.array([
+            [1.0, 1.0, 1.0, 0.0],            # rows 1, 2 tied at ratio 0
+            [1.0, 1.0, 1.0, 1.0],            # a chain of ratios tol / 0.6 apart
+            [0.5, 2.0, 1.0, 4.0],            # ratios 2, 0.5, 3, 0.25: no tie
+            [tol, -1.0, 0.0, tol / 2],       # no entry above tol: unbounded
+        ])
+        rhs = np.array([
+            [0.5, 0.0, 0.0, 0.0],
+            [1.0, 1.0 - 0.6 * tol, 1.0 - 1.2 * tol, 1.0 - 1.8 * tol],
+            [1.0, 1.0, 3.0, 1.0],
+            [0.0, 1.0, 1.0, 1.0],
+        ])
+        basis = np.array([[9, 8, 7, 6], [0, 1, 2, 3], [5, 6, 7, 8], [3, 4, 5, 6]])
+        # the tie at 0 goes to row 2's lower basic index; in the chain, row 2
+        # undercuts row 0 by more than tol but row 3 only row 2's ratio
+        want = [2, 2, 3, -1]
+        assert [bland_leaving_row(c, r, o, tol) for c, r, o in zip(col, rhs, basis)] == want
+        assert lp._leaving(col, rhs, basis).tolist() == want
+
+    @given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_leaving_rows_match_the_sequential_scan(self, count, m, seed):
+        # ratios on a grid of steps below, at and above _PIVOT_TOL, so that
+        # near ties are common
+        rng = np.random.default_rng(seed)
+        tol = lp._PIVOT_TOL
+        col = rng.choice([-1.0, 0.0, tol, 0.5, 1.0, 2.0], size=(count, m))
+        ratio = rng.integers(0, 4, size=(count, m)) * rng.choice([0.4, 1.0, 1.6]) * tol
+        rhs = np.abs(col) * (rng.choice([0.0, 1.0]) + ratio)
+        basis = np.array([rng.permutation(20)[:m] for _ in range(count)])
+        want = [bland_leaving_row(c, r, o, tol) for c, r, o in zip(col, rhs, basis)]
+        assert lp._leaving(col, rhs, basis).tolist() == want
+
+    def test_inert_rows_change_no_pivot(self):
+        # an LP, and the same LP with zero rows (right-hand side 0 or 1)
+        # spliced in, pivot alike and end at the same point
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            A = rng.standard_normal((6, 3))
+            b = rng.uniform(0.0, 1.0, 6)
+            b[rng.random(6) < 0.3] = 0.0          # degenerate vertices
+            obj = rng.standard_normal(3)
+            spliced = np.insert(A, [0, 2, 2, 6], 0.0, axis=0)
+            b_spliced = np.insert(b, [0, 2, 2, 6], [0.0, 1.0, 0.0, 1.0])
+            unbounded, x = lp._solve_leq(np.stack([obj, obj]),
+                                         np.stack([np.vstack([A, np.zeros((4, 3))]), spliced]),
+                                         np.stack([np.append(b, np.ones(4)), b_spliced]))
+            alone = lp._solve_leq(obj[None], A[None], b[None])
+            assert unbounded.tolist() == [alone[0][0]] * 2
+            if not alone[0][0]:
+                assert np.array_equal(x[0], alone[1][0]) and np.array_equal(x[1], alone[1][0])

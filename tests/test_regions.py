@@ -40,15 +40,15 @@ def net_x1():
 
 
 @st.composite
-def near_degenerate_systems(draw):
-    """Full-dimensional A x <= c in 2-4 D with scaled duplicates and rows
-    tangent at a vertex, plus the tolerance to decide them at.
+def near_degenerate_systems(draw, n=None):
+    """Full-dimensional A x <= c in 2-4 D (or n D) with scaled duplicates
+    and rows tangent at a vertex, plus the tolerance to decide them at.
 
     Hypothesis draws the shape; the entries come from a seeded generator.
     """
     from scipy.optimize import linprog
 
-    n = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 4)) if n is None else n
     m = draw(st.integers(n + 1, 8))
     boxed = draw(st.booleans())
     n_tangent = draw(st.integers(0, 2))
@@ -79,6 +79,37 @@ def near_degenerate_systems(draw):
         c = np.append(c, s * c[k])
     order = rng.permutation(A.shape[0])
     return A[order], c[order], tau_lp
+
+
+@st.composite
+def stacked_systems(draw):
+    """Systems of one shape, to run as one stack, and the tolerance.
+
+    Each is near-degenerate, empty (two opposite half-spaces, or a zero
+    row 0 <= c < 0), lower-dimensional (a slab of width 0), or a box with a
+    zero row and a scaled duplicate; all are padded with inert zero rows
+    0 <= 1 to the longest.
+    """
+    n = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    systems = []
+    for kind in draw(st.lists(st.sampled_from(["near", "empty", "zero", "flat", "dup"]),
+                              min_size=1, max_size=6)):
+        if kind == "near":
+            A, c, _ = draw(near_degenerate_systems(n))
+        else:
+            a = rng.standard_normal(n)
+            A = np.vstack([rng.standard_normal((3, n)), np.eye(n), -np.eye(n)])
+            c = np.concatenate([rng.uniform(0.5, 2.0, 3), np.full(2 * n, 3.0)])
+            extra = {"empty": ([a, -a], [-1.0, -1.0]), "flat": ([a, -a], [0.0, 0.0]),
+                     "zero": ([0.0 * a], [-1.0]), "dup": ([0.0 * a, 2.5 * A[1]], [1.0, 2.5 * c[1]])}
+            rows, rhs = extra[kind]
+            A, c = np.vstack([A, rows]), np.append(c, rhs)
+        systems.append((A, c))
+    m = max(A.shape[0] for A, _ in systems)
+    A = np.stack([np.vstack([A, np.zeros((m - len(A), n))]) for A, _ in systems])
+    c = np.stack([np.append(c, np.ones(m - len(c))) for _, c in systems])
+    return A, c, draw(st.sampled_from([lp.TAU_LP, 0.05]))
 
 
 @st.composite
@@ -220,7 +251,7 @@ class TestEssentialize:
     @example(REPEAT_CHAIN)
     def test_duplicate_rows_match_loop_oracle(self, system):
         A, c = system
-        got = regions._duplicate_rows(A, c)
+        got = regions._duplicate_rows(A[None], c[None])[0]
         assert got.tolist() == duplicate_rows_loop(A, c, regions._DUP_TOL).tolist()
 
     def test_parallel_facets_certify_nothing(self):
@@ -243,6 +274,21 @@ class TestEssentialize:
         A, c, tau_lp = system
         keep = regions.essentialize(A, c, tau_lp=tau_lp)[2]
         assert keep.tolist() == essential_rows_linprog(A, c, tau_lp)
+
+    @given(stacked_systems())
+    def test_a_stack_decides_each_system_as_alone(self, case):
+        A, c, tau_lp = case
+        keep, centers, radii = regions._essentialize(A, c, tau_lp, lp.TAU_DIM)
+        for s in range(len(A)):
+            err = regions._ball_error(A[s], c[s], radii[s], lp.TAU_DIM)
+            try:
+                _, _, want_keep, want_center = regions.essentialize(A[s], c[s], tau_lp=tau_lp)
+            except (InfeasibleSystemError, DegenerateSystemError) as want:
+                assert type(err) is type(want) and str(err) == str(want)
+                continue
+            assert err is None
+            assert np.array_equal(np.flatnonzero(keep[s]), want_keep)
+            assert np.array_equal(centers[s], want_center)
 
     def test_lower_dimensional_raises(self):
         A = np.array([[1.0, 0.0], [-1.0, 0.0]])
@@ -298,9 +344,9 @@ class TestRegionOf:
         calls = []
         hat_maps = regions._hat_maps
 
-        def counting(net, bits):
-            calls.append(bits)
-            return hat_maps(net, bits)
+        def counting(net, patterns):
+            calls.extend(patterns)
+            return hat_maps(net, patterns)
 
         monkeypatch.setattr(regions, "_hat_maps", counting)
         bits = network.bit_vector(net_2331, np.random.default_rng(21).standard_normal(2))
@@ -358,18 +404,18 @@ class TestLpBudget:
         self, net_2331, monkeypatch
     ):
         rhs = []
-        is_redundant = lp.is_redundant
+        redundant_rows = lp.redundant_rows
 
-        def recorded(A, c, *args, **kwargs):
-            rhs.append(np.asarray(c))
-            return is_redundant(A, c, *args, **kwargs)
+        def recorded(A, b, rest, *args, **kwargs):
+            rhs.extend(bs[keep] for bs, keep in zip(b, rest))
+            return redundant_rows(A, b, rest, *args, **kwargs)
 
-        monkeypatch.setattr(lp, "is_redundant", recorded)
+        monkeypatch.setattr(lp, "redundant_rows", recorded)
         bits = network.bit_vector(net_2331, np.array([0.3, -0.7]))
         regions.region_from_bits(net_2331, bits)
         A, c = regions.assemble(net_2331, bits)
         candidates = np.count_nonzero(
-            (np.linalg.norm(A, axis=1) > 0) & ~regions._duplicate_rows(A, c)
+            (np.linalg.norm(A, axis=1) > 0) & ~regions._duplicate_rows(A[None], c[None])[0]
         )
         # a right-hand side >= 0 puts the origin in the system: no phase 1
         assert all(np.all(r >= 0) for r in rhs)
@@ -397,9 +443,9 @@ class TestLpBudget:
             except (InfeasibleSystemError, DegenerateSystemError):
                 continue
             A, c = regions.assemble(net_2331, bits)
-            rows = (np.linalg.norm(A, axis=1) > 0) & ~regions._duplicate_rows(A, c)
+            rows = (np.linalg.norm(A, axis=1) > 0) & ~regions._duplicate_rows(A[None], c[None])[0]
             A, b = A[rows], (c - A @ reg.interior)[rows]
-            facet = regions._ray_facets(A, b, lp.TAU_LP)
+            facet = regions._ray_facets(A[None], b[None], lp.TAU_LP)[0]
             for i in np.flatnonzero(~facet):
                 # weak duality over the ray facets, by linprog: their
                 # polyhedron bounds row i by at most b_i + tau_lp
