@@ -2,7 +2,9 @@
 
 Every activation pattern induces a system A x <= c whose rows stack
 layer-major; pruning it to the essential subsystem identifies the active
-bits, and flipping an active bit walks to the facet-neighbor.
+bits, and flipping an active bit walks to the facet-neighbor.  Patterns
+are worked on as stacks of same-shape systems (`regions_from_bits`), each
+step once per stack; the one-pattern functions are stacks of one.
 """
 
 import functools
