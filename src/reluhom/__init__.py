@@ -8,7 +8,6 @@ from .enumeration import (
     enumerate_brute,
     enumerate_traverse,
 )
-from .lp import LinearProgram, LpOutcome, is_redundant, solve
 from .metric import DistanceMatrix, combine, dedup_bitvectors, hamming, hamming_matrix
 from .network import BitVector, NetworkSpec, bit_vector, bit_vectors, forward, load_network
 from .persistence import (

@@ -208,8 +208,14 @@ def build_parser():
 
     def tolerances(p, *flags):
         """Register the tolerance flags a subcommand honours."""
+        def tolerance(text):
+            value = float(text)
+            if not 0.0 <= value < np.inf:
+                raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= 0")
+            return value
+
         for flag in flags:
-            p.add_argument(flag, type=float, default=defaults[flag])
+            p.add_argument(flag, type=tolerance, default=defaults[flag])
 
     p = sub.add_parser("bits", help="activation bit vectors of sample points")
     p.add_argument("--net", required=True)

@@ -17,6 +17,7 @@ from .errors import (
     BoundaryPointError,
     DegenerateSystemError,
     DimensionMismatch,
+    NonFiniteEntry,
     ResourceCapError,
 )
 from .network import TAU_BIT, BitVector, bit_vector, on_boundary
@@ -37,6 +38,8 @@ class BoxRegion:
         hi = np.asarray(self.upper, dtype=np.float64)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise DimensionMismatch("box bounds must be equal-length vectors")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise NonFiniteEntry("box bounds must be finite")
         if not np.all(lo < hi):
             raise DimensionMismatch("box requires lower < upper componentwise")
         object.__setattr__(self, "lower", lo)

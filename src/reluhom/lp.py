@@ -1,5 +1,9 @@
 """Dense simplex for the Chebyshev and redundancy LPs, with no phase 1.
 
+The layer answers the pipeline's two questions for a stack of same-shape
+systems at once: `chebyshev_centers` (is a region full-dimensional, and
+where is an interior point) and `redundant_rows` (which rows are facets).
+
 All problems here are "maximize c.x subject to A x <= b" with free variables
 (split into positive/negative parts internally).  One Bland-rule kernel
 pivots a stack of same-shape tableaus at once, each exactly as it would
@@ -10,24 +14,17 @@ basis and leaves Bland's order over the other rows alone.
 Every simplex run starts from the slack basis, so the right-hand sides it
 sees are non-negative and there are no artificial variables.  The Chebyshev
 LP has such right-hand sides by construction (see `chebyshev_centers`);
-`solve` translates a system with a negative right-hand side to a point that
-LP finds.  `regions.essentialize` translates each region to its Chebyshev
-center itself, so its redundancy LPs need no such start.
+`regions.essentialize` translates each region to its Chebyshev center
+before its redundancy LPs.
 
 A row is redundant at tolerance `tol` when maximizing it over the other
 rows gives at most its right-hand side plus `tol`; an unbounded maximum
 keeps the row.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InfeasibleSystemError,
-    IterationLimitError,
-)
+from .errors import InfeasibleSystemError, IterationLimitError
 
 TAU_LP = 1e-8    # feasibility / optimality tolerance
 TAU_DIM = 1e-7   # Chebyshev radius above which a region counts as full-dimensional
@@ -36,26 +33,6 @@ _PIVOT_TOL = 1e-9
 # bytes of a batch's largest temporary, far below glibc's 128 KiB mmap
 # threshold: the batches' temporaries then reuse the same heap memory
 BLOCK_BYTES = 32 * 1024
-
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """maximize objective.x subject to A x <= c, with x free."""
-
-    objective: np.ndarray
-    A: np.ndarray
-    c: np.ndarray
-
-
-@dataclass(frozen=True)
-class LpOutcome:
-    status: str
-    value: float = None
-    witness: np.ndarray = None
 
 
 def _blocks(count, item_bytes):
@@ -153,61 +130,15 @@ def _solve_leq(obj, A, b):
     return unbounded, x_full[:, :n] - x_full[:, n: 2 * n]
 
 
-def solve(lp):
-    """Solve the LP; status is optimal, infeasible, or unbounded."""
-    obj = np.asarray(lp.objective, dtype=np.float64)
-    A = np.atleast_2d(np.asarray(lp.A, dtype=np.float64))
-    c = np.asarray(lp.c, dtype=np.float64)
-    n = obj.size
-    if A.size == 0:
-        A = A.reshape(0, n)
-    if A.shape[1] != n or A.shape[0] != c.size:
-        raise DimensionMismatch(
-            f"LP shapes disagree: A {A.shape}, c {c.shape}, objective {obj.shape}"
-        )
-    z = None
-    if np.min(c, initial=0.0) < 0:
-        # start from a point of the system: translate it there
-        try:
-            z = chebyshev_center(A, c, r_cap=1.0)[0]
-        except InfeasibleSystemError:
-            return LpOutcome(INFEASIBLE)
-        c = np.maximum(c - A @ z, 0.0)
-    unbounded, x = _solve_leq(obj[None], A[None], c[None])
-    if unbounded[0]:
-        return LpOutcome(UNBOUNDED)
-    x = x[0] if z is None else x[0] + z
-    return LpOutcome(OPTIMAL, float(obj @ x), x)
-
-
 def redundant_rows(A, b, rest, rows, tol=TAU_LP):
-    """`is_redundant` of row rows[p] of each A[p] y <= b[p] of a stack, against
-    the rows rest[p] marks (b >= 0 there); the others are inert."""
+    """Whether row rows[p] of each A[p] y <= b[p] of a stack is redundant
+    against the rows rest[p] marks (b >= 0 there); the others are inert."""
     k = np.arange(len(rows))
     obj = A[k, rows]
     unbounded, x = _solve_leq(obj, np.where(rest[:, :, None], A, 0.0), np.where(rest, b, 0.0))
     # (1, n) @ (n, 1) rounds as the dot product obj @ x does
     value = (obj[:, None, :] @ x[:, :, None])[:, 0, 0]
     return ~unbounded & (value <= b[k, rows] + tol)
-
-
-def is_redundant(A, c, i, tol=TAU_LP):
-    """True iff row i is implied by the remaining rows.
-
-    Maximizes a_i.x over the relaxed system; value <= c_i + tol means
-    redundant, an unbounded relaxation means the row constrains.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-    c = np.asarray(c, dtype=np.float64)
-    if not 0 <= i < A.shape[0]:
-        raise DimensionMismatch(f"row index {i} out of range")
-    rest = np.delete(np.arange(A.shape[0]), i)
-    out = solve(LinearProgram(A[i], A[rest], c[rest]))
-    if out.status == UNBOUNDED:
-        return False
-    if out.status == INFEASIBLE:
-        raise InfeasibleSystemError("relaxed system infeasible; input was not feasible")
-    return out.value <= c[i] + tol
 
 
 def chebyshev_centers(A, c, r_cap):
@@ -245,11 +176,11 @@ def _infeasibility(A, c, radius):
     bad = np.flatnonzero(zero & (c < -TAU_LP))
     if bad.size:
         return InfeasibleSystemError(
-            f"Chebyshev LP is {INFEASIBLE}: row {bad[0]} is 0 <= {c[bad[0]]:.3g}"
+            f"Chebyshev LP is infeasible: row {bad[0]} is 0 <= {c[bad[0]]:.3g}"
         )
     if radius < -TAU_LP:
         return InfeasibleSystemError(
-            f"Chebyshev LP is {INFEASIBLE}: signed radius {radius:.3g} < 0, "
+            f"Chebyshev LP is infeasible: signed radius {radius:.3g} < 0, "
             f"the {np.count_nonzero(~zero)} rows have no common point"
         )
     return None

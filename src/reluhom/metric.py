@@ -76,15 +76,16 @@ def dedup_bitvectors(vectors):
     return distinct, assignment
 
 
-def hamming_matrix(vectors, deduplicate=False, labels=None):
-    """Pairwise Hamming distances, optionally over distinct vectors only."""
+def hamming_matrix(vectors, deduplicate=False):
+    """Pairwise Hamming distances, optionally over distinct vectors only.
+
+    Each row is labelled with the index of its first vector among `vectors`."""
     if not vectors:
         raise FormatError("no bit vectors given")
     lengths = {len(v) for v in vectors}
     if len(lengths) > 1:
         raise DimensionMismatch("mixed bit vector lengths")
-    if labels is None:
-        labels = [str(i) for i in range(len(vectors))]
+    labels = [str(i) for i in range(len(vectors))]
     if deduplicate:
         distinct, assignment = dedup_bitvectors(vectors)
         first = {}

@@ -10,21 +10,13 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-ORTHO_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class AnchorFamily:
-    """Up to five equal-length anchor vectors with a scale and optional center.
-
-    With require_orthogonal set, pairwise inner products must stay below
-    ORTHO_TOL times the norms involved.
-    """
+    """Up to five equal-length anchor vectors with an optional center."""
 
     anchors: tuple
-    alpha: float = 1.0
     offset_index: int = None
-    require_orthogonal: bool = False
 
     def __post_init__(self):
         anchors = tuple(np.asarray(a, dtype=np.float64).ravel() for a in self.anchors)
@@ -35,16 +27,6 @@ class AnchorFamily:
             raise DimensionMismatch("anchors must share one flattened length")
         if self.offset_index is not None and not 0 <= self.offset_index < len(anchors):
             raise DimensionMismatch("offset_index out of range")
-        if self.require_orthogonal:
-            for i in range(len(anchors)):
-                for j in range(i + 1, len(anchors)):
-                    bound = ORTHO_TOL * np.linalg.norm(anchors[i]) * np.linalg.norm(
-                        anchors[j]
-                    )
-                    if abs(anchors[i] @ anchors[j]) > bound:
-                        raise DimensionMismatch(
-                            f"anchors {i} and {j} are not orthogonal"
-                        )
         object.__setattr__(self, "anchors", anchors)
 
     @property
@@ -70,7 +52,7 @@ def circle_samples(family, count, theta_range=(0.0, 2.0 * np.pi)):
     return [off + np.sin(t) * a1 + np.cos(t) * a2 for t in thetas]
 
 
-def torus_samples(family, n1, n2, alpha=None, mode="grid", rng=None):
+def torus_samples(family, n1, n2, alpha=1.0, mode="grid", rng=None):
     """Grid (or seeded-uniform) torus points from four circle anchors.
 
     Formula: offset + alpha * (sin(t1) A1 + cos(t1) A2 + sin(t2) A3 + cos(t2) A4);
@@ -80,8 +62,6 @@ def torus_samples(family, n1, n2, alpha=None, mode="grid", rng=None):
         raise DimensionMismatch("torus sampling needs 4 circle anchors + offset")
     if len(family.anchors) < 4:
         raise DimensionMismatch("torus sampling needs four circle anchors")
-    if alpha is None:
-        alpha = family.alpha
     a1, a2, a3, a4 = family.anchors[:4]
     off = (
         family.anchors[4]

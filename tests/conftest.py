@@ -89,15 +89,9 @@ def net_221():
 def lp_counter(monkeypatch):
     """Counts the LPs solved, the redundancy tests among them and the simplex
     pivots, each LP and pivot of a batch on its own, and records the
-    smallest right-hand side of each LP: as handed to `solve`, and as the
-    kernel starts from."""
+    smallest right-hand side each LP's simplex starts from."""
     counts = SimpleNamespace(solves=0, redundancy=0, pivots=0, min_rhs=[])
-    solve, solve_leq = lp.solve, lp._solve_leq
-    redundant_rows, pivot = lp.redundant_rows, lp._pivot
-
-    def counted_solve(problem):
-        counts.min_rhs.append(float(np.min(problem.c, initial=np.inf)))
-        return solve(problem)
+    solve_leq, redundant_rows, pivot = lp._solve_leq, lp.redundant_rows, lp._pivot
 
     def counted_solve_leq(obj, A, b):
         counts.solves += len(b)
@@ -112,7 +106,6 @@ def lp_counter(monkeypatch):
         counts.pivots += len(rows)
         return pivot(T, basis, rows, cols)
 
-    monkeypatch.setattr(lp, "solve", counted_solve)
     monkeypatch.setattr(lp, "_solve_leq", counted_solve_leq)
     monkeypatch.setattr(lp, "redundant_rows", counted_redundant_rows)
     monkeypatch.setattr(lp, "_pivot", counted_pivot)

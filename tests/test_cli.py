@@ -399,8 +399,36 @@ class TestInputErrors:
         assert rc == 3
         assert "box has dimension 2, network input has 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["brute", "traverse"])
+    def test_infinite_box_exits_3(self, netfile, tmp_path, capsys, mode):
+        _, netp = netfile
+        rc = cli.main([
+            "enumerate", "--net", str(netp), "--mode", mode, "--lower=-inf,-inf",
+            "--upper=inf,inf", "--out-regions", str(tmp_path / "r.jsonl"),
+        ])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: box bounds must be finite\n"
+
 
 class TestUsage:
+    @pytest.mark.parametrize("command,flag,value", [
+        ("enumerate", "--tau-dim", "-1"),
+        ("enumerate", "--tau-dim", "inf"),
+        ("enumerate", "--tau-lp", "nan"),
+        ("bits", "--tau-bit", "nan"),
+        ("region", "--tau-bit", "-1e-3"),
+        ("region", "--tau-lp", "x"),
+    ])
+    def test_bad_tolerance_exits_2_naming_the_flag(self, capsys, command, flag, value):
+        required = {
+            "enumerate": ["--out-regions", "r.jsonl"],
+            "bits": ["--points", "p.json", "--out", "b.txt"],
+            "region": ["--point", "0,0"],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--net", "x.json", *required, flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["no-such-command"])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reluhom import enumeration, lp, network, regions
-from reluhom.errors import DimensionMismatch, ResourceCapError
+from reluhom.errors import DimensionMismatch, NonFiniteEntry, ResourceCapError
 from conftest import random_net
 
 
@@ -125,6 +125,9 @@ class TestBounded:
     def test_bad_box_rejected(self):
         with pytest.raises(Exception):
             enumeration.BoxRegion(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        for bad in (np.inf, np.nan):
+            with pytest.raises(NonFiniteEntry, match="box bounds must be finite"):
+                enumeration.BoxRegion(np.array([-bad, 0.0]), np.array([bad, 1.0]))
 
     def test_box_of_wrong_dimension_rejected_by_both_modes(self):
         net = random_net(3, [3, 3], 11)

@@ -4,15 +4,22 @@ from hypothesis import assume, given, strategies as st
 from scipy.optimize import linprog
 
 from reluhom import lp
-from reluhom.errors import DimensionMismatch, InfeasibleSystemError, IterationLimitError
+from reluhom.errors import InfeasibleSystemError, IterationLimitError
 from oracles import bland_leaving_row
 
 SQUARE_A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 SQUARE_C = np.array([1.0, 0.0, 1.0, 0.0])
 
 
-def maximize(obj, A, c):
-    return lp.solve(lp.LinearProgram(np.asarray(obj, float), A, c))
+def redundant(A, c, tol=lp.TAU_LP):
+    """`redundant_rows` of every row of A x <= c, one stack of len(c) systems,
+    on the system translated to its Chebyshev center as
+    `regions.essentialize` translates it."""
+    z = lp.chebyshev_center(A, c, r_cap=1.0)[0]
+    b = c - A @ z
+    m = len(c)
+    return lp.redundant_rows(np.repeat(A[None], m, axis=0), np.repeat(b[None], m, axis=0),
+                             ~np.eye(m, dtype=bool), np.arange(m), tol)
 
 
 def feasible(A, c):
@@ -27,7 +34,7 @@ def feasible(A, c):
 @st.composite
 def systems(draw):
     """A x <= c in 1-3 D with right-hand sides of both signs, sometimes zero
-    rows or a box, and an objective.
+    rows or a box.
 
     Hypothesis draws the shape; the entries come from a seeded generator.
     """
@@ -42,7 +49,7 @@ def systems(draw):
         x0 = rng.standard_normal(n)
         A = np.vstack([A, np.eye(n), -np.eye(n)])
         c = np.concatenate([c, x0 + rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n) - x0])
-    return A, c, rng.standard_normal(n)
+    return A, c
 
 
 def linprog_signed_radius(A, c):
@@ -59,55 +66,45 @@ def linprog_signed_radius(A, c):
 
 class TestSolve:
     def test_1d_box(self):
-        out = maximize([1.0], [[1.0], [-1.0]], [2.0, 0.0])
-        assert out.status == lp.OPTIMAL
-        assert out.value == pytest.approx(2.0, abs=1e-8)
+        # max x over 0 <= x <= 2, and over 0 <= x <= 0.5, as one stack
+        A = np.array([[[1.0], [-1.0]]] * 2)
+        unbounded, x = lp._solve_leq(np.ones((2, 1)), A, np.array([[2.0, 0.0], [0.5, 0.0]]))
+        assert unbounded.tolist() == [False, False]
+        assert x[:, 0] == pytest.approx([2.0, 0.5], abs=1e-8)
 
     def test_contradictory_bounds(self):
-        out = maximize([1.0], [[1.0], [-1.0]], [0.0, -1.0])
-        assert out.status == lp.INFEASIBLE
+        # x <= 0 and x >= 1: the stack's first system has negative radius
+        radii = lp.chebyshev_centers(np.array([[[1.0], [-1.0]]] * 2),
+                                     np.array([[0.0, -1.0], [1.0, 0.0]]), r_cap=1.0)[1]
+        assert radii == pytest.approx([-0.5, 0.5], abs=1e-8)
 
     def test_open_ray(self):
-        out = maximize([1.0], [[-1.0]], [0.0])
-        assert out.status == lp.UNBOUNDED
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            maximize([1.0, 2.0], [[1.0]], [0.0])
+        # max x over x >= 0 is unbounded, over x <= 1 it is 1
+        unbounded, x = lp._solve_leq(np.ones((2, 1)), np.array([[[-1.0]], [[1.0]]]),
+                                     np.array([[0.0], [1.0]]))
+        assert unbounded.tolist() == [True, False]
+        assert x[1, 0] == pytest.approx(1.0, abs=1e-8)
 
     def test_witness_feasible_and_optimal_vs_scipy(self):
-        from scipy.optimize import linprog
-
+        # stacks of LPs from the slack basis (b >= 0, some rows tight at the
+        # origin), each optimum checked against linprog's
         rng = np.random.default_rng(17)
         checked = 0
         while checked < 40:
-            m, n = int(rng.integers(2, 12)), int(rng.integers(1, 4))
-            A = rng.standard_normal((m, n))
-            c = rng.standard_normal(m) + 1.0
-            obj = rng.standard_normal(n)
-            out = maximize(obj, A, c)
-            if out.status != lp.OPTIMAL:
-                continue
-            assert np.all(A @ out.witness <= c + lp.TAU_LP)
-            ref = linprog(-obj, A_ub=A, b_ub=c, bounds=[(None, None)] * n)
-            assert ref.status == 0
-            assert out.value == pytest.approx(-ref.fun, abs=1e-6)
-            checked += 1
-
-    @given(systems())
-    def test_negative_rhs_matches_linprog(self, system):
-        A, c, obj = system
-        assume(np.min(c) < 0)
-        # keep clear of systems that are empty or not within rounding
-        radius = linprog_signed_radius(A, c)
-        assume(radius is None or abs(radius) > 1e-6)
-        ref = linprog(-obj, A_ub=A, b_ub=c, bounds=[(None, None)] * obj.size,
-                      method="highs")
-        out = maximize(obj, A, c)
-        assert out.status == {0: lp.OPTIMAL, 2: lp.INFEASIBLE, 3: lp.UNBOUNDED}[ref.status]
-        if out.status == lp.OPTIMAL:
-            assert out.value == pytest.approx(-ref.fun, rel=1e-7, abs=1e-7)
-            assert np.all(A @ out.witness <= c + 1e-7)
+            count, m, n = int(rng.integers(2, 6)), int(rng.integers(2, 12)), int(rng.integers(1, 4))
+            A = rng.standard_normal((count, m, n))
+            b = rng.uniform(0.0, 2.0, (count, m)) * (rng.random((count, m)) > 0.2)
+            obj = rng.standard_normal((count, n))
+            unbounded, x = lp._solve_leq(obj, A, b)
+            for p in range(count):
+                ref = linprog(-obj[p], A_ub=A[p], b_ub=b[p], bounds=[(None, None)] * n,
+                              method="highs")
+                assert ref.status == (3 if unbounded[p] else 0), ref.message
+                if unbounded[p]:
+                    continue
+                assert np.all(A[p] @ x[p] <= b[p] + lp.TAU_LP)
+                assert obj[p] @ x[p] == pytest.approx(-ref.fun, abs=1e-6)
+                checked += 1
 
     def test_iteration_limit_reported(self):
         T = np.array([[[1.0, 0.0], [-1.0, 0.0]]])
@@ -139,14 +136,32 @@ class TestRedundant:
     def test_dominated_row(self):
         A = np.vstack([SQUARE_A, [1.0, 0.0]])
         c = np.append(SQUARE_C, 2.0)
-        assert lp.is_redundant(A, c, 4)
+        assert redundant(A, c).tolist() == [False] * 4 + [True]
 
     def test_supporting_facet(self):
-        assert not lp.is_redundant(SQUARE_A, SQUARE_C, 0)
+        assert not redundant(SQUARE_A, SQUARE_C).any()
 
     def test_unbounded_relaxation_is_non_redundant(self):
         # single half-space: removing its only row frees the whole plane
-        assert not lp.is_redundant(np.array([[1.0, 0.0]]), np.array([1.0]), 0)
+        assert redundant(np.array([[1.0, 0.0]]), np.array([1.0])).tolist() == [False]
+
+    @given(systems(), st.sampled_from([lp.TAU_LP, 0.05]))
+    def test_matches_linprog(self, system, tol):
+        A, c = system
+        radius = linprog_signed_radius(A, c)
+        assume(radius is not None and radius > 1e-6)
+        got = redundant(A, c, tol)
+        for i in range(len(c)):
+            rest = np.delete(np.arange(len(c)), i)
+            ref = linprog(-A[i], A_ub=A[rest], b_ub=c[rest], bounds=[(None, None)] * A.shape[1],
+                          method="highs")
+            assert ref.status in (0, 3), ref.message
+            if ref.status == 3:
+                assert not got[i]
+                continue
+            # keep clear of rows within rounding of the tolerance
+            assume(abs(-ref.fun - c[i] - tol) > 1e-6)
+            assert got[i] == (-ref.fun <= c[i] + tol)
 
     def test_matches_vertex_oracle_in_2d(self):
         from itertools import combinations
@@ -158,6 +173,7 @@ class TestRedundant:
             c = np.concatenate([rng.uniform(0.5, 1.5, 4), np.full(4, 5.0)])
             if not feasible(A, c):
                 continue
+            got = redundant(A, c)
             for i in range(4):
                 rest = np.delete(np.arange(A.shape[0]), i)
                 verts = []
@@ -169,7 +185,7 @@ class TestRedundant:
                     if np.all(A[rest] @ v <= c[rest] + 1e-9):
                         verts.append(v)
                 oracle = max(A[i] @ v for v in verts) <= c[i] + 1e-7
-                assert lp.is_redundant(A, c, i) == oracle
+                assert got[i] == oracle
             done += 1
 
     def test_removal_preserves_geometry(self):
@@ -181,13 +197,12 @@ class TestRedundant:
                 continue
             # the box keeps every inradius below the cap
             r0 = lp.chebyshev_center(A, c, r_cap=10.0)[1]
-            for i in range(A.shape[0]):
-                if lp.is_redundant(A, c, i):
-                    A2 = np.delete(A, i, axis=0)
-                    c2 = np.delete(c, i)
-                    assert lp.chebyshev_center(A2, c2, r_cap=10.0)[1] == pytest.approx(
-                        r0, abs=lp.TAU_LP * 10
-                    )
+            for i in np.flatnonzero(redundant(A, c)):
+                A2 = np.delete(A, i, axis=0)
+                c2 = np.delete(c, i)
+                assert lp.chebyshev_center(A2, c2, r_cap=10.0)[1] == pytest.approx(
+                    r0, abs=lp.TAU_LP * 10
+                )
 
 
 class TestChebyshev:
@@ -234,7 +249,7 @@ class TestChebyshev:
 
     @given(systems(), st.sampled_from([0.25, 1.0, 10.0]))
     def test_capped_signed_radius_matches_linprog(self, system, r_cap):
-        A, c, _ = system
+        A, c = system
         radius = linprog_signed_radius(A, c)
         assume(radius is None or abs(radius) > 1e-6)
         # empty exactly when linprog finds no point of the system

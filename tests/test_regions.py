@@ -226,9 +226,10 @@ class TestEssentialize:
         reg = regions.region_of(net_2331, x)
         for i in reg.active_bits:
             # maximizing the row over the region must reach its bound
-            out = lp.solve(lp.LinearProgram(reg.A[i], reg.A, reg.c))
-            assert out.status == lp.OPTIMAL
-            assert out.value == pytest.approx(reg.c[i], abs=1e-7)
+            res = linprog(-reg.A[i], A_ub=reg.A, b_ub=reg.c, bounds=[(None, None)] * 2,
+                          method="highs")
+            assert res.status == 0
+            assert -res.fun == pytest.approx(reg.c[i], abs=1e-7)
 
     def test_dropped_rows_are_redundant(self, net_2331):
         rng = np.random.default_rng(11)
@@ -237,9 +238,10 @@ class TestEssentialize:
         dropped = sorted(set(range(net_2331.h)) - set(reg.active_bits))
         for i in dropped:
             sub = np.setdiff1d(np.arange(net_2331.h), [i])
-            out = lp.solve(lp.LinearProgram(reg.A[i], reg.A[sub], reg.c[sub]))
-            if out.status == lp.OPTIMAL:
-                assert out.value <= reg.c[i] + lp.TAU_LP
+            res = linprog(-reg.A[i], A_ub=reg.A[sub], b_ub=reg.c[sub],
+                          bounds=[(None, None)] * 2, method="highs")
+            if res.status == 0:
+                assert -res.fun <= reg.c[i] + lp.TAU_LP
 
     def test_duplicate_rows_keep_lowest_index(self):
         A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [2.0, 0.0]])
@@ -336,8 +338,9 @@ class TestRegionOf:
             others = np.setdiff1d(np.arange(4), [j])
             Arest = np.vstack([A0, B[others]])
             crest = np.concatenate([c0, d[others]])
-            out = lp.solve(lp.LinearProgram(B[j], Arest, crest))
-            clips = out.status == lp.UNBOUNDED or out.value > d[j] + 1e-7
+            res = linprog(-B[j], A_ub=Arest, b_ub=crest, bounds=[(None, None)] * 2,
+                          method="highs")
+            clips = res.status == 3 or -res.fun > d[j] + 1e-7
             assert ((net_2331.h + j) in reg.active_bits) == clips
 
     def test_composed_maps_built_once_per_region(self, net_2331, monkeypatch):

@@ -6,12 +6,6 @@ from reluhom.errors import DimensionMismatch
 
 
 class TestAnchorFamily:
-    def test_orthogonality_checked_when_requested(self):
-        skew = [np.array([1.0, 0.0]), np.array([0.9, 0.5])]
-        sampling.AnchorFamily(skew)  # fine without the flag
-        with pytest.raises(DimensionMismatch):
-            sampling.AnchorFamily(skew, require_orthogonal=True)
-
     def test_mixed_dims_rejected(self):
         with pytest.raises(DimensionMismatch):
             sampling.AnchorFamily([np.array([1.0, 0.0]), np.array([0.0, 1.0, 0.0])])
@@ -80,9 +74,9 @@ class TestCircle:
 
 
 class TestTorus:
-    def make_family(self, alpha=1.0):
+    def make_family(self):
         anchors = sampling.random_orthogonal_anchors(8, 5, seed=9)
-        return anchors, sampling.AnchorFamily(anchors, alpha=alpha)
+        return anchors, sampling.AnchorFamily(anchors)
 
     def test_grid_shape_and_planted_geometry(self):
         anchors, fam = self.make_family()
