@@ -63,7 +63,6 @@ class DecompositionAtlas:
     regions: dict = field(default_factory=dict)     # BitVector -> Region
     edges: set = field(default_factory=set)         # frozenset({bits, bits})
     boundary_flags: dict = field(default_factory=dict)
-    box: BoxRegion = None
 
     def __len__(self):
         return len(self.regions)
@@ -104,14 +103,14 @@ def enumerate_brute(net, box=None, h_max=H_MAX_BRUTE,
     Rows are layer-major, so rows 0..k-1 of a pattern's system depend only
     on its bits 0..k-1: a node at depth k holds those rows and the box
     rows.  A node whose rows hold no ball of radius above tau_dim (the
-    Chebyshev test of essentialize) has no full-dimensional extension, so
-    it is dropped with all of them.  A child whose new row leaves the
-    parent's interior point z more than tau_dim inside needs no LP: it
-    keeps z, with the smaller of the two radii.  Each depth is held as
-    stacked arrays, which replace the previous depth's, and its Chebyshev
-    LPs run as one batch; the patterns reached at depth h go through
-    regions_from_bits as one batch.  h is limited only by h_max, which is
-    checked before any LP.
+    Chebyshev test each region passes in regions_from_bits) has no
+    full-dimensional extension, so it is dropped with all of them.  A child
+    whose new row leaves the parent's interior point z more than tau_dim
+    inside needs no LP: it keeps z, with the smaller of the two radii.
+    Each depth is held as stacked arrays, which replace the previous
+    depth's, and its Chebyshev LPs run as one batch; the patterns reached
+    at depth h go through regions_from_bits as one batch.  h is limited
+    only by h_max, which is checked before any LP.
     """
     h = net.h
     if h > h_max:
@@ -154,7 +153,7 @@ def enumerate_brute(net, box=None, h_max=H_MAX_BRUTE,
     del A, c, z, r, w_hat, b_hat        # freed before the leaves' regions are made
     leaves = sorted(values + [value | 1 << (h - 1) for value in values])
     found = _found(net, [BitVector(h, value) for value in leaves], extra, tau_lp, tau_dim)
-    atlas = DecompositionAtlas(box=box)
+    atlas = DecompositionAtlas()
     atlas.regions.update((region.bits, region) for region in found)
     return _finalize(net, atlas)
 
@@ -187,7 +186,7 @@ def enumerate_traverse(net, seed, box=None, rng=None,
         rng = np.random.default_rng(0)
     extra = _box_rows(net, box)
     x0 = _draw_seed(net, seed, box, rng)
-    atlas = DecompositionAtlas(box=box)
+    atlas = DecompositionAtlas()
 
     wave = _found(net, [bit_vector(net, x0)], extra, tau_lp, tau_dim)
     if not wave:

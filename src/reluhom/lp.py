@@ -14,7 +14,7 @@ basis and leaves Bland's order over the other rows alone.
 Every simplex run starts from the slack basis, so the right-hand sides it
 sees are non-negative and there are no artificial variables.  The Chebyshev
 LP has such right-hand sides by construction (see `chebyshev_centers`);
-`regions.essentialize` translates each region to its Chebyshev center
+`regions._essentialize` translates each region to its Chebyshev center
 before its redundancy LPs.
 
 A row is redundant at tolerance `tol` when maximizing it over the other
@@ -185,14 +185,3 @@ def _infeasibility(A, c, radius):
         )
     return None
 
-
-def chebyshev_center(A, c, r_cap):
-    """`chebyshev_centers` of the one system A x <= c; an empty system
-    raises InfeasibleSystemError."""
-    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-    c = np.asarray(c, dtype=np.float64)
-    centers, radii = chebyshev_centers(A[None], c[None], r_cap)
-    err = _infeasibility(A, c, radii[0])
-    if err is not None:
-        raise err
-    return centers[0], float(radii[0])

@@ -71,6 +71,8 @@ def build_filtration(d, max_dim=1, t_max=None, simplex_cap=SIMPLEX_CAP):
         t_max = float(np.max(D, where=np.isfinite(D), initial=0.0))
     if math.isnan(t_max):
         raise FormatError("t_max is NaN")
+    if t_max < 0:
+        raise FormatError(f"t_max {t_max:g} is negative")
     near = D <= t_max
     # CSR lists: row 0 holds every vertex, row v + 1 the neighbours of v above v
     lo, hi = np.nonzero(np.triu(near, 1))

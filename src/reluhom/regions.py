@@ -1,10 +1,11 @@
-"""Per-pattern polyhedra: inequality assembly, facet pruning, affine maps.
+"""Per-pattern polyhedra: inequality systems, facet pruning, affine maps.
 
 Every activation pattern induces a system A x <= c whose rows stack
 layer-major; pruning it to the essential subsystem identifies the active
 bits, and flipping an active bit walks to the facet-neighbor.  Patterns
 are worked on as stacks of same-shape systems (`regions_from_bits`), each
-step once per stack; the one-pattern functions are stacks of one.
+step once per stack; `region_from_bits` and `region_of` build one region
+as a stack of one.
 """
 
 import functools
@@ -99,16 +100,6 @@ def _compose(net, j, s, w_hat, b_hat):
         net.weights[j + 1] @ (s[:, :, None] * w_hat),
         (net.weights[j + 1] @ (s * b_hat)[:, :, None])[:, :, 0] + net.biases[j + 1],
     )
-
-
-def assemble(net, bits):
-    """Inequality system A x <= c of an activation pattern (rows layer-major)."""
-    return tuple(a[0] for a in _hat_maps(net, [bits])[0])
-
-
-def affine_map(net, bits):
-    """The affine map (M, v) the network applies on this pattern's region."""
-    return tuple(a[0] for a in _hat_maps(net, [bits])[1])
 
 
 def _duplicate_rows(A, c):
@@ -244,10 +235,29 @@ def _ball_error(A, c, radius, tau_dim):
 
 
 def _essentialize(A, c, tau_lp, tau_dim):
-    """essentialize of a stack of systems: the surviving rows (none when not
-    full-dimensional), centers and radii.  Each system decides its rows in
-    ascending order; a batch of redundancy LPs holds the next undecided row
-    of every system that has one."""
+    """The minimal subsystems of stacked systems A x <= c: a mask of the
+    surviving rows, and each system's Chebyshev center and radius.
+
+    One Chebyshev LP per system, its radius capped above tau_dim (at 1 by
+    default), decides feasibility and full dimension and gives the
+    interior witness z.  A system of radius at most tau_dim keeps no rows;
+    `_ball_error` names its InfeasibleSystemError or DegenerateSystemError.
+    Zero rows go, and identical hyperplanes keep the lowest-index copy.
+
+    The rest is worked out on the system translated to z, A y <= c - A z,
+    whose right-hand side is at least the radius times each row norm.  Rows
+    are decided in ascending order against the current survivor set: row i
+    is redundant when the maximum of a_i.y over the other survivors is at
+    most its right-hand side plus tau_lp.  Two certificates decide rows
+    without an LP, each exactly as the LP would: a row that one of _N_RAYS
+    fixed rays from z certifies (_ray_facets: an explicit point past the
+    row by more than tau_lp) is kept, and a row that a non-negative
+    combination of n certified facets bounds by at most its right-hand
+    side plus tau_lp (_dual_implied: weak duality) is dropped.  Every other
+    row gets one redundancy LP, which starts from the slack basis.  A
+    batch of these LPs holds the next undecided row of every system that
+    has one, so each system's rows are decided as they would be alone.
+    """
     centers, radii = _inscribed_balls(A, c, tau_dim)
     keep = np.zeros(c.shape, dtype=bool)
     ok = np.flatnonzero(radii > tau_dim)
@@ -268,39 +278,6 @@ def _essentialize(A, c, tau_lp, tau_dim):
     return keep, centers, radii
 
 
-def essentialize(A, c, tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
-    """Minimal subsystem (A', c'), the surviving row indices and an interior point.
-
-    One Chebyshev LP, its radius capped above tau_dim (at 1 by default),
-    decides feasibility (InfeasibleSystemError) and full dimension
-    (DegenerateSystemError when the radius is at most tau_dim) and gives the
-    interior witness z returned last.  Zero rows go, and identical
-    hyperplanes keep the lowest-index copy.
-
-    The rest is worked out on the system translated to z, A y <= c - A z,
-    whose right-hand side is at least the radius times each row norm.  Rows
-    are decided in ascending order against the current survivor set: row i
-    is redundant when the maximum of a_i.y over the other survivors is at
-    most its right-hand side plus tau_lp.  Two certificates decide rows
-    without an LP, each exactly as the LP would: a row that one of _N_RAYS
-    fixed rays from z certifies (_ray_facets: an explicit point past the
-    row by more than tau_lp) is kept, and a row that a non-negative
-    combination of n certified facets bounds by at most its right-hand
-    side plus tau_lp (_dual_implied: weak duality) is dropped.  Every other
-    row gets one redundancy LP, which starts from the slack basis.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-    c = np.asarray(c, dtype=np.float64)
-    if A.shape[0] != c.size:
-        raise DimensionMismatch(f"rows {A.shape[0]} != rhs length {c.size}")
-    keep, centers, radii = _essentialize(A[None], c[None], tau_lp, tau_dim)
-    err = _ball_error(A, c, radii[0], tau_dim)
-    if err is not None:
-        raise err
-    keep = np.flatnonzero(keep[0])
-    return A[keep], c[keep], keep, centers[0]
-
-
 def region_of(net, x, tau_bit=TAU_BIT, tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
     """The region containing x, with pruned system, actives, and affine map."""
     if on_boundary(net, x, tau_bit):
@@ -313,7 +290,11 @@ def region_of(net, x, tau_bit=TAU_BIT, tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
 
 def regions_from_bits(net, patterns, extra_A=None, extra_c=None,
                       tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
-    """region_from_bits of each pattern: a Region, or the error it raises."""
+    """The Region of each pattern, or the geometry error that rejects it.
+
+    Extra rows (e.g. box bounds) are appended to every pattern's system and
+    take indices h, h+1, ... in active_bits.
+    """
     if extra_A is None:
         extra_A, extra_c = np.empty((0, net.input_dim)), np.empty(0)
     rows = net.h + len(extra_c)
@@ -339,13 +320,9 @@ def regions_from_bits(net, patterns, extra_A=None, extra_c=None,
     return out
 
 
-def region_from_bits(net, bits, extra_A=None, extra_c=None,
-                     tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
-    """Build a Region for a pattern, optionally intersected with extra rows.
-
-    Extra rows (e.g. box bounds) take indices h, h+1, ... in active_bits.
-    """
-    region = regions_from_bits(net, [bits], extra_A, extra_c, tau_lp, tau_dim)[0]
+def region_from_bits(net, bits, tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
+    """The Region of a pattern; raises the error regions_from_bits reports."""
+    region = regions_from_bits(net, [bits], tau_lp=tau_lp, tau_dim=tau_dim)[0]
     if isinstance(region, Exception):
         raise region
     return region
@@ -359,43 +336,3 @@ def neighbors(region):
     """
     h = len(region.bits)
     return [region.bits.flip(k) for k in region.active_bits if k < h]
-
-
-def facet_points(A, c, k, count, rng, tau_dim=lp.TAU_DIM):
-    """Sample `count` points from the relative interior of facet k.
-
-    The facet is {x : a_k x = c_k} intersected with the remaining rows;
-    points are drawn inside the facet's inscribed ball and along random
-    chords through its center.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-    c = np.asarray(c, dtype=np.float64)
-    a = A[k]
-    rest = np.delete(np.arange(A.shape[0]), k)
-    x0 = a * (c[k] / (a @ a))
-    # orthonormal basis of the hyperplane through x0
-    _, _, vh = np.linalg.svd(a[None, :])
-    basis = vh[1:].T
-    if basis.shape[1] == 0:
-        # one-dimensional input: the facet is the single point x0, which
-        # must satisfy every other row (strictly, unless the row is the
-        # same hyperplane) to be a genuine shared wall
-        slack = c[rest] - A[rest] @ x0
-        parallel = np.abs(
-            np.abs(A[rest] @ a) - np.linalg.norm(A[rest], axis=1) * np.linalg.norm(a)
-        ) <= 1e-12
-        if np.any(slack < np.where(parallel, -tau_dim, tau_dim)):
-            raise DegenerateSystemError("facet is lower-dimensional")
-        return [x0 for _ in range(count)]
-    A_red = A[rest] @ basis
-    c_red = c[rest] - A[rest] @ x0
-    z0, r = lp.chebyshev_center(A_red, c_red, r_cap=1.0)
-    if r <= tau_dim:
-        raise DegenerateSystemError("facet is lower-dimensional")
-    pts = []
-    for _ in range(count):
-        d = rng.standard_normal(basis.shape[1])
-        d /= np.linalg.norm(d)
-        t = rng.uniform(0.0, 0.9 * min(r, 1.0))
-        pts.append(x0 + basis @ (z0 + t * d))
-    return pts

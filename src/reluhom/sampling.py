@@ -62,6 +62,8 @@ def torus_samples(family, n1, n2, alpha=1.0, mode="grid", rng=None):
         raise DimensionMismatch("torus sampling needs 4 circle anchors + offset")
     if len(family.anchors) < 4:
         raise DimensionMismatch("torus sampling needs four circle anchors")
+    if n1 < 1 or n2 < 1:
+        raise DimensionMismatch(f"n1 and n2 must be >= 1, got {n1} and {n2}")
     a1, a2, a3, a4 = family.anchors[:4]
     off = (
         family.anchors[4]
@@ -89,6 +91,8 @@ def random_orthogonal_anchors(dim, count, seed):
 
     Gram-Schmidt on seeded Gaussian draws; redraws on (improbable) rank loss.
     """
+    if count < 1:
+        raise DimensionMismatch("count must be >= 1")
     if count > dim:
         raise DimensionMismatch(f"cannot fit {count} orthogonal vectors in R^{dim}")
     rng = np.random.default_rng(seed)

@@ -6,13 +6,18 @@ come from Kruskal and union-find, the 2-D facet count walks the polygon
 directly, the essential rows come from scipy's linprog, repeated rows from a
 row-at-a-time scan, the simplex's leaving row from the sequential ratio
 scan, the text-format oracles format one entry or one bit at a time, and
-activation patterns come from one point at a time.
+activation patterns come from one point at a time.  The one exception is
+the facet-point sampler: it takes the facet's hyperplane from the region's
+own rows, and only the ball inside the facet from `lp.chebyshev_centers`.
 """
 
 import math
 from itertools import combinations
 
 import numpy as np
+
+from reluhom import lp
+from reluhom.errors import DegenerateSystemError
 
 
 # --- naive persistent homology ---------------------------------------------
@@ -157,6 +162,50 @@ def polygon_facet_count(A, c, interior, span=1e6, tol=1e-7):
             if length > tol * span:
                 facets.add(k)
     return len(facets)
+
+
+# --- points on a facet ------------------------------------------------------
+
+def facet_points(A, c, k, count, rng, tau_dim=lp.TAU_DIM):
+    """Sample `count` points from the relative interior of facet k.
+
+    The facet is {x : a_k x = c_k} intersected with the remaining rows;
+    points are drawn inside the facet's inscribed ball and along random
+    chords through its center.  A facet without a ball of radius above
+    tau_dim raises DegenerateSystemError.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
+    c = np.asarray(c, dtype=np.float64)
+    a = A[k]
+    rest = np.delete(np.arange(A.shape[0]), k)
+    x0 = a * (c[k] / (a @ a))
+    # orthonormal basis of the hyperplane through x0
+    _, _, vh = np.linalg.svd(a[None, :])
+    basis = vh[1:].T
+    if basis.shape[1] == 0:
+        # one-dimensional input: the facet is the single point x0, which
+        # must satisfy every other row (strictly, unless the row is the
+        # same hyperplane) to be a genuine shared wall
+        slack = c[rest] - A[rest] @ x0
+        parallel = np.abs(
+            np.abs(A[rest] @ a) - np.linalg.norm(A[rest], axis=1) * np.linalg.norm(a)
+        ) <= 1e-12
+        if np.any(slack < np.where(parallel, -tau_dim, tau_dim)):
+            raise DegenerateSystemError("facet is lower-dimensional")
+        return [x0 for _ in range(count)]
+    A_red = A[rest] @ basis
+    c_red = c[rest] - A[rest] @ x0
+    centers, radii = lp.chebyshev_centers(A_red[None], c_red[None], r_cap=1.0)
+    z0, r = centers[0], radii[0]
+    if r <= tau_dim:
+        raise DegenerateSystemError("facet is lower-dimensional")
+    pts = []
+    for _ in range(count):
+        d = rng.standard_normal(basis.shape[1])
+        d /= np.linalg.norm(d)
+        t = rng.uniform(0.0, 0.9 * min(r, 1.0))
+        pts.append(x0 + basis @ (z0 + t * d))
+    return pts
 
 
 # --- repeated hyperplanes, one row at a time --------------------------------

@@ -21,9 +21,9 @@ from reluhom import (
     regions,
     sampling,
 )
-from reluhom.errors import DegenerateSystemError, InfeasibleSystemError
+from reluhom.errors import DegenerateSystemError
 from conftest import random_net
-from oracles import naive_barcodes, mst_weights
+from oracles import facet_points, naive_barcodes, mst_weights
 
 FIXTURES = __file__.rsplit("/", 1)[0] + "/fixtures"
 
@@ -131,9 +131,9 @@ def test_criterion_3_adjacency_is_hamming_one_with_matching_maps(
             ru = atlas.regions[u]
             k = next(i for i in range(net.h) if u[i] != v[i])
             try:
-                pts = regions.facet_points(ru.A, ru.c, k, count=20, rng=rng)
+                pts = facet_points(ru.A, ru.c, k, count=20, rng=rng)
                 shares_facet = True
-            except (DegenerateSystemError, InfeasibleSystemError):
+            except DegenerateSystemError:
                 shares_facet = False
                 pts = []
             assert (frozenset((u, v)) in edge_set) == shares_facet
@@ -176,8 +176,7 @@ def test_criterion_5_affine_map_reproduces_forward_pass():
         sizes = [int(rng.integers(2, 6)) for _ in range(depth)]
         net = random_net(m, sizes, 5000 + trial)
         x = rng.standard_normal(m) * 3
-        bits = network.bit_vector(net, x)
-        M, v = regions.affine_map(net, bits)
+        M, v = regions.region_of(net, x).affine
         _, out = network.forward(net, x)
         worst = max(worst, float(np.max(np.abs(M @ x + v - out))))
     assert worst < 1e-9

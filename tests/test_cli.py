@@ -263,6 +263,26 @@ class TestSamplers:
         assert pts.shape == (16, 8)
         assert np.allclose(np.linalg.norm(pts - anchors[4], axis=1), 1.5 * np.sqrt(2))
 
+    @pytest.mark.parametrize("argv", [
+        ["sample-torus", "--n1", "0", "--n2", "4"],
+        ["sample-torus", "--n1", "4", "--n2", "-3"],
+        ["sample-torus", "--mode", "uniform", "--n1", "-3", "--n2", "4"],
+        ["sample-torus", "--mode", "uniform", "--n1", "-3", "--n2", "-3"],
+    ], ids=["grid-n1-0", "grid-n2-neg", "uniform-n1-neg", "uniform-both-neg"])
+    def test_non_positive_torus_counts_exit_3(self, tmp_path, capsys, argv):
+        ap, tp = tmp_path / "anchors.json", tmp_path / "torus.json"
+        assert cli.main(["gen-anchors", "--dim", "8", "--count", "5", "--out", str(ap)]) == 0
+        assert cli.main(argv + ["--anchors", str(ap), "--out", str(tp)]) == 3
+        assert capsys.readouterr().err.startswith("error: n1 and n2 must be >= 1")
+        assert not tp.exists()
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_non_positive_anchor_count_exits_3(self, tmp_path, capsys, count):
+        ap = tmp_path / "anchors.json"
+        assert cli.main(["gen-anchors", "--dim", "8", "--count", count, "--out", str(ap)]) == 3
+        assert capsys.readouterr().err.startswith("error: count must be >= 1")
+        assert not ap.exists()
+
     def test_sample_circle_count(self, tmp_path):
         ap, cp = tmp_path / "a.json", tmp_path / "c.json"
         assert cli.main(["gen-anchors", "--dim", "3", "--count", "2", "--seed", "1", "--out", str(ap)]) == 0
@@ -387,6 +407,12 @@ class TestInputErrors:
         p.write_text("1\n")
         assert cli.main(["persist", "--matrix", str(p), "--t-max", "nan"]) == 3
         assert "t_max is NaN" in capsys.readouterr().err
+
+    def test_negative_t_max_exits_3(self, tmp_path, capsys):
+        p = tmp_path / "m.ldm"
+        p.write_text("1\n")
+        assert cli.main(["persist", "--matrix", str(p), "--t-max", "-1"]) == 3
+        assert capsys.readouterr().err.startswith("error: t_max -1 is negative")
 
     @pytest.mark.parametrize("mode", ["brute", "traverse"])
     def test_box_of_wrong_dimension_exits_3(self, tmp_path, capsys, mode):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reluhom import enumeration, lp, network, regions
+from reluhom import enumeration, lp, network
 from reluhom.errors import DimensionMismatch, NonFiniteEntry, ResourceCapError
 from conftest import random_net
+from oracles import facet_points
 
 
 def zaslavsky(h, m):
@@ -180,7 +181,7 @@ class TestDualGraph:
             ru, rv = atlas.regions[u], atlas.regions[v]
             k = next(i for i in range(net.h) if u[i] != v[i])
             pos = ru.active_bits.index(k)
-            pts = regions.facet_points(ru.A, ru.c, k, count=5, rng=rng)
+            pts = facet_points(ru.A, ru.c, k, count=5, rng=rng)
             Mu, vu = ru.affine
             Mv, vv = rv.affine
             for p in pts:

@@ -14,8 +14,8 @@ SQUARE_C = np.array([1.0, 0.0, 1.0, 0.0])
 def redundant(A, c, tol=lp.TAU_LP):
     """`redundant_rows` of every row of A x <= c, one stack of len(c) systems,
     on the system translated to its Chebyshev center as
-    `regions.essentialize` translates it."""
-    z = lp.chebyshev_center(A, c, r_cap=1.0)[0]
+    `regions._essentialize` translates it."""
+    z = lp.chebyshev_centers(A[None], c[None], r_cap=1.0)[0][0]
     b = c - A @ z
     m = len(c)
     return lp.redundant_rows(np.repeat(A[None], m, axis=0), np.repeat(b[None], m, axis=0),
@@ -24,31 +24,34 @@ def redundant(A, c, tol=lp.TAU_LP):
 
 def feasible(A, c):
     """The capped Chebyshev LP decides whether {x : Ax <= c} is non-empty."""
-    try:
-        lp.chebyshev_center(A, c, r_cap=1.0)
-    except InfeasibleSystemError:
-        return False
-    return True
+    radius = lp.chebyshev_centers(A[None], c[None], r_cap=1.0)[1][0]
+    return lp._infeasibility(A, c, radius) is None
 
 
 @st.composite
-def systems(draw):
+def systems(draw, count=None):
     """A x <= c in 1-3 D with right-hand sides of both signs, sometimes zero
-    rows or a box.
+    rows or a box; given a count strategy, that many such systems of one
+    shape as a stack.
 
     Hypothesis draws the shape; the entries come from a seeded generator.
     """
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 8))
+    k = () if count is None else (draw(count),)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    A = rng.standard_normal((m, n))
-    A[rng.random(m) < draw(st.sampled_from([0.0, 0.2]))] = 0.0
-    c = rng.standard_normal(m) + draw(st.sampled_from([-0.5, 0.0, 1.0]))
+    A = rng.standard_normal(k + (m, n))
+    A[rng.random(k + (m,)) < draw(st.sampled_from([0.0, 0.2]))] = 0.0
+    c = rng.standard_normal(k + (m,)) + draw(st.sampled_from([-0.5, 0.0, 1.0]))
     if draw(st.booleans()):
-        # a box around a random point bounds the system
-        x0 = rng.standard_normal(n)
-        A = np.vstack([A, np.eye(n), -np.eye(n)])
-        c = np.concatenate([c, x0 + rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n) - x0])
+        # a box around a random point bounds each system
+        x0 = rng.standard_normal(k + (n,))
+        eye = np.broadcast_to(np.eye(n), k + (n, n))
+        A = np.concatenate([A, eye, -eye], axis=-2)
+        c = np.concatenate(
+            [c, x0 + rng.uniform(0.1, 2.0, k + (n,)), rng.uniform(0.1, 2.0, k + (n,)) - x0],
+            axis=-1,
+        )
     return A, c
 
 
@@ -114,22 +117,24 @@ class TestSolve:
 
 class TestFeasible:
     def test_unit_square(self):
-        center, _ = lp.chebyshev_center(SQUARE_A, SQUARE_C, r_cap=1.0)
+        center = lp.chebyshev_centers(SQUARE_A[None], SQUARE_C[None], r_cap=1.0)[0][0]
         assert np.all(SQUARE_A @ center <= SQUARE_C + lp.TAU_LP)
 
     def test_empty(self):
         assert not feasible(np.array([[1.0], [-1.0]]), np.array([-1.0, 0.0]))
 
     def test_sampled_point_is_witness(self):
-        # a system built around a known point must be feasible
+        # systems built around known points must be feasible, as one stack
         rng = np.random.default_rng(2)
+        A, c = [], []
         for _ in range(10):
             x = rng.standard_normal(3)
-            A = rng.standard_normal((6, 3))
-            c = A @ x + rng.uniform(0.1, 1.0, 6)
-            center, radius = lp.chebyshev_center(A, c, r_cap=1.0)
-            assert radius > 0
-            assert np.all(A @ center <= c + lp.TAU_LP)
+            A.append(rng.standard_normal((6, 3)))
+            c.append(A[-1] @ x + rng.uniform(0.1, 1.0, 6))
+        A, c = np.stack(A), np.stack(c)
+        centers, radii = lp.chebyshev_centers(A, c, r_cap=1.0)
+        assert np.all(radii > 0)
+        assert np.all((A @ centers[:, :, None])[:, :, 0] <= c + lp.TAU_LP)
 
 
 class TestRedundant:
@@ -195,35 +200,38 @@ class TestRedundant:
             c = np.concatenate([rng.uniform(0.5, 2.0, 5), np.full(4, 3.0)])
             if not feasible(A, c):
                 continue
-            # the box keeps every inradius below the cap
-            r0 = lp.chebyshev_center(A, c, r_cap=10.0)[1]
-            for i in np.flatnonzero(redundant(A, c)):
-                A2 = np.delete(A, i, axis=0)
-                c2 = np.delete(c, i)
-                assert lp.chebyshev_center(A2, c2, r_cap=10.0)[1] == pytest.approx(
-                    r0, abs=lp.TAU_LP * 10
-                )
+            # the box keeps every inradius below the cap; the system and,
+            # padded with an inert zero row 0 <= 1, the system without each
+            # of its redundant rows form one stack
+            dropped = np.flatnonzero(redundant(A, c))
+            A2 = np.stack([A] + [np.vstack([np.delete(A, i, axis=0), np.zeros(2)])
+                                 for i in dropped])
+            c2 = np.stack([c] + [np.append(np.delete(c, i), 1.0) for i in dropped])
+            r0, *radii = lp.chebyshev_centers(A2, c2, r_cap=10.0)[1]
+            assert radii == pytest.approx([r0] * len(dropped), abs=lp.TAU_LP * 10)
 
 
 class TestChebyshev:
     def test_unit_square(self):
-        center, radius = lp.chebyshev_center(SQUARE_A, SQUARE_C, r_cap=1.0)
-        assert radius == pytest.approx(0.5, abs=1e-8)
-        assert center == pytest.approx([0.5, 0.5], abs=1e-8)
+        centers, radii = lp.chebyshev_centers(SQUARE_A[None], SQUARE_C[None], r_cap=1.0)
+        assert radii == pytest.approx([0.5], abs=1e-8)
+        assert centers[0] == pytest.approx([0.5, 0.5], abs=1e-8)
 
     def test_line_in_2d(self):
-        A = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        c = np.array([0.0, 0.0])
-        assert lp.chebyshev_center(A, c, r_cap=1.0)[1] == pytest.approx(0.0, abs=1e-8)
+        A = np.array([[[1.0, 0.0], [-1.0, 0.0]]])
+        c = np.array([[0.0, 0.0]])
+        assert lp.chebyshev_centers(A, c, r_cap=1.0)[1] == pytest.approx([0.0], abs=1e-8)
 
     def test_halfspace_is_unbounded(self):
         # balls of any size fit, so the radius is the cap
-        center, radius = lp.chebyshev_center(np.array([[1.0, 0.0]]), np.array([0.0]), r_cap=2.5)
-        assert radius == pytest.approx(2.5)
-        assert center[0] <= -2.5 + 1e-8
+        centers, radii = lp.chebyshev_centers(np.array([[[1.0, 0.0]]]), np.array([[0.0]]),
+                                              r_cap=2.5)
+        assert radii == pytest.approx([2.5])
+        assert centers[0, 0] <= -2.5 + 1e-8
 
     def test_random_triangle_inradius(self):
         rng = np.random.default_rng(31)
+        A, c, want = [], [], []
         for _ in range(10):
             pts = rng.standard_normal((3, 2)) * 2
             u, v = pts[1] - pts[0], pts[2] - pts[0]
@@ -243,40 +251,49 @@ class TestChebyshev:
                     normal = -normal
                 rows.append(normal)
                 rhs.append(normal @ pts[i])
-            # a cap far above any of these inradii leaves the LP's optimum alone
-            got = lp.chebyshev_center(np.array(rows), np.array(rhs), r_cap=100.0)[1]
-            assert got == pytest.approx(inradius, rel=1e-6)
+            A.append(rows)
+            c.append(rhs)
+            want.append(inradius)
+        # one stack; a cap far above any of these inradii leaves the LPs' optima alone
+        got = lp.chebyshev_centers(np.array(A), np.array(c), r_cap=100.0)[1]
+        assert got == pytest.approx(want, rel=1e-6)
 
-    @given(systems(), st.sampled_from([0.25, 1.0, 10.0]))
-    def test_capped_signed_radius_matches_linprog(self, system, r_cap):
-        A, c = system
-        radius = linprog_signed_radius(A, c)
-        assume(radius is None or abs(radius) > 1e-6)
-        # empty exactly when linprog finds no point of the system
-        empty = radius is None or radius < 0
-        feasible = linprog(np.zeros(A.shape[1]), A_ub=A, b_ub=c,
-                           bounds=[(None, None)] * A.shape[1], method="highs")
-        assert empty == (feasible.status == 2)
-        if empty:
-            with pytest.raises(InfeasibleSystemError, match="infeasible"):
-                lp.chebyshev_center(A, c, r_cap=r_cap)
-            return
-        center, got = lp.chebyshev_center(A, c, r_cap=r_cap)
-        assert got == pytest.approx(min(radius, r_cap), rel=1e-7, abs=1e-9)
-        norms = np.linalg.norm(A, axis=1)
-        assert np.all(A @ center + norms * got <= c + 1e-7)
+    @given(systems(count=st.integers(1, 4)), st.sampled_from([0.25, 1.0, 10.0]))
+    def test_capped_signed_radius_matches_linprog(self, stack, r_cap):
+        # each system of the stack against linprog on that system alone
+        refs = [linprog_signed_radius(A, c) for A, c in zip(*stack)]
+        assume(all(radius is None or abs(radius) > 1e-6 for radius in refs))
+        centers, radii = lp.chebyshev_centers(*stack, r_cap=r_cap)
+        for A, c, radius, center, got in zip(*stack, refs, centers, radii):
+            # empty exactly when linprog finds no point of the system
+            empty = radius is None or radius < 0
+            feasible = linprog(np.zeros(A.shape[1]), A_ub=A, b_ub=c,
+                               bounds=[(None, None)] * A.shape[1], method="highs")
+            assert empty == (feasible.status == 2)
+            err = lp._infeasibility(A, c, got)
+            if empty:
+                assert isinstance(err, InfeasibleSystemError) and "infeasible" in str(err)
+                continue
+            assert err is None
+            assert got == pytest.approx(min(radius, r_cap), rel=1e-7, abs=1e-9)
+            norms = np.linalg.norm(A, axis=1)
+            assert np.all(A @ center + norms * got <= c + 1e-7)
 
     def test_zero_rows(self):
         # 0 <= 1 leaves the unit square's inradius alone; 0 <= -1 is empty
         A = np.vstack([SQUARE_A, [0.0, 0.0]])
-        center, radius = lp.chebyshev_center(A, np.append(SQUARE_C, 1.0), r_cap=1.0)
-        assert radius == pytest.approx(0.5, abs=1e-8)
-        with pytest.raises(InfeasibleSystemError, match="row 4 is 0 <= -1"):
-            lp.chebyshev_center(A, np.append(SQUARE_C, -1.0), r_cap=1.0)
+        c = np.stack([np.append(SQUARE_C, 1.0), np.append(SQUARE_C, -1.0)])
+        radii = lp.chebyshev_centers(np.stack([A, A]), c, r_cap=1.0)[1]
+        assert radii == pytest.approx([0.5, -np.inf], abs=1e-8)
+        assert lp._infeasibility(A, c[0], radii[0]) is None
+        err = lp._infeasibility(A, c[1], radii[1])
+        assert isinstance(err, InfeasibleSystemError) and "row 4 is 0 <= -1" in str(err)
 
     def test_infeasible_raises(self):
-        with pytest.raises(InfeasibleSystemError):
-            lp.chebyshev_center(np.array([[1.0], [-1.0]]), np.array([-1.0, 0.0]), r_cap=1.0)
+        # x <= -1 and x >= 0: the error each caller raises for an empty system
+        A, c = np.array([[1.0], [-1.0]]), np.array([-1.0, 0.0])
+        radius = lp.chebyshev_centers(A[None], c[None], r_cap=1.0)[1][0]
+        assert isinstance(lp._infeasibility(A, c, radius), InfeasibleSystemError)
 
 
 class TestKernel:

@@ -118,6 +118,12 @@ class TestFiltration:
         with pytest.raises(FormatError, match="t_max is NaN"):
             persistence.build_filtration(FOUR_CYCLE, max_dim=1, t_max=math.nan)
 
+    @pytest.mark.parametrize("t_max", [-1.0, -math.inf])
+    def test_negative_t_max_rejected(self, t_max):
+        # no vertex is born by a negative t_max, so there is no filtration
+        with pytest.raises(FormatError, match=r"t_max -\S+ is negative"):
+            persistence.build_filtration(FOUR_CYCLE, max_dim=1, t_max=t_max)
+
     @pytest.mark.parametrize("d", [
         np.zeros((0, 0)),
         np.zeros((1, 1)),

@@ -10,7 +10,12 @@ from reluhom.errors import (
     DegenerateSystemError,
     InfeasibleSystemError,
 )
-from oracles import duplicate_rows_loop, essential_rows_linprog, polygon_facet_count
+from oracles import (
+    duplicate_rows_loop,
+    essential_rows_linprog,
+    facet_points,
+    polygon_facet_count,
+)
 
 
 # the unit square with its corner cut by x + y <= 1.9: the cut row lies 0.1
@@ -138,6 +143,16 @@ def rows_with_repeats(draw):
     return A[order], c[order]
 
 
+def essential_rows(A, c, tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
+    """The rows `_essentialize` keeps of the one system A x <= c, as a stack
+    of one, and its center; raises the error `_ball_error` names."""
+    keep, centers, radii = regions._essentialize(A[None], c[None], tau_lp, tau_dim)
+    err = regions._ball_error(A, c, radii[0], tau_dim)
+    if err is not None:
+        raise err
+    return np.flatnonzero(keep[0]), centers[0]
+
+
 def sample_interior_points(reg, rng, count=30):
     """Random points inside a region, rejection-sampled around its witness."""
     pts = []
@@ -154,35 +169,35 @@ class TestAssemble:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(2)
         bits = network.bit_vector(net_2331, x)
-        A, c = regions.assemble(net_2331, bits)
-        assert A.shape == (net_2331.h, 2)
-        assert c.shape == (net_2331.h,)
+        (A, c), _ = regions._hat_maps(net_2331, [bits])
+        assert A.shape == (1, net_2331.h, 2)
+        assert c.shape == (1, net_2331.h)
 
     def test_sample_point_satisfies_system_strictly(self, net_2331):
+        # the 50 points' patterns as one stack
         rng = np.random.default_rng(1)
-        for _ in range(50):
-            x = rng.standard_normal(2) * 2
-            bits = network.bit_vector(net_2331, x)
-            A, c = regions.assemble(net_2331, bits)
-            assert np.all(A @ x < c + 1e-9)
+        xs = np.array([rng.standard_normal(2) * 2 for _ in range(50)])
+        (A, c), _ = regions._hat_maps(net_2331, [network.bit_vector(net_2331, x) for x in xs])
+        assert np.all((A @ xs[:, :, None])[:, :, 0] < c + 1e-9)
 
     def test_signs_encode_bits(self, net_221):
         # one hidden layer: rows are +/-W1 depending on the bit
         x = np.array([0.5, 0.5])
         bits = network.bit_vector(net_221, x)
-        A, c = regions.assemble(net_221, bits)
+        (A, c), _ = regions._hat_maps(net_221, [bits])
         W1, b1 = net_221.weights[0], net_221.biases[0]
         for j in range(2):
             sgn = -1.0 if bits[j] else 1.0
-            assert np.allclose(A[j], sgn * W1[j])
-            assert c[j] == pytest.approx(sgn * -b1[j])
+            assert np.allclose(A[0, j], sgn * W1[j])
+            assert c[0, j] == pytest.approx(sgn * -b1[j])
 
     def test_other_patterns_excluded(self, net_2331):
         # a point from a different region must violate this region's system
         rng = np.random.default_rng(3)
         x = rng.standard_normal(2)
         bits = network.bit_vector(net_2331, x)
-        A, c = regions.assemble(net_2331, bits)
+        (A, c), _ = regions._hat_maps(net_2331, [bits])
+        A, c = A[0], c[0]
         seen_other = 0
         for _ in range(200):
             y = rng.standard_normal(2) * 3
@@ -194,21 +209,21 @@ class TestAssemble:
 
 class TestAffineMap:
     def test_matches_forward_on_region(self, net_2331):
+        # the 30 points' patterns as one stack
         rng = np.random.default_rng(5)
-        for _ in range(30):
-            x = rng.standard_normal(2) * 2
-            bits = network.bit_vector(net_2331, x)
-            M, v = regions.affine_map(net_2331, bits)
+        xs = [rng.standard_normal(2) * 2 for _ in range(30)]
+        _, (M, v) = regions._hat_maps(net_2331, [network.bit_vector(net_2331, x) for x in xs])
+        for x, Mx, vx in zip(xs, M, v):
             _, out = network.forward(net_2331, x)
-            assert np.allclose(M @ x + v, out, atol=1e-10)
+            assert np.allclose(Mx @ x + vx, out, atol=1e-10)
 
     def test_hand_computed_fixture(self, net_221):
         # x=(1,1): z1=(4,0) -> bits "10", active row W1[0]; G(x)=2*(x1+2x2+1)+0.5
         bits = network.bit_vector(net_221, np.array([1.0, 1.0]))
         assert bits.to01() == "10"
-        M, v = regions.affine_map(net_221, bits)
-        assert np.allclose(M, [[2.0, 4.0]])
-        assert v == pytest.approx(np.array([2.5]))
+        _, (M, v) = regions._hat_maps(net_221, [bits])
+        assert np.allclose(M[0], [[2.0, 4.0]])
+        assert v[0] == pytest.approx(np.array([2.5]))
 
 
 class TestEssentialize:
@@ -246,7 +261,7 @@ class TestEssentialize:
     def test_duplicate_rows_keep_lowest_index(self):
         A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [2.0, 0.0]])
         c = np.array([1.0, 1.0, 1.0, 1.0, 2.0])  # row 4 is row 0 scaled by 2
-        keep = regions.essentialize(A, c)[2]
+        keep = essential_rows(A, c)[0]
         assert 0 in keep and 4 not in keep
 
     @given(rows_with_repeats())
@@ -261,20 +276,20 @@ class TestEssentialize:
         # fits the normal (0, 1) of rows 2 and 4 with lambda = 0, whose bound
         # 0 would drop both: the residual rejects it
         for tau_lp, want in ((lp.TAU_LP, [0, 1, 2, 3]), (0.1, [0, 1, 3, 4])):
-            keep = regions.essentialize(PARALLEL_A, PARALLEL_C, tau_lp=tau_lp)[2]
+            keep = essential_rows(PARALLEL_A, PARALLEL_C, tau_lp=tau_lp)[0]
             assert keep.tolist() == want
             assert want == essential_rows_linprog(PARALLEL_A, PARALLEL_C, tau_lp)
 
     def test_tau_lp_decides_near_redundant_rows(self):
-        keep = regions.essentialize(CUT_SQUARE_A, CUT_SQUARE_C, tau_lp=1e-8)[2]
+        keep = essential_rows(CUT_SQUARE_A, CUT_SQUARE_C, tau_lp=1e-8)[0]
         assert keep.tolist() == [0, 1, 2, 3, 4]
-        keep = regions.essentialize(CUT_SQUARE_A, CUT_SQUARE_C, tau_lp=0.2)[2]
+        keep = essential_rows(CUT_SQUARE_A, CUT_SQUARE_C, tau_lp=0.2)[0]
         assert keep.tolist() == [0, 1, 2, 3]
 
     @given(near_degenerate_systems())
     def test_matches_sequential_linprog_oracle(self, system):
         A, c, tau_lp = system
-        keep = regions.essentialize(A, c, tau_lp=tau_lp)[2]
+        keep = essential_rows(A, c, tau_lp=tau_lp)[0]
         assert keep.tolist() == essential_rows_linprog(A, c, tau_lp)
 
     @given(stacked_systems())
@@ -284,7 +299,7 @@ class TestEssentialize:
         for s in range(len(A)):
             err = regions._ball_error(A[s], c[s], radii[s], lp.TAU_DIM)
             try:
-                _, _, want_keep, want_center = regions.essentialize(A[s], c[s], tau_lp=tau_lp)
+                want_keep, want_center = essential_rows(A[s], c[s], tau_lp=tau_lp)
             except (InfeasibleSystemError, DegenerateSystemError) as want:
                 assert type(err) is type(want) and str(err) == str(want)
                 continue
@@ -296,16 +311,16 @@ class TestEssentialize:
         A = np.array([[1.0, 0.0], [-1.0, 0.0]])
         c = np.array([0.0, 0.0])
         with pytest.raises(DegenerateSystemError):
-            regions.essentialize(A, c)
+            essential_rows(A, c)
 
     def test_tau_dim_compares_the_whole_inradius(self):
         # the square |x|, |y| <= 2 has inradius 2, above the default LP cap
         A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         c = np.full(4, 2.0)
-        center = regions.essentialize(A, c, tau_dim=1.5)[3]
+        center = essential_rows(A, c, tau_dim=1.5)[1]
         assert np.all(A @ center < c)
         with pytest.raises(DegenerateSystemError):
-            regions.essentialize(A, c, tau_dim=2.5)
+            essential_rows(A, c, tau_dim=2.5)
 
 
 class TestRegionOf:
@@ -331,8 +346,9 @@ class TestRegionOf:
         bits = network.bit_vector(net_2331, x)
         B = np.vstack([np.eye(2), -np.eye(2)])
         d = np.full(4, 10.0)
-        reg = regions.region_from_bits(net_2331, bits, extra_A=B, extra_c=d)
-        A0, c0 = regions.assemble(net_2331, bits)
+        reg = regions.regions_from_bits(net_2331, [bits], B, d)[0]
+        A0, c0 = reg.A[:net_2331.h], reg.c[:net_2331.h]
+        assert np.array_equal(reg.A[net_2331.h:], B) and np.array_equal(reg.c[net_2331.h:], d)
         # a box row is a facet exactly when everything else pokes past it
         for j in range(4):
             others = np.setdiff1d(np.arange(4), [j])
@@ -355,23 +371,22 @@ class TestRegionOf:
         bits = network.bit_vector(net_2331, np.random.default_rng(21).standard_normal(2))
         reg = regions.region_from_bits(net_2331, bits)
         assert calls == [bits]
-        A, c = regions.assemble(net_2331, bits)
-        M, v = regions.affine_map(net_2331, bits)
-        assert np.array_equal(reg.A, A) and np.array_equal(reg.c, c)
-        assert np.array_equal(reg.affine[0], M) and np.array_equal(reg.affine[1], v)
+        (A, c), (M, v) = hat_maps(net_2331, [bits])
+        assert np.array_equal(reg.A, A[0]) and np.array_equal(reg.c, c[0])
+        assert np.array_equal(reg.affine[0], M[0]) and np.array_equal(reg.affine[1], v[0])
 
     def test_zero_row_with_negative_rhs_is_infeasible(self, net_2331):
         # with every layer-1 unit off, each layer-2 row is zero with right-hand
         # side -b2 (bit 0) or b2 (bit 1); these bits make every one negative
         b2 = net_2331.biases[1]
         bits = network.BitVector.from_bits([0, 0, 0] + [int(v < 0) for v in b2])
-        A, c = regions.assemble(net_2331, bits)
-        assert np.all(A[3:] == 0) and np.all(c[3:] < 0)
+        (A, c), _ = regions._hat_maps(net_2331, [bits])
+        assert np.all(A[0, 3:] == 0) and np.all(c[0, 3:] < 0)
         with pytest.raises(InfeasibleSystemError, match=r"^pattern 000\d{3}: .*infeasible"):
             regions.region_from_bits(net_2331, bits)
 
     def test_geometry_errors_name_the_pattern(self, net_x1):
-        # same types as essentialize raises, so CLI exit codes do not change
+        # the types _ball_error names, so CLI exit codes do not change
         with pytest.raises(InfeasibleSystemError, match=r"^pattern 010: .*infeasible"):
             regions.region_from_bits(net_x1, network.BitVector.from01("010"))
         with pytest.raises(
@@ -415,8 +430,8 @@ class TestLpBudget:
 
         monkeypatch.setattr(lp, "redundant_rows", recorded)
         bits = network.bit_vector(net_2331, np.array([0.3, -0.7]))
-        regions.region_from_bits(net_2331, bits)
-        A, c = regions.assemble(net_2331, bits)
+        reg = regions.region_from_bits(net_2331, bits)
+        A, c = reg.A, reg.c
         candidates = np.count_nonzero(
             (np.linalg.norm(A, axis=1) > 0) & ~regions._duplicate_rows(A[None], c[None])[0]
         )
@@ -445,7 +460,7 @@ class TestLpBudget:
                 reg = regions.region_from_bits(net_2331, bits)
             except (InfeasibleSystemError, DegenerateSystemError):
                 continue
-            A, c = regions.assemble(net_2331, bits)
+            A, c = reg.A, reg.c
             rows = (np.linalg.norm(A, axis=1) > 0) & ~regions._duplicate_rows(A[None], c[None])[0]
             A, b = A[rows], (c - A @ reg.interior)[rows]
             facet = regions._ray_facets(A[None], b[None], lp.TAU_LP)[0]
@@ -464,7 +479,7 @@ class TestLpBudget:
     def test_tau_lp_counts_in_the_duality_bound(self, lp_counter):
         # at tau_lp = 0.2 the cut row x + y <= 1.9 is 0.1 below the bound 2
         # that rows 0 and 1 give it, so duality drops it with no LP
-        keep = regions.essentialize(CUT_SQUARE_A, CUT_SQUARE_C, tau_lp=0.2)[2]
+        keep = essential_rows(CUT_SQUARE_A, CUT_SQUARE_C, tau_lp=0.2)[0]
         assert keep.tolist() == [0, 1, 2, 3]
         assert lp_counter.redundancy == 0
 
@@ -487,7 +502,7 @@ class TestNeighbors:
         x = rng.standard_normal(2)
         reg = regions.region_of(net_2331, x)
         k = reg.active_bits[0]
-        pts = regions.facet_points(reg.A, reg.c, k, count=5, rng=rng)
+        pts = facet_points(reg.A, reg.c, k, count=5, rng=rng)
         for p in pts:
             assert abs(reg.A[k] @ p - reg.c[k]) < 1e-7
             others = np.setdiff1d(np.arange(reg.A.shape[0]), [k])

@@ -112,6 +112,13 @@ class TestTorus:
         b = sampling.torus_samples(fam, 5, 5, mode="uniform", rng=np.random.default_rng(3))
         assert np.array_equal(np.stack(a), np.stack(b))
 
+    @pytest.mark.parametrize("mode", ["grid", "uniform"])
+    @pytest.mark.parametrize("n1, n2", [(0, 3), (3, 0), (-3, 3), (-3, -3)])
+    def test_non_positive_counts_rejected(self, mode, n1, n2):
+        _, fam = self.make_family()
+        with pytest.raises(DimensionMismatch, match="n1 and n2 must be >= 1"):
+            sampling.torus_samples(fam, n1, n2, mode=mode)
+
     def test_needs_five_anchors(self):
         anchors = sampling.random_orthogonal_anchors(8, 4, seed=1)
         with pytest.raises(DimensionMismatch):
@@ -129,6 +136,11 @@ class TestAnchorGenerator:
     def test_single_anchor_is_unit(self):
         (v,) = sampling.random_orthogonal_anchors(4, 1, seed=2)
         assert np.linalg.norm(v) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_non_positive_count_rejected(self, count):
+        with pytest.raises(DimensionMismatch, match="count must be >= 1"):
+            sampling.random_orthogonal_anchors(3, count, seed=0)
 
     def test_too_many_anchors_rejected(self):
         with pytest.raises(DimensionMismatch):
