@@ -70,7 +70,8 @@ def cmd_enumerate(args):
         if args.h_max > H_MAX_BRUTE:
             print(
                 f"warning: brute-force guard raised to h = {args.h_max} "
-                "(the prefix search may visit up to 2^(h+1) prefixes)",
+                "(the prefix search visits at most 2h prefix nodes per region "
+                "it finds, plus the root)",
                 file=sys.stderr,
             )
         atlas = enumerate_brute(

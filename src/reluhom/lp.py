@@ -30,9 +30,12 @@ TAU_LP = 1e-8    # feasibility / optimality tolerance
 TAU_DIM = 1e-7   # Chebyshev radius above which a region counts as full-dimensional
 
 _PIVOT_TOL = 1e-9
-# bytes of a batch's largest temporary, far below glibc's 128 KiB mmap
-# threshold: the batches' temporaries then reuse the same heap memory
-BLOCK_BYTES = 32 * 1024
+# bytes of a stack's largest temporary.  Each pivot costs a fixed number of
+# numpy calls whatever the stack's width, so wider stacks amortise them:
+# at this size a traversal wave of a 3-5-5 net (1,920-byte tableaus, 68 per
+# stack) is one stack.  The tracemalloc test of the atlas's peak memory
+# caps it: at 512 KiB the stacks' temporaries outgrow a 3-8-8 atlas.
+BLOCK_BYTES = 128 * 1024
 
 
 def _blocks(count, item_bytes):

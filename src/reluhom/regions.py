@@ -152,7 +152,9 @@ def _ray_facets(A, b, tau_lp):
     satisfies all other rows and exceeds row i by (a_i.d) t2 - b_i
     (infinite when no other row is met).  When that exceeds tau_lp, the
     redundancy LP of row i, against these rows or any subset of them,
-    keeps the row.  The rays go in blocks of lp.BLOCK_BYTES.
+    keeps the row.  The rays go in blocks of at most lp.BLOCK_BYTES of
+    products, the LP stacks' budget: wide enough to amortise each block's
+    numpy calls, small enough for the atlas's tracemalloc peak.
     """
     facet = np.zeros(b.shape, dtype=bool)
     for rays in lp._blocks(_N_RAYS, 8 * b.size) if b.size else []:

@@ -233,6 +233,26 @@ def duplicate_rows_loop(A, c, tol):
 
 # --- essential rows by scipy ------------------------------------------------
 
+def linprog_max(a, A, c):
+    """max a.x over A x <= c (a non-empty system) by scipy's linprog: inf
+    when unbounded.
+
+    HiGHS reports some unbounded LPs as infeasible (status 2).  When a
+    zero objective over the same rows finds a point, that status can only
+    mean unbounded.
+    """
+    from scipy.optimize import linprog
+
+    bounds = [(None, None)] * A.shape[1]
+    res = linprog(-a, A_ub=A, b_ub=c, bounds=bounds, method="highs")
+    if res.status == 2:
+        point = linprog(np.zeros(A.shape[1]), A_ub=A, b_ub=c, bounds=bounds, method="highs")
+        assert point.status == 0, point.message
+        return math.inf
+    assert res.status in (0, 3), res.message
+    return math.inf if res.status == 3 else -res.fun
+
+
 def essential_rows_linprog(A, c, tol):
     """Row indices kept by an ascending redundancy sweep solved with linprog.
 
@@ -241,11 +261,8 @@ def essential_rows_linprog(A, c, tol):
     its maximum over the other survivors is at most c_i + tol; an unbounded
     maximum keeps it.
     """
-    from scipy.optimize import linprog
-
     A = np.asarray(A, dtype=float)
     c = np.asarray(c, dtype=float)
-    n = A.shape[1]
     norms = np.linalg.norm(A, axis=1)
     rows = np.hstack([A, c[:, None]])
     survivors = []
@@ -263,13 +280,7 @@ def essential_rows_linprog(A, c, tol):
     while pos < len(survivors):
         i = survivors[pos]
         rest = survivors[:pos] + survivors[pos + 1:]
-        redundant = False
-        if rest:
-            res = linprog(-A[i], A_ub=A[rest], b_ub=c[rest],
-                          bounds=[(None, None)] * n, method="highs")
-            assert res.status in (0, 3), res.message
-            redundant = res.status == 0 and -res.fun <= c[i] + tol
-        if redundant:
+        if rest and linprog_max(A[i], A[rest], c[rest]) <= c[i] + tol:
             del survivors[pos]
         else:
             pos += 1

@@ -114,6 +114,18 @@ class TestEnumerate:
         assert "00001" in default
         assert set(default) - set(coarse) == {"00001"}
 
+    def test_raised_guard_warns_with_the_prefix_bound(self, netfile, tmp_path, capsys):
+        _, netp = netfile
+        argv = ["enumerate", "--net", str(netp), "--mode", "brute",
+                "--out-regions", str(tmp_path / "r.jsonl")]
+        assert cli.main(argv + ["--h-max", "24"]) == 0
+        assert capsys.readouterr().err == ""
+        assert cli.main(argv + ["--h-max", "25"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: brute-force guard raised to h = 25 (the prefix search visits "
+            "at most 2h prefix nodes per region it finds, plus the root)\n"
+        )
+
     def test_resource_cap_exit_code(self, tmp_path):
         net = random_net(2, [30], 1)
         netp = tmp_path / "big.json"

@@ -272,6 +272,46 @@ def test_atlas_floats_are_pinned(name, want):
     assert atlas_fingerprint(ENUMERATORS[name](random_net(3, [5, 5], 7))) == want
 
 
+@pytest.mark.parametrize("name,want", [
+    ("traverse", "87b08248f3bb482872813227cca1d3221ae597fb8918e1308706c9bcd621ac4a"),
+    ("brute", "458840915ea15827a5f67d42e62f33bc6e21c41663bef2b2912b11f3e7c087c7"),
+])
+def test_m4_atlas_floats_are_pinned(name, want):
+    # recorded with 32 KiB LP stacks: the width of a stack moves no bit of
+    # any of the 580 regions, nor the order of the atlas
+    assert atlas_fingerprint(ENUMERATORS[name](random_net(4, [6, 6], 7))) == want
+
+
+def simplex_calls(monkeypatch, name):
+    """The number of `lp._simplex` calls (stacks) one enumeration of the
+    3-5-5 net makes."""
+    calls = 0
+    simplex = lp._simplex
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return simplex(*args)
+
+    monkeypatch.setattr(lp, "_simplex", counting)
+    ENUMERATORS[name](random_net(3, [5, 5], 7))
+    return calls
+
+
+def test_traversal_splits_no_wave(monkeypatch):
+    # each wave's Chebyshev LPs, and each round of its redundancy LPs, is
+    # one stack at lp.BLOCK_BYTES, as with no cap on a stack's bytes
+    calls = simplex_calls(monkeypatch, "traverse")
+    monkeypatch.setattr(lp, "BLOCK_BYTES", 1 << 30)
+    assert calls == simplex_calls(monkeypatch, "traverse")
+
+
+def test_brute_force_stacks_are_wide(monkeypatch):
+    # a prefix level or the leaves is one stack or a few (93 stacks with
+    # 32 KiB stacks, 40 with 128 KiB)
+    assert simplex_calls(monkeypatch, "brute") <= 48
+
+
 @pytest.mark.parametrize("name", ["traverse", "brute"])
 def test_peak_memory_is_the_atlas(name):
     # the batches' temporaries are cut into blocks and each brute-force

@@ -5,10 +5,17 @@ from scipy.optimize import linprog
 
 from reluhom import lp
 from reluhom.errors import InfeasibleSystemError, IterationLimitError
-from oracles import bland_leaving_row
+from oracles import bland_leaving_row, essential_rows_linprog, linprog_max
 
 SQUARE_A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 SQUARE_C = np.array([1.0, 0.0, 1.0, 0.0])
+# a 3-D system of inradius 0.36 in which HiGHS reports the maximum of row 2
+# over the other five rows, an unbounded LP, as infeasible (status 2)
+STATUS_2_A = np.array([
+    [1.23, -0.23, -1.66], [-0.68, -0.66, -0.42], [1.08, 0.69, 1.63],
+    [-0.79, 0.69, -0.86], [-0.91, -2.29, -0.68], [0.36, -0.27, 0.04],
+])
+STATUS_2_C = np.array([-0.59, 1.96, 0.64, -0.1, 2.65, 2.17])
 
 
 def redundant(A, c, tol=lp.TAU_LP):
@@ -158,15 +165,26 @@ class TestRedundant:
         got = redundant(A, c, tol)
         for i in range(len(c)):
             rest = np.delete(np.arange(len(c)), i)
-            ref = linprog(-A[i], A_ub=A[rest], b_ub=c[rest], bounds=[(None, None)] * A.shape[1],
-                          method="highs")
-            assert ref.status in (0, 3), ref.message
-            if ref.status == 3:
+            value = linprog_max(A[i], A[rest], c[rest])
+            if value == np.inf:
                 assert not got[i]
                 continue
             # keep clear of rows within rounding of the tolerance
-            assume(abs(-ref.fun - c[i] - tol) > 1e-6)
-            assert got[i] == (-ref.fun <= c[i] + tol)
+            assume(abs(value - c[i] - tol) > 1e-6)
+            assert got[i] == (value <= c[i] + tol)
+
+    def test_highs_status_2_over_feasible_rows_reads_as_unbounded(self):
+        A, c = STATUS_2_A, STATUS_2_C
+        assert linprog_signed_radius(A, c) > 0.3
+        rest = np.delete(np.arange(6), 2)
+        ref = linprog(-A[2], A_ub=A[rest], b_ub=c[rest], bounds=[(None, None)] * 3,
+                      method="highs")
+        assert ref.status == 2
+        # the five rows hold a point, so the oracle reads the LP as unbounded
+        assert linprog_max(A[2], A[rest], c[rest]) == np.inf
+        # rows 2 and 3 are unbounded over the others, rows 1 and 5 redundant
+        assert redundant(A, c).tolist() == [False, True, False, False, False, True]
+        assert essential_rows_linprog(A, c, lp.TAU_LP) == [0, 2, 3, 4]
 
     def test_matches_vertex_oracle_in_2d(self):
         from itertools import combinations
