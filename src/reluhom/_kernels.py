@@ -1,10 +1,14 @@
 """Hot numeric kernels: the packed Hamming matrix and GF(2) column reduction.
 
 The reduction walks the columns from last to first and takes a column's
-lowest row as its pivot.  It holds a column as a plain list of distinct
-rows, and as a Python set of rows once additions start; there is no heap
-and no multiplicity count.  There is one backend, plain numpy and Python;
-``tests/test_kernels.py`` checks it exactly against independent oracles.
+lowest row as its pivot.  It first finds the apparent pairs by array
+operations (Bauer, "Ripser", JACT 2021, arXiv:1908.02518): a column whose
+lowest row lies in no live column to its right has that row as pivot with
+no addition.  Its Python loop visits only the other columns, holding a
+column as a plain list of distinct rows, and as a Python set of rows once
+additions start; there is no heap and no multiplicity count.  There is one
+backend, plain numpy and Python; ``tests/test_kernels.py`` checks it
+exactly against independent oracles.
 ``USING_NUMBA`` is always ``False``: it is kept only because the benchmark
 records it in its environment report.
 """
@@ -37,9 +41,17 @@ def hamming_matrix_packed(words):
 # ---------------------------------------------------------------------------
 #
 # Columns are reduced right to left; a column's pivot is its lowest row.  A
-# column is a plain list until its pivot is already owned, then a row set:
-# each addition is one set xor and a fresh min.  Only columns that additions
-# changed are stored; an unchanged pivot column is re-read from its slice.
+# column is live when it is neither skipped nor empty.  Apparent pairs come
+# first, by array operations (Bauer, "Ripser", JACT 2021, arXiv:1908.02518):
+# a live column f whose lowest row r lies in no live column to its right has
+# pivot r with no addition, since a reduced column k > f is a sum of live
+# columns >= k.  Their pivots seed `low` and `owner` before the loop; a column
+# never looks up an apparent column to its left (no column right of it holds
+# that row), so the seeding changes no pivot.  The loop visits the other live
+# columns.  A column is a plain list until its pivot is already owned, then a
+# row set: each addition is one set xor and a fresh min.  Only columns that
+# additions changed are stored; an unchanged pivot column is re-read from its
+# slice.
 
 def reduce_columns(col_ptr, col_rows, skip):
     """Pivot row of each CSR column after reduction, or -1 for a zero column.
@@ -47,13 +59,27 @@ def reduce_columns(col_ptr, col_rows, skip):
     Rows within a column must be distinct.  Columns flagged in `skip` are
     known to reduce to zero (clearing) and are not touched.
     """
-    low = np.full(len(col_ptr) - 1, -1, dtype=np.int64)
+    counts = np.diff(col_ptr)
+    low = np.full(counts.size, -1, dtype=np.int64)
+    nonempty = counts > 0
+    live = ~skip & nonempty
+    if not live.any():
+        return low
+    # each live column's lowest row, and each row's last live column
+    cols = np.flatnonzero(live)
+    lowest = np.minimum.reduceat(col_rows, col_ptr[:-1][nonempty])[live[nonempty]]
+    entry_col = np.repeat(np.arange(counts.size), counts)
+    held = live[entry_col]
+    last = np.full(int(col_rows.max()) + 1, -1, dtype=np.int64)
+    np.maximum.at(last, col_rows[held], entry_col[held])
+    apparent = last[lowest] == cols
+    low[cols[apparent]] = lowest[apparent]
+    owner = dict(zip(lowest[apparent].tolist(), cols[apparent].tolist()))
     ptr = col_ptr.tolist()
-    owner = {}
     reduced = {}     # row sets of the columns that additions changed
-    for j in np.flatnonzero(~skip)[::-1].tolist():
+    for j in cols[~apparent][::-1].tolist():
         col = col_rows[ptr[j]:ptr[j + 1]].tolist()
-        pivot = min(col, default=-1)
+        pivot = min(col)
         k = owner.get(pivot)
         if k is not None:
             col = set(col)

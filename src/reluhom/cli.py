@@ -218,6 +218,12 @@ def build_parser():
         for flag in flags:
             p.add_argument(flag, type=tolerance, default=defaults[flag])
 
+    def positive_int(text):
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+        return value
+
     p = sub.add_parser("bits", help="activation bit vectors of sample points")
     p.add_argument("--net", required=True)
     p.add_argument("--points", required=True)
@@ -261,7 +267,7 @@ def build_parser():
     p.add_argument("--matrix", required=True)
     p.add_argument("--max-dim", type=int, default=1)
     p.add_argument("--t-max", type=float)
-    p.add_argument("--simplex-cap", type=int, default=persistence.SIMPLEX_CAP)
+    p.add_argument("--simplex-cap", type=positive_int, default=persistence.SIMPLEX_CAP)
     p.add_argument("--include-zero-bars", action="store_true")
     p.add_argument("--table", action="store_true")
     p.add_argument("--out")

@@ -467,6 +467,14 @@ class TestUsage:
             cli.main([command, "--net", "x.json", *required, flag, value])
         assert exc.value.code == 2
         assert f"argument {flag}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "x"])
+    def test_non_positive_simplex_cap_exits_2(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["persist", "--matrix", "m.ldm", "--simplex-cap", value])
+        assert exc.value.code == 2
+        assert "argument --simplex-cap: " in capsys.readouterr().err
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["no-such-command"])

@@ -89,6 +89,10 @@ def csr_problems(draw):
 # column 1 reduces to pivot 1, a row its slice does not hold; column 2 needs
 # that reduced column, not column 1's slice
 @example((4, [[3, 1], [3, 0], [1]], [False, False, False]))
+# column 1's largest row is also in column 0, which is skipped: in the
+# kernel's mirror image a skipped column right of it holds its lowest row,
+# and its pivot is still that row
+@example((3, [[2], [2, 0], [1]], [True, False, False]))
 @given(csr_problems())
 def test_reduce_columns_matches_dense_reduction(problem):
     n_rows, columns, skip = problem

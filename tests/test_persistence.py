@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reluhom import _kernels, persistence
+from reluhom import _kernels, persistence, sampling
 from reluhom.metric import DistanceMatrix
 from reluhom.errors import FormatError, NonFiniteEntry, ResourceCapError
 from oracles import ldm_text, naive_barcodes, n_components, mst_weights
@@ -234,20 +234,40 @@ class TestBarcodes:
         assert n_endpoints == n_simplices
 
 
+def facet_apparent_pairs(table, skip):
+    """Apparent pairs of a pass, read off its facet table.
+
+    (f, j) with f not cleared, j the earliest coface of f and f the latest
+    facet of j: no column right of f holds j, so j is f's pivot.
+    """
+    earliest = {}
+    for j, faces in enumerate(table.tolist()):       # cofaces in filtration order
+        for f in faces:
+            earliest.setdefault(f, j)
+    return {f: j for f, j in earliest.items() if not skip[f] and max(table[j]) == f}
+
+
+def record_passes(monkeypatch):
+    """Wrap reduce_columns; the list it returns gets (skip, low) per pass."""
+    passes = []
+    reduce_columns = _kernels.reduce_columns
+
+    def recording(col_ptr, col_rows, skip):
+        low = reduce_columns(col_ptr, col_rows, skip)
+        passes.append((skip.copy(), low))
+        return low
+
+    monkeypatch.setattr(_kernels, "reduce_columns", recording)
+    return passes
+
+
 class TestCohomologyReduction:
     def test_coboundaries_reduced_last_to_first_in_filtration_order_with_clearing(self, monkeypatch):
-        calls = []
-        reduce_columns = _kernels.reduce_columns
-
-        def recording(col_ptr, col_rows, skip):
-            low = reduce_columns(col_ptr, col_rows, skip)
-            calls.append((len(col_ptr) - 1, int(np.sum(skip)), int(np.sum(low >= 0))))
-            return low
-
-        monkeypatch.setattr(_kernels, "reduce_columns", recording)
+        passes = record_passes(monkeypatch)
         d = euclidean_matrix(circle_points(12))
         f = persistence.build_filtration(d, max_dim=2)
         persistence.compute_barcodes(f)
+        calls = [(skip.size, int(skip.sum()), int(np.sum(low >= 0))) for skip, low in passes]
         sizes = [verts.shape[0] for verts, _ in f.blocks]
         assert all(sizes)
         # one pass per dimension 1..3, whose columns are the simplices one
@@ -258,6 +278,30 @@ class TestCohomologyReduction:
         for prev, cur in zip(calls, calls[1:]):
             assert cur[1] == prev[2]
         assert sum(skipped for _, skipped, _ in calls) > 0
+
+
+def test_reduction_loop_visits_only_columns_that_are_not_apparent(monkeypatch):
+    # the criterion-9 torus grid at the benchmark's scale
+    anchors = sampling.random_orthogonal_anchors(12, 5, seed=42)
+    pts = np.stack(sampling.torus_samples(sampling.AnchorFamily(anchors), 10, 10, alpha=1.0))
+    f = persistence.build_filtration(euclidean_matrix(pts), max_dim=2, t_max=1.7)
+    passes = record_passes(monkeypatch)
+    visits = []                                # the pass of each loop visit
+
+    def counting_min(col, **kwargs):
+        if isinstance(col, list):              # a column's first slice
+            visits.append(len(passes))
+        return min(col, **kwargs)
+
+    monkeypatch.setattr(_kernels, "min", counting_min, raising=False)
+    persistence.compute_barcodes(f)
+    bound = []
+    for dim, (skip, _) in enumerate(passes, start=1):
+        live = ~skip & np.isin(np.arange(skip.size), f.facets[dim])
+        bound.append(int(live.sum()) - len(facet_apparent_pairs(f.facets[dim], skip)))
+    visited = [visits.count(p) for p in range(len(passes))]
+    assert all(v <= b for v, b in zip(visited, bound)), (visited, bound)
+    assert len(passes) == 3 and bound[2] == 329
 
 
 @st.composite
@@ -289,6 +333,19 @@ def test_barcode_equals_naive_oracle(problem):
     want = naive_barcodes(d, max_dim, t_max)
     for q in range(max_dim + 1):
         assert bars(bc, q, include_zero=True) == sorted(want.get(q, []))
+
+
+@given(distance_problems())
+def test_apparent_pairs_are_pivots(problem):
+    d, max_dim, t_max = problem
+    f = persistence.build_filtration(d, max_dim=max_dim, t_max=t_max)
+    with pytest.MonkeyPatch.context() as mp:
+        passes = record_passes(mp)
+        persistence.compute_barcodes(f)
+    assert len(passes) == max_dim + 1
+    for dim, (skip, low) in enumerate(passes, start=1):
+        for face, coface in facet_apparent_pairs(f.facets[dim], skip).items():
+            assert low[face] == coface
 
 
 @given(distance_problems())
