@@ -1,6 +1,8 @@
 """Hot numeric kernels: the packed Hamming matrix and GF(2) column reduction.
 
-The reduction walks the columns from last to first and takes a column's
+The Hamming matrix is one Gram product of the unpacked bits, using
+|x xor y| = |x| + |y| - 2 x.y; its memory is O(k^2) for k vectors.  The
+reduction walks the columns from last to first and takes a column's
 lowest row as its pivot.  It first finds the apparent pairs by array
 operations (Bauer, "Ripser", JACT 2021, arXiv:1908.02518): a column whose
 lowest row lies in no live column to its right has that row as pivot with
@@ -22,17 +24,41 @@ USING_NUMBA = False
 # Hamming distance over packed 64-bit words
 # ---------------------------------------------------------------------------
 
-def hamming_matrix_packed(words):
-    """Pairwise popcount(xor) for rows of a (k, w) uint64 array.
+# bytes an unpacked block may take even beyond the output: without a floor,
+# two vectors of a million bits would take 15,625 products of one word each
+_HAMMING_BLOCK_MIN = 1 << 16
 
-    One row of the upper triangle at a time, so no (k, k, w) temporary.
+
+def hamming_matrix_packed(words):
+    """Pairwise popcount(xor) for rows of a (k, w) uint64 array, as float64.
+
+    |x xor y| = |x| + |y| - 2 x.y, with x.y and |x| = x.x read off one Gram
+    product X @ X.T of the unpacked bits.  The product is accumulated over
+    blocks of words, so an unpacked block is no larger than the (k, k)
+    output or _HAMMING_BLOCK_MIN bytes, whichever is larger.  Its entries
+    are integers no larger than the bit count: float32 holds them exactly
+    below 2**24 bits, float64 above.  The terms are combined in float64,
+    also exactly.
     """
-    k = words.shape[0]
-    out = np.zeros((k, k), dtype=np.int64)
-    for i in range(k - 1):
-        row = np.bitwise_count(words[i + 1:] ^ words[i]).sum(axis=1)
-        out[i, i + 1:] = row
-        out[i + 1:, i] = row
+    k, w = words.shape
+    dtype = np.float32 if 64 * w < 2**24 else np.float64
+    block_bytes = max(8 * k * k, _HAMMING_BLOCK_MIN)
+    step = max(1, block_bytes // (64 * np.dtype(dtype).itemsize * max(k, 1)))  # words
+    gram = None
+    for lo in range(0, max(w, 1), step):
+        # the order of the bits within a block does not change a dot product
+        x = np.unpackbits(words[:, lo:lo + step].view(np.uint8), axis=1).astype(dtype)
+        block = x @ x.T
+        del x
+        if gram is None:
+            gram = block
+        else:
+            gram += block
+    pop = np.diagonal(gram).astype(np.float64)          # |x| = x.x
+    out = np.multiply(gram, -2.0, dtype=np.float64)
+    del gram
+    out += pop[:, None]
+    out += pop
     return out
 
 

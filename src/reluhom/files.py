@@ -3,9 +3,14 @@
 A points file is JSON, ``{"points": [[...], ...]}``, one list of finite
 floats per point, all of one length.  A bits file holds one activation
 pattern per point, each a line of ASCII ``0``/``1`` digits (bit 0 first),
-all lines of one length; blank lines are skipped.  Bits files are read and
-written one line at a time, each line parsed or rendered as one Python int
-(``BitVector.from01`` / ``to01``), not one Python call per bit.
+all lines of one length; blank lines are skipped.  Bits files are written
+one line at a time, each line rendered from one Python int
+(``BitVector.to01``), not one Python call per bit.  A file of equal lines of
+``0``/``1`` bytes, each ending in a newline, is read a block of whole lines
+at a time as a byte array: one ``packbits`` per block and one
+``int.from_bytes`` per line.  Any other layout (blank lines, spaces, CRLF
+line ends, a bad line) is read one line at a time by ``BitVector.from01``,
+which names the line of an error.
 """
 
 import json
@@ -18,6 +23,8 @@ from .network import BitVector
 # coordinates whose JSON text is made at once: json.dumps holds one string
 # per number until it joins them, many times the size of the text
 _FLOATS_PER_WRITE = 1024
+# bytes of a bits file parsed at a time (whole lines, at least one)
+_BITS_BLOCK = 1 << 16
 
 
 def read_points(path):
@@ -55,8 +62,12 @@ def write_points(points, path):
 
 def read_bits(path):
     """One 0/1 string per line -> list of BitVector, all of one length."""
-    vectors = []
     try:
+        with open(path, "rb") as fh:
+            vectors = _read_bit_blocks(fh)
+        if vectors is not None:
+            return vectors
+        vectors = []
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -74,6 +85,29 @@ def read_bits(path):
                 vectors.append(v)
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read bits file {path}: {exc}") from exc
+    return vectors
+
+
+def _read_bit_blocks(fh):
+    """The vectors of a binary bits stream of equal "0"/"1" lines, each
+    ending in a newline, or None for any other layout."""
+    first = fh.readline()
+    width = len(first)              # h bits and the newline
+    if width < 2 or not first.endswith(b"\n"):
+        return None
+    h, vectors = width - 1, []
+    size = width * max(1, _BITS_BLOCK // width)
+    data = first + fh.read(size - width)
+    while data:
+        if len(data) % width:
+            return None
+        lines = np.frombuffer(data, np.uint8).reshape(-1, width)
+        bits = lines[:, :h] - 48    # any byte but "0" and "1" wraps past 1
+        if bits.max() > 1 or (lines[:, h] != 10).any():
+            return None
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        vectors.extend(BitVector(h, int.from_bytes(row, "little")) for row in packed)
+        data = fh.read(size)
     return vectors
 
 

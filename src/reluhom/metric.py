@@ -94,8 +94,7 @@ def hamming_matrix(vectors, deduplicate=False):
         labels = [first[k] for k in range(len(distinct))]
         vectors = distinct
     words = np.stack([v.words for v in vectors])
-    d = _kernels.hamming_matrix_packed(words).astype(np.float64)
-    return DistanceMatrix(d, tuple(labels))
+    return DistanceMatrix(_kernels.hamming_matrix_packed(words), tuple(labels))
 
 
 def combine(d1, d2, op):

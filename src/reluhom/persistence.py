@@ -9,6 +9,7 @@ pins correctness).
 Intervals follow the [birth, death) convention.
 """
 
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -212,8 +213,16 @@ def compute_barcodes(filtration):
 # blocks of whole rows of about LDM_BLOCK entries: each distinct value of a
 # block is formatted once, and the rows are joined from that vocabulary, so
 # a Hamming matrix with a few hundred distinct distances costs a few hundred
-# formatting calls per block and memory stays one block whatever n is.  The
-# reader parses with Python's float(), one line at a time.
+# formatting calls per block and memory stays one block whatever n is.
+# The reader takes the whole text as bytes.  A text of plain digit entries
+# of at most 15 digits (every Hamming LDM) is parsed by array operations in
+# the writer's blocks of rows: a block's token ends are its bytes that are
+# not digits, each line's entry count is checked against the newline
+# positions, and the values are summed digit position by digit position,
+# exactly, since 10**15 < 2**53.  Any other text (a non-integral or infinite
+# entry, CRLF line ends, blank lines, spaces, a malformed row) goes to the
+# line reader, which parses with Python's float(), one line at a time, and
+# names the line of an error.
 # ---------------------------------------------------------------------------
 
 #: entries per block of rows in export_lower_distance (at least one row)
@@ -249,20 +258,82 @@ def export_lower_distance(d, sink):
 
 
 def read_lower_distance(source):
-    """Parse lower-triangular CSV back into a DistanceMatrix."""
+    """Parse lower-triangular CSV, from a path or a text stream, into a DistanceMatrix."""
     if isinstance(source, (str, os.PathLike)):
         try:
-            with open(source) as fh:
-                return read_lower_distance(fh)
+            with open(source, "rb") as fh:
+                d = _read_digits(fh.read())
+            if d is None:
+                with open(source) as fh:
+                    d = _read_lines(fh)
         except (OSError, UnicodeDecodeError) as exc:
             raise FormatError(f"cannot read distance file {source}: {exc}") from exc
         except FormatError as exc:
             raise FormatError(f"{source}: {exc}") from exc
+        return d
+    text = source.read()
+    # a non-ASCII character becomes "?", which sends the text to the line reader
+    d = _read_digits(text.encode("ascii", "replace"))
+    return _read_lines(io.StringIO(text)) if d is None else d
+
+
+#: digits of the longest entry the byte parser takes: 10**15 - 1 < 2**53
+_MAX_DIGITS = 15
+
+
+def _read_digits(data):
+    """The DistanceMatrix of LDM bytes of plain digit entries, or None.
+
+    None unless the bytes are only digits, commas and newlines, end in a
+    newline, and hold rows of the right lengths of non-empty entries of at
+    most _MAX_DIGITS digits; the line reader decides every other text.
+    """
+    if not data.endswith(b"\n") or data.translate(None, b"0123456789,\n"):
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    newlines = np.flatnonzero(buf == 10)
+    n = newlines.size + 1
+    D = np.zeros((n, n))
+    step = max(1, LDM_BLOCK // n)
+    start = 0
+    for lo in range(1, n, step):
+        hi = min(n, lo + step)
+        # lines lo..hi-1: line i holds D[i, :i], so its entries end at these tokens
+        last = np.cumsum(np.arange(lo, hi)) - 1
+        block = buf[start:newlines[hi - 2] + 1]
+        ends = np.flatnonzero(block < 48)               # commas and newlines
+        if ends.size != last[-1] + 1 or not np.array_equal(
+                ends[last], newlines[lo - 1:hi - 1] - start):
+            return None
+        width = np.diff(ends, prepend=-1)
+        width -= 1                                      # digits per entry
+        if width.min() < 1 or width.max() > _MAX_DIGITS:
+            return None
+        digits = block - 48
+        at = ends - 1                                   # each entry's last digit
+        values = digits[at].astype(np.float64)
+        for p in range(1, int(width.max())):
+            at -= 1     # past the start of an entry of p digits or fewer: masked
+            digit = digits.take(at, mode="clip")
+            digit[width <= p] = 0
+            values += digit * 10.0 ** p
+        mask = np.tri(hi - lo, hi, lo - 1, dtype=bool)
+        D[lo:hi, :hi][mask] = values
+        D[:hi, lo:hi].T[mask] = values
+        start += block.size
+    return DistanceMatrix(D)
+
+
+def _read_lines(lines):
+    """Parse LDM text one line at a time with float(), naming the line of an error."""
     rows = []
-    for lineno, line in enumerate(source, start=1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
+        # float() would also take "1_0" and non-ASCII digits such as "\u0661"
+        if "_" in line or not line.isascii():
+            raise FormatError(f"line {lineno}: '_' or a non-ASCII character in {line!r}")
         try:
             row = np.fromiter(map(float, line.split(",")), np.float64)
         except ValueError as exc:

@@ -414,6 +414,14 @@ class TestInputErrors:
         assert cli.main(["persist", "--matrix", str(p)]) == 3
         assert "(0, 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", ["1_0", "\u0661"])
+    def test_entry_float_takes_but_the_format_does_not_exits_3(self, tmp_path, capsys, entry):
+        # float() reads "1_0" as 10 and the Arabic-Indic one "\u0661" as 1
+        p = tmp_path / "m.ldm"
+        p.write_text(f"{entry}\n2,3\n", encoding="utf-8")
+        assert cli.main(["persist", "--matrix", str(p)]) == 3
+        assert f"error: {p}: line 1: " in capsys.readouterr().err
+
     def test_nan_t_max_exits_3(self, tmp_path, capsys):
         p = tmp_path / "m.ldm"
         p.write_text("1\n")

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from reluhom import files
 from reluhom.errors import FormatError, NonFiniteEntry
 from reluhom.files import read_bits, read_points, write_bits, write_points
 from reluhom.network import BitVector
@@ -52,6 +53,82 @@ def test_mixed_lengths_name_the_first_odd_line(tmp_path):
     want = f"{path}:4: 3 bits, but the first line has 4"
     with pytest.raises(FormatError, match=re.escape(want)):
         read_bits(path)
+
+
+@st.composite
+def bits_texts(draw):
+    """Up to 500 lines of one drawn length, 1-300 bits, so files cross
+    block boundaries; then maybe CRLF line ends, a blank line, spaces, a
+    bad byte, a line one bit short, or no final newline.  Returns the text
+    and whether it is equal 0/1 lines, which the block reader must take."""
+    h = draw(st.integers(1, 300))
+    count = draw(st.integers(1, 500))
+    edits = draw(st.sets(st.sampled_from(
+        ["crlf", "blank", "spaces", "bad byte", "short", "no final newline"]),
+        max_size=2))
+    if count == 1 or h == 1:
+        # one short line is still a file of equal lines; a short "1" is blank
+        edits.discard("short")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lines = ["".join(row) for row in rng.choice(["0", "1"], (count, h))]
+    k = int(rng.integers(count))
+    if "spaces" in edits:
+        lines[k] = f" {lines[k]}\t"
+    if "bad byte" in edits:
+        lines[k] = lines[k][:-1] + draw(st.sampled_from(["2", "a", "\u0661", "_"]))
+    if "short" in edits:
+        lines[k] = lines[k][:-1]
+    if "blank" in edits:
+        lines.insert(k, "")
+    text = "".join(line + ("\r\n" if "crlf" in edits else "\n") for line in lines)
+    if "no final newline" in edits:
+        text = text[:-1]
+    return text, not edits
+
+
+@settings(max_examples=60, deadline=None)
+@given(bits_texts())
+def test_read_bits_agrees_with_per_line_from01(case):
+    text, plain = case
+    want, error = [], None
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        if not line.strip():
+            continue
+        try:
+            v = BitVector.from01(line)
+        except FormatError:
+            error = lineno
+            break
+        if want and len(v) != len(want[0]):
+            error = lineno
+            break
+        want.append(v)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bits.txt"
+        path.write_bytes(text.encode())
+        with open(path, "rb") as fh:
+            assert (files._read_bit_blocks(fh) is not None) == plain
+        if error is None:
+            assert read_bits(path) == want
+        else:
+            with pytest.raises(FormatError, match=re.escape(f"{path}:{error}: ")):
+                read_bits(path)
+
+
+def test_bits_are_read_a_block_at_a_time(tmp_path):
+    # the file is 1.0 MB; its 2,000 vectors hold about 0.36 MiB
+    rng = np.random.default_rng(5)
+    vectors = [BitVector.from_bits(row) for row in rng.integers(0, 2, (2000, 512))]
+    path = tmp_path / "bits.txt"
+    write_bits(vectors, path)
+    del vectors
+    tracemalloc.start()
+    try:
+        back = read_bits(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(back) == 2000 and peak < 2**20, f"peak {peak} bytes"
 
 
 def test_points_text_is_the_json_dump_text(tmp_path):

@@ -1,5 +1,7 @@
 """The hot kernels must agree exactly with the independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -142,3 +144,35 @@ def test_hamming_kernel_matches_unpacked_count(a):
     packed = np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
     want = (a[:, None] != a[None]).sum(axis=2)
     assert np.array_equal(_kernels.hamming_matrix_packed(packed), want)
+
+
+def test_hamming_kernel_memory_is_the_output():
+    """k = 64 vectors of 100,000 bits: the Gram product is accumulated a
+    block of words at a time, so the peak is a few times the 32 KiB output,
+    not the 25 MB of all bits unpacked (nor the 0.8 MB of a row of xors)."""
+    rng = np.random.default_rng(17)
+    words = rng.integers(0, 2**63, (64, -(-100_000 // 64)), dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        got = _kernels.hamming_matrix_packed(words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 391 blocks of 4 words each add up exactly
+    want = [np.bitwise_count(words ^ row).sum(axis=1) for row in words]
+    assert np.array_equal(got, want)
+    assert peak <= 5 * got.nbytes, f"peak {peak / got.nbytes:.2f} times the output"
+
+
+def test_hamming_kernel_is_exact_past_float32():
+    """2**24 + 64 bits: a popcount of 2**24 + 63 is odd and above 2**24,
+    where float32 holds only even integers, so the Gram product must run
+    in float64."""
+    w = 2**18 + 1
+    words = np.zeros((3, w), dtype=np.uint64)
+    words[0] = np.uint64(2**64 - 1)
+    words[0, 0] = np.uint64(2**64 - 2)
+    words[2] = np.random.default_rng(19).integers(0, 2**63, w, dtype=np.uint64)
+    want = [np.bitwise_count(words ^ row).sum(axis=1) for row in words]
+    assert want[0][1] == 2**24 + 63
+    assert np.array_equal(_kernels.hamming_matrix_packed(words), want)

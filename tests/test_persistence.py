@@ -1,5 +1,7 @@
 import io
 import math
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -493,6 +495,92 @@ def test_ldm_writer_memory_is_one_block(n):
         tracemalloc.stop()
     assert peak < bound, f"peak {peak} bytes for {sink.size} characters"
     assert sink.size > n * (n - 1) // 2 * 10
+
+
+@st.composite
+def ldm_texts(draw):
+    """LDM text of up to 300 points, so rows cross LDM_BLOCK boundaries.
+
+    Entries are integers of at most a drawn 1 to 16 digits, a drawn share
+    of them "inf"; then the text may get CRLF line ends, a blank line,
+    spaces around an entry, no final newline, or a row one entry short or
+    long.  Returns the text and whether it is plain digit entries of at
+    most 15 digits, which the byte parser must take.
+    """
+    n = draw(st.integers(1, 300))
+    digits = draw(st.integers(1, 16))
+    share_inf = draw(st.sampled_from([0.0, 0.0, 0.05]))
+    edits = draw(st.sets(st.sampled_from(
+        ["crlf", "blank", "spaces", "no final newline", "short", "long"]), max_size=2))
+    if {"short", "long"} <= edits:
+        edits.discard("long")       # both on one row would cancel out
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = n * (n - 1) // 2
+    tokens = [str(v) for v in rng.integers(0, 10 ** rng.integers(1, digits + 1, m))]
+    for k in np.flatnonzero(rng.random(m) < share_inf):
+        tokens[k] = "inf"
+    rows = [tokens[i * (i - 1) // 2:i * (i + 1) // 2] for i in range(1, n)]
+    if rows:
+        row = rows[rng.integers(len(rows))]
+        if "short" in edits:
+            row.pop()
+        if "long" in edits:
+            row.append("7")
+        if "spaces" in edits and row:
+            row[0] = f" {row[0]} "
+    lines = [",".join(row) for row in rows]
+    if "blank" in edits:        # not last: "no final newline" would drop it
+        lines.insert(int(rng.integers(max(len(lines), 1))), "")
+    text = "".join(line + ("\r\n" if "crlf" in edits else "\n") for line in lines)
+    if "no final newline" in edits:
+        text = text[:-1]
+    plain = n > 1 and not edits and max(map(len, tokens)) <= 15 and "inf" not in tokens
+    return text, plain
+
+
+def _outcome(read):
+    """The doubles a reader returns, or the text of its FormatError."""
+    try:
+        return read().data.tobytes()
+    except FormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ldm_texts())
+def test_ldm_byte_parser_agrees_with_line_reader(case):
+    text, plain = case
+    assert (persistence._read_digits(text.encode()) is not None) == plain
+    want = _outcome(lambda: persistence._read_lines(io.StringIO(text)))
+    assert _outcome(lambda: persistence.read_lower_distance(io.StringIO(text))) == want
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.ldm")
+        with open(path, "wb") as fh:
+            fh.write(text.encode())
+        with open(path) as fh:     # universal newlines, as the reader opens it
+            want = _outcome(lambda: persistence._read_lines(fh))
+        if isinstance(want, str):
+            want = f"{path}: {want}"
+        assert _outcome(lambda: persistence.read_lower_distance(path)) == want
+
+
+def test_ldm_reader_memory_is_the_matrix(tmp_path):
+    """The byte parser holds the file and one block of rows beside the
+    matrix; a parse of the whole file at once would need more."""
+    n = 800
+    rng = np.random.default_rng(800)
+    D = np.triu(rng.integers(0, 513, (n, n)).astype(float), 1)
+    D = D + D.T
+    path = tmp_path / "m.ldm"
+    persistence.export_lower_distance(D, path)
+    tracemalloc.start()
+    try:
+        back = persistence.read_lower_distance(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.data, D)
+    assert peak <= 1.8 * D.nbytes, f"peak {peak / D.nbytes:.2f} times the matrix"
 
 
 class TestLowerDistanceIO:
