@@ -290,9 +290,13 @@ def _read_digits(data):
     """
     if not data.endswith(b"\n") or data.translate(None, b"0123456789,\n"):
         return None
+    n = data.count(b"\n") + 1
+    # every entry ends at a comma or a newline; checked before the n x n
+    # allocation, which a file of many short lines would make huge
+    if data.count(b",") + n - 1 != n * (n - 1) // 2:
+        return None
     buf = np.frombuffer(data, np.uint8)
     newlines = np.flatnonzero(buf == 10)
-    n = newlines.size + 1
     D = np.zeros((n, n))
     step = max(1, LDM_BLOCK // n)
     start = 0

@@ -422,6 +422,19 @@ class TestInputErrors:
         assert cli.main(["persist", "--matrix", str(p)]) == 3
         assert f"error: {p}: line 1: " in capsys.readouterr().err
 
+    def test_many_short_lines_exit_3_without_an_n_by_n_matrix(self, tmp_path, capsys):
+        # 100,001 points would be an 80 GB matrix; line 2 is one entry short
+        p = tmp_path / "m.ldm"
+        p.write_text("1\n" * 100_000)
+        tracemalloc.start()
+        try:
+            assert cli.main(["persist", "--matrix", str(p)]) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"error: {p}: line 2: expected 2 entries, got 1" in capsys.readouterr().err
+        assert peak < 8 << 20
+
     def test_nan_t_max_exits_3(self, tmp_path, capsys):
         p = tmp_path / "m.ldm"
         p.write_text("1\n")
