@@ -1,5 +1,12 @@
 """Command-line front end: weights + samples in, atlases/matrices/barcodes out.
 
+Each subcommand is one row of `_subcommands()`: its name, help, a function
+that adds its arguments, and its `cmd_*`.  `main` adds the arguments of the
+subcommand its argv names and no others; every name stays registered, so
+help, usage lines and errors are the full parser's.  Sample points travel
+as (n, m) arrays, and a sampler's non-finite point is an error before its
+output file is opened.
+
 Exit codes: 0 success, 2 usage, 3 malformed input or an unreadable or
 unwritable file, 4 infeasible or degenerate geometry, 5 resource cap
 exceeded.
@@ -155,7 +162,10 @@ def cmd_persist(args):
 
 
 def cmd_export_ldm(args):
-    pts = np.asarray(read_points(args.points))
+    pts = read_points(args.points)
+    if len(pts) == 0:
+        # an empty LDM file reads back as a one-point matrix
+        raise FormatError(f"no points in {args.points}")
     # one row at a time: memory is the n x n output, not an (n, n, m) difference
     d = np.empty((pts.shape[0], pts.shape[0]))
     for i, p in enumerate(pts):
@@ -198,40 +208,28 @@ def cmd_gen_anchors(args):
     return EXIT_OK
 
 
-def build_parser():
-    top = argparse.ArgumentParser(
-        prog="reluhom",
-        description="ReLU polyhedral decompositions and activation-pattern persistence",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
-
+def _tolerances(p, *flags):
+    """Register the tolerance flags a subcommand honours."""
     defaults = {"--tau-lp": lp.TAU_LP, "--tau-dim": lp.TAU_DIM, "--tau-bit": TAU_BIT}
 
-    def tolerances(p, *flags):
-        """Register the tolerance flags a subcommand honours."""
-        def tolerance(text):
-            value = float(text)
-            if not 0.0 <= value < np.inf:
-                raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= 0")
-            return value
-
-        for flag in flags:
-            p.add_argument(flag, type=tolerance, default=defaults[flag])
-
-    def positive_int(text):
-        value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    def tolerance(text):
+        value = float(text)
+        if not 0.0 <= value < np.inf:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= 0")
         return value
 
-    p = sub.add_parser("bits", help="activation bit vectors of sample points")
+    for flag in flags:
+        p.add_argument(flag, type=tolerance, default=defaults[flag])
+
+
+def _bits_args(p):
     p.add_argument("--net", required=True)
     p.add_argument("--points", required=True)
     p.add_argument("--out", required=True)
-    tolerances(p, "--tau-bit")
-    p.set_defaults(func=cmd_bits)
+    _tolerances(p, "--tau-bit")
 
-    p = sub.add_parser("enumerate", help="enumerate all regions (brute or traverse)")
+
+def _enumerate_args(p):
     p.add_argument("--net", required=True)
     p.add_argument("--mode", choices=("brute", "traverse"), default="traverse")
     p.add_argument("--lower", help="comma-separated box lower bounds")
@@ -240,30 +238,36 @@ def build_parser():
     p.add_argument("--h-max", type=int, default=H_MAX_BRUTE)
     p.add_argument("--out-regions", required=True)
     p.add_argument("--out-edges")
-    tolerances(p, "--tau-lp", "--tau-dim")
-    p.set_defaults(func=cmd_enumerate)
+    _tolerances(p, "--tau-lp", "--tau-dim")
 
-    p = sub.add_parser("region", help="region of a single point")
+
+def _region_args(p):
     p.add_argument("--net", required=True)
     p.add_argument("--point", required=True, help="comma-separated coordinates")
     p.add_argument("--out")
-    tolerances(p, "--tau-lp", "--tau-dim", "--tau-bit")
-    p.set_defaults(func=cmd_region)
+    _tolerances(p, "--tau-lp", "--tau-dim", "--tau-bit")
 
-    p = sub.add_parser("distmat", help="Hamming matrix from a bit-vector file")
+
+def _distmat_args(p):
     p.add_argument("--bits", required=True)
     p.add_argument("--dedup", action="store_true")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_distmat)
 
-    p = sub.add_parser("combine", help="entrywise min/max of two matrices")
+
+def _combine_args(p):
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--op", choices=("min", "max"), required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_combine)
 
-    p = sub.add_parser("persist", help="barcodes of a lower-distance CSV")
+
+def _persist_args(p):
+    def positive_int(text):
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+        return value
+
     p.add_argument("--matrix", required=True)
     p.add_argument("--max-dim", type=int, default=1)
     p.add_argument("--t-max", type=float)
@@ -271,23 +275,23 @@ def build_parser():
     p.add_argument("--include-zero-bars", action="store_true")
     p.add_argument("--table", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_persist)
 
-    p = sub.add_parser("export-ldm", help="Euclidean lower-distance CSV of points")
+
+def _export_ldm_args(p):
     p.add_argument("--points", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_export_ldm)
 
-    p = sub.add_parser("sample-circle", help="circle samples in anchor coordinates")
+
+def _sample_circle_args(p):
     p.add_argument("--anchors", required=True)
     p.add_argument("--offset-index", type=int)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--theta0", type=float, default=0.0)
     p.add_argument("--theta1", type=float, default=2.0 * np.pi)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sample_circle)
 
-    p = sub.add_parser("sample-torus", help="torus samples in anchor coordinates")
+
+def _sample_torus_args(p):
     p.add_argument("--anchors", required=True)
     p.add_argument("--offset-index", type=int)
     p.add_argument("--n1", type=int, required=True)
@@ -296,20 +300,62 @@ def build_parser():
     p.add_argument("--mode", choices=("grid", "uniform"), default="grid")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sample_torus)
 
-    p = sub.add_parser("gen-anchors", help="seeded orthonormal anchor vectors")
+
+def _gen_anchors_args(p):
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_anchors)
 
+
+def _subcommands():
+    """(name, help, argument registrar, command) per subcommand, in help
+    order.  Made at each call, so that a cmd_* replaced on the module (as a
+    profiler's wrapper) is the one that runs."""
+    return (
+        ("bits", "activation bit vectors of sample points", _bits_args, cmd_bits),
+        ("enumerate", "enumerate all regions (brute or traverse)",
+         _enumerate_args, cmd_enumerate),
+        ("region", "region of a single point", _region_args, cmd_region),
+        ("distmat", "Hamming matrix from a bit-vector file", _distmat_args, cmd_distmat),
+        ("combine", "entrywise min/max of two matrices", _combine_args, cmd_combine),
+        ("persist", "barcodes of a lower-distance CSV", _persist_args, cmd_persist),
+        ("export-ldm", "Euclidean lower-distance CSV of points",
+         _export_ldm_args, cmd_export_ldm),
+        ("sample-circle", "circle samples in anchor coordinates",
+         _sample_circle_args, cmd_sample_circle),
+        ("sample-torus", "torus samples in anchor coordinates",
+         _sample_torus_args, cmd_sample_torus),
+        ("gen-anchors", "seeded orthonormal anchor vectors",
+         _gen_anchors_args, cmd_gen_anchors),
+    )
+
+
+def build_parser(command=None):
+    """The CLI's parser.  Every subcommand is registered with its help, but
+    only `command`'s arguments are added, or every subcommand's when it is
+    None; a parser built for one command parses that command's argv as the
+    full one does."""
+    top = argparse.ArgumentParser(
+        prog="reluhom",
+        description="ReLU polyhedral decompositions and activation-pattern persistence",
+    )
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, help_text, add_args, cmd in _subcommands():
+        p = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_args(p)
+            p.set_defaults(func=cmd)
     return top
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    names = {name for name, *_ in _subcommands()}
+    # only the named subcommand's arguments are built; any other argv (top
+    # options first, --help, a misspelt command) gets the full parser
+    args = build_parser(argv[0] if argv and argv[0] in names else None).parse_args(argv)
     try:
         return args.func(args)
     except (FormatError, NonFiniteEntry, DimensionMismatch, OSError) as exc:

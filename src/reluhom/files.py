@@ -1,13 +1,18 @@
 """Small file helpers shared by the CLI: point sets and bit-string files.
 
 A points file is JSON, ``{"points": [[...], ...]}``, one list of finite
-floats per point, all of one length.  A bits file holds one activation
-pattern per point, each a line of ASCII ``0``/``1`` digits (bit 0 first),
-all lines of one length; blank lines are skipped.  Bits files are written
-one line at a time, each line rendered from one Python int
-(``BitVector.to01``), not one Python call per bit.  A file of equal lines of
-``0``/``1`` bytes, each ending in a newline, is read a block of whole lines
-at a time as a byte array: one ``packbits`` per block and one
+floats per point, all of one length.  ``read_points`` returns one (n, m)
+float64 array made by one conversion of the list; only a list that will not
+convert is looked at point by point, to name what is wrong with it.
+``write_points`` checks every coordinate is finite before it opens the file,
+then writes the text of ``json.dumps`` a block of points at a time.
+
+A bits file holds one activation pattern per point, each a line of ASCII
+``0``/``1`` digits (bit 0 first), all lines of one length; blank lines are
+skipped.  Bits files are written a block of whole lines at a time as bytes:
+one ``to_bytes`` per vector, one ``unpackbits`` per block.  A file of equal
+lines of ``0``/``1`` bytes, each ending in a newline, is read a block of
+whole lines at a time as a byte array: one ``packbits`` per block and one
 ``int.from_bytes`` per line.  Any other layout (blank lines, spaces, CRLF
 line ends, a bad line) is read one line at a time by ``BitVector.from01``,
 which names the line of an error.
@@ -17,7 +22,7 @@ import json
 
 import numpy as np
 
-from .errors import FormatError, NonFiniteEntry
+from .errors import DimensionMismatch, FormatError, NonFiniteEntry
 from .network import BitVector
 
 # coordinates whose JSON text is made at once: json.dumps holds one string
@@ -28,34 +33,56 @@ _BITS_BLOCK = 1 << 16
 
 
 def read_points(path):
-    """JSON {"points": [[...], ...]} -> list of float vectors."""
+    """JSON {"points": [[...], ...]} -> (n, m) float64 array."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        pts = [np.asarray(p, dtype=np.float64) for p in doc["points"]]
+        raw = doc["points"]
+        try:
+            pts = np.asarray(raw, dtype=np.float64)
+        except (TypeError, ValueError):
+            pts = None
+        if pts is None or pts.ndim != 2:
+            pts = _each_point(raw, path)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"cannot read points file {path}: {exc}") from exc
-    if not pts:
-        return pts
-    if pts[0].ndim != 1:
-        raise FormatError(f"points in {path} are not lists of numbers")
-    if any(p.shape != pts[0].shape for p in pts):
-        raise FormatError(f"points in {path} have mixed lengths")
-    bad = np.flatnonzero(~np.isfinite(np.asarray(pts)).all(axis=1))
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
     if bad.size:
         raise NonFiniteEntry(f"{path}: point {bad[0]} has a non-finite coordinate")
     return pts
 
 
+def _each_point(raw, path):
+    """A point list that is not one 2-D array, converted point by point: its
+    error, or (0, 0) for an empty list."""
+    pts = [np.asarray(p, dtype=np.float64) for p in raw]
+    if not pts:
+        return np.empty((0, 0))
+    if pts[0].ndim != 1:
+        raise FormatError(f"points in {path} are not lists of numbers")
+    if any(p.shape != pts[0].shape for p in pts):
+        raise FormatError(f"points in {path} have mixed lengths")
+    return np.asarray(pts)
+
+
 def write_points(points, path):
     """The text of json.dumps({"points": [...]}), made and written about
-    _FLOATS_PER_WRITE coordinates at a time."""
+    _FLOATS_PER_WRITE coordinates at a time, one tolist() per block.  A
+    non-finite coordinate is an error, raised before the file is opened;
+    it is looked for a block at a time too, so a list of points is never
+    copied whole."""
     step = max(1, _FLOATS_PER_WRITE // max(1, np.size(points[0]))) if len(points) else 1
+    starts = range(0, len(points), step)
+    for lo in starts:
+        finite = np.isfinite(np.asarray(points[lo: lo + step])).all(axis=1)
+        if not finite.all():
+            bad = lo + int(np.argmin(finite))
+            raise NonFiniteEntry(f"{path}: point {bad} has a non-finite coordinate")
     with open(path, "w") as fh:
         fh.write('{"points": [')
-        for lo in range(0, len(points), step):
+        for lo in starts:
             # json.dumps runs the C encoder; json.dump(obj, fh) would not
-            block = [np.asarray(p).tolist() for p in points[lo: lo + step]]
+            block = np.asarray(points[lo: lo + step]).tolist()
             fh.write((", " if lo else "") + json.dumps(block)[1:-1])
         fh.write("]}")
 
@@ -112,7 +139,20 @@ def _read_bit_blocks(fh):
 
 
 def write_bits(vectors, path):
-    with open(path, "w") as fh:
-        for v in vectors:
-            fh.write(v.to01())
-            fh.write("\n")
+    """One 0/1 line per vector, written _BITS_BLOCK bytes of whole lines at a
+    time; vectors of mixed lengths are an error, raised before the file is
+    opened."""
+    lengths = {len(v) for v in vectors}
+    if len(lengths) > 1:
+        raise DimensionMismatch(f"bit vectors of mixed lengths {sorted(lengths)}")
+    h = lengths.pop() if lengths else 0
+    size, rows = (h + 7) // 8, max(1, _BITS_BLOCK // (h + 1))
+    with open(path, "wb") as fh:
+        for lo in range(0, len(vectors), rows):
+            block = vectors[lo: lo + rows]
+            raw = b"".join(v.value.to_bytes(size, "little") for v in block)
+            packed = np.frombuffer(raw, np.uint8).reshape(len(block), size)
+            lines = np.full((len(block), h + 1), 10, np.uint8)
+            lines[:, :h] = np.unpackbits(packed, axis=1, count=h, bitorder="little")
+            lines[:, :h] += 48
+            fh.write(lines.tobytes())

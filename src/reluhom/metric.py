@@ -93,7 +93,9 @@ def hamming_matrix(vectors, deduplicate=False):
             first.setdefault(k, labels[i])
         labels = [first[k] for k in range(len(distinct))]
         vectors = distinct
-    words = np.stack([v.words for v in vectors])
+    w = (len(vectors[0]) + 63) // 64
+    raw = b"".join(v.value.to_bytes(8 * w, "little") for v in vectors)
+    words = np.frombuffer(raw, "<u8").reshape(len(vectors), w)
     return DistanceMatrix(_kernels.hamming_matrix_packed(words), tuple(labels))
 
 

@@ -1,7 +1,11 @@
 """Sample families: anchor-plane circles, torus grids, uniform box points.
 
 Circle points are offset + sin(t) A1 + cos(t) A2 over a half-open parameter
-interval, so N samples tile a closed loop with no duplicate endpoint.
+interval, so N samples tile a closed loop with no duplicate endpoint.  The
+samplers return one (count, m) float64 array, made by one broadcast
+expression over the parameter columns; it evaluates each point's formula in
+the per-point order, so the points are the same doubles as one expression
+per point would give.
 """
 
 from dataclasses import dataclass
@@ -40,7 +44,8 @@ class AnchorFamily:
 
 
 def circle_samples(family, count, theta_range=(0.0, 2.0 * np.pi)):
-    """count points offset + sin(t) A1 + cos(t) A2, endpoint excluded."""
+    """(count, m) array of points offset + sin(t) A1 + cos(t) A2, endpoint
+    excluded."""
     if len(family.anchors) < 2:
         raise DimensionMismatch("circle sampling needs two circle anchors")
     if count < 1:
@@ -49,11 +54,12 @@ def circle_samples(family, count, theta_range=(0.0, 2.0 * np.pi)):
     a1, a2 = family.anchors[0], family.anchors[1]
     off = family.offset()
     thetas = t0 + (t1 - t0) * np.arange(count) / count
-    return [off + np.sin(t) * a1 + np.cos(t) * a2 for t in thetas]
+    return off + np.sin(thetas)[:, None] * a1 + np.cos(thetas)[:, None] * a2
 
 
 def torus_samples(family, n1, n2, alpha=1.0, mode="grid", rng=None):
-    """Grid (or seeded-uniform) torus points from four circle anchors.
+    """(n1 * n2, m) array of grid (or seeded-uniform) torus points from four
+    circle anchors; the grid runs t2 fastest.
 
     Formula: offset + alpha * (sin(t1) A1 + cos(t1) A2 + sin(t2) A3 + cos(t2) A4);
     the offset defaults to the fifth anchor.
@@ -71,19 +77,18 @@ def torus_samples(family, n1, n2, alpha=1.0, mode="grid", rng=None):
         else family.anchors[family.offset_index]
     )
     if mode == "grid":
-        t1 = 2.0 * np.pi * np.arange(n1) / n1
-        t2 = 2.0 * np.pi * np.arange(n2) / n2
-        params = [(u, v) for u in t1 for v in t2]
+        u = np.repeat(2.0 * np.pi * np.arange(n1) / n1, n2)
+        v = np.tile(2.0 * np.pi * np.arange(n2) / n2, n1)
     elif mode == "uniform":
         if rng is None:
             rng = np.random.default_rng(0)
-        params = [tuple(p) for p in rng.uniform(0.0, 2.0 * np.pi, size=(n1 * n2, 2))]
+        u, v = rng.uniform(0.0, 2.0 * np.pi, size=(n1 * n2, 2)).T
     else:
         raise DimensionMismatch(f"unknown mode {mode!r}")
-    return [
-        off + alpha * (np.sin(u) * a1 + np.cos(u) * a2 + np.sin(v) * a3 + np.cos(v) * a4)
-        for u, v in params
-    ]
+    u, v = u[:, None], v[:, None]
+    return off + alpha * (
+        np.sin(u) * a1 + np.cos(u) * a2 + np.sin(v) * a3 + np.cos(v) * a4
+    )
 
 
 def random_orthogonal_anchors(dim, count, seed):

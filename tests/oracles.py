@@ -6,7 +6,7 @@ come from Kruskal and union-find, the 2-D facet count walks the polygon
 directly, the essential rows come from scipy's linprog, repeated rows from a
 row-at-a-time scan, the simplex's leaving row from the sequential ratio
 scan, the text-format oracles format one entry or one bit at a time, and
-activation patterns come from one point at a time.  The one exception is
+activation patterns and sample points come from one point at a time.  The one exception is
 the facet-point sampler: it takes the facet's hyperplane from the region's
 own rows, and only the ball inside the facet from `lp.chebyshev_centers`.
 """
@@ -311,6 +311,37 @@ def bits_text(v):
     return "".join(
         str((int(v.words[i // 64]) >> (i % 64)) & 1) for i in range(v.n)
     )
+
+
+# --- sample points, one point at a time --------------------------------------
+
+def circle_points(family, count, theta_range=(0.0, 2.0 * np.pi)):
+    """Circle samples as one numpy expression per point."""
+    t0, t1 = theta_range
+    a1, a2 = family.anchors[0], family.anchors[1]
+    off = family.offset()
+    thetas = t0 + (t1 - t0) * np.arange(count) / count
+    return [off + np.sin(t) * a1 + np.cos(t) * a2 for t in thetas]
+
+
+def torus_points(family, n1, n2, alpha=1.0, mode="grid", rng=None):
+    """Torus samples as one numpy expression per (t1, t2) pair."""
+    a1, a2, a3, a4 = family.anchors[:4]
+    off = (
+        family.anchors[4]
+        if family.offset_index is None
+        else family.anchors[family.offset_index]
+    )
+    if mode == "grid":
+        t1 = 2.0 * np.pi * np.arange(n1) / n1
+        t2 = 2.0 * np.pi * np.arange(n2) / n2
+        params = [(u, v) for u in t1 for v in t2]
+    else:
+        params = [tuple(p) for p in rng.uniform(0.0, 2.0 * np.pi, size=(n1 * n2, 2))]
+    return [
+        off + alpha * (np.sin(u) * a1 + np.cos(u) * a2 + np.sin(v) * a3 + np.cos(v) * a4)
+        for u, v in params
+    ]
 
 
 # --- activation patterns, one point at a time -------------------------------

@@ -1,6 +1,8 @@
+import argparse
 import json
 import re
 import shlex
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -224,6 +226,13 @@ class TestPipeline:
         assert cli.main(["export-ldm", "--points", str(pp), "--out", str(op)]) == 0
         assert op.read_text().strip() == "5"
 
+    def test_export_ldm_of_no_points_exits_3(self, tmp_path, capsys):
+        pp, op = tmp_path / "p.json", tmp_path / "m.ldm"
+        write_points(pp, [])
+        assert cli.main(["export-ldm", "--points", str(pp), "--out", str(op)]) == 3
+        assert capsys.readouterr().err == f"error: no points in {pp}\n"
+        assert not op.exists()
+
     def test_export_ldm_is_the_pairwise_difference_formula(self, tmp_path):
         rng = np.random.default_rng(17)
         for scale in (1.0, 10.0, 1e2, 1e3, 1e4):
@@ -302,6 +311,21 @@ class TestSamplers:
         pts = np.array(json.loads(cp.read_text())["points"])
         assert pts.shape == (20, 3)
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)
+
+    @pytest.mark.parametrize("argv", [
+        ["sample-circle", "--count", "5", "--theta1", "inf"],
+        ["sample-torus", "--n1", "3", "--n2", "3", "--alpha", "nan"],
+        ["sample-torus", "--n1", "3", "--n2", "3", "--alpha", "1e308"],
+    ], ids=["circle-theta1-inf", "torus-alpha-nan", "torus-alpha-overflow"])
+    def test_non_finite_samples_exit_3_and_are_not_written(self, tmp_path, capsys, argv):
+        ap, out = tmp_path / "anchors.json", tmp_path / "samples.json"
+        # the first torus point, at t1 = t2 = 0, is alpha * (2, 2)
+        write_points(ap, [[1.0, 1.0]] * 4 + [[0.0, 0.0]])
+        with np.errstate(all="ignore"):
+            assert cli.main(argv + ["--anchors", str(ap), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: point ") and "non-finite coordinate" in err
+        assert not out.exists()
 
 
 class TestInputErrors:
@@ -539,3 +563,54 @@ def test_readme_shows_every_subcommand():
     shown = {argv[0] for argv in readme_commands()}
     assert shown == {name[4:].replace("_", "-") for name in vars(cli)
                      if name.startswith("cmd_")}
+
+
+def subcommand_parser(top, name):
+    """The parser that `top` hands an argv starting with `name`."""
+    (sub,) = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[name]
+
+
+def parse_exit(parser, argv, capsys):
+    """The exit code and stderr of a parse that fails."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    return exc.value.code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", [name for name, *_ in cli._subcommands()])
+def test_one_subcommand_parser_has_the_full_help(name):
+    full, one = cli.build_parser(), cli.build_parser(name)
+    assert one.format_help() == full.format_help()
+    assert (subcommand_parser(one, name).format_help()
+            == subcommand_parser(full, name).format_help())
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_one_subcommand_parser_parses_as_the_full_one(argv, capsys):
+    full, one = cli.build_parser(), cli.build_parser(argv[0])
+    assert vars(one.parse_args(argv)) == vars(full.parse_args(argv))
+    bad = argv + ["--no-such-flag"]
+    code, err = parse_exit(full, bad, capsys)
+    assert code == 2 and "unrecognized arguments: --no-such-flag" in err
+    assert parse_exit(one, bad, capsys) == (code, err)
+
+
+def test_top_help_is_the_full_parsers(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == cli.build_parser().format_help()
+
+
+def test_main_without_argv_reads_sys_argv(tmp_path, monkeypatch):
+    """The console script calls main() with no arguments."""
+    out = tmp_path / "anchors.json"
+    monkeypatch.setattr(sys, "argv", [
+        "reluhom", "gen-anchors", "--dim", "3", "--count", "2", "--out", str(out)])
+    assert cli.main() == 0
+    assert np.array(json.loads(out.read_text())["points"]).shape == (2, 3)
+    monkeypatch.setattr(sys, "argv", ["reluhom", "gen-anchors", "--dim", "3"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 2

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reluhom import files
-from reluhom.errors import FormatError, NonFiniteEntry
+from reluhom.errors import DimensionMismatch, FormatError, NonFiniteEntry
 from reluhom.files import read_bits, read_points, write_bits, write_points
 from reluhom.network import BitVector
 from oracles import bits_text
@@ -32,6 +32,39 @@ def test_bits_file_matches_oracle_and_round_trips(vectors):
         write_bits(vectors, path)
         assert path.read_text() == "".join(bits_text(v) + "\n" for v in vectors)
         assert read_bits(path) == vectors
+
+
+@pytest.mark.parametrize("h", [1, 7, 8, 63, 64, 65, 512])
+def test_bits_written_in_blocks_match_oracle(tmp_path, h):
+    per_block = files._BITS_BLOCK // (h + 1)
+    rng = np.random.default_rng(h)
+    path = tmp_path / "bits.txt"
+    for count in (0, 1, per_block - 1, per_block, per_block + 1, 2 * per_block + 3):
+        vectors = [BitVector.from_bits(row) for row in rng.integers(0, 2, (count, h))]
+        write_bits(vectors, path)
+        assert path.read_text() == "".join(bits_text(v) + "\n" for v in vectors)
+
+
+def test_bits_are_written_a_block_at_a_time(tmp_path):
+    # the file is 1.0 MB; one block of lines is 64 KiB
+    rng = np.random.default_rng(6)
+    vectors = [BitVector.from_bits(row) for row in rng.integers(0, 2, (2000, 512))]
+    path = tmp_path / "bits.txt"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write_bits(vectors, path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size == 2000 * 513 and peak < 2**20, f"peak {peak} bytes"
+
+
+def test_mixed_bit_lengths_are_not_written(tmp_path):
+    path = tmp_path / "bits.txt"
+    with pytest.raises(DimensionMismatch, match=re.escape("mixed lengths [3, 4]")):
+        write_bits([BitVector.from01("0101"), BitVector.from01("110")], path)
+    assert not path.exists()
 
 
 def test_read_bits_skips_blank_lines_and_surrounding_space(tmp_path):
@@ -169,6 +202,8 @@ def test_points_text_is_written_a_block_at_a_time(tmp_path):
     "doc, error, message",
     [
         ('{"points": [1.0, 2.0]}', FormatError, "not lists of numbers"),
+        ('{"points": [[[1.0, 2.0]], [[3.0, 4.0]]]}', FormatError, "not lists of numbers"),
+        ('{"points": [[1.0, "x"]]}', FormatError, "cannot read points file"),
         ('{"points": [[1.0], [2.0, 3.0]]}', FormatError, "mixed lengths"),
         ('{"points": [[1.0, 2.0], [3.0, NaN], [Infinity, 0.0]]}', NonFiniteEntry,
          "point 1 has a non-finite coordinate"),
@@ -182,7 +217,28 @@ def test_read_points_rejects_by_name(tmp_path, doc, error, message):
     assert str(path) in str(exc.value)
 
 
+def test_read_points_is_one_array(tmp_path):
+    path = tmp_path / "pts.json"
+    path.write_text('{"points": [[1.0, 2.0], [3.0, 4.5], [-0.0, 1e300]]}')
+    pts = read_points(path)
+    assert pts.dtype == np.float64 and pts.shape == (3, 2)
+    assert np.array_equal(pts, [[1.0, 2.0], [3.0, 4.5], [-0.0, 1e300]])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("as_array", [True, False])
+def test_non_finite_points_are_not_written(tmp_path, bad, as_array):
+    # 2,000 3-D points are six blocks; the bad one is in the fifth
+    pts = np.random.default_rng(2).standard_normal((2000, 3))
+    pts[1500, 2] = bad
+    path = tmp_path / "pts.json"
+    with pytest.raises(NonFiniteEntry, match=re.escape(
+            f"{path}: point 1500 has a non-finite coordinate")):
+        write_points(pts if as_array else list(pts), path)
+    assert not path.exists()
+
+
 def test_read_points_empty(tmp_path):
     path = tmp_path / "pts.json"
     path.write_text('{"points": []}')
-    assert read_points(path) == []
+    assert len(read_points(path)) == 0

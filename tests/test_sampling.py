@@ -1,8 +1,58 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reluhom import sampling
 from reluhom.errors import DimensionMismatch
+from oracles import circle_points, torus_points
+
+
+def same_doubles(a, b):
+    """The same float64 values bit for bit (NaN payloads and -0.0 included)."""
+    return a.dtype == np.float64 and a.shape == b.shape and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64)
+    )
+
+
+@st.composite
+def anchor_families(draw, count):
+    """`count` anchors of one drawn dimension 1-64 and scale, with or
+    without an offset anchor."""
+    dim = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.floats(1e-3, 1e3))
+    offset_index = draw(st.none() | st.integers(0, count - 1))
+    return sampling.AnchorFamily(
+        tuple(rng.standard_normal((count, dim)) * scale), offset_index=offset_index
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    anchor_families(3),
+    st.integers(1, 2000),
+    st.tuples(st.floats(-100, 100), st.floats(-100, 100)),
+)
+def test_circle_samples_are_the_per_point_doubles(family, count, theta_range):
+    pts = sampling.circle_samples(family, count, theta_range)
+    assert same_doubles(pts, np.array(circle_points(family, count, theta_range)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    anchor_families(5),
+    st.integers(1, 45),
+    st.integers(1, 45),
+    st.floats(-10, 10),
+    st.sampled_from(["grid", "uniform"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_torus_samples_are_the_per_point_doubles(family, n1, n2, alpha, mode, seed):
+    pts = sampling.torus_samples(
+        family, n1, n2, alpha, mode, rng=np.random.default_rng(seed)
+    )
+    want = torus_points(family, n1, n2, alpha, mode, rng=np.random.default_rng(seed))
+    assert same_doubles(pts, np.array(want))
 
 
 class TestAnchorFamily:
