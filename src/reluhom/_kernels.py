@@ -1,4 +1,9 @@
-"""Hot numeric kernels: the packed Hamming matrix and GF(2) column reduction.
+"""Hot numeric kernels: the block budget, the packed Hamming matrix and GF(2)
+column reduction.
+
+Every loop that streams its temporaries in blocks cuts them with `blocks`
+or `per_block`: the loop states how many bytes one item's largest temporary
+takes, and the block holds at most BLOCK_BYTES of them, at least one item.
 
 The Hamming matrix is one Gram product of the unpacked bits, using
 |x xor y| = |x| + |y| - 2 x.y; its memory is O(k^2) for k vectors.  The
@@ -21,11 +26,38 @@ USING_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
+# The block budget
+# ---------------------------------------------------------------------------
+
+# bytes of a block's largest temporary, for every streamed loop.  Each LP
+# pivot costs a fixed number of numpy calls whatever the stack's width, so
+# wider stacks amortise them: at this size a traversal wave of a 3-5-5 net
+# (1,920-byte tableaus, 68 per stack) is one stack.  The tracemalloc test of
+# the atlas's peak memory caps it: at 512 KiB the stacks' temporaries
+# outgrow a 3-8-8 atlas.
+BLOCK_BYTES = 128 * 1024
+
+
+def per_block(item_bytes):
+    """How many items of item_bytes fit in BLOCK_BYTES, at least one."""
+    return max(1, BLOCK_BYTES // max(1, item_bytes))
+
+
+def blocks(count, item_bytes):
+    """Slices cutting range(count) into runs of at most BLOCK_BYTES of items."""
+    step = per_block(item_bytes)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+# ---------------------------------------------------------------------------
 # Hamming distance over packed 64-bit words
 # ---------------------------------------------------------------------------
 
 # bytes an unpacked block may take even beyond the output: without a floor,
-# two vectors of a million bits would take 15,625 products of one word each
+# two vectors of a million bits would take 15,625 products of one word each.
+# The kernel's blocks follow its output, not BLOCK_BYTES: with a 128 KiB
+# floor, 64 vectors of 100,000 bits peak at 6.0 times their 32 KiB output,
+# above the 5 times its tracemalloc test allows.
 _HAMMING_BLOCK_MIN = 1 << 16
 
 

@@ -185,19 +185,22 @@ def _anchor_family(args, need):
 
 def cmd_sample_circle(args):
     family = _anchor_family(args, 2)
-    pts = sampling.circle_samples(
-        family, args.count, theta_range=(args.theta0, args.theta1)
-    )
+    # a non-finite point is reported by write_points, not by numpy's warnings
+    with np.errstate(invalid="ignore", over="ignore"):
+        pts = sampling.circle_samples(
+            family, args.count, theta_range=(args.theta0, args.theta1)
+        )
     write_points(pts, args.out)
     return EXIT_OK
 
 
 def cmd_sample_torus(args):
     family = _anchor_family(args, 4)
-    pts = sampling.torus_samples(
-        family, args.n1, args.n2, alpha=args.alpha,
-        mode=args.mode, rng=np.random.default_rng(args.seed),
-    )
+    with np.errstate(invalid="ignore", over="ignore"):
+        pts = sampling.torus_samples(
+            family, args.n1, args.n2, alpha=args.alpha,
+            mode=args.mode, rng=np.random.default_rng(args.seed),
+        )
     write_points(pts, args.out)
     return EXIT_OK
 
@@ -206,6 +209,21 @@ def cmd_gen_anchors(args):
     anchors = sampling.random_orthogonal_anchors(args.dim, args.count, args.seed)
     write_points(anchors, args.out)
     return EXIT_OK
+
+
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return value
+
+
+def non_negative_int(text):
+    # a seed: numpy's default_rng takes no negative one
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
+    return value
 
 
 def _tolerances(p, *flags):
@@ -234,7 +252,7 @@ def _enumerate_args(p):
     p.add_argument("--mode", choices=("brute", "traverse"), default="traverse")
     p.add_argument("--lower", help="comma-separated box lower bounds")
     p.add_argument("--upper", help="comma-separated box upper bounds")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--h-max", type=int, default=H_MAX_BRUTE)
     p.add_argument("--out-regions", required=True)
     p.add_argument("--out-edges")
@@ -262,12 +280,6 @@ def _combine_args(p):
 
 
 def _persist_args(p):
-    def positive_int(text):
-        value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
-        return value
-
     p.add_argument("--matrix", required=True)
     p.add_argument("--max-dim", type=int, default=1)
     p.add_argument("--t-max", type=float)
@@ -298,14 +310,14 @@ def _sample_torus_args(p):
     p.add_argument("--n2", type=int, required=True)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--mode", choices=("grid", "uniform"), default="grid")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True)
 
 
 def _gen_anchors_args(p):
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True)
 
 

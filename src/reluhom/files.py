@@ -22,14 +22,9 @@ import json
 
 import numpy as np
 
+from . import _kernels
 from .errors import DimensionMismatch, FormatError, NonFiniteEntry
 from .network import BitVector
-
-# coordinates whose JSON text is made at once: json.dumps holds one string
-# per number until it joins them, many times the size of the text
-_FLOATS_PER_WRITE = 1024
-# bytes of a bits file parsed at a time (whole lines, at least one)
-_BITS_BLOCK = 1 << 16
 
 
 def read_points(path):
@@ -66,24 +61,24 @@ def _each_point(raw, path):
 
 
 def write_points(points, path):
-    """The text of json.dumps({"points": [...]}), made and written about
-    _FLOATS_PER_WRITE coordinates at a time, one tolist() per block.  A
-    non-finite coordinate is an error, raised before the file is opened;
-    it is looked for a block at a time too, so a list of points is never
-    copied whole."""
-    step = max(1, _FLOATS_PER_WRITE // max(1, np.size(points[0]))) if len(points) else 1
-    starts = range(0, len(points), step)
-    for lo in starts:
-        finite = np.isfinite(np.asarray(points[lo: lo + step])).all(axis=1)
+    """The text of json.dumps({"points": [...]}), made and written a block of
+    points at a time, one tolist() per block.  A non-finite coordinate is an
+    error, raised before the file is opened; it is looked for a block at a
+    time too, so a list of points is never copied whole."""
+    # json.dumps holds a float and its string, about 128 bytes, per
+    # coordinate until it joins them
+    blocks = _kernels.blocks(len(points), 128 * np.size(points[0])) if len(points) else []
+    for blk in blocks:
+        finite = np.isfinite(np.asarray(points[blk])).all(axis=1)
         if not finite.all():
-            bad = lo + int(np.argmin(finite))
+            bad = blk.start + int(np.argmin(finite))
             raise NonFiniteEntry(f"{path}: point {bad} has a non-finite coordinate")
     with open(path, "w") as fh:
         fh.write('{"points": [')
-        for lo in starts:
+        for blk in blocks:
             # json.dumps runs the C encoder; json.dump(obj, fh) would not
-            block = np.asarray(points[lo: lo + step]).tolist()
-            fh.write((", " if lo else "") + json.dumps(block)[1:-1])
+            block = np.asarray(points[blk]).tolist()
+            fh.write((", " if blk.start else "") + json.dumps(block)[1:-1])
         fh.write("]}")
 
 
@@ -123,7 +118,7 @@ def _read_bit_blocks(fh):
     if width < 2 or not first.endswith(b"\n"):
         return None
     h, vectors = width - 1, []
-    size = width * max(1, _BITS_BLOCK // width)
+    size = width * _kernels.per_block(width)
     data = first + fh.read(size - width)
     while data:
         if len(data) % width:
@@ -139,17 +134,17 @@ def _read_bit_blocks(fh):
 
 
 def write_bits(vectors, path):
-    """One 0/1 line per vector, written _BITS_BLOCK bytes of whole lines at a
-    time; vectors of mixed lengths are an error, raised before the file is
+    """One 0/1 line per vector, written a block of whole lines at a time;
+    vectors of mixed lengths are an error, raised before the file is
     opened."""
     lengths = {len(v) for v in vectors}
     if len(lengths) > 1:
         raise DimensionMismatch(f"bit vectors of mixed lengths {sorted(lengths)}")
     h = lengths.pop() if lengths else 0
-    size, rows = (h + 7) // 8, max(1, _BITS_BLOCK // (h + 1))
+    size = (h + 7) // 8
     with open(path, "wb") as fh:
-        for lo in range(0, len(vectors), rows):
-            block = vectors[lo: lo + rows]
+        for blk in _kernels.blocks(len(vectors), h + 1):
+            block = vectors[blk]
             raw = b"".join(v.value.to_bytes(size, "little") for v in block)
             packed = np.frombuffer(raw, np.uint8).reshape(len(block), size)
             lines = np.full((len(block), h + 1), 10, np.uint8)

@@ -30,18 +30,6 @@ TAU_LP = 1e-8    # feasibility / optimality tolerance
 TAU_DIM = 1e-7   # Chebyshev radius above which a region counts as full-dimensional
 
 _PIVOT_TOL = 1e-9
-# bytes of a stack's largest temporary.  Each pivot costs a fixed number of
-# numpy calls whatever the stack's width, so wider stacks amortise them:
-# at this size a traversal wave of a 3-5-5 net (1,920-byte tableaus, 68 per
-# stack) is one stack.  The tracemalloc test of the atlas's peak memory
-# caps it: at 512 KiB the stacks' temporaries outgrow a 3-8-8 atlas.
-BLOCK_BYTES = 128 * 1024
-
-
-def _blocks(count, item_bytes):
-    """Slices cutting range(count) into runs of at most BLOCK_BYTES of items."""
-    step = max(1, BLOCK_BYTES // max(1, item_bytes))
-    return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
 def _pivot(T, basis, rows, cols):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .errors import DimensionMismatch, FormatError, NonFiniteEntry
 
 #: pre-activations with |z| <= TAU_BIT are treated as exactly zero (bit 0)
@@ -239,15 +240,11 @@ def forward(net, x):
     return outputs, outputs[-1] @ net.weights[-1].T + net.biases[-1]
 
 
-#: bytes of one (rows x widest hidden layer) float64 block in bit_vectors;
-#: 256 rows of a 256-wide net
-BIT_BLOCK_BYTES = 512 * 1024
-
-
 def bit_vectors(net, points, tol=TAU_BIT):
     """Activation patterns of a sequence of points: bit 1 iff z > tol.
 
-    Points run in blocks of rows sized by BIT_BLOCK_BYTES, so the layer
+    Points run in blocks of rows whose widest layer fits in
+    _kernels.BLOCK_BYTES (64 rows of a 256-wide net), so the layer
     temporaries stay small however many points there are.  Each block is
     one matmul and one comparison per layer and one packbits; each row of
     packed bytes becomes one BitVector int.
@@ -259,11 +256,10 @@ def bit_vectors(net, points, tol=TAU_BIT):
         raise DimensionMismatch(
             f"points have shape {x.shape}, expected (k, {net.input_dim})"
         )
-    rows = max(1, BIT_BLOCK_BYTES // (8 * max(net.hidden_sizes)))
     h = net.h
     out = []
-    for start in range(0, x.shape[0], rows):
-        pre = preactivations(net, x[start:start + rows])
+    for blk in _kernels.blocks(x.shape[0], 8 * max(net.hidden_sizes)):
+        pre = preactivations(net, x[blk])
         packed = np.packbits(
             np.concatenate([z > tol for z in pre], axis=1), axis=1, bitorder="little"
         )

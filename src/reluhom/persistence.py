@@ -210,7 +210,8 @@ def compute_barcodes(filtration):
 # written as an integer without a decimal point, any other entry as its
 # Python repr (so "inf" for an infinite distance); parsing the text gives
 # back the same doubles bit for bit.  The writer walks the lower triangle in
-# blocks of whole rows of about LDM_BLOCK entries: each distinct value of a
+# blocks of whole rows, as many as _kernels.BLOCK_BYTES holds at 8 bytes per
+# entry of a full row (21 rows at n = 778): each distinct value of a
 # block is formatted once, and the rows are joined from that vocabulary, so
 # a Hamming matrix with a few hundred distinct distances costs a few hundred
 # formatting calls per block and memory stays one block whatever n is.
@@ -225,10 +226,6 @@ def compute_barcodes(filtration):
 # names the line of an error.
 # ---------------------------------------------------------------------------
 
-#: entries per block of rows in export_lower_distance (at least one row)
-LDM_BLOCK = 1 << 14
-
-
 def _fmt(x):
     return str(int(x)) if x.is_integer() else repr(x)
 
@@ -241,7 +238,7 @@ def export_lower_distance(d, sink):
         return
     D = _as_matrix(d)
     n = D.shape[0]
-    step = max(1, LDM_BLOCK // max(n, 1))
+    step = _kernels.per_block(8 * n)
     for lo in range(1, n, step):
         hi = min(n, lo + step)
         # row lo + r of the block holds D[lo + r, :lo + r]
@@ -298,7 +295,7 @@ def _read_digits(data):
     buf = np.frombuffer(data, np.uint8)
     newlines = np.flatnonzero(buf == 10)
     D = np.zeros((n, n))
-    step = max(1, LDM_BLOCK // n)
+    step = _kernels.per_block(8 * n)
     start = 0
     for lo in range(1, n, step):
         hi = min(n, lo + step)

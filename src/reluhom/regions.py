@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lp
+from . import _kernels, lp
 from .errors import (
     BoundaryPointError,
     DegenerateSystemError,
@@ -152,12 +152,12 @@ def _ray_facets(A, b, tau_lp):
     satisfies all other rows and exceeds row i by (a_i.d) t2 - b_i
     (infinite when no other row is met).  When that exceeds tau_lp, the
     redundancy LP of row i, against these rows or any subset of them,
-    keeps the row.  The rays go in blocks of at most lp.BLOCK_BYTES of
-    products, the LP stacks' budget: wide enough to amortise each block's
-    numpy calls, small enough for the atlas's tracemalloc peak.
+    keeps the row.  The rays go in blocks of at most _kernels.BLOCK_BYTES
+    of products, the LP stacks' budget: wide enough to amortise each
+    block's numpy calls, small enough for the atlas's tracemalloc peak.
     """
     facet = np.zeros(b.shape, dtype=bool)
-    for rays in lp._blocks(_N_RAYS, 8 * b.size) if b.size else []:
+    for rays in _kernels.blocks(_N_RAYS, 8 * b.size) if b.size else []:
         P = A @ _rays(A.shape[2])[:, rays]
         T = np.divide(b[:, :, None], P, out=np.full(P.shape, np.inf), where=P > 0)
         first = T.argmin(axis=1)[:, None, :]
@@ -191,7 +191,7 @@ def _dual_implied(A, b, rest, facet, tau_lp):
         for basis in itertools.islice(
             itertools.combinations(np.flatnonzero(facet[s]).tolist(), n), _N_BASES)
     ]
-    for blk in lp._blocks(len(owned), 8 * n * b.shape[1]):
+    for blk in _kernels.blocks(len(owned), 8 * n * b.shape[1]):
         s = np.array([owner for owner, _ in owned[blk]])
         B = np.array([basis for _, basis in owned[blk]], np.int64)
         AB_T = A[s[:, None], B].transpose(0, 2, 1)          # (bases, n, n)
@@ -215,7 +215,7 @@ def _inscribed_balls(A, c, tau_dim):
     (at 1 by default), which decides full dimension as no cap would."""
     centers, radii = np.empty((len(A), A.shape[2])), np.empty(len(A))
     r_cap = max(1.0, 2.0 * tau_dim)
-    for blk in lp._blocks(len(A), _tableau_bytes(A.shape[1], A.shape[2])):
+    for blk in _kernels.blocks(len(A), _tableau_bytes(A.shape[1], A.shape[2])):
         centers[blk], radii[blk] = lp.chebyshev_centers(A[blk], c[blk], r_cap)
     return centers, radii
 
@@ -301,7 +301,7 @@ def regions_from_bits(net, patterns, extra_A=None, extra_c=None,
         extra_A, extra_c = np.empty((0, net.input_dim)), np.empty(0)
     rows = net.h + len(extra_c)
     out = []
-    for blk in lp._blocks(len(patterns), _tableau_bytes(rows, net.input_dim)):
+    for blk in _kernels.blocks(len(patterns), _tableau_bytes(rows, net.input_dim)):
         (A, c), (M, v) = _hat_maps(net, patterns[blk])
         A = np.concatenate([A, np.broadcast_to(extra_A, (len(A),) + extra_A.shape)], axis=1)
         c = np.concatenate([c, np.broadcast_to(extra_c, (len(c), len(extra_c)))], axis=1)

@@ -4,12 +4,13 @@ import re
 import shlex
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from reluhom import cli, network, persistence
+from reluhom import _kernels, cli, network, persistence
 from conftest import random_net
 from oracles import ldm_text, point_bits
 
@@ -260,6 +261,36 @@ class TestPipeline:
         assert rc == 0 and kept[0].size == n
         assert peak < 3 * n * n * 8, f"peak {peak} bytes"
 
+    @pytest.mark.parametrize("budget", [1, 4096, 1 << 30])
+    def test_block_budget_changes_no_byte(self, tmp_path, monkeypatch, budget):
+        """Every file of the circle pipeline, from one item per block to one
+        block of all, is the file made at the default budget."""
+        net = random_net(16, [64, 64], 5)
+        network.save_network(net, tmp_path / "net.json")
+
+        def pipeline(out):
+            out.mkdir()
+            stages = [
+                ["gen-anchors", "--dim", "16", "--count", "2", "--seed", "3",
+                 "--out", out / "anchors.json"],
+                ["sample-circle", "--anchors", out / "anchors.json", "--count", "300",
+                 "--out", out / "points.json"],
+                ["bits", "--net", tmp_path / "net.json", "--points", out / "points.json",
+                 "--out", out / "bits.txt"],
+                ["distmat", "--bits", out / "bits.txt", "--dedup", "--out", out / "dist.ldm"],
+                ["persist", "--matrix", out / "dist.ldm", "--max-dim", "1", "--t-max", "8",
+                 "--out", out / "barcode.json"],
+            ]
+            for argv in stages:
+                assert cli.main(list(map(str, argv))) == 0
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        want = pipeline(tmp_path / "default")
+        n = want["dist.ldm"].count(b"\n") + 1
+        assert n - 1 > _kernels.per_block(8 * n)    # LDM rows cross a block's end
+        monkeypatch.setattr(_kernels, "BLOCK_BYTES", budget)
+        assert pipeline(tmp_path / "budget") == want
+
     def test_persist_table_output(self, tmp_path, capsys):
         d = np.array([[0.0, 2.0], [2.0, 0.0]])
         p = tmp_path / "m.ldm"
@@ -321,10 +352,12 @@ class TestSamplers:
         ap, out = tmp_path / "anchors.json", tmp_path / "samples.json"
         # the first torus point, at t1 = t2 = 0, is alpha * (2, 2)
         write_points(ap, [[1.0, 1.0]] * 4 + [[0.0, 0.0]])
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # a numpy RuntimeWarning fails the test
             assert cli.main(argv + ["--anchors", str(ap), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {out}: point ") and "non-finite coordinate" in err
+        assert len(err.splitlines()) == 1, err
         assert not out.exists()
 
 
@@ -519,6 +552,19 @@ class TestUsage:
             cli.main(["persist", "--matrix", "m.ldm", "--simplex-cap", value])
         assert exc.value.code == 2
         assert "argument --simplex-cap: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-anchors", "--dim", "3", "--count", "2", "--out", "a.json"],
+        ["enumerate", "--net", "net.json", "--out-regions", "r.jsonl"],
+        ["sample-torus", "--anchors", "a.json", "--n1", "3", "--n2", "3", "--out", "t.json"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: '-1' is not an integer >= 0" in err
+        assert "Traceback" not in err
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

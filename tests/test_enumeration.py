@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reluhom import enumeration, lp, network
+from reluhom import _kernels, enumeration, lp, network
 from reluhom.errors import DimensionMismatch, NonFiniteEntry, ResourceCapError
 from conftest import random_net
 from oracles import facet_points
@@ -272,6 +272,16 @@ def test_atlas_floats_are_pinned(name, want):
     assert atlas_fingerprint(ENUMERATORS[name](random_net(3, [5, 5], 7))) == want
 
 
+@pytest.mark.parametrize("budget", [1, 4096, 1 << 30])
+@pytest.mark.parametrize("name", ["traverse", "brute"])
+def test_block_budget_moves_no_atlas_bit(monkeypatch, name, budget):
+    # from one system per LP stack and one ray per block to one stack of all
+    net = random_net(3, [5, 5], 7)
+    want = atlas_fingerprint(ENUMERATORS[name](net))
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", budget)
+    assert atlas_fingerprint(ENUMERATORS[name](net)) == want
+
+
 @pytest.mark.parametrize("name,want", [
     ("traverse", "87b08248f3bb482872813227cca1d3221ae597fb8918e1308706c9bcd621ac4a"),
     ("brute", "458840915ea15827a5f67d42e62f33bc6e21c41663bef2b2912b11f3e7c087c7"),
@@ -300,9 +310,9 @@ def simplex_calls(monkeypatch, name):
 
 def test_traversal_splits_no_wave(monkeypatch):
     # each wave's Chebyshev LPs, and each round of its redundancy LPs, is
-    # one stack at lp.BLOCK_BYTES, as with no cap on a stack's bytes
+    # one stack at _kernels.BLOCK_BYTES, as with no cap on a stack's bytes
     calls = simplex_calls(monkeypatch, "traverse")
-    monkeypatch.setattr(lp, "BLOCK_BYTES", 1 << 30)
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 1 << 30)
     assert calls == simplex_calls(monkeypatch, "traverse")
 
 

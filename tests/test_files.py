@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reluhom import files
+from reluhom import _kernels, files
 from reluhom.errors import DimensionMismatch, FormatError, NonFiniteEntry
 from reluhom.files import read_bits, read_points, write_bits, write_points
 from reluhom.network import BitVector
@@ -36,7 +36,7 @@ def test_bits_file_matches_oracle_and_round_trips(vectors):
 
 @pytest.mark.parametrize("h", [1, 7, 8, 63, 64, 65, 512])
 def test_bits_written_in_blocks_match_oracle(tmp_path, h):
-    per_block = files._BITS_BLOCK // (h + 1)
+    per_block = _kernels.per_block(h + 1)
     rng = np.random.default_rng(h)
     path = tmp_path / "bits.txt"
     for count in (0, 1, per_block - 1, per_block, per_block + 1, 2 * per_block + 3):
@@ -46,7 +46,7 @@ def test_bits_written_in_blocks_match_oracle(tmp_path, h):
 
 
 def test_bits_are_written_a_block_at_a_time(tmp_path):
-    # the file is 1.0 MB; one block of lines is 64 KiB
+    # the file is 1.0 MB; one block of lines is 128 KiB
     rng = np.random.default_rng(6)
     vectors = [BitVector.from_bits(row) for row in rng.integers(0, 2, (2000, 512))]
     path = tmp_path / "bits.txt"
@@ -177,7 +177,7 @@ def test_points_text_is_the_json_dump_text(tmp_path):
 
 @pytest.mark.parametrize("count", [0, 1, 341, 342, 1000])
 def test_points_text_in_blocks_is_the_json_dump_text(tmp_path, count):
-    # 341 3-D points fill one block of _FLOATS_PER_WRITE coordinates
+    # 341 3-D points fill one block, at 128 bytes per coordinate
     pts = list(np.random.default_rng(3).standard_normal((count, 3)))
     path = tmp_path / "pts.json"
     write_points(pts, path)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from reluhom.errors import DimensionMismatch, FormatError, NonFiniteEntry
-from reluhom import network
+from reluhom import _kernels, network
 from reluhom.network import (
     BitVector,
     NetworkSpec,
@@ -199,10 +199,10 @@ def rounding_bound(net, x):
 
 
 class TestBitVectors:
-    @pytest.mark.parametrize("k", [0, 1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("k", [0, 1, 63, 64, 65, 255, 256, 257, 600])
     def test_matches_per_point_oracle(self, k):
         net = random_net(16, [256, 256], seed=3)
-        assert network.BIT_BLOCK_BYTES // (8 * 256) == 256   # blocks of 256 rows
+        assert _kernels.per_block(8 * 256) == 64             # blocks of 64 rows
         pts = np.random.default_rng(k).standard_normal((k, 16)) * 2
         got = bit_vectors(net, list(pts))
         assert len(got) == k

@@ -461,7 +461,7 @@ def test_ldm_formats_each_distinct_value_once_per_block(monkeypatch):
     monkeypatch.setattr(persistence, "_fmt", counted)
     sink = io.StringIO()
     persistence.export_lower_distance(D, sink)
-    step = max(1, persistence.LDM_BLOCK // n)
+    step = _kernels.per_block(8 * n)
     blocks = -(-(n - 1) // step)
     assert distinct <= 513 and blocks == 37
     assert len(calls) <= blocks * distinct < n * (n - 1) // 2 // 10
@@ -485,7 +485,7 @@ def test_ldm_writer_memory_is_one_block(n):
     rng = np.random.default_rng(n)
     D = np.triu(rng.random((n, n)) * 10.0, 1)
     D = DistanceMatrix(D + D.T)
-    bound = 256 * persistence.LDM_BLOCK
+    bound = 32 * _kernels.BLOCK_BYTES
     sink = _Tally()
     tracemalloc.start()
     try:
@@ -499,7 +499,7 @@ def test_ldm_writer_memory_is_one_block(n):
 
 @st.composite
 def ldm_texts(draw):
-    """LDM text of up to 300 points, so rows cross LDM_BLOCK boundaries.
+    """LDM text of up to 300 points, so rows cross block boundaries.
 
     Entries are integers of at most a drawn 1 to 16 digits, a drawn share
     of them "inf"; then the text may get CRLF line ends, a blank line,
