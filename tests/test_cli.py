@@ -558,12 +558,16 @@ class TestUsage:
         ["enumerate", "--net", "net.json", "--out-regions", "r.jsonl"],
         ["sample-torus", "--anchors", "a.json", "--n1", "3", "--n2", "3", "--out", "t.json"],
     ], ids=lambda argv: argv[0])
-    def test_negative_seed_exits_2(self, capsys, argv):
+    @pytest.mark.parametrize("seed, message", [
+        ("-1", "argument --seed: '-1' is not an integer >= 0"),
+        ("abc", "argument --seed: invalid non_negative_int value: 'abc'"),
+    ], ids=["negative", "not-int"])
+    def test_negative_seed_exits_2(self, capsys, argv, seed, message):
         with pytest.raises(SystemExit) as exc:
-            cli.main(argv + ["--seed", "-1"])
+            cli.main(argv + ["--seed", seed])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "argument --seed: '-1' is not an integer >= 0" in err
+        assert message in err
         assert "Traceback" not in err
 
     def test_unknown_subcommand_exits_2(self):

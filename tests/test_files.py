@@ -90,10 +90,12 @@ def test_mixed_lengths_name_the_first_odd_line(tmp_path):
 
 @st.composite
 def bits_texts(draw):
-    """Up to 500 lines of one drawn length, 1-300 bits, so files cross
-    block boundaries; then maybe CRLF line ends, a blank line, spaces, a
-    bad byte, a line one bit short, or no final newline.  Returns the text
-    and whether it is equal 0/1 lines, which the block reader must take."""
+    """Up to 500 lines of one drawn length, 1-300 bits, and a block budget
+    of 1 B to 4 KiB, so most files cross block boundaries; then maybe CRLF
+    line ends, a blank line, spaces, a bad byte, a line one bit short, or
+    no final newline.  Returns the text, the budget and whether the text is
+    equal 0/1 lines, which the block reader must take."""
+    budget = draw(st.integers(1, 4096))
     h = draw(st.integers(1, 300))
     count = draw(st.integers(1, 500))
     edits = draw(st.sets(st.sampled_from(
@@ -116,13 +118,13 @@ def bits_texts(draw):
     text = "".join(line + ("\r\n" if "crlf" in edits else "\n") for line in lines)
     if "no final newline" in edits:
         text = text[:-1]
-    return text, not edits
+    return text, budget, not edits
 
 
 @settings(max_examples=60, deadline=None)
 @given(bits_texts())
 def test_read_bits_agrees_with_per_line_from01(case):
-    text, plain = case
+    text, budget, plain = case
     want, error = [], None
     for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
         if not line.strip():
@@ -136,7 +138,8 @@ def test_read_bits_agrees_with_per_line_from01(case):
             error = lineno
             break
         want.append(v)
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "BLOCK_BYTES", budget)
         path = Path(tmp) / "bits.txt"
         path.write_bytes(text.encode())
         with open(path, "rb") as fh:
