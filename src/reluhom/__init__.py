@@ -8,8 +8,16 @@ from .enumeration import (
     enumerate_brute,
     enumerate_traverse,
 )
-from .metric import DistanceMatrix, combine, dedup_bitvectors, hamming, hamming_matrix
-from .network import BitVector, NetworkSpec, bit_vector, bit_vectors, forward, load_network
+from .metric import DistanceMatrix, combine, hamming, hamming_matrix
+from .network import (
+    BitVector,
+    NetworkSpec,
+    PackedBits,
+    bit_vector,
+    bit_vectors,
+    forward,
+    load_network,
+)
 from .persistence import (
     Barcode,
     Filtration,

@@ -219,7 +219,8 @@ def positive_int(text):
 
 
 def non_negative_int(text):
-    # a seed: numpy's default_rng takes no negative one
+    # a seed (numpy's default_rng takes no negative one), a guard or a
+    # dimension
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
@@ -253,7 +254,7 @@ def _enumerate_args(p):
     p.add_argument("--lower", help="comma-separated box lower bounds")
     p.add_argument("--upper", help="comma-separated box upper bounds")
     p.add_argument("--seed", type=non_negative_int, default=0)
-    p.add_argument("--h-max", type=int, default=H_MAX_BRUTE)
+    p.add_argument("--h-max", type=non_negative_int, default=H_MAX_BRUTE)
     p.add_argument("--out-regions", required=True)
     p.add_argument("--out-edges")
     _tolerances(p, "--tau-lp", "--tau-dim")
@@ -281,7 +282,7 @@ def _combine_args(p):
 
 def _persist_args(p):
     p.add_argument("--matrix", required=True)
-    p.add_argument("--max-dim", type=int, default=1)
+    p.add_argument("--max-dim", type=non_negative_int, default=1)
     p.add_argument("--t-max", type=float)
     p.add_argument("--simplex-cap", type=positive_int, default=persistence.SIMPLEX_CAP)
     p.add_argument("--include-zero-bars", action="store_true")

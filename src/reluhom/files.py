@@ -9,13 +9,14 @@ then writes the text of ``json.dumps`` a block of points at a time.
 
 A bits file holds one activation pattern per point, each a line of ASCII
 ``0``/``1`` digits (bit 0 first), all lines of one length; blank lines are
-skipped.  Bits files are written a block of whole lines at a time as bytes:
-one ``to_bytes`` per vector, one ``unpackbits`` per block.  A file of equal
-lines of ``0``/``1`` bytes, each ending in a newline, is read a block of
-whole lines at a time as a byte array: one ``packbits`` per block and one
-``int.from_bytes`` per line.  Any other layout (blank lines, spaces, CRLF
-line ends, a bad line) is read one line at a time by ``BitVector.from01``,
-which names the line of an error.
+skipped.  Patterns travel as one ``network.PackedBits`` byte array, with
+no Python object per pattern.  Bits files are written from it a block of
+whole lines at a time as bytes: one ``unpackbits`` per block.  A file of
+equal lines of ``0``/``1`` bytes, each ending in a newline, is read into
+it a block of whole lines at a time: one ``packbits`` per block.  Any
+other layout (blank lines, spaces, CRLF line ends, a bad line) is read one
+line at a time by ``BitVector.from01``, which names the line of an error,
+and the vectors are packed once at the end.
 """
 
 import json
@@ -23,8 +24,8 @@ import json
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionMismatch, FormatError, NonFiniteEntry
-from .network import BitVector
+from .errors import FormatError, NonFiniteEntry
+from .network import BitVector, PackedBits
 
 
 def read_points(path):
@@ -83,12 +84,12 @@ def write_points(points, path):
 
 
 def read_bits(path):
-    """One 0/1 string per line -> list of BitVector, all of one length."""
+    """One 0/1 string per line -> PackedBits, all of one length."""
     try:
         with open(path, "rb") as fh:
-            vectors = _read_bit_blocks(fh)
-        if vectors is not None:
-            return vectors
+            bits = _read_bit_blocks(fh)
+        if bits is not None:
+            return bits
         vectors = []
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -107,17 +108,17 @@ def read_bits(path):
                 vectors.append(v)
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read bits file {path}: {exc}") from exc
-    return vectors
+    return PackedBits.of(vectors)
 
 
 def _read_bit_blocks(fh):
-    """The vectors of a binary bits stream of equal "0"/"1" lines, each
+    """The PackedBits of a binary bits stream of equal "0"/"1" lines, each
     ending in a newline, or None for any other layout."""
     first = fh.readline()
     width = len(first)              # h bits and the newline
     if width < 2 or not first.endswith(b"\n"):
         return None
-    h, vectors = width - 1, []
+    h, blocks = width - 1, []
     size = width * _kernels.per_block(width)
     data = first + fh.read(size - width)
     while data:
@@ -127,27 +128,21 @@ def _read_bit_blocks(fh):
         bits = lines[:, :h] - 48    # any byte but "0" and "1" wraps past 1
         if bits.max() > 1 or (lines[:, h] != 10).any():
             return None
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        vectors.extend(BitVector(h, int.from_bytes(row, "little")) for row in packed)
+        blocks.append(np.packbits(bits, axis=1, bitorder="little"))
         data = fh.read(size)
-    return vectors
+    return PackedBits(np.concatenate(blocks), h)
 
 
 def write_bits(vectors, path):
-    """One 0/1 line per vector, written a block of whole lines at a time;
-    vectors of mixed lengths are an error, raised before the file is
-    opened."""
-    lengths = {len(v) for v in vectors}
-    if len(lengths) > 1:
-        raise DimensionMismatch(f"bit vectors of mixed lengths {sorted(lengths)}")
-    h = lengths.pop() if lengths else 0
-    size = (h + 7) // 8
+    """One 0/1 line per vector of a PackedBits or a sequence of BitVectors,
+    written a block of whole lines at a time; vectors of mixed lengths are
+    an error, raised before the file is opened."""
+    bits = PackedBits.of(vectors)
+    h = bits.h
     with open(path, "wb") as fh:
-        for blk in _kernels.blocks(len(vectors), h + 1):
-            block = vectors[blk]
-            raw = b"".join(v.value.to_bytes(size, "little") for v in block)
-            packed = np.frombuffer(raw, np.uint8).reshape(len(block), size)
-            lines = np.full((len(block), h + 1), 10, np.uint8)
+        for blk in _kernels.blocks(len(bits), h + 1):
+            packed = bits.packed[blk]
+            lines = np.full((len(packed), h + 1), 10, np.uint8)
             lines[:, :h] = np.unpackbits(packed, axis=1, count=h, bitorder="little")
             lines[:, :h] += 48
             fh.write(lines.tobytes())

@@ -4,8 +4,13 @@ A network is a chain of affine layers; every hidden layer is followed by a
 coordinate-wise ReLU, the output layer is affine only.  The activation
 pattern of a point is the binary vector, in layer-major node-ascending
 order, recording which hidden pre-activations were strictly positive.  A
-``BitVector`` stores it as its length plus one Python int; only the
-Hamming-matrix kernel sees it as 64-bit words.
+``BitVector`` stores one pattern as its length plus one Python int, and is
+the key type of an atlas.  A batch of patterns travels as ``PackedBits``:
+one (k, ceil(h/8)) uint8 array in ``packbits(bitorder="little")`` layout,
+row i holding the little-endian bytes of pattern i's int, with every
+padding bit zero.  ``bit_vectors`` makes one, the bits files are written
+from and read into one, and the Hamming matrix is computed from one, so no
+per-pattern Python object is made between them.
 """
 
 import json
@@ -99,6 +104,45 @@ class BitVector:
 
     def __repr__(self):
         return f"BitVector({self.to01()!r})"
+
+
+class PackedBits:
+    """k patterns of h bits as one (k, ceil(h/8)) uint8 array.
+
+    Row i is the little-endian bytes of pattern i's ``BitVector.value``,
+    the layout of ``np.packbits(bits, bitorder="little")``; padding bits
+    past h are zero, so equal patterns have equal rows.  ``len`` is k, and
+    indexing and iteration give ``BitVector``s.
+    """
+
+    __slots__ = ("packed", "h")
+
+    def __init__(self, packed, h):
+        self.packed = packed
+        self.h = h
+
+    @classmethod
+    def of(cls, vectors):
+        """`vectors` if it is packed already, else a sequence of BitVectors
+        of one length packed by one bytes join."""
+        if isinstance(vectors, cls):
+            return vectors
+        lengths = {len(v) for v in vectors}
+        if len(lengths) > 1:
+            raise DimensionMismatch(f"bit vectors of mixed lengths {sorted(lengths)}")
+        h = lengths.pop() if lengths else 0
+        size = (h + 7) // 8
+        raw = b"".join(v.value.to_bytes(size, "little") for v in vectors)
+        return cls(np.frombuffer(raw, np.uint8).reshape(len(vectors), size), h)
+
+    def __len__(self):
+        return self.packed.shape[0]
+
+    def __getitem__(self, i):
+        return BitVector(self.h, int.from_bytes(self.packed[operator.index(i)], "little"))
+
+    def __iter__(self):
+        return (BitVector(self.h, int.from_bytes(row, "little")) for row in self.packed)
 
 
 @dataclass(frozen=True)
@@ -243,29 +287,28 @@ def forward(net, x):
 def bit_vectors(net, points, tol=TAU_BIT):
     """Activation patterns of a sequence of points: bit 1 iff z > tol.
 
-    Points run in blocks of rows whose widest layer fits in
-    _kernels.BLOCK_BYTES (64 rows of a 256-wide net), so the layer
-    temporaries stay small however many points there are.  Each block is
-    one matmul and one comparison per layer and one packbits; each row of
-    packed bytes becomes one BitVector int.
+    Returns them as one PackedBits.  Points run in blocks of rows whose
+    widest layer fits in _kernels.BLOCK_BYTES (64 rows of a 256-wide net),
+    so the layer temporaries stay small however many points there are.
+    Each block is one matmul and one comparison per layer and one packbits
+    into its rows of the output.
     """
+    h = net.h
     if len(points) == 0:
-        return []
+        return PackedBits(np.empty((0, (h + 7) // 8), np.uint8), h)
     x = _check_input(net, points)
     if x.ndim != 2:
         raise DimensionMismatch(
             f"points have shape {x.shape}, expected (k, {net.input_dim})"
         )
-    h = net.h
-    out = []
+    out = np.empty((x.shape[0], (h + 7) // 8), np.uint8)
     for blk in _kernels.blocks(x.shape[0], 8 * max(net.hidden_sizes)):
         pre = preactivations(net, x[blk])
-        packed = np.packbits(
+        out[blk] = np.packbits(
             np.concatenate([z > tol for z in pre], axis=1), axis=1, bitorder="little"
         )
         del pre          # free this block's layers before the next block's
-        out.extend(BitVector(h, int.from_bytes(row, "little")) for row in packed)
-    return out
+    return PackedBits(out, h)
 
 
 def bit_vector(net, x, tol=TAU_BIT):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reluhom import _kernels, cli, network, persistence
+from reluhom import _kernels, cli, metric, network, persistence
 from conftest import random_net
 from oracles import ldm_text, point_bits
 
@@ -192,13 +192,33 @@ class TestPipeline:
             "persist", "--matrix", str(matp), "--max-dim", "1", "--out", str(barp),
         ]) == 0
 
-        from reluhom import metric
-
         vs = [network.bit_vector(net, p) for p in pts]
         dm = metric.hamming_matrix(vs, deduplicate=True)
         f = persistence.build_filtration(dm.data, max_dim=1)
         want = persistence.compute_barcodes(f).to_json_obj()
         assert json.loads(barp.read_text()) == want
+
+    def test_bits_and_distmat_make_no_bit_vector(self, netfile, tmp_path, monkeypatch):
+        """Patterns go from the net to the file and from the file to the
+        Hamming kernel as one packed array: no BitVector is made."""
+        net, netp = netfile
+        pts = np.random.default_rng(6).standard_normal((300, 2)) * 2
+        want = metric.hamming_matrix([network.bit_vector(net, p) for p in pts],
+                                     deduplicate=True).data
+        ptp, bitsp, matp = (tmp_path / n for n in ("pts.json", "b.txt", "m.ldm"))
+        write_points(ptp, pts)
+
+        def refuse(self, n, value):
+            raise AssertionError("a BitVector was made")
+
+        monkeypatch.setattr(network.BitVector, "__init__", refuse)
+        with pytest.raises(AssertionError):
+            network.BitVector(1, 0)
+        assert cli.main(["bits", "--net", str(netp), "--points", str(ptp),
+                         "--out", str(bitsp)]) == 0
+        assert cli.main(["distmat", "--bits", str(bitsp), "--dedup", "--out", str(matp)]) == 0
+        monkeypatch.undo()
+        assert np.array_equal(persistence.read_lower_distance(matp).data, want)
 
     def test_combine(self, tmp_path):
         a = np.array([[0.0, 3.0], [3.0, 0.0]])
@@ -568,6 +588,22 @@ class TestUsage:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["enumerate", "--net", "net.json", "--out-regions", "r.jsonl", "--h-max"], "--h-max"),
+        (["persist", "--matrix", "m.ldm", "--max-dim"], "--max-dim"),
+    ], ids=["h-max", "max-dim"])
+    @pytest.mark.parametrize("value, message", [
+        ("-3", "'-3' is not an integer >= 0"),
+        ("x", "invalid non_negative_int value: 'x'"),
+    ], ids=["negative", "not-int"])
+    def test_negative_guard_or_dimension_exits_2(self, capsys, argv, flag, value, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + [value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {message}" in err
         assert "Traceback" not in err
 
     def test_unknown_subcommand_exits_2(self):

@@ -31,7 +31,7 @@ def test_bits_file_matches_oracle_and_round_trips(vectors):
         path = Path(tmp) / "bits.txt"
         write_bits(vectors, path)
         assert path.read_text() == "".join(bits_text(v) + "\n" for v in vectors)
-        assert read_bits(path) == vectors
+        assert list(read_bits(path)) == vectors
 
 
 @pytest.mark.parametrize("h", [1, 7, 8, 63, 64, 65, 512])
@@ -145,7 +145,7 @@ def test_read_bits_agrees_with_per_line_from01(case):
         with open(path, "rb") as fh:
             assert (files._read_bit_blocks(fh) is not None) == plain
         if error is None:
-            assert read_bits(path) == want
+            assert list(read_bits(path)) == want
         else:
             with pytest.raises(FormatError, match=re.escape(f"{path}:{error}: ")):
                 read_bits(path)

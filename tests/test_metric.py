@@ -1,9 +1,17 @@
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from reluhom import metric
-from reluhom.network import BitVector
+from reluhom import files, metric
+from reluhom.files import read_bits, write_bits
+from reluhom.network import BitVector, PackedBits, bit_vectors
 from reluhom.errors import DimensionMismatch, FormatError, NonFiniteEntry
+
+from conftest import random_net
 
 
 def bv(s):
@@ -49,17 +57,73 @@ class TestHammingMatrix:
 
     def test_dedup_keeps_first_occurrence_order(self):
         vs = [bv("11"), bv("00"), bv("11"), bv("01"), bv("00")]
-        kept, assign = metric.dedup_bitvectors(vs)
-        assert [k.to01() for k in kept] == ["11", "00", "01"]
-        assert list(assign) == [0, 1, 0, 2, 1]
         dm = metric.hamming_matrix(vs, deduplicate=True)
-        assert dm.data.shape == (3, 3)
         # labels carry the first sample index that produced each row
         assert dm.labels == ("0", "1", "3")
+        kept = [vs[int(label)] for label in dm.labels]
+        assert [k.to01() for k in kept] == ["11", "00", "01"]
+        assert np.array_equal(dm.data, [[metric.hamming(a, b) for b in kept] for a in kept])
+        # each vector is at distance 0 from its own kept row and no other
+        full = metric.hamming_matrix(vs).data
+        assign = [np.flatnonzero(full[i, [0, 1, 3]] == 0).tolist() for i in range(5)]
+        assert assign == [[0], [1], [0], [2], [1]]
+
+    def test_mixed_lengths_rejected(self):
+        with pytest.raises(DimensionMismatch, match=re.escape("mixed lengths [2, 3]")):
+            metric.hamming_matrix([bv("01"), bv("011"), bv("10")])
 
     def test_empty_input_rejected(self):
         with pytest.raises(FormatError):
             metric.hamming_matrix([])
+
+
+def popcount_oracle(vectors, deduplicate):
+    """Hamming matrix and labels of BitVectors, one xor and popcount of
+    their ints per pair, duplicates found by hashing."""
+    labels = range(len(vectors))
+    if deduplicate:
+        first = {}
+        for i, v in enumerate(vectors):
+            first.setdefault(v, i)
+        labels = sorted(first.values())
+    kept = [vectors[i] for i in labels]
+    return [[(a.value ^ b.value).bit_count() for b in kept] for a in kept], \
+        tuple(str(i) for i in labels)
+
+
+@pytest.mark.parametrize("deduplicate", [False, True])
+@pytest.mark.parametrize("h", [1, 7, 8, 9, 63, 64, 65, 512])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), distinct=st.integers(1, 8),
+       count=st.integers(1, 30))
+def test_every_source_of_patterns_gives_the_popcount_matrix(h, deduplicate, seed,
+                                                            distinct, count):
+    """bit_vectors, read_bits on its byte path and on its line path (CRLF),
+    and a list of BitVectors all give the oracle's matrix.  Padding bits past
+    h are zero in every packed source: one that differed between rows would
+    split equal patterns in the byte dedup and count in the Gram product."""
+    rng = np.random.default_rng(seed)
+    net = random_net(2, [h], seed % 1000)
+    points = rng.standard_normal((distinct, 2))[rng.integers(0, distinct, count)]
+    packed = bit_vectors(net, points)
+    vectors = list(packed)
+    want, labels = popcount_oracle(vectors, deduplicate)
+    with tempfile.TemporaryDirectory() as tmp:
+        plain, crlf = Path(tmp) / "bits.txt", Path(tmp) / "crlf.txt"
+        write_bits(packed, plain)
+        crlf.write_bytes(plain.read_bytes().replace(b"\n", b"\r\n"))
+        with open(plain, "rb") as fh, open(crlf, "rb") as fh2:
+            assert files._read_bit_blocks(fh) is not None
+            assert files._read_bit_blocks(fh2) is None
+        sources = [packed, read_bits(plain), read_bits(crlf), vectors]
+    for source in sources:
+        assert list(source) == vectors
+        if isinstance(source, PackedBits):
+            assert source.packed.shape == (count, (h + 7) // 8)
+            assert not (h % 8 and (source.packed[:, -1] >> h % 8).any())
+        dm = metric.hamming_matrix(source, deduplicate=deduplicate)
+        assert dm.labels == labels
+        assert np.array_equal(dm.data, want)
 
 
 class TestDistanceMatrix:

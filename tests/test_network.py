@@ -12,6 +12,7 @@ from reluhom import _kernels, network
 from reluhom.network import (
     BitVector,
     NetworkSpec,
+    PackedBits,
     bit_vector,
     bit_vectors,
     forward,
@@ -214,6 +215,23 @@ class TestBitVectors:
             assert np.array_equal(v.to_array()[sure], want[sure])
             decided += sure.sum()
         assert decided >= 0.999 * k * net.h
+
+    def test_packed_batch_is_a_sequence_of_bit_vectors(self):
+        net = random_net(3, [5, 4], seed=8)
+        pts = np.random.default_rng(10).standard_normal((20, 3))
+        got = bit_vectors(net, pts, 0.1)
+        assert isinstance(got, PackedBits) and got.h == 9 and len(got) == 20
+        assert got.packed.dtype == np.uint8 and got.packed.shape == (20, 2)
+        want = [BitVector.from_bits(point_bits(net, x, 0.1)) for x in pts]
+        assert list(got) == want
+        assert [got[i] for i in range(-20, 20)] == want + want
+        for i in (20, -21):
+            with pytest.raises(IndexError):
+                got[i]
+        assert PackedBits.of(want).packed.tobytes() == got.packed.tobytes()
+        assert PackedBits.of(got) is got
+        empty = bit_vectors(net, np.empty((0, 3)))
+        assert len(empty) == 0 and empty.packed.shape == (0, 2) and list(empty) == []
 
     def test_bit_vector_is_a_batch_of_one(self):
         net = random_net(3, [5, 4], seed=8)
