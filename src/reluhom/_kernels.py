@@ -11,11 +11,14 @@ reduction walks the columns from last to first and takes a column's
 lowest row as its pivot.  It first finds the apparent pairs by array
 operations (Bauer, "Ripser", JACT 2021, arXiv:1908.02518): a column whose
 lowest row lies in no live column to its right has that row as pivot with
-no addition.  Its Python loop visits only the other columns, holding a
-column as a plain list of distinct rows, and as a Python set of rows once
-additions start; there is no heap and no multiplicity count.  There is one
-backend, plain numpy and Python; ``tests/test_kernels.py`` checks it
-exactly against independent oracles.
+no addition.  Its Python loop visits only the other columns.  A column
+whose first pivot is free costs one dict lookup; a column that needs
+additions is held in one reused boolean working column, each addition is
+one xor of the added column's rows into it, and the next pivot is the
+first set row at or after the current one, so the search only moves
+forward; there is no heap, no row set and no multiplicity count.  There
+is one backend, plain numpy and Python; ``tests/test_kernels.py`` checks
+it exactly against independent oracles.
 ``USING_NUMBA`` is always ``False``: it is kept only because the benchmark
 records it in its environment report.
 """
@@ -106,16 +109,23 @@ def hamming_matrix_packed(words):
 # columns >= k.  Their pivots seed `low` and `owner` before the loop; a column
 # never looks up an apparent column to its left (no column right of it holds
 # that row), so the seeding changes no pivot.  The loop visits the other live
-# columns.  A column is a plain list until its pivot is already owned, then a
-# row set: each addition is one set xor and a fresh min.  Only columns that
-# additions changed are stored; an unchanged pivot column is re-read from its
-# slice.
+# columns, each starting from its lowest row as found above: a column whose
+# pivot nobody owns costs one dict lookup.  A column whose pivot is owned is
+# set into `dense`, a boolean working column over the rows with a sentinel
+# past the last row, and each addition flips the owner's rows in it.  The
+# owner's rows all lie at or after the pivot, which they cancel, so the next
+# pivot is the first set row after it (the sentinel if the column is zero):
+# the search only moves forward.  A column that ends with a pivot reads its
+# rows off the window from the pivot to the largest row added and clears the
+# window, so `dense` holds only the sentinel between columns.  Only columns
+# that additions changed are stored; an unchanged pivot column is re-read
+# from its slice.
 
 def reduce_columns(col_ptr, col_rows, skip):
     """Pivot row of each CSR column after reduction, or -1 for a zero column.
 
-    Rows within a column must be distinct.  Columns flagged in `skip` are
-    known to reduce to zero (clearing) and are not touched.
+    Rows within a column must be distinct and ascending.  Columns flagged
+    in `skip` are known to reduce to zero (clearing) and are not touched.
     """
     counts = np.diff(col_ptr)
     low = np.full(counts.size, -1, dtype=np.int64)
@@ -134,19 +144,30 @@ def reduce_columns(col_ptr, col_rows, skip):
     low[cols[apparent]] = lowest[apparent]
     owner = dict(zip(lowest[apparent].tolist(), cols[apparent].tolist()))
     ptr = col_ptr.tolist()
-    reduced = {}     # row sets of the columns that additions changed
-    for j in cols[~apparent][::-1].tolist():
-        col = col_rows[ptr[j]:ptr[j + 1]].tolist()
-        pivot = min(col)
+    n_rows = last.size
+    dense = np.zeros(n_rows + 1, dtype=bool)
+    dense[n_rows] = True
+    reduced = {}     # rows of the columns that additions changed
+    rest = ~apparent
+    for j, pivot in zip(cols[rest][::-1].tolist(), lowest[rest][::-1].tolist()):
         k = owner.get(pivot)
         if k is not None:
-            col = set(col)
+            rows = col_rows[ptr[j]:ptr[j + 1]]
+            dense[rows] = True
+            top = rows[-1]
             while k is not None:
-                col ^= reduced.get(k) or set(col_rows[ptr[k]:ptr[k + 1]].tolist())
-                pivot = min(col, default=-1)
+                rows = reduced.get(k)
+                if rows is None:
+                    rows = col_rows[ptr[k]:ptr[k + 1]]
+                dense[rows] ^= True
+                top = max(top, rows[-1])
+                pivot += int(dense[pivot:].argmax())
                 k = owner.get(pivot)
-            reduced[j] = col
-        if pivot >= 0:
-            low[j] = pivot
-            owner[pivot] = j
+            if pivot == n_rows:
+                continue
+            window = dense[pivot:top + 1]
+            reduced[j] = pivot + window.nonzero()[0]
+            window[:] = False
+        low[j] = pivot
+        owner[pivot] = j
     return low

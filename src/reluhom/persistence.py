@@ -154,7 +154,7 @@ def _coboundary(facets, n_faces):
     """Coboundary matrix as CSR: the transpose of the facet table.
 
     Column f lists the cofaces j whose facet row holds face f, in
-    filtration order.  The faces are sorted in the narrowest unsigned type
+    filtration order: distinct and ascending, as the reduction needs them.  The faces are sorted in the narrowest unsigned type
     that holds them: a stable sort of 8- or 16-bit keys is numpy's radix
     sort, the same permutation as on wider keys.
     """
@@ -184,7 +184,10 @@ def compute_barcodes(filtration):
     array operations (Bauer, "Ripser", JACT 2021, arXiv:1908.02518): a face f
     pairs with its earliest coface j, with no addition, when no live face
     after f is a facet of j.  On a Rips filtration most pairs are apparent;
-    only the other columns enter the reduction's Python loop.
+    only the other columns enter the reduction's Python loop.  There a
+    column whose first pivot is free costs one dict lookup, and a column
+    that needs additions is flipped into one reused boolean working column
+    whose pivot search only moves forward.
     """
     vals = [v for _, v in filtration.blocks]
     paired = [np.zeros(v.size, dtype=bool) for v in vals]

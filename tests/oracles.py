@@ -9,6 +9,8 @@ scan, the text-format oracles format one entry or one bit at a time, and
 activation patterns and sample points come from one point at a time.  The one exception is
 the facet-point sampler: it takes the facet's hyperplane from the region's
 own rows, and only the ball inside the facet from `lp.chebyshev_centers`.
+`pivot_lookups` is no oracle: it records the reduction kernel's pivot
+lookups and checks, as they happen, that its pivot search only moves forward.
 """
 
 import math
@@ -377,3 +379,39 @@ def bland_leaving_row(col, rhs, order, tol):
             ):
                 best, leave = min(ratio, best), r
     return leave
+
+
+# --- the reduction kernel's pivot lookups -----------------------------------
+
+def pivot_lookups():
+    """A dict type to patch in as `_kernels.dict`, and the lookups it records.
+
+    The kernel's `owner` map (pivot row -> column) is then one of these.
+    Each column its loop visits looks up its first pivot, then the new pivot
+    after each addition, until a lookup finds no owner.  The second value
+    returned gets, per call of the kernel, the pivots of each visit.  Within
+    a visit each lookup must find a pivot above the last one, since an
+    addition cancels the pivot and adds only rows after it: a wrong addition
+    fails here instead of cycling forever.
+    """
+    calls = []
+
+    class Owner(dict):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.visits = []
+            self.done = True
+            calls.append(self.visits)
+
+        def get(self, pivot, default=None):
+            if self.done:
+                self.visits.append([])
+            else:
+                assert pivot > self.visits[-1][-1], (
+                    "an addition neither raised the pivot nor emptied the column")
+            self.visits[-1].append(pivot)
+            column = super().get(pivot, default)
+            self.done = column is None
+            return column
+
+    return Owner, calls

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from reluhom import _kernels, metric, persistence
 from reluhom.network import BitVector
-from oracles import naive_barcodes
+from oracles import naive_barcodes, pivot_lookups
 
 
 def test_backend_flag_reported():
@@ -73,6 +73,9 @@ def dense_lows(columns, n_rows):
 def csr_problems(draw):
     """Random small CSR matrices, rows distinct within a column, with skip flags.
 
+    The test mirrors each problem for the kernel and sorts each mirrored
+    column, since the kernel takes a column's rows ascending.
+
     Columns are dense enough that a column changed by additions is often
     added into a later one, and its reduced pivot is often not in its slice.
     """
@@ -101,27 +104,18 @@ def test_reduce_columns_matches_dense_reduction(problem):
     # the kernel reduces right to left to the lowest row: it gets the mirror
     # image of the problem (columns reversed, row r -> n_rows - 1 - r), whose
     # pivots map back to the oracle's left-to-right, largest-row ones
-    mirrored = [[n_rows - 1 - r for r in c] for c in reversed(columns)]
+    mirrored = [sorted(n_rows - 1 - r for r in c) for c in reversed(columns)]
     col_ptr = np.cumsum([0] + [len(c) for c in mirrored]).astype(np.int64)
     col_rows = np.array([r for c in mirrored for r in c], dtype=np.int64)
-    pivots = []
-
-    def checked_min(col, **kwargs):
-        # adding a reduced column cancels the pivot and adds only higher rows;
-        # adding a changed column's original slice can lower the pivot, and a
-        # wrong addition can cycle forever: fail instead of hanging
-        pivot = min(col, **kwargs)
-        if not isinstance(col, list):          # after an addition
-            assert pivot > pivots[-1] or pivot == -1, (
-                "an addition neither raised the pivot nor emptied the column")
-        pivots.append(pivot)
-        assert len(pivots) < 100_000, "reduction does not terminate"
-        return pivot
-
+    # adding a reduced column cancels the pivot and adds only higher rows;
+    # adding a changed column's original slice can leave the pivot where it
+    # was, and a wrong addition can cycle forever: the owner lookups fail then
+    owner_type, calls = pivot_lookups()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernels, "min", checked_min, raising=False)
+        mp.setattr(_kernels, "dict", owner_type, raising=False)
         got = _kernels.reduce_columns(
             col_ptr, col_rows, np.array(skip[::-1], dtype=bool))
+    assert len(calls) == 1                     # the lookups were recorded
     got = [p if p < 0 else n_rows - 1 - p for p in reversed(got.tolist())]
     # a skipped column is one known to reduce to zero: the oracle sees it empty
     kept = [[] if s else c for c, s in zip(columns, skip)]
