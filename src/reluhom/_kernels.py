@@ -32,9 +32,10 @@ USING_NUMBA = False
 # The block budget
 # ---------------------------------------------------------------------------
 
-# bytes of a block's largest temporary, for every streamed loop.  Each LP
-# pivot costs a fixed number of numpy calls whatever the stack's width, so
-# wider stacks amortise them: at this size a traversal wave of a 3-5-5 net
+# bytes of a block's largest temporary, for every streamed loop.  Each
+# pivot step of an LP stack costs a fixed number of numpy calls whatever the
+# stack's width (optimal LPs leave it before the ratio test), so wider
+# stacks amortise them: at this size a traversal wave of a 3-5-5 net
 # (1,920-byte tableaus, 68 per stack) is one stack.  The tracemalloc test of
 # the atlas's peak memory caps it: at 512 KiB the stacks' temporaries
 # outgrow a 3-8-8 atlas.

@@ -7,7 +7,8 @@ where is an interior point) and `redundant_rows` (which rows are facets).
 All problems here are "maximize c.x subject to A x <= b" with free variables
 (split into positive/negative parts internally).  One Bland-rule kernel
 pivots a stack of same-shape tableaus at once, each exactly as it would
-pivot alone.  A row an LP does not use stays in place as an inert row
+pivot alone; an LP leaves the stack as soon as it is optimal, before the
+ratio test.  A row an LP does not use stays in place as an inert row
 (zero coefficients, right-hand side >= 0): it never enters or leaves the
 basis and leaves Bland's order over the other rows alone.
 
@@ -33,15 +34,15 @@ _PIVOT_TOL = 1e-9
 
 
 def _pivot(T, basis, rows, cols):
-    """Pivot tableau p of the stack on entry (rows[p], cols[p]), for every p."""
-    k = np.arange(T.shape[0])
-    prow = T[k, rows] / T[k, rows, cols][:, None]
-    T[k, rows] = prow
-    colvals = T[k, :, cols]
+    """Pivot tableau p of the stack on entry (rows[p], cols[p]), for every p.
+    Entries are finite (so are the weights, and b = c - A z), so the pivot
+    column comes out exactly 0 (t - t * 1) and the pivot entry 1 (x / x)."""
+    k = np.arange(len(T))
+    colvals = T[k, :, cols, None]                          # (stack, rows, 1)
+    prow = T[k, rows, None] / colvals[k, rows, None]       # (stack, 1, columns)
+    T[k, rows, None] = prow
     colvals[k, rows] = 0.0
-    T -= colvals[:, :, None] * prow[:, None, :]
-    T[k, :, cols] = 0.0
-    T[k, rows, cols] = 1.0
+    T -= colvals * prow
     basis[k, rows] = cols
 
 
@@ -62,40 +63,53 @@ def _scan(col, rhs, order):
 def _leaving(col, rhs, basis):
     """Each tableau's leaving row for entering column col (-1: unbounded):
     with no other ratio within 2 _PIVOT_TOL of the least, `_scan` picks
-    the first least, as argmin does; a near tie is scanned."""
-    eligible = col > _PIVOT_TOL
-    ratio = np.where(eligible, rhs, np.inf) / np.where(eligible, col, 1.0)
+    the first least, as argmin does; a near tie, or no ratio, is scanned."""
+    # a last column of inf makes a tableau with no ratio a near tie, one row or many
+    ratio = np.full((len(col), col.shape[1] + 1), np.inf)
+    np.divide(rhs, col, out=ratio[:, :-1], where=col > _PIVOT_TOL)
     leave = ratio.argmin(axis=1)
-    best = ratio[np.arange(leave.size), leave]
-    near = (ratio <= best[:, None] + 2 * _PIVOT_TOL).sum(axis=1) > 1
-    for p in np.flatnonzero(near & (best < np.inf)).tolist():
-        leave[p] = _scan(col[p].tolist(), rhs[p].tolist(), basis[p].tolist())
-    leave[best == np.inf] = -1
+    near = ratio <= ratio[np.arange(len(leave)), leave, None] + 2 * _PIVOT_TOL
+    if np.count_nonzero(near) > len(leave):
+        for p in np.flatnonzero(near.sum(axis=1) > 1).tolist():
+            leave[p] = _scan(col[p].tolist(), rhs[p].tolist(), basis[p].tolist())
     return leave
+
+
+def _retire(T, basis, keep, live, W, B, *more):
+    """Write the LPs that keep leaves out back to T, basis; return the rest."""
+    if W is not T:
+        T[live[~keep]], basis[live[~keep]] = W[~keep], B[~keep]
+    return [a[keep] for a in (W, B, live) + more]
 
 
 def _simplex(T, basis, max_iter):
     """Bland-rule simplex on a stack of tableaus, each with its cost row last.
 
-    The first column whose cost is below -_PIVOT_TOL enters.  T and basis
-    end in each LP's final state.  Returns which LPs are unbounded; raises
-    IterationLimitError when an LP has not finished after max_iter pivots.
+    The first column whose cost is below -_PIVOT_TOL enters.  An LP leaves
+    the stack as soon as it is optimal, before the ratio test, or when the
+    ratio test finds it unbounded.  T and basis end in each LP's final
+    state.  Returns which LPs are unbounded; raises IterationLimitError
+    when an LP has not finished after max_iter pivots.
     """
     unbounded = np.zeros(len(T), dtype=bool)
-    live = np.arange(len(T))
+    live = k = np.arange(len(T))
     W, B = T, basis             # the unfinished LPs; finished ones go back to T
     for _ in range(max_iter):
         improving = W[:, -1, :-1] < -_PIVOT_TOL
         enter = improving.argmax(axis=1)
-        leave = _leaving(W[np.arange(live.size), :-1, enter], W[:, :-1, -1], B)
-        done = ~improving.any(axis=1) | (leave < 0)
-        if done.any():
-            unbounded[live] = improving.any(axis=1) & (leave < 0)
-            if W is not T:
-                T[live[done]], basis[live[done]] = W[done], B[done]
-            W, B, live, enter, leave = (a[~done] for a in (W, B, live, enter, leave))
-            if not live.size:
+        has = improving[k, enter]
+        if np.count_nonzero(has) < len(live):
+            W, B, live, enter = _retire(T, basis, has, live, W, B, enter)
+            if not len(live):
                 return unbounded
+            k = np.arange(len(live))
+        leave = _leaving(W[k, :-1, enter], W[:, :-1, -1], B)
+        if np.count_nonzero(leave < 0):
+            unbounded[live[leave < 0]] = True
+            W, B, live, enter, leave = _retire(T, basis, leave >= 0, live, W, B, enter, leave)
+            if not len(live):
+                return unbounded
+            k = np.arange(len(live))
         _pivot(W, B, leave, enter)
     raise IterationLimitError("simplex pivot limit exceeded")
 

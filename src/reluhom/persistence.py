@@ -128,7 +128,7 @@ class Barcode:
     pairs: tuple    # tuple over dims of tuples of (birth, death)
 
     def intervals(self, dim, include_zero_length=False):
-        if dim >= len(self.pairs):
+        if not 0 <= dim < len(self.pairs):
             return []
         out = [p for p in self.pairs[dim] if include_zero_length or p[1] > p[0]]
         return sorted(out)
@@ -154,9 +154,10 @@ def _coboundary(facets, n_faces):
     """Coboundary matrix as CSR: the transpose of the facet table.
 
     Column f lists the cofaces j whose facet row holds face f, in
-    filtration order: distinct and ascending, as the reduction needs them.  The faces are sorted in the narrowest unsigned type
-    that holds them: a stable sort of 8- or 16-bit keys is numpy's radix
-    sort, the same permutation as on wider keys.
+    filtration order: distinct and ascending, as the reduction needs them.
+    The faces are sorted in the narrowest unsigned type that holds them: a
+    stable sort of 8- or 16-bit keys is numpy's radix sort, the same
+    permutation as on wider keys.
     """
     faces = facets.reshape(-1)
     col_ptr = np.concatenate(([0], np.cumsum(np.bincount(faces, minlength=n_faces))))

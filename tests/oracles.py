@@ -5,10 +5,12 @@ oracle is a plain left-to-right reduction without clearing, MST/components
 come from Kruskal and union-find, the 2-D facet count walks the polygon
 directly, the essential rows come from scipy's linprog, repeated rows from a
 row-at-a-time scan, the simplex's leaving row from the sequential ratio
-scan, the text-format oracles format one entry or one bit at a time, and
-activation patterns and sample points come from one point at a time.  The one exception is
-the facet-point sampler: it takes the facet's hyperplane from the region's
-own rows, and only the ball inside the facet from `lp.chebyshev_centers`.
+scan and its pivots from a one-tableau simplex in plain floats, the
+text-format oracles format one entry or one bit at a time, and activation
+patterns and sample points come from one point at a time.  The one
+exception is the facet-point sampler: it takes the facet's hyperplane from
+the region's own rows, and only the ball inside the facet from
+`lp.chebyshev_centers`.
 `pivot_lookups` is no oracle: it records the reduction kernel's pivot
 lookups and checks, as they happen, that its pivot search only moves forward.
 """
@@ -379,6 +381,35 @@ def bland_leaving_row(col, rhs, order, tol):
             ):
                 best, leave = min(ratio, best), r
     return leave
+
+
+def bland_simplex(T, basis, tol, max_iter):
+    """Bland's rule on one tableau alone, in plain floats: T a list of rows,
+    cost row last, and basis a list, both pivoted in place to the end.
+
+    The first cost below -tol enters and `bland_leaving_row` picks the
+    leaving row.  The pivot row is divided by its pivot; every row, the
+    pivot row with factor 0, then loses its entering entry times the pivot
+    row (so the pivot row's -0.0 entries turn +0.0), and the pivot column
+    is set to exactly 0 and 1.  Returns whether the LP is unbounded and the
+    number of pivots.
+    """
+    m = len(T) - 1
+    for pivots in range(max_iter):
+        enter = next((j for j, t in enumerate(T[-1][:-1]) if t < -tol), None)
+        if enter is None:
+            return False, pivots
+        leave = bland_leaving_row([T[r][enter] for r in range(m)],
+                                  [T[r][-1] for r in range(m)], basis, tol)
+        if leave < 0:
+            return True, pivots
+        prow = [t / T[leave][enter] for t in T[leave]]
+        for r in range(m + 1):
+            row, factor = (prow, 0.0) if r == leave else (T[r], T[r][enter])
+            T[r] = [t - factor * p for t, p in zip(row, prow)]
+            T[r][enter] = float(r == leave)
+        basis[leave] = enter
+    raise AssertionError("no optimum after max_iter pivots")
 
 
 # --- the reduction kernel's pivot lookups -----------------------------------

@@ -316,6 +316,36 @@ def test_traversal_splits_no_wave(monkeypatch):
     assert calls == simplex_calls(monkeypatch, "traverse")
 
 
+def test_traversal_ratio_tests_only_lps_that_go_on(monkeypatch):
+    # per `_simplex` call, one ratio test per pivot step, and one more when
+    # the last LPs of the stack end unbounded: none for LPs already optimal
+    calls = []
+    simplex, leaving, pivot = lp._simplex, lp._leaving, lp._pivot
+
+    def counted_simplex(*args):
+        calls.append({"tests": 0, "pivots": 0, "ends_unbounded": False})
+        return simplex(*args)
+
+    def counted_leaving(*args):
+        leave = leaving(*args)
+        calls[-1]["tests"] += 1
+        calls[-1]["ends_unbounded"] = bool(np.all(leave < 0))
+        return leave
+
+    def counted_pivot(*args):
+        calls[-1]["pivots"] += 1
+        calls[-1]["ends_unbounded"] = False
+        return pivot(*args)
+
+    for name, counted in [("_simplex", counted_simplex), ("_leaving", counted_leaving),
+                          ("_pivot", counted_pivot)]:
+        monkeypatch.setattr(lp, name, counted)
+    ENUMERATORS["traverse"](random_net(3, [5, 5], 7))
+    assert sum(call["pivots"] for call in calls) > len(calls) > 0
+    for call in calls:
+        assert call["tests"] == call["pivots"] + call["ends_unbounded"]
+
+
 def test_brute_force_stacks_are_wide(monkeypatch):
     # a prefix level or the leaves is one stack or a few (93 stacks with
     # 32 KiB stacks, 40 with 128 KiB)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from scipy.optimize import linprog
 
 from reluhom import lp
 from reluhom.errors import InfeasibleSystemError, IterationLimitError
-from oracles import bland_leaving_row, essential_rows_linprog, linprog_max
+from oracles import bland_leaving_row, bland_simplex, essential_rows_linprog, linprog_max
 
 SQUARE_A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 SQUARE_C = np.array([1.0, 0.0, 1.0, 0.0])
@@ -16,6 +16,11 @@ STATUS_2_A = np.array([
     [-0.79, 0.69, -0.86], [-0.91, -2.29, -0.68], [0.36, -0.27, 0.04],
 ])
 STATUS_2_C = np.array([-0.59, 1.96, 0.64, -0.1, 2.65, 2.17])
+# max x over three systems in one unknown: x <= 1 and x <= 2 (one pivot),
+# -x <= 0 and 0 <= 1 (unbounded), and a zero objective (optimal at once)
+MIXED_STACK = (np.array([[1.0], [1.0], [0.0]]),
+               np.array([[[1.0], [1.0]], [[-1.0], [0.0]], [[1.0], [-1.0]]]),
+               np.array([[1.0, 2.0], [0.0, 1.0], [1.0, 1.0]]))
 
 
 def redundant(A, c, tol=lp.TAU_LP):
@@ -60,6 +65,43 @@ def systems(draw, count=None):
             axis=-1,
         )
     return A, c
+
+
+@st.composite
+def lp_stacks(draw):
+    """(obj, A, b) of a stack of LPs from the slack basis, 1-6 rows in 1-3
+    unknowns: Gaussian, small integers (ties, zero entries and right-hand
+    sides) or Gaussian with inert zero rows; many are unbounded."""
+    count, m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["gaussian", "integer", "inert"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "integer":
+        return (rng.integers(-2, 3, (count, n)).astype(float),
+                rng.integers(-2, 3, (count, m, n)).astype(float),
+                rng.integers(0, 3, (count, m)).astype(float))
+    A = rng.standard_normal((count, m, n))
+    if kind == "inert":
+        A[rng.random((count, m)) < 0.4] = 0.0
+    b = rng.uniform(0.0, 2.0, (count, m)) * (rng.random((count, m)) > 0.3)
+    return rng.standard_normal((count, n)), A, b
+
+
+def simplex_run(obj, A, b):
+    """The tableaus and basis `_solve_leq`'s simplex starts from, where it
+    leaves them, and its unbounded flags."""
+    runs = []
+    simplex = lp._simplex
+
+    def recorded(T, basis, max_iter):
+        start = T.copy(), basis.copy()
+        unbounded = simplex(T, basis, max_iter)
+        runs.extend([start, unbounded, (T, basis)])
+        return unbounded
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_simplex", recorded)
+        lp._solve_leq(obj, A, b)
+    return runs
 
 
 def linprog_signed_radius(A, c):
@@ -370,3 +412,39 @@ class TestKernel:
             assert unbounded.tolist() == [alone[0][0]] * 2
             if not alone[0][0]:
                 assert np.array_equal(x[0], alone[1][0]) and np.array_equal(x[1], alone[1][0])
+
+    @given(lp_stacks())
+    @example((np.zeros((3, 2)), np.ones((3, 4, 2)), np.ones((3, 4))))   # all optimal
+    @example(MIXED_STACK)
+    def test_stacked_pivots_match_one_tableau_at_a_time(self, stack):
+        # every bit of every tableau, zero signs included, and every basis
+        (T0, basis0), unbounded, (T, basis) = simplex_run(*stack)
+        for p in range(len(T)):
+            rows, order = T0[p].tolist(), basis0[p].tolist()
+            assert bland_simplex(rows, order, lp._PIVOT_TOL, 10**4)[0] == unbounded[p]
+            assert np.array(rows).tobytes() == T[p].tobytes()
+            assert order == basis[p].tolist()
+
+    def test_finished_lps_take_no_ratio_test(self, monkeypatch):
+        widths = []
+        leaving = lp._leaving
+
+        def recorded(col, rhs, basis):
+            widths.append(len(col))
+            return leaving(col, rhs, basis)
+
+        monkeypatch.setattr(lp, "_leaving", recorded)
+        rng = np.random.default_rng(3)
+        lp._solve_leq(np.zeros((3, 2)), rng.standard_normal((3, 4, 2)), np.ones((3, 4)))
+        assert widths == []
+        # each step tests the LPs that still have an improving column: those
+        # that pivot at that step, and those it finds unbounded
+        for obj, A, b in [MIXED_STACK, (rng.standard_normal((8, 3)),
+                                        rng.standard_normal((8, 6, 3)), np.ones((8, 6)))]:
+            (T0, basis0), *_ = simplex_run(obj, A, b)
+            steps = [pivots + unbounded for unbounded, pivots in (
+                bland_simplex(T.tolist(), order.tolist(), lp._PIVOT_TOL, 10**4)
+                for T, order in zip(T0, basis0))]
+            widths.clear()
+            lp._solve_leq(obj, A, b)
+            assert widths == [sum(s > step for s in steps) for step in range(max(steps))]

@@ -172,6 +172,14 @@ class TestBarcodes:
         bc = persistence.compute_barcodes(f)
         assert bars(bc, 0) == [(0.0, 5.0), (0.0, math.inf)]
 
+    def test_dims_outside_the_barcode_have_no_bars(self):
+        d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
+        bc = persistence.compute_barcodes(persistence.build_filtration(d, max_dim=1))
+        assert bars(bc, 1, include_zero=True) == [(2.0, 2.0)]
+        # a negative dim does not index from the end
+        for dim in (-1, -2, 2):
+            assert bars(bc, dim) == [] and bars(bc, dim, include_zero=True) == []
+
     def test_circle_has_one_long_loop(self):
         d = euclidean_matrix(circle_points(20))
         f = persistence.build_filtration(d, max_dim=2)
