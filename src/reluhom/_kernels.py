@@ -35,10 +35,10 @@ USING_NUMBA = False
 # bytes of a block's largest temporary, for every streamed loop.  Each
 # pivot step of an LP stack costs a fixed number of numpy calls whatever the
 # stack's width (optimal LPs leave it before the ratio test), so wider
-# stacks amortise them: at this size a traversal wave of a 3-5-5 net
-# (1,920-byte tableaus, 68 per stack) is one stack.  The tracemalloc test of
-# the atlas's peak memory caps it: at 512 KiB the stacks' temporaries
-# outgrow a 3-8-8 atlas.
+# stacks amortise them: at this size the redundancy batch of a traversal
+# wave of a 3-5-5 net runs in stacks of 68 LPs (1,920-byte tableaus).  The
+# tracemalloc test of the atlas's peak memory caps it: at 512 KiB the
+# stacks' temporaries outgrow a 3-8-8 atlas.
 BLOCK_BYTES = 128 * 1024
 
 

@@ -20,7 +20,9 @@ before its redundancy LPs.
 
 A row is redundant at tolerance `tol` when maximizing it over the other
 rows gives at most its right-hand side plus `tol`; an unbounded maximum
-keeps the row.
+keeps the row.  `redundant_rows` also returns each LP's optimum, from which
+`regions._essentialize` settles a whole batch of rows by the sequential
+rule.
 """
 
 import numpy as np
@@ -137,13 +139,14 @@ def _solve_leq(obj, A, b):
 
 def redundant_rows(A, b, rest, rows, tol=TAU_LP):
     """Whether row rows[p] of each A[p] y <= b[p] of a stack is redundant
-    against the rows rest[p] marks (b >= 0 there); the others are inert."""
+    against the rows rest[p] marks (b >= 0 there), and the point where
+    each LP ends (its optimum when bounded); the other rows are inert."""
     k = np.arange(len(rows))
     obj = A[k, rows]
     unbounded, x = _solve_leq(obj, np.where(rest[:, :, None], A, 0.0), np.where(rest, b, 0.0))
     # (1, n) @ (n, 1) rounds as the dot product obj @ x does
     value = (obj[:, None, :] @ x[:, :, None])[:, 0, 0]
-    return ~unbounded & (value <= b[k, rows] + tol)
+    return ~unbounded & (value <= b[k, rows] + tol), x
 
 
 def chebyshev_centers(A, c, r_cap):

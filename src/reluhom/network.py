@@ -48,14 +48,6 @@ class BitVector:
         raise AttributeError("BitVector is immutable")
 
     @classmethod
-    def from_bits(cls, bits):
-        bits = np.asarray(bits, dtype=np.uint8)
-        if bits.ndim != 1:
-            raise DimensionMismatch("bit sequence must be one-dimensional")
-        packed = np.packbits(bits, bitorder="little").tobytes()
-        return cls(bits.size, int.from_bytes(packed, "little"))
-
-    @classmethod
     def from01(cls, text):
         """Parse a line of ASCII 0/1 digits (surrounding whitespace ignored)."""
         text = text.strip()

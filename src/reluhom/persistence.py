@@ -39,15 +39,6 @@ class Filtration:
     t_max: float
     n_points: int
 
-    def simplices(self):
-        """All (vertex tuple, value) pairs in global filtration order."""
-        items = []
-        for verts, vals in self.blocks:
-            for row, val in zip(verts, vals):
-                items.append((tuple(int(v) for v in row), float(val)))
-        items.sort(key=lambda sv: (sv[1], len(sv[0]), sv[0]))
-        return items
-
 
 def _as_matrix(d):
     if isinstance(d, DistanceMatrix):

@@ -9,7 +9,6 @@ as a stack of one.
 """
 
 import functools
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -27,9 +26,6 @@ _DUP_TOL = 1e-9
 # rays shot from each region's interior point to certify facets without LPs
 _N_RAYS = 64
 _RAY_SEED = 0
-# n-subsets of those facets tried as weak-duality certificates of redundancy
-_N_BASES = 256
-_DUAL_TOL = 1e-9   # residual of a certificate, relative to its row's largest entry
 
 
 @dataclass(frozen=True)
@@ -171,45 +167,6 @@ def _ray_facets(A, b, tau_lp):
     return facet
 
 
-def _dual_implied(A, b, rest, facet, tau_lp):
-    """Rows of each stacked system A y <= b, among those rest marks, that
-    weak duality over the certified facets drops.
-
-    For an n-subset B of the facet rows and a row i outside them, a
-    lambda >= 0 with A_B^T lambda = a_i gives a_i.y = lambda.A_B y <=
-    lambda.b_B on every system that contains B.  When that bound is at most
-    b_i + tau_lp, the redundancy LP of row i against any survivor set
-    containing B drops the row, so it needs no LP.  The first _N_BASES
-    subsets of each system are tried, all systems' in one batch; the
-    pseudo-inverse gives the least-squares lambda of a singular A_B
-    (parallel facets), which counts only when its residual is tiny.
-    """
-    implied = np.zeros(b.shape, dtype=bool)
-    n = A.shape[2]
-    owned = [
-        (s, basis) for s in np.flatnonzero(rest.any(axis=1)).tolist()
-        for basis in itertools.islice(
-            itertools.combinations(np.flatnonzero(facet[s]).tolist(), n), _N_BASES)
-    ]
-    for blk in _kernels.blocks(len(owned), 8 * n * b.shape[1]):
-        s = np.array([owner for owner, _ in owned[blk]])
-        B = np.array([basis for _, basis in owned[blk]], np.int64)
-        AB_T = A[s[:, None], B].transpose(0, 2, 1)          # (bases, n, n)
-        targets = A[s].transpose(0, 2, 1)                   # (bases, n, rows)
-        lam = np.linalg.pinv(AB_T) @ targets                # (bases, n, rows)
-        residual = np.abs(AB_T @ lam - targets).max(axis=1)
-        bound = np.einsum("kn,knr->kr", b[s[:, None], B], lam)
-        k, r = np.nonzero(
-            rest[s]
-            & (lam.min(axis=1) >= 0)
-            & (residual <= _DUAL_TOL * np.abs(targets).max(axis=1))
-            & (bound <= b[s] + tau_lp)
-        )
-        implied[s[k], r] = True
-        del targets, lam, residual      # before the next block makes its own
-    return implied
-
-
 def _inscribed_balls(A, c, tau_dim):
     """Chebyshev centers and radii of stacked systems, capped above tau_dim
     (at 1 by default), which decides full dimension as no cap would."""
@@ -249,16 +206,23 @@ def _essentialize(A, c, tau_lp, tau_dim):
     The rest is worked out on the system translated to z, A y <= c - A z,
     whose right-hand side is at least the radius times each row norm.  Rows
     are decided in ascending order against the current survivor set: row i
-    is redundant when the maximum of a_i.y over the other survivors is at
-    most its right-hand side plus tau_lp.  Two certificates decide rows
-    without an LP, each exactly as the LP would: a row that one of _N_RAYS
-    fixed rays from z certifies (_ray_facets: an explicit point past the
-    row by more than tau_lp) is kept, and a row that a non-negative
-    combination of n certified facets bounds by at most its right-hand
-    side plus tau_lp (_dual_implied: weak duality) is dropped.  Every other
-    row gets one redundancy LP, which starts from the slack basis.  A
-    batch of these LPs holds the next undecided row of every system that
-    has one, so each system's rows are decided as they would be alone.
+    is redundant when the maximum of a_i.y over the other survivors (the
+    rows before i that stay, and every candidate after it) is at most its
+    right-hand side plus tau_lp.  A row that one of _N_RAYS fixed rays from
+    z certifies (_ray_facets: an explicit point past the row by more than
+    tau_lp) is kept with no LP.
+
+    Every other row gets one redundancy LP against all other candidates,
+    all of them in one batch of stacks, and the batch's answers are settled
+    by the sequential rule.  A row the batch keeps is kept: its sequential
+    survivors are a subset of the batch's, and a maximum over fewer rows is
+    no smaller.  A row the batch drops is dropped when no earlier row the
+    batch drops has slack at most tau_lp at its optimum: rows that do not
+    bind can go without moving the optimum, and the sequence drops no row
+    the batch keeps.  The few rows left are decided by the sequence itself,
+    one LP each, with the next of every system that has one in one stack,
+    so each system's rows are decided as they would be alone.  Every LP
+    starts from the slack basis.
     """
     centers, radii = _inscribed_balls(A, c, tau_dim)
     keep = np.zeros(c.shape, dtype=bool)
@@ -266,17 +230,29 @@ def _essentialize(A, c, tau_lp, tau_dim):
     A, c = A[ok], c[ok]
     b = c - (A @ centers[ok, :, None])[:, :, 0]
     cand = (np.linalg.norm(A, axis=2) > 0) & ~_duplicate_rows(A, c)
-    facet = _ray_facets(A, np.where(cand, b, np.inf), tau_lp)
-    implied = _dual_implied(A, b, cand & ~facet, facet, tau_lp)
-    pending, alive = cand & ~facet & ~implied, cand.copy()
+    system, row = np.nonzero(cand & ~_ray_facets(A, np.where(cand, b, np.inf), tau_lp))
+    cols = np.arange(c.shape[1])
+    dropped = np.zeros(row.shape, dtype=bool)
+    binds = np.zeros((row.size, cols.size), dtype=bool)  # earlier rows tight at the optimum
+    for blk in _kernels.blocks(row.size, _tableau_bytes(*A.shape[1:])):
+        As, bs, i = A[system[blk]], b[system[blk]], row[blk]
+        rest = cand[system[blk]]
+        rest[np.arange(i.size), i] = False
+        dropped[blk], x = lp.redundant_rows(As, bs, rest, i, tau_lp)
+        binds[blk] = (bs - (As @ x[:, :, None])[:, :, 0] <= tau_lp) & (cols < i[:, None])
+    alive = cand.copy()
+    alive[system[dropped], row[dropped]] = False
+    unsure = dropped & (binds & (cand & ~alive)[system]).any(axis=1)
+    pending = np.zeros(c.shape, dtype=bool)
+    pending[system[unsure], row[unsure]] = True
     while pending.any():
         test = np.flatnonzero(pending.any(axis=1))
         i = pending[test].argmax(axis=1)
-        rest = alive[test] & ~(implied[test] & (np.arange(c.shape[1]) < i[:, None]))
+        rest = np.where(cols < i[:, None], alive[test], cand[test])
         rest[np.arange(test.size), i] = False
-        alive[test, i] = ~lp.redundant_rows(A[test], b[test], rest, i, tau_lp)
+        alive[test, i] = ~lp.redundant_rows(A[test], b[test], rest, i, tau_lp)[0]
         pending[test, i] = False
-    keep[ok] = alive & ~implied
+    keep[ok] = alive
     return keep, centers, radii
 
 

@@ -13,6 +13,9 @@ the region's own rows, and only the ball inside the facet from
 `lp.chebyshev_centers`.
 `pivot_lookups` is no oracle: it records the reduction kernel's pivot
 lookups and checks, as they happen, that its pivot search only moves forward.
+Nor are `filtration_simplices`, a Filtration's simplices as one sorted list
+of Python tuples, and `from_bits`, the BitVector of a 0/1 sequence: they are
+test-only views of library types.
 """
 
 import math
@@ -21,6 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from reluhom import lp
+from reluhom.network import BitVector
 from reluhom.errors import DegenerateSystemError
 
 
@@ -73,6 +77,17 @@ def naive_barcodes(D, max_dim, t_max=None):
         if i not in paired and lows[i] is None and dim <= max_dim:
             pairs[dim].append((val, math.inf))
     return {p: sorted(v) for p, v in pairs.items()}
+
+
+def filtration_simplices(f):
+    """All (vertex tuple, value) pairs of a Filtration's blocks, in global
+    filtration order: by value, then dimension, then vertices."""
+    items = []
+    for verts, vals in f.blocks:
+        for row, val in zip(verts, vals):
+            items.append((tuple(int(v) for v in row), float(val)))
+    items.sort(key=lambda sv: (sv[1], len(sv[0]), sv[0]))
+    return items
 
 
 # --- graph oracles ----------------------------------------------------------
@@ -308,6 +323,13 @@ def ldm_text(D):
     return "".join(
         ",".join(fmt(v) for v in D[i, :i]) + "\n" for i in range(1, D.shape[0])
     )
+
+
+def from_bits(bits):
+    """The BitVector of a 0/1 sequence: element i is bit i."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    packed = np.packbits(bits, bitorder="little").tobytes()
+    return BitVector(bits.size, int.from_bytes(packed, "little"))
 
 
 def bits_text(v):

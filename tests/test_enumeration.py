@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reluhom import _kernels, enumeration, lp, network
+from reluhom import _kernels, enumeration, lp, network, regions
 from reluhom.errors import DimensionMismatch, NonFiniteEntry, ResourceCapError
 from conftest import random_net
 from oracles import facet_points
@@ -292,28 +292,29 @@ def test_m4_atlas_floats_are_pinned(name, want):
     assert atlas_fingerprint(ENUMERATORS[name](random_net(4, [6, 6], 7))) == want
 
 
-def simplex_calls(monkeypatch, name):
-    """The number of `lp._simplex` calls (stacks) one enumeration of the
-    3-5-5 net makes."""
-    calls = 0
+def stack_widths(monkeypatch, name):
+    """The width of every `lp._simplex` stack one enumeration of the 3-5-5
+    net makes."""
+    widths = []
     simplex = lp._simplex
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return simplex(*args)
+    def recording(T, *args):
+        widths.append(len(T))
+        return simplex(T, *args)
 
-    monkeypatch.setattr(lp, "_simplex", counting)
+    monkeypatch.setattr(lp, "_simplex", recording)
     ENUMERATORS[name](random_net(3, [5, 5], 7))
-    return calls
+    return widths
 
 
 def test_traversal_splits_no_wave(monkeypatch):
-    # each wave's Chebyshev LPs, and each round of its redundancy LPs, is
-    # one stack at _kernels.BLOCK_BYTES, as with no cap on a stack's bytes
-    calls = simplex_calls(monkeypatch, "traverse")
+    # the block budget cuts stacks, not LPs: the same 907 LPs run at
+    # _kernels.BLOCK_BYTES as with no cap on a stack's bytes, and no stack
+    # is wider than one block of the net's 10-row systems
+    widths = stack_widths(monkeypatch, "traverse")
+    assert max(widths) <= _kernels.per_block(regions._tableau_bytes(10, 3))
     monkeypatch.setattr(_kernels, "BLOCK_BYTES", 1 << 30)
-    assert calls == simplex_calls(monkeypatch, "traverse")
+    assert sum(widths) == sum(stack_widths(monkeypatch, "traverse")) == 907
 
 
 def test_traversal_ratio_tests_only_lps_that_go_on(monkeypatch):
@@ -349,7 +350,7 @@ def test_traversal_ratio_tests_only_lps_that_go_on(monkeypatch):
 def test_brute_force_stacks_are_wide(monkeypatch):
     # a prefix level or the leaves is one stack or a few (93 stacks with
     # 32 KiB stacks, 40 with 128 KiB)
-    assert simplex_calls(monkeypatch, "brute") <= 48
+    assert len(stack_widths(monkeypatch, "brute")) <= 48
 
 
 @pytest.mark.parametrize("name", ["traverse", "brute"])

@@ -13,7 +13,7 @@ from reluhom import _kernels, files
 from reluhom.errors import DimensionMismatch, FormatError, NonFiniteEntry
 from reluhom.files import read_bits, read_points, write_bits, write_points
 from reluhom.network import BitVector
-from oracles import bits_text
+from oracles import bits_text, from_bits
 
 
 @st.composite
@@ -22,7 +22,7 @@ def bit_files(draw):
     n = draw(st.integers(1, 200))
     rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
                          min_size=1, max_size=20))
-    return [BitVector.from_bits(r) for r in rows]
+    return [from_bits(r) for r in rows]
 
 
 @given(bit_files())
@@ -40,7 +40,7 @@ def test_bits_written_in_blocks_match_oracle(tmp_path, h):
     rng = np.random.default_rng(h)
     path = tmp_path / "bits.txt"
     for count in (0, 1, per_block - 1, per_block, per_block + 1, 2 * per_block + 3):
-        vectors = [BitVector.from_bits(row) for row in rng.integers(0, 2, (count, h))]
+        vectors = [from_bits(row) for row in rng.integers(0, 2, (count, h))]
         write_bits(vectors, path)
         assert path.read_text() == "".join(bits_text(v) + "\n" for v in vectors)
 
@@ -48,7 +48,7 @@ def test_bits_written_in_blocks_match_oracle(tmp_path, h):
 def test_bits_are_written_a_block_at_a_time(tmp_path):
     # the file is 1.0 MB; one block of lines is 128 KiB
     rng = np.random.default_rng(6)
-    vectors = [BitVector.from_bits(row) for row in rng.integers(0, 2, (2000, 512))]
+    vectors = [from_bits(row) for row in rng.integers(0, 2, (2000, 512))]
     path = tmp_path / "bits.txt"
     tracemalloc.start()
     try:
@@ -154,7 +154,7 @@ def test_read_bits_agrees_with_per_line_from01(case):
 def test_bits_are_read_a_block_at_a_time(tmp_path):
     # the file is 1.0 MB; its 2,000 vectors hold about 0.36 MiB
     rng = np.random.default_rng(5)
-    vectors = [BitVector.from_bits(row) for row in rng.integers(0, 2, (2000, 512))]
+    vectors = [from_bits(row) for row in rng.integers(0, 2, (2000, 512))]
     path = tmp_path / "bits.txt"
     write_bits(vectors, path)
     del vectors

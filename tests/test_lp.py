@@ -31,7 +31,7 @@ def redundant(A, c, tol=lp.TAU_LP):
     b = c - A @ z
     m = len(c)
     return lp.redundant_rows(np.repeat(A[None], m, axis=0), np.repeat(b[None], m, axis=0),
-                             ~np.eye(m, dtype=bool), np.arange(m), tol)
+                             ~np.eye(m, dtype=bool), np.arange(m), tol)[0]
 
 
 def feasible(A, c):

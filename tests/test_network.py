@@ -22,7 +22,7 @@ from reluhom.network import (
 )
 
 from conftest import random_net
-from oracles import bits_text, point_bits, point_preactivations
+from oracles import bits_text, from_bits, point_bits, point_preactivations
 
 
 def weight_doc(layers, input_dim):
@@ -222,7 +222,7 @@ class TestBitVectors:
         got = bit_vectors(net, pts, 0.1)
         assert isinstance(got, PackedBits) and got.h == 9 and len(got) == 20
         assert got.packed.dtype == np.uint8 and got.packed.shape == (20, 2)
-        want = [BitVector.from_bits(point_bits(net, x, 0.1)) for x in pts]
+        want = [from_bits(point_bits(net, x, 0.1)) for x in pts]
         assert list(got) == want
         assert [got[i] for i in range(-20, 20)] == want + want
         for i in (20, -21):
@@ -295,7 +295,7 @@ class TestBitVectorType:
         rng = np.random.default_rng(9)
         for n in (1, 63, 64, 65, 130, 500):
             bits = rng.integers(0, 2, n).astype(np.uint8)
-            v = BitVector.from_bits(bits)
+            v = from_bits(bits)
             assert len(v) == n
             assert np.array_equal(v.to_array(), bits)
             assert BitVector.from01(v.to01()) == v
@@ -306,7 +306,7 @@ class TestBitVectorType:
     @example([0, 1] * 64)
     @example([1] + [0] * 63 + [1])
     def test_text_matches_per_bit_oracle(self, bits):
-        v = BitVector.from_bits(bits)
+        v = from_bits(bits)
         text = bits_text(v)
         assert text == "".join(map(str, bits))
         assert v.to01() == text
@@ -334,7 +334,7 @@ class TestBitVectorType:
         for h in range(1, 131):
             for j in (0, 1 << (h - 1), (1 << h) - 1, rng.getrandbits(h)):
                 v = BitVector(h, j)
-                assert v == BitVector.from_bits([(j >> i) & 1 for i in range(h)])
+                assert v == from_bits([(j >> i) & 1 for i in range(h)])
                 assert v.value == j
         for n, value in ((0, 1), (3, 8), (64, 1 << 64), (3, -1)):
             with pytest.raises(DimensionMismatch):
@@ -354,19 +354,19 @@ class TestBitVectorType:
             BitVector.from01(text)
 
     def test_flip_and_index(self):
-        v = BitVector.from_bits([0, 1, 0])
+        v = from_bits([0, 1, 0])
         w = v.flip(0)
         assert w.to01() == "110"
         assert w.flip(0) == v
         assert v[1] == 1 and v[2] == 0
 
     def test_hashable(self):
-        a = BitVector.from_bits([1, 0, 1])
+        a = from_bits([1, 0, 1])
         b = BitVector.from01("101")
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
 
     def test_immutable(self):
-        v = BitVector.from_bits([1, 0])
+        v = from_bits([1, 0])
         with pytest.raises(AttributeError):
             v.n = 3
