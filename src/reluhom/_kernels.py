@@ -36,7 +36,8 @@ USING_NUMBA = False
 # pivot step of an LP stack costs a fixed number of numpy calls whatever the
 # stack's width (optimal LPs leave it before the ratio test), so wider
 # stacks amortise them: at this size the redundancy batch of a traversal
-# wave of a 3-5-5 net runs in stacks of 68 LPs (1,920-byte tableaus).  The
+# wave of a 3-5-5 net runs in stacks of 151 LPs, each system's largest
+# temporary its 864-byte condensed Chebyshev tableau (12 x 9).  The
 # tracemalloc test of the atlas's peak memory caps it: at 512 KiB the
 # stacks' temporaries outgrow a 3-8-8 atlas.
 BLOCK_BYTES = 128 * 1024

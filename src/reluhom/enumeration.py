@@ -6,6 +6,9 @@ interior, and traversal from a seed region through active-bit flips, a
 wave of regions at a time; a level or a wave is one batch of LPs.  In
 bounded mode the box rows are appended to every system; whether a region
 hits the box wall is kept as metadata, never inside the Hamming bits.
+Inside both routes a pattern is the int of its bits (`BitVector.value`)
+and a batch is one `PackedBits`; `regions_from_bits` makes a `BitVector`
+only for a pattern's Region, the atlas key, or for its error.
 """
 
 from dataclasses import dataclass, field
@@ -20,8 +23,8 @@ from .errors import (
     NonFiniteEntry,
     ResourceCapError,
 )
-from .network import TAU_BIT, BitVector, bit_vector, on_boundary
-from .regions import Region, _compose, _inscribed_balls, neighbors, regions_from_bits
+from .network import TAU_BIT, PackedBits, bit_vector, on_boundary
+from .regions import Region, _compose, _inscribed_balls, regions_from_bits
 
 H_MAX_BRUTE = 24
 
@@ -68,8 +71,10 @@ class DecompositionAtlas:
         return len(self.regions)
 
 
-def _found(net, patterns, extra, tau_lp, tau_dim):
-    """The full-dimensional regions of the patterns, in the patterns' order."""
+def _found(net, values, extra, tau_lp, tau_dim):
+    """The full-dimensional regions of the patterns whose BitVector.values
+    these are, in their order."""
+    patterns = PackedBits.of_values(values, net.h)
     found = regions_from_bits(net, patterns, *extra, tau_lp=tau_lp, tau_dim=tau_dim)
     return [region for region in found if isinstance(region, Region)]
 
@@ -88,11 +93,16 @@ def _box_rows(net, box):
 def _finalize(net, atlas):
     """Adjacency from active-bit flips landing on a present region."""
     h = net.h
+    keys = {bits.value: bits for bits in atlas.regions}
+    pairs = set()
     for bits, region in atlas.regions.items():
-        atlas.boundary_flags[bits] = any(k >= h for k in region.active_bits)
-        for other in neighbors(region):
-            if other in atlas.regions:
-                atlas.edges.add(frozenset((bits, other)))
+        atlas.boundary_flags[bits] = max(region.active_bits, default=-1) >= h
+        u = bits.value
+        for k in region.active_bits:
+            v = u ^ (1 << k)
+            if k < h and v in keys:
+                pairs.add((min(u, v), max(u, v)))
+    atlas.edges.update(frozenset((keys[u], keys[v])) for u, v in pairs)
     return atlas
 
 
@@ -135,8 +145,7 @@ def enumerate_brute(net, box=None, h_max=H_MAX_BRUTE,
             break
         A, c, z, r, w_hat, b_hat = (x[live] for x in (A, c, z, r, w_hat, b_hat))
         while k == offsets[j + 1]:
-            s = [BitVector(k, value).to_array()[offsets[j]:] for value in values]
-            s = np.array(s, np.float64).reshape(len(values), k - offsets[j])
+            s = PackedBits.of_values(values, k).unpack()[:, offsets[j]:]
             w_hat, b_hat = _compose(net, j, s, w_hat, b_hat)
             j += 1
         a, b = w_hat[:, k - offsets[j]], b_hat[:, k - offsets[j]]
@@ -152,7 +161,7 @@ def enumerate_brute(net, box=None, h_max=H_MAX_BRUTE,
         values += [value | 1 << k for value in values]
     del A, c, z, r, w_hat, b_hat        # freed before the leaves' regions are made
     leaves = sorted(values + [value | 1 << (h - 1) for value in values])
-    found = _found(net, [BitVector(h, value) for value in leaves], extra, tau_lp, tau_dim)
+    found = _found(net, leaves, extra, tau_lp, tau_dim)
     atlas = DecompositionAtlas()
     atlas.regions.update((region.bits, region) for region in found)
     return _finalize(net, atlas)
@@ -188,14 +197,20 @@ def enumerate_traverse(net, seed, box=None, rng=None,
     x0 = _draw_seed(net, seed, box, rng)
     atlas = DecompositionAtlas()
 
-    wave = _found(net, [bit_vector(net, x0)], extra, tau_lp, tau_dim)
+    h = net.h
+    wave = _found(net, [bit_vector(net, x0).value], extra, tau_lp, tau_dim)
     if not wave:
         raise DegenerateSystemError("seed region is not full-dimensional")
+    seen = set()                    # the values of the atlas's patterns
     while wave:
         atlas.regions.update((region.bits, region) for region in wave)
+        seen.update(region.bits.value for region in wave)
         # each flip not in the atlas once, in the order the FIFO meets it
         flips = dict.fromkeys(
-            cand for region in wave for cand in neighbors(region) if cand not in atlas.regions
+            flip
+            for region in wave
+            for flip in (region.bits.value ^ (1 << k) for k in region.active_bits if k < h)
+            if flip not in seen
         )
         wave = _found(net, list(flips), extra, tau_lp, tau_dim)
     return _finalize(net, atlas)
@@ -207,12 +222,15 @@ def dual_graph(atlas):
     The coloring is certified: a monochromatic edge means the adjacency
     relation is broken, and is raised as an internal consistency failure.
     """
-    vertices = sorted(atlas.regions, key=lambda b: b.to01())
+    name = {bits: bits.to01() for bits in atlas.regions}
+    vertices = sorted(atlas.regions, key=name.get)
     coloring = {bits: bits.popcount() % 2 for bits in vertices}
-    edges = sorted(
-        (tuple(sorted(e, key=lambda b: b.to01())) for e in atlas.edges),
-        key=lambda uv: (uv[0].to01(), uv[1].to01()),
-    )
+    ends = []
+    for u, v in atlas.edges:
+        nu, nv = name[u], name[v]
+        ends.append((nu, nv, u, v) if nu < nv else (nv, nu, v, u))
+    ends.sort()                 # names are distinct: no BitVector is compared
+    edges = [(u, v) for _, _, u, v in ends]
     for u, v in edges:
         if coloring[u] == coloring[v]:
             raise AssertionError(

@@ -12,6 +12,16 @@ ratio test.  A row an LP does not use stays in place as an inert row
 (zero coefficients, right-hand side >= 0): it never enters or leaves the
 basis and leaves Bland's order over the other rows alone.
 
+The tableaus are condensed (Chvatal, "Linear Programming", 1983, ch. 2-3):
+an LP of m rows in n unknowns keeps its 2 n nonbasic columns and its
+right-hand side, (m + 1) x (2 n + 1) entries against (m + 1) x (2 n + m +
+1) at full width, and a label per column names the variable it holds.
+A full tableau's basic columns are exact unit vectors (see `_pivot`), so
+the condensed one holds every other entry of it bit for bit, and the
+least improving label is the full tableau's first improving column.  On
+a 3-D net of 10 hidden nodes a redundancy tableau is 11 x 7 and a
+Chebyshev tableau 12 x 9, against 11 x 17 and 12 x 20.
+
 Every simplex run starts from the slack basis, so the right-hand sides it
 sees are non-negative and there are no artificial variables.  The Chebyshev
 LP has such right-hand sides by construction (see `chebyshev_centers`);
@@ -35,17 +45,23 @@ TAU_DIM = 1e-7   # Chebyshev radius above which a region counts as full-dimensio
 _PIVOT_TOL = 1e-9
 
 
-def _pivot(T, basis, rows, cols):
-    """Pivot tableau p of the stack on entry (rows[p], cols[p]), for every p.
-    Entries are finite (so are the weights, and b = c - A z), so the pivot
-    column comes out exactly 0 (t - t * 1) and the pivot entry 1 (x / x)."""
+def _pivot(T, basis, labels, rows, cols):
+    """Pivot condensed tableau p of the stack on entry (rows[p], cols[p]),
+    for every p.  The leaving variable basis[p, rows[p]] takes column
+    cols[p], which first becomes its unit column, and the update is then
+    the full tableau's.  Entries are finite (so are the weights, and b = c
+    - A z), so a full tableau's pivot column would come out exactly 0 (t -
+    t * 1) and its pivot entry 1 (x / x): the columns left out are exact
+    unit vectors, and the kept ones get every bit a full tableau's get."""
     k = np.arange(len(T))
     colvals = T[k, :, cols, None]                          # (stack, rows, 1)
+    T[k, :, cols] = 0.0
+    T[k, rows, cols] = 1.0
     prow = T[k, rows, None] / colvals[k, rows, None]       # (stack, 1, columns)
     T[k, rows, None] = prow
     colvals[k, rows] = 0.0
     T -= colvals * prow
-    basis[k, rows] = cols
+    basis[k, rows], labels[k, cols] = labels[k, cols], basis[k, rows]
 
 
 def _scan(col, rhs, order):
@@ -77,42 +93,53 @@ def _leaving(col, rhs, basis):
     return leave
 
 
-def _retire(T, basis, keep, live, W, B, *more):
-    """Write the LPs that keep leaves out back to T, basis; return the rest."""
-    if W is not T:
-        T[live[~keep]], basis[live[~keep]] = W[~keep], B[~keep]
-    return [a[keep] for a in (W, B, live) + more]
+def _retire(out, work, keep, live, *more):
+    """Write the LPs that keep leaves out of work back to out (T, basis,
+    labels); return the rest of work, live and more."""
+    if work[0] is not out[0]:
+        gone = ~keep
+        for a, w in zip(out, work):
+            a[live[gone]] = w[gone]
+    return tuple(a[keep] for a in work), live[keep], *(a[keep] for a in more)
 
 
-def _simplex(T, basis, max_iter):
-    """Bland-rule simplex on a stack of tableaus, each with its cost row last.
+def _simplex(T, basis, labels, max_iter):
+    """Bland-rule simplex on a stack of condensed tableaus, each with its
+    cost row and right-hand side last.
 
-    The first column whose cost is below -_PIVOT_TOL enters.  An LP leaves
-    the stack as soon as it is optimal, before the ratio test, or when the
-    ratio test finds it unbounded.  T and basis end in each LP's final
-    state.  Returns which LPs are unbounded; raises IterationLimitError
-    when an LP has not finished after max_iter pivots.
+    Column j of tableau p holds nonbasic variable labels[p, j], and row r
+    basic variable basis[p, r]; the basic columns, unit vectors, are not
+    stored.  The improving column (cost below -_PIVOT_TOL) of least label
+    enters.  An LP leaves the stack as soon as it is optimal, before the
+    ratio test, or when the ratio test finds it unbounded.  T, basis and
+    labels end in each LP's final state.  Returns which LPs are unbounded;
+    raises IterationLimitError when an LP has not finished after max_iter
+    pivots.
     """
     unbounded = np.zeros(len(T), dtype=bool)
     live = k = np.arange(len(T))
-    W, B = T, basis             # the unfinished LPs; finished ones go back to T
+    out = T, basis, labels
+    work = W, B, L = out        # the unfinished LPs; finished ones go back to out
+    above = T.shape[1] + T.shape[2]     # more than any label
     for _ in range(max_iter):
         improving = W[:, -1, :-1] < -_PIVOT_TOL
-        enter = improving.argmax(axis=1)
+        enter = np.where(improving, L, above).argmin(axis=1)
         has = improving[k, enter]
         if np.count_nonzero(has) < len(live):
-            W, B, live, enter = _retire(T, basis, has, live, W, B, enter)
+            work, live, enter = _retire(out, work, has, live, enter)
             if not len(live):
                 return unbounded
+            W, B, L = work
             k = np.arange(len(live))
         leave = _leaving(W[k, :-1, enter], W[:, :-1, -1], B)
         if np.count_nonzero(leave < 0):
             unbounded[live[leave < 0]] = True
-            W, B, live, enter, leave = _retire(T, basis, leave >= 0, live, W, B, enter, leave)
+            work, live, enter, leave = _retire(out, work, leave >= 0, live, enter, leave)
             if not len(live):
                 return unbounded
+            W, B, L = work
             k = np.arange(len(live))
-        _pivot(W, B, leave, enter)
+        _pivot(W, B, L, leave, enter)
     raise IterationLimitError("simplex pivot limit exceeded")
 
 
@@ -122,16 +149,16 @@ def _solve_leq(obj, A, b):
     count, m, n = A.shape
     if m == 0 or count == 0:
         return np.max(np.abs(obj), axis=1, initial=0.0) > _PIVOT_TOL, np.zeros((count, n))
-    # standard form: A(u - v) + s = b with u, v, s >= 0
-    T = np.zeros((count, m + 1, 2 * n + m + 1))
+    # standard form A(u - v) + s = b with u, v, s >= 0; the slacks s start basic
+    T = np.zeros((count, m + 1, 2 * n + 1))
     T[:, :m, :n] = A
-    T[:, :m, n: 2 * n] = -A
-    T[:, :m, 2 * n: -1] = np.eye(m)
+    T[:, :m, n: -1] = -A
     T[:, :m, -1] = b
     T[:, -1, :n] = -obj
-    T[:, -1, n: 2 * n] = obj
+    T[:, -1, n: -1] = obj
     basis = np.tile(2 * n + np.arange(m), (count, 1))
-    unbounded = _simplex(T, basis, 5000 + 200 * (2 * n + 2 * m))
+    labels = np.tile(np.arange(2 * n), (count, 1))
+    unbounded = _simplex(T, basis, labels, 5000 + 200 * (2 * n + 2 * m))
     x_full = np.zeros((count, 2 * n + m))
     x_full[np.arange(count)[:, None], basis] = T[:, :m, -1]
     return unbounded, x_full[:, :n] - x_full[:, n: 2 * n]

@@ -62,10 +62,6 @@ class BitVector:
         raw = self.value.to_bytes(8 * ((self.n + 63) // 64), "little")
         return np.frombuffer(raw, dtype="<u8")
 
-    def to_array(self):
-        raw = np.frombuffer(self.value.to_bytes((self.n + 7) // 8, "little"), np.uint8)
-        return np.unpackbits(raw, bitorder="little")[: self.n]
-
     def to01(self):
         # the sentinel bit n keeps the leading zeros; bin() writes it as "0b1"
         return bin(self.value | (1 << self.n))[3:][::-1]
@@ -122,10 +118,19 @@ class PackedBits:
         lengths = {len(v) for v in vectors}
         if len(lengths) > 1:
             raise DimensionMismatch(f"bit vectors of mixed lengths {sorted(lengths)}")
-        h = lengths.pop() if lengths else 0
+        return cls.of_values([v.value for v in vectors], lengths.pop() if lengths else 0)
+
+    @classmethod
+    def of_values(cls, values, h):
+        """Patterns of h bits given as the ints of their ``BitVector.value``,
+        packed by one bytes join."""
         size = (h + 7) // 8
-        raw = b"".join(v.value.to_bytes(size, "little") for v in vectors)
-        return cls(np.frombuffer(raw, np.uint8).reshape(len(vectors), size), h)
+        raw = b"".join(value.to_bytes(size, "little") for value in values)
+        return cls(np.frombuffer(raw, np.uint8).reshape(len(values), size), h)
+
+    def unpack(self):
+        """The (k, h) uint8 array of the patterns' bits."""
+        return np.unpackbits(self.packed, axis=1, count=self.h, bitorder="little")
 
     def __len__(self):
         return self.packed.shape[0]

@@ -20,7 +20,7 @@ from .errors import (
     DegenerateSystemError,
     DimensionMismatch,
 )
-from .network import BitVector, TAU_BIT, bit_vector, on_boundary
+from .network import BitVector, PackedBits, TAU_BIT, bit_vector, on_boundary
 
 _DUP_TOL = 1e-9
 # rays shot from each region's interior point to certify facets without LPs
@@ -58,17 +58,16 @@ class Region:
 
 
 def _hat_maps(net, patterns):
-    """The stacked systems (A, c) and output maps (M, v) of patterns, in one pass.
+    """The stacked systems (A, c) and output maps (M, v) of patterns (a
+    PackedBits or a sequence of BitVectors), in one pass.
 
     Hidden layer j's pre-activations are What_j x + bhat_j on a region,
     composed through the 0/1 masks of the layers before it; the output
     layer composed the same way gives M x + v.
     """
-    for bits in patterns:
-        if len(bits) != net.h:
-            raise DimensionMismatch(f"bit vector length {len(bits)} != h = {net.h}")
     offsets = net.bit_offsets()
-    bit_arr = np.array([bits.to_array() for bits in patterns], np.float64).reshape(-1, net.h)
+    patterns = PackedBits.of(patterns)
+    bit_arr = patterns.unpack()
     A = np.empty((len(patterns), net.h, net.input_dim))
     c = np.empty((len(patterns), net.h))
     w_hat = net.weights[0]
@@ -172,14 +171,16 @@ def _inscribed_balls(A, c, tau_dim):
     (at 1 by default), which decides full dimension as no cap would."""
     centers, radii = np.empty((len(A), A.shape[2])), np.empty(len(A))
     r_cap = max(1.0, 2.0 * tau_dim)
-    for blk in _kernels.blocks(len(A), _tableau_bytes(A.shape[1], A.shape[2])):
+    for blk in _kernels.blocks(len(A), _system_bytes(A.shape[1], A.shape[2])):
         centers[blk], radii[blk] = lp.chebyshev_centers(A[blk], c[blk], r_cap)
     return centers, radii
 
 
-def _tableau_bytes(m, n):
-    # the Chebyshev LP's tableau, the largest one-system array of _essentialize
-    return 8 * (m + 2) * (2 * n + m + 4)
+def _system_bytes(m, n):
+    # the largest one-system temporary of _essentialize: the condensed
+    # (m + 2) x (2 n + 3) tableau of its Chebyshev LP, or each (m, m)
+    # product of _duplicate_rows, the larger from m = 11 rows at n = 3
+    return 8 * max((m + 2) * (2 * n + 3), m * m)
 
 
 def _ball_error(A, c, radius, tau_dim):
@@ -234,7 +235,7 @@ def _essentialize(A, c, tau_lp, tau_dim):
     cols = np.arange(c.shape[1])
     dropped = np.zeros(row.shape, dtype=bool)
     binds = np.zeros((row.size, cols.size), dtype=bool)  # earlier rows tight at the optimum
-    for blk in _kernels.blocks(row.size, _tableau_bytes(*A.shape[1:])):
+    for blk in _kernels.blocks(row.size, _system_bytes(*A.shape[1:])):
         As, bs, i = A[system[blk]], b[system[blk]], row[blk]
         rest = cand[system[blk]]
         rest[np.arange(i.size), i] = False
@@ -270,30 +271,44 @@ def regions_from_bits(net, patterns, extra_A=None, extra_c=None,
                       tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
     """The Region of each pattern, or the geometry error that rejects it.
 
-    Extra rows (e.g. box bounds) are appended to every pattern's system and
-    take indices h, h+1, ... in active_bits.
+    `patterns` is a PackedBits or a sequence of BitVectors.  Extra rows
+    (e.g. box bounds) are appended to every pattern's system and take
+    indices h, h+1, ... in active_bits.  The regions of a block share one
+    compacted copy of its accepted systems, each array of a Region a view
+    of its own part of it.
     """
+    patterns = PackedBits.of(patterns)
+    if len(patterns) and patterns.h != net.h:
+        raise DimensionMismatch(f"bit vector length {patterns.h} != h = {net.h}")
     if extra_A is None:
         extra_A, extra_c = np.empty((0, net.input_dim)), np.empty(0)
     rows = net.h + len(extra_c)
     out = []
-    for blk in _kernels.blocks(len(patterns), _tableau_bytes(rows, net.input_dim)):
-        (A, c), (M, v) = _hat_maps(net, patterns[blk])
+    for blk in _kernels.blocks(len(patterns), _system_bytes(rows, net.input_dim)):
+        block = PackedBits(patterns.packed[blk], net.h)
+        (A, c), (M, v) = _hat_maps(net, block)
         A = np.concatenate([A, np.broadcast_to(extra_A, (len(A),) + extra_A.shape)], axis=1)
         c = np.concatenate([c, np.broadcast_to(extra_c, (len(c), len(extra_c)))], axis=1)
         keep, centers, radii = _essentialize(A, c, tau_lp, tau_dim)
-        for s, bits in enumerate(patterns[blk]):
-            err = _ball_error(A[s], c[s], radii[s], tau_dim)
-            if err is not None:
+        ok = radii > tau_dim              # the systems _ball_error accepts
+        A_ok, c_ok = A[ok], c[ok]
+        system, active = np.nonzero(keep[ok])
+        ends = np.cumsum(np.bincount(system, minlength=len(A_ok))).tolist()
+        A_ess, c_ess = A_ok[system, active], c_ok[system, active]
+        accepted = zip(A_ok, c_ok, M[ok], v[ok], centers[ok], [0] + ends, ends)
+        active = active.tolist()
+        for s, (bits, good) in enumerate(zip(block, ok.tolist())):
+            if not good:
+                err = _ball_error(A[s], c[s], radii[s], tau_dim)
                 out.append(type(err)(f"pattern {bits.to01()}: {err}"))
                 out[-1].__cause__ = err
                 continue
-            active = np.flatnonzero(keep[s])
+            A_s, c_s, M_s, v_s, z_s, lo, hi = next(accepted)
             out.append(Region(
-                bits=bits, A=A[s].copy(), c=c[s].copy(),
-                A_essential=A[s, active], c_essential=c[s, active],
-                active_bits=tuple(active.tolist()),
-                affine=(M[s].copy(), v[s].copy()), interior=centers[s].copy(),
+                bits=bits, A=A_s, c=c_s,
+                A_essential=A_ess[lo:hi], c_essential=c_ess[lo:hi],
+                active_bits=tuple(active[lo:hi]),
+                affine=(M_s, v_s), interior=z_s,
             ))
     return out
 

@@ -102,9 +102,9 @@ def lp_counter(monkeypatch):
         counts.redundancy += len(rows)   # one LP each, counted by counted_solve_leq too
         return redundant_rows(A, b, rest, rows, *args, **kwargs)
 
-    def counted_pivot(T, basis, rows, cols):
+    def counted_pivot(T, basis, labels, rows, cols):
         counts.pivots += len(rows)
-        return pivot(T, basis, rows, cols)
+        return pivot(T, basis, labels, rows, cols)
 
     monkeypatch.setattr(lp, "_solve_leq", counted_solve_leq)
     monkeypatch.setattr(lp, "redundant_rows", counted_redundant_rows)

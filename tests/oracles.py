@@ -332,6 +332,12 @@ def from_bits(bits):
     return BitVector(bits.size, int.from_bytes(packed, "little"))
 
 
+def to_array(v):
+    """The uint8 0/1 array of a BitVector: element i is bit i."""
+    raw = np.frombuffer(v.value.to_bytes((v.n + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(raw, bitorder="little")[: v.n]
+
+
 def bits_text(v):
     """0/1 string of a BitVector, read one bit at a time from its words."""
     return "".join(

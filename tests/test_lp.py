@@ -86,16 +86,31 @@ def lp_stacks(draw):
     return rng.standard_normal((count, n)), A, b
 
 
+def full_width(T, basis, labels):
+    """A stack of condensed tableaus at full width: column labels[p, j] of
+    tableau p is its column j, and the column of basic variable basis[p, r]
+    is the unit vector of row r (+0.0, with 1.0 in row r)."""
+    count, rows, cols = T.shape
+    assert np.array_equal(np.sort(np.concatenate([labels, basis], axis=1)),
+                          np.tile(np.arange(rows + cols - 2), (count, 1)))
+    full = np.zeros((count, rows, rows + cols - 1))
+    p = np.arange(count)[:, None]
+    full[p, :, labels] = T[:, :, :-1].transpose(0, 2, 1)
+    full[p, np.arange(rows - 1), basis] = 1.0
+    full[:, :, -1] = T[:, :, -1]
+    return full
+
+
 def simplex_run(obj, A, b):
-    """The tableaus and basis `_solve_leq`'s simplex starts from, where it
-    leaves them, and its unbounded flags."""
+    """The tableaus, at full width, and basis `_solve_leq`'s simplex starts
+    from, where it leaves them, and its unbounded flags."""
     runs = []
     simplex = lp._simplex
 
-    def recorded(T, basis, max_iter):
-        start = T.copy(), basis.copy()
-        unbounded = simplex(T, basis, max_iter)
-        runs.extend([start, unbounded, (T, basis)])
+    def recorded(T, basis, labels, max_iter):
+        start = full_width(T, basis, labels), basis.copy()
+        unbounded = simplex(T, basis, labels, max_iter)
+        runs.extend([start, unbounded, (full_width(T, basis, labels), basis)])
         return unbounded
 
     with pytest.MonkeyPatch.context() as mp:
@@ -159,9 +174,10 @@ class TestSolve:
                 checked += 1
 
     def test_iteration_limit_reported(self):
+        # max x0 subject to x0 + x1 = 0, x1 basic: x0 enters, but no pivot may run
         T = np.array([[[1.0, 0.0], [-1.0, 0.0]]])
         with pytest.raises(IterationLimitError, match="simplex pivot limit exceeded"):
-            lp._simplex(T.copy(), np.array([[0]]), max_iter=0)
+            lp._simplex(T.copy(), np.array([[1]]), np.array([[0]]), max_iter=0)
 
 
 class TestFeasible:

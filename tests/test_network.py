@@ -22,7 +22,7 @@ from reluhom.network import (
 )
 
 from conftest import random_net
-from oracles import bits_text, from_bits, point_bits, point_preactivations
+from oracles import bits_text, from_bits, point_bits, point_preactivations, to_array
 
 
 def weight_doc(layers, input_dim):
@@ -140,7 +140,7 @@ class TestBitVectorOp:
         rng = np.random.default_rng(4)
         for _ in range(10):
             x = rng.standard_normal(2) * 3
-            bits = bit_vector(net, x).to_array()
+            bits = to_array(bit_vector(net, x))
             signs = np.concatenate([(z > 0).astype(int) for z in preactivations(net, x)])
             assert np.array_equal(bits, signs)
 
@@ -149,7 +149,7 @@ class TestBitVectorOp:
         rng = np.random.default_rng(6)
         for _ in range(20):
             x = rng.standard_normal(3) * 2
-            bits = bit_vector(net, x).to_array()
+            bits = to_array(bit_vector(net, x))
             pre = np.concatenate(preactivations(net, x))
             post = np.concatenate(forward(net, x)[0])
             for b, z, f in zip(bits, pre, post):
@@ -212,7 +212,7 @@ class TestBitVectors:
             z = np.concatenate(point_preactivations(net, x))
             want = np.array(point_bits(net, x, network.TAU_BIT))
             sure = np.abs(z - network.TAU_BIT) > rounding_bound(net, x)
-            assert np.array_equal(v.to_array()[sure], want[sure])
+            assert np.array_equal(to_array(v)[sure], want[sure])
             decided += sure.sum()
         assert decided >= 0.999 * k * net.h
 
@@ -237,7 +237,7 @@ class TestBitVectors:
         net = random_net(3, [5, 4], seed=8)
         for x in np.random.default_rng(9).standard_normal((20, 3)):
             assert bit_vector(net, x, 0.1) == bit_vectors(net, [x], 0.1)[0]
-            assert bit_vector(net, x, 0.1).to_array().tolist() == point_bits(net, x, 0.1)
+            assert to_array(bit_vector(net, x, 0.1)).tolist() == point_bits(net, x, 0.1)
 
     def test_tolerance_is_honoured(self):
         net = load_network(weight_doc([([[1], [-1]], [0, 0]), ([[1, 1]], [0])], input_dim=1))
@@ -297,7 +297,7 @@ class TestBitVectorType:
             bits = rng.integers(0, 2, n).astype(np.uint8)
             v = from_bits(bits)
             assert len(v) == n
-            assert np.array_equal(v.to_array(), bits)
+            assert np.array_equal(to_array(v), bits)
             assert BitVector.from01(v.to01()) == v
             assert v.popcount() == int(bits.sum())
 
@@ -314,7 +314,7 @@ class TestBitVectorType:
             assert BitVector.from01(text) == v
             assert BitVector.from01(f" {text}\n") == v
         assert v.popcount() == sum(bits)
-        assert v.to_array().tolist() == bits
+        assert to_array(v).tolist() == bits
         assert v.words.tolist() == [
             sum(b << (i % 64) for i, b in enumerate(bits) if i // 64 == w)
             for w in range(-(-len(bits) // 64))
