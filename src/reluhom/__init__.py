@@ -26,7 +26,7 @@ from .persistence import (
     export_lower_distance,
     read_lower_distance,
 )
-from .regions import Region, neighbors, region_of
+from .regions import Region, region_of
 from .sampling import (
     AnchorFamily,
     circle_samples,

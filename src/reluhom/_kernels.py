@@ -55,36 +55,36 @@ def blocks(count, item_bytes):
 
 
 # ---------------------------------------------------------------------------
-# Hamming distance over packed 64-bit words
+# Hamming distance over packed bytes
 # ---------------------------------------------------------------------------
 
 # bytes an unpacked block may take even beyond the output: without a floor,
-# two vectors of a million bits would take 15,625 products of one word each.
+# two vectors of a million bits would take 125,000 products of one byte each.
 # The kernel's blocks follow its output, not BLOCK_BYTES: with a 128 KiB
 # floor, 64 vectors of 100,000 bits peak at 6.0 times their 32 KiB output,
 # above the 5 times its tracemalloc test allows.
 _HAMMING_BLOCK_MIN = 1 << 16
 
 
-def hamming_matrix_packed(words):
-    """Pairwise popcount(xor) for rows of a (k, w) uint64 array, as float64.
+def hamming_matrix_packed(packed):
+    """Pairwise popcount(xor) for rows of a (k, w) uint8 array, as float64.
 
     |x xor y| = |x| + |y| - 2 x.y, with x.y and |x| = x.x read off one Gram
     product X @ X.T of the unpacked bits.  The product is accumulated over
-    blocks of words, so an unpacked block is no larger than the (k, k)
+    blocks of bytes, so an unpacked block is no larger than the (k, k)
     output or _HAMMING_BLOCK_MIN bytes, whichever is larger.  Its entries
     are integers no larger than the bit count: float32 holds them exactly
     below 2**24 bits, float64 above.  The terms are combined in float64,
-    also exactly.
+    also exactly.  Rows of zero width give the zero matrix.
     """
-    k, w = words.shape
-    dtype = np.float32 if 64 * w < 2**24 else np.float64
+    k, w = packed.shape
+    dtype = np.float32 if 8 * w < 2**24 else np.float64
     block_bytes = max(8 * k * k, _HAMMING_BLOCK_MIN)
-    step = max(1, block_bytes // (64 * np.dtype(dtype).itemsize * max(k, 1)))  # words
+    step = max(1, block_bytes // (8 * np.dtype(dtype).itemsize * max(k, 1)))  # bytes
     gram = None
     for lo in range(0, max(w, 1), step):
         # the order of the bits within a block does not change a dot product
-        x = np.unpackbits(words[:, lo:lo + step].view(np.uint8), axis=1).astype(dtype)
+        x = np.unpackbits(packed[:, lo:lo + step], axis=1).astype(dtype)
         block = x @ x.T
         del x
         if gram is None:

@@ -7,8 +7,9 @@ wave of regions at a time; a level or a wave is one batch of LPs.  In
 bounded mode the box rows are appended to every system; whether a region
 hits the box wall is kept as metadata, never inside the Hamming bits.
 Inside both routes a pattern is the int of its bits (`BitVector.value`)
-and a batch is one `PackedBits`; `regions_from_bits` makes a `BitVector`
-only for a pattern's Region, the atlas key, or for its error.
+and a batch is one `PackedBits`; `regions_from_bits` returns only the
+full-dimensional patterns' Regions, and makes a `BitVector` only for a
+region's atlas key.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from .errors import (
     ResourceCapError,
 )
 from .network import TAU_BIT, PackedBits, bit_vector, on_boundary
-from .regions import Region, _compose, _inscribed_balls, regions_from_bits
+from .regions import _compose, _inscribed_balls, regions_from_bits
 
 H_MAX_BRUTE = 24
 
@@ -75,8 +76,7 @@ def _found(net, values, extra, tau_lp, tau_dim):
     """The full-dimensional regions of the patterns whose BitVector.values
     these are, in their order."""
     patterns = PackedBits.of_values(values, net.h)
-    found = regions_from_bits(net, patterns, *extra, tau_lp=tau_lp, tau_dim=tau_dim)
-    return [region for region in found if isinstance(region, Region)]
+    return regions_from_bits(net, patterns, *extra, tau_lp=tau_lp, tau_dim=tau_dim)
 
 
 def _box_rows(net, box):

@@ -79,16 +79,17 @@ def _scan(col, rhs, order):
 
 
 def _leaving(col, rhs, basis):
-    """Each tableau's leaving row for entering column col (-1: unbounded):
-    with no other ratio within 2 _PIVOT_TOL of the least, `_scan` picks
-    the first least, as argmin does; a near tie, or no ratio, is scanned."""
-    # a last column of inf makes a tableau with no ratio a near tie, one row or many
-    ratio = np.full((len(col), col.shape[1] + 1), np.inf)
-    np.divide(rhs, col, out=ratio[:, :-1], where=col > _PIVOT_TOL)
+    """Each tableau's leaving row for entering column col (-1: unbounded,
+    no finite ratio, as `_scan` finds too): with no other ratio within 2
+    _PIVOT_TOL of the least, `_scan` picks the first least, as argmin
+    does; a near tie is scanned."""
+    ratio = np.divide(rhs, col, out=np.full(col.shape, np.inf), where=col > _PIVOT_TOL)
     leave = ratio.argmin(axis=1)
-    near = ratio <= ratio[np.arange(len(leave)), leave, None] + 2 * _PIVOT_TOL
+    least = ratio[np.arange(len(leave)), leave, None]
+    near = ratio <= least + 2 * _PIVOT_TOL
+    leave[least[:, 0] == np.inf] = -1
     if np.count_nonzero(near) > len(leave):
-        for p in np.flatnonzero(near.sum(axis=1) > 1).tolist():
+        for p in np.flatnonzero((near.sum(axis=1) > 1) & (leave >= 0)).tolist():
             leave[p] = _scan(col[p].tolist(), rhs[p].tolist(), basis[p].tolist())
     return leave
 

@@ -3,10 +3,9 @@
 ``hamming_matrix`` takes a batch of patterns as one packed byte array
 (``network.PackedBits``; a list of ``BitVector``s is packed once on entry).
 It deduplicates rows in first-occurrence order by a dict keyed on each
-row's bytes, copies the distinct rows into one zero-padded array of whole
-64-bit words, and hands the kernel its ``<u8`` view.  (``np.unique`` over
-the rows is slightly faster, but its sorted copies of every row raised the
-circle pipeline's peak RSS by about 0.4 MiB.)
+row's bytes and hands the kernel the distinct packed rows.  (``np.unique``
+over the rows is slightly faster, but its sorted copies of every row raised
+the circle pipeline's peak RSS by about 0.4 MiB.)
 
 Distances are stored as doubles so Hamming, Euclidean, and min/max-combined
 matrices share one type.  Hollow symmetry is enforced; the triangle
@@ -83,11 +82,8 @@ def hamming_matrix(vectors, deduplicate=False):
         for i in range(k):
             seen.setdefault(raw[size * i:size * (i + 1)], i)
         first = np.fromiter(seen.values(), np.int64, len(seen))
-    # zero-padded to whole 64-bit words, at least one
-    words = np.zeros((first.size, 8 * max(1, -(-size // 8))), np.uint8)
-    words[:, :size] = bits.packed[first]
     labels = tuple(str(i) for i in first.tolist())
-    return DistanceMatrix(_kernels.hamming_matrix_packed(words.view("<u8")), labels)
+    return DistanceMatrix(_kernels.hamming_matrix_packed(bits.packed[first]), labels)
 
 
 def combine(d1, d2, op):

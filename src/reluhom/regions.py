@@ -3,9 +3,10 @@
 Every activation pattern induces a system A x <= c whose rows stack
 layer-major; pruning it to the essential subsystem identifies the active
 bits, and flipping an active bit walks to the facet-neighbor.  Patterns
-are worked on as stacks of same-shape systems (`regions_from_bits`), each
-step once per stack; `region_from_bits` and `region_of` build one region
-as a stack of one.
+are worked on as stacks of same-shape systems (`regions_from_bits`, which
+returns the full-dimensional ones' Regions), each step once per stack;
+`region_from_bits` and `region_of` build one region as a stack of one and
+raise the geometry error of a pattern that is not full-dimensional.
 """
 
 import functools
@@ -267,15 +268,12 @@ def region_of(net, x, tau_bit=TAU_BIT, tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
     return region_from_bits(net, bits, tau_lp=tau_lp, tau_dim=tau_dim)
 
 
-def regions_from_bits(net, patterns, extra_A=None, extra_c=None,
-                      tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
-    """The Region of each pattern, or the geometry error that rejects it.
+def _blocks(net, patterns, extra_A, extra_c, tau_lp, tau_dim):
+    """Per block of patterns: its stacked systems (A, c), their Chebyshev
+    radii, and the Regions of its full-dimensional patterns, in order.
 
-    `patterns` is a PackedBits or a sequence of BitVectors.  Extra rows
-    (e.g. box bounds) are appended to every pattern's system and take
-    indices h, h+1, ... in active_bits.  The regions of a block share one
-    compacted copy of its accepted systems, each array of a Region a view
-    of its own part of it.
+    The regions of a block share one compacted copy of its accepted
+    systems, each array of a Region a view of its own part of it.
     """
     patterns = PackedBits.of(patterns)
     if len(patterns) and patterns.h != net.h:
@@ -283,10 +281,9 @@ def regions_from_bits(net, patterns, extra_A=None, extra_c=None,
     if extra_A is None:
         extra_A, extra_c = np.empty((0, net.input_dim)), np.empty(0)
     rows = net.h + len(extra_c)
-    out = []
     for blk in _kernels.blocks(len(patterns), _system_bytes(rows, net.input_dim)):
-        block = PackedBits(patterns.packed[blk], net.h)
-        (A, c), (M, v) = _hat_maps(net, block)
+        packed = patterns.packed[blk]
+        (A, c), (M, v) = _hat_maps(net, PackedBits(packed, net.h))
         A = np.concatenate([A, np.broadcast_to(extra_A, (len(A),) + extra_A.shape)], axis=1)
         c = np.concatenate([c, np.broadcast_to(extra_c, (len(c), len(extra_c)))], axis=1)
         keep, centers, radii = _essentialize(A, c, tau_lp, tau_dim)
@@ -295,37 +292,39 @@ def regions_from_bits(net, patterns, extra_A=None, extra_c=None,
         system, active = np.nonzero(keep[ok])
         ends = np.cumsum(np.bincount(system, minlength=len(A_ok))).tolist()
         A_ess, c_ess = A_ok[system, active], c_ok[system, active]
-        accepted = zip(A_ok, c_ok, M[ok], v[ok], centers[ok], [0] + ends, ends)
         active = active.tolist()
-        for s, (bits, good) in enumerate(zip(block, ok.tolist())):
-            if not good:
-                err = _ball_error(A[s], c[s], radii[s], tau_dim)
-                out.append(type(err)(f"pattern {bits.to01()}: {err}"))
-                out[-1].__cause__ = err
-                continue
-            A_s, c_s, M_s, v_s, z_s, lo, hi = next(accepted)
-            out.append(Region(
+        yield A, c, radii, [
+            Region(
                 bits=bits, A=A_s, c=c_s,
                 A_essential=A_ess[lo:hi], c_essential=c_ess[lo:hi],
                 active_bits=tuple(active[lo:hi]),
                 affine=(M_s, v_s), interior=z_s,
-            ))
-    return out
+            )
+            for bits, A_s, c_s, M_s, v_s, z_s, lo, hi in zip(
+                PackedBits(packed[ok], net.h), A_ok, c_ok, M[ok], v[ok], centers[ok],
+                [0] + ends, ends,
+            )
+        ]
+
+
+def regions_from_bits(net, patterns, extra_A=None, extra_c=None,
+                      tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
+    """The Regions of the full-dimensional patterns, in input order; the
+    other patterns are left out, with no error built for them.
+
+    `patterns` is a PackedBits or a sequence of BitVectors.  Extra rows
+    (e.g. box bounds) are appended to every pattern's system and take
+    indices h, h+1, ... in active_bits.
+    """
+    blocks = _blocks(net, patterns, extra_A, extra_c, tau_lp, tau_dim)
+    return [region for *_, found in blocks for region in found]
 
 
 def region_from_bits(net, bits, tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
-    """The Region of a pattern; raises the error regions_from_bits reports."""
-    region = regions_from_bits(net, [bits], tau_lp=tau_lp, tau_dim=tau_dim)[0]
-    if isinstance(region, Exception):
-        raise region
-    return region
-
-
-def neighbors(region):
-    """Bit vectors of the facet-neighbors: one active-bit flip each.
-
-    Active indices >= h = len(region.bits) are box rows, when present; they
-    are not flippable and are skipped.
-    """
-    h = len(region.bits)
-    return [region.bits.flip(k) for k in region.active_bits if k < h]
+    """The Region of a pattern; else raises the InfeasibleSystemError or
+    DegenerateSystemError `_ball_error` names, prefixed by the bits."""
+    (A, c, radii, found), = _blocks(net, [bits], None, None, tau_lp, tau_dim)
+    if found:
+        return found[0]
+    err = _ball_error(A[0], c[0], radii[0], tau_dim)
+    raise type(err)(f"pattern {bits.to01()}: {err}") from err

@@ -14,8 +14,9 @@ the region's own rows, and only the ball inside the facet from
 `pivot_lookups` is no oracle: it records the reduction kernel's pivot
 lookups and checks, as they happen, that its pivot search only moves forward.
 Nor are `filtration_simplices`, a Filtration's simplices as one sorted list
-of Python tuples, and `from_bits`, the BitVector of a 0/1 sequence: they are
-test-only views of library types.
+of Python tuples, `from_bits`, the BitVector of a 0/1 sequence, and
+`neighbors`, a Region's one-bit flips: they are test-only views of library
+types.
 """
 
 import math
@@ -330,6 +331,16 @@ def from_bits(bits):
     bits = np.asarray(bits, dtype=np.uint8)
     packed = np.packbits(bits, bitorder="little").tobytes()
     return BitVector(bits.size, int.from_bytes(packed, "little"))
+
+
+def neighbors(region):
+    """Bit vectors of the facet-neighbors: one active-bit flip each.
+
+    Active indices >= h = len(region.bits) are box rows, when present; they
+    are not flippable and are skipped.
+    """
+    h = len(region.bits)
+    return [region.bits.flip(k) for k in region.active_bits if k < h]
 
 
 def to_array(v):

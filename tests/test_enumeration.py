@@ -282,6 +282,17 @@ def test_block_budget_moves_no_atlas_bit(monkeypatch, name, budget):
     assert atlas_fingerprint(ENUMERATORS[name](net)) == want
 
 
+@pytest.mark.parametrize("name", ["traverse", "brute"])
+def test_rejected_patterns_build_no_geometry_error(monkeypatch, name):
+    # a batch leaves out the patterns it rejects (brute force's 96 rejected
+    # leaves, traversal's empty flips) with no error made for any of them
+    def refuse(*args):
+        raise AssertionError("a geometry error was built in a batch")
+
+    monkeypatch.setattr(regions, "_ball_error", refuse)
+    assert len(ENUMERATORS[name](random_net(3, [5, 5], 7)).regions) == 132
+
+
 @pytest.mark.parametrize("name,want", [
     ("traverse", "87b08248f3bb482872813227cca1d3221ae597fb8918e1308706c9bcd621ac4a"),
     ("brute", "458840915ea15827a5f67d42e62f33bc6e21c41663bef2b2912b11f3e7c087c7"),

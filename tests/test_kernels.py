@@ -43,9 +43,15 @@ def test_hamming_kernel_matches_reference():
             padded = np.zeros(words * 64, dtype=np.uint8)
             padded[:n_bits] = raw[i]
             packed[i] = np.packbits(padded, bitorder="little").view(np.uint64)
-        got = _kernels.hamming_matrix_packed(packed)
+        got = _kernels.hamming_matrix_packed(packed.view(np.uint8))
         want = (raw[:, None, :] != raw[None, :, :]).sum(axis=2)
         assert np.array_equal(got, want)
+
+
+def test_hamming_kernel_of_zero_width_rows_is_zero():
+    # patterns of no bits pack to rows of no bytes
+    got = _kernels.hamming_matrix_packed(np.zeros((3, 0), np.uint8))
+    assert np.array_equal(got, np.zeros((3, 3)))
 
 
 def dense_lows(columns, n_rows):
@@ -137,22 +143,22 @@ def test_hamming_kernel_matches_unpacked_count(a):
     padded[:, :n_bits] = a
     packed = np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
     want = (a[:, None] != a[None]).sum(axis=2)
-    assert np.array_equal(_kernels.hamming_matrix_packed(packed), want)
+    assert np.array_equal(_kernels.hamming_matrix_packed(packed.view(np.uint8)), want)
 
 
 def test_hamming_kernel_memory_is_the_output():
     """k = 64 vectors of 100,000 bits: the Gram product is accumulated a
-    block of words at a time, so the peak is a few times the 32 KiB output,
+    block of bytes at a time, so the peak is a few times the 32 KiB output,
     not the 25 MB of all bits unpacked (nor the 0.8 MB of a row of xors)."""
     rng = np.random.default_rng(17)
     words = rng.integers(0, 2**63, (64, -(-100_000 // 64)), dtype=np.uint64)
     tracemalloc.start()
     try:
-        got = _kernels.hamming_matrix_packed(words)
+        got = _kernels.hamming_matrix_packed(words.view(np.uint8))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 391 blocks of 4 words each add up exactly
+    # 391 blocks of 32 bytes each add up exactly
     want = [np.bitwise_count(words ^ row).sum(axis=1) for row in words]
     assert np.array_equal(got, want)
     assert peak <= 5 * got.nbytes, f"peak {peak / got.nbytes:.2f} times the output"
@@ -169,4 +175,4 @@ def test_hamming_kernel_is_exact_past_float32():
     words[2] = np.random.default_rng(19).integers(0, 2**63, w, dtype=np.uint64)
     want = [np.bitwise_count(words ^ row).sum(axis=1) for row in words]
     assert want[0][1] == 2**24 + 63
-    assert np.array_equal(_kernels.hamming_matrix_packed(words), want)
+    assert np.array_equal(_kernels.hamming_matrix_packed(words.view(np.uint8)), want)

@@ -15,6 +15,7 @@ from oracles import (
     essential_rows_linprog,
     facet_points,
     from_bits,
+    neighbors,
     polygon_facet_count,
 )
 
@@ -397,6 +398,44 @@ class TestRegionOf:
             regions.region_from_bits(net_x1, network.BitVector.from01("000"))
 
 
+def region_bytes(region):
+    """Every field of a Region, its arrays as shape and raw bytes."""
+    arrays = (region.A, region.c, region.A_essential, region.c_essential,
+              *region.affine, region.interior)
+    return region.bits, region.active_bits, [(a.shape, a.tobytes()) for a in arrays]
+
+
+class TestBatch:
+    @pytest.mark.parametrize("box", [False, True])
+    def test_returns_exactly_the_patterns_a_stack_of_one_accepts(self, net_2331, box):
+        # all 2^6 patterns in one batch: the regions of the patterns a stack
+        # of one accepts, in input order and bit for bit; a stack of one
+        # rejects each other pattern with a geometry error, which
+        # region_from_bits raises
+        h = net_2331.h
+        patterns = [from_bits([(j >> i) & 1 for i in range(h)]) for j in range(2**h)]
+        B, d = (np.vstack([np.eye(2), -np.eye(2)]), np.full(4, 2.0)) if box else (None, None)
+        want = []
+        for bits in patterns:
+            (A, c, radii, found), = regions._blocks(net_2331, [bits], B, d, lp.TAU_LP, lp.TAU_DIM)
+            if found:
+                want.append(found[0])
+                if not box:
+                    got = regions.region_from_bits(net_2331, bits)
+                    assert region_bytes(got) == region_bytes(found[0])
+                continue
+            err = regions._ball_error(A[0], c[0], radii[0], lp.TAU_DIM)
+            assert type(err) in (InfeasibleSystemError, DegenerateSystemError)
+            if not box:
+                with pytest.raises(type(err)) as raised:
+                    regions.region_from_bits(net_2331, bits)
+                assert str(raised.value) == f"pattern {bits.to01()}: {err}"
+        got = regions.regions_from_bits(net_2331, patterns, B, d)
+        assert all(type(region) is regions.Region for region in got)
+        assert [region_bytes(r) for r in got] == [region_bytes(r) for r in want]
+        assert len(got) == (17 if box else 22)
+
+
 class TestLpBudget:
     """One LP decides feasibility and full dimension and finds the interior
     witness; every other LP of region_from_bits is a redundancy test."""
@@ -476,7 +515,7 @@ class TestNeighbors:
         rng = np.random.default_rng(17)
         x = rng.standard_normal(2)
         reg = regions.region_of(net_2331, x)
-        nbrs = regions.neighbors(reg)
+        nbrs = neighbors(reg)
         assert len(nbrs) == len(reg.active_bits)
         for flipped in nbrs:
             # each candidate differs in exactly one position
