@@ -8,7 +8,7 @@ from .enumeration import (
     enumerate_brute,
     enumerate_traverse,
 )
-from .metric import DistanceMatrix, combine, hamming, hamming_matrix
+from .metric import DistanceMatrix, combine, hamming_matrix
 from .network import (
     BitVector,
     NetworkSpec,

@@ -135,9 +135,10 @@ def reduce_columns(col_ptr, col_rows, skip):
     live = ~skip & nonempty
     if not live.any():
         return low
-    # each live column's lowest row, and each row's last live column
+    # each live column's lowest row (its first: rows ascend), and each
+    # row's last live column
     cols = np.flatnonzero(live)
-    lowest = np.minimum.reduceat(col_rows, col_ptr[:-1][nonempty])[live[nonempty]]
+    lowest = col_rows[col_ptr[cols]]
     entry_col = np.repeat(np.arange(counts.size), counts)
     held = live[entry_col]
     last = np.full(int(col_rows.max()) + 1, -1, dtype=np.int64)

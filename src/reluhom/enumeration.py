@@ -9,7 +9,8 @@ hits the box wall is kept as metadata, never inside the Hamming bits.
 Inside both routes a pattern is the int of its bits (`BitVector.value`)
 and a batch is one `PackedBits`; `regions_from_bits` returns only the
 full-dimensional patterns' Regions, and makes a `BitVector` only for a
-region's atlas key.
+region's atlas key.  Traversal's seed region is built alone, by
+`region_from_bits`, whose error names the seed pattern's bits.
 """
 
 from dataclasses import dataclass, field
@@ -19,13 +20,12 @@ import numpy as np
 from . import lp
 from .errors import (
     BoundaryPointError,
-    DegenerateSystemError,
     DimensionMismatch,
     NonFiniteEntry,
     ResourceCapError,
 )
 from .network import TAU_BIT, PackedBits, bit_vector, on_boundary
-from .regions import _compose, _inscribed_balls, regions_from_bits
+from .regions import _compose, _inscribed_balls, region_from_bits, regions_from_bits
 
 H_MAX_BRUTE = 24
 
@@ -189,7 +189,8 @@ def enumerate_traverse(net, seed, box=None, rng=None,
     FIFO frontier: each region is expanded exactly once, and each flip of
     one of its active bits not yet in the atlas is tested as a new region.
     The frontier goes in waves: the untested flips of a wave's regions are
-    tested as one batch, whose regions form the next wave.
+    tested as one batch, whose regions form the next wave.  A seed region
+    that is not full-dimensional raises `region_from_bits`'s error.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -198,9 +199,7 @@ def enumerate_traverse(net, seed, box=None, rng=None,
     atlas = DecompositionAtlas()
 
     h = net.h
-    wave = _found(net, [bit_vector(net, x0).value], extra, tau_lp, tau_dim)
-    if not wave:
-        raise DegenerateSystemError("seed region is not full-dimensional")
+    wave = [region_from_bits(net, bit_vector(net, x0), *extra, tau_lp=tau_lp, tau_dim=tau_dim)]
     seen = set()                    # the values of the atlas's patterns
     while wave:
         atlas.regions.update((region.bits, region) for region in wave)

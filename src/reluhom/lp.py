@@ -3,6 +3,8 @@
 The layer answers the pipeline's two questions for a stack of same-shape
 systems at once: `chebyshev_centers` (is a region full-dimensional, and
 where is an interior point) and `redundant_rows` (which rows are facets).
+It returns numbers only: `regions._ball_error` turns a rejected system's
+signed radius into its geometry error.
 
 All problems here are "maximize c.x subject to A x <= b" with free variables
 (split into positive/negative parts internally).  One Bland-rule kernel
@@ -37,7 +39,7 @@ rule.
 
 import numpy as np
 
-from .errors import InfeasibleSystemError, IterationLimitError
+from .errors import IterationLimitError
 
 TAU_LP = 1e-8    # feasibility / optimality tolerance
 TAU_DIM = 1e-7   # Chebyshev radius above which a region counts as full-dimensional
@@ -203,21 +205,4 @@ def chebyshev_centers(A, c, r_cap):
     _, x = _solve_leq(objective, rows[ok], np.maximum(rhs[ok], 0.0))
     centers[ok], radii[ok] = x[:, :n], r0[ok] + x[:, n]
     return centers, radii
-
-
-def _infeasibility(A, c, radius):
-    """The InfeasibleSystemError of A x <= c, given its signed Chebyshev
-    radius, or None when the system is not empty."""
-    zero = np.linalg.norm(A, axis=1) == 0
-    bad = np.flatnonzero(zero & (c < -TAU_LP))
-    if bad.size:
-        return InfeasibleSystemError(
-            f"Chebyshev LP is infeasible: row {bad[0]} is 0 <= {c[bad[0]]:.3g}"
-        )
-    if radius < -TAU_LP:
-        return InfeasibleSystemError(
-            f"Chebyshev LP is infeasible: signed radius {radius:.3g} < 0, "
-            f"the {np.count_nonzero(~zero)} rows have no common point"
-        )
-    return None
 

@@ -59,13 +59,6 @@ class DistanceMatrix:
         return self.data.shape[0]
 
 
-def hamming(a, b):
-    """Number of differing bits between two equal-length bit vectors."""
-    if len(a) != len(b):
-        raise DimensionMismatch(f"bit vector lengths differ: {len(a)} vs {len(b)}")
-    return (a.value ^ b.value).bit_count()
-
-
 def hamming_matrix(vectors, deduplicate=False):
     """Pairwise Hamming distances, optionally over distinct vectors only.
 

@@ -27,25 +27,23 @@ from .errors import DimensionMismatch, FormatError, NonFiniteEntry
 TAU_BIT = 1e-12
 
 
+@dataclass(frozen=True, slots=True)
 class BitVector:
     """Immutable activation pattern of ``n`` bits held in one Python int.
 
     Bit ``i`` of the canonical layer-major order is bit ``i`` of ``value``,
-    so xor, popcount, hashing and indexing are Python int operations.
-    Instances are hashable and usable as dict keys.
+    so xor, popcount and hashing are Python int operations.  Instances are
+    hashable and usable as dict keys.
     """
 
-    __slots__ = ("n", "value")
+    n: int
+    value: int
 
-    def __init__(self, n, value):
-        value = operator.index(value)
-        if value < 0 or value.bit_length() > n:
-            raise DimensionMismatch(f"{value} is not a pattern of {n} bits")
-        object.__setattr__(self, "n", n)
+    def __post_init__(self):
+        value = operator.index(self.value)
+        if value < 0 or value.bit_length() > self.n:
+            raise DimensionMismatch(f"{value} is not a pattern of {self.n} bits")
         object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BitVector is immutable")
 
     @classmethod
     def from01(cls, text):
@@ -66,29 +64,11 @@ class BitVector:
         # the sentinel bit n keeps the leading zeros; bin() writes it as "0b1"
         return bin(self.value | (1 << self.n))[3:][::-1]
 
-    def flip(self, i):
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return BitVector(self.n, self.value ^ (1 << i))
-
     def popcount(self):
         return self.value.bit_count()
 
-    def __getitem__(self, i):
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return (self.value >> i) & 1
-
     def __len__(self):
         return self.n
-
-    def __eq__(self, other):
-        if not isinstance(other, BitVector):
-            return False
-        return self.n == other.n and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.n, self.value))
 
     def __repr__(self):
         return f"BitVector({self.to01()!r})"

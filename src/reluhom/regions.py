@@ -5,8 +5,9 @@ layer-major; pruning it to the essential subsystem identifies the active
 bits, and flipping an active bit walks to the facet-neighbor.  Patterns
 are worked on as stacks of same-shape systems (`regions_from_bits`, which
 returns the full-dimensional ones' Regions), each step once per stack;
-`region_from_bits` and `region_of` build one region as a stack of one and
-raise the geometry error of a pattern that is not full-dimensional.
+`region_from_bits` builds one region as a stack of one, for `region_of`
+and traversal's seed, and raises the error `_ball_error` builds for a
+pattern that is not full-dimensional.
 """
 
 import functools
@@ -20,6 +21,7 @@ from .errors import (
     BoundaryPointError,
     DegenerateSystemError,
     DimensionMismatch,
+    InfeasibleSystemError,
 )
 from .network import BitVector, PackedBits, TAU_BIT, bit_vector, on_boundary
 
@@ -185,11 +187,22 @@ def _system_bytes(m, n):
 
 
 def _ball_error(A, c, radius, tau_dim):
-    """None when A x <= c, of Chebyshev radius `radius`, is full-dimensional;
-    else its InfeasibleSystemError or DegenerateSystemError."""
-    if radius > tau_dim:
-        return None
-    return lp._infeasibility(A, c, radius) or DegenerateSystemError(
+    """The geometry error of a system A x <= c that its Chebyshev radius
+    `radius` (at most tau_dim) rejects: InfeasibleSystemError when a zero
+    row reads 0 <= c_i < -TAU_LP or the signed radius is below -TAU_LP,
+    else DegenerateSystemError."""
+    zero = np.linalg.norm(A, axis=1) == 0
+    bad = np.flatnonzero(zero & (c < -lp.TAU_LP))
+    if bad.size:
+        return InfeasibleSystemError(
+            f"Chebyshev LP is infeasible: row {bad[0]} is 0 <= {c[bad[0]]:.3g}"
+        )
+    if radius < -lp.TAU_LP:
+        return InfeasibleSystemError(
+            f"Chebyshev LP is infeasible: signed radius {radius:.3g} < 0, "
+            f"the {np.count_nonzero(~zero)} rows have no common point"
+        )
+    return DegenerateSystemError(
         f"region is not full-dimensional: Chebyshev radius {radius:.3g} "
         f"<= tau_dim {tau_dim:g}"
     )
@@ -287,7 +300,7 @@ def _blocks(net, patterns, extra_A, extra_c, tau_lp, tau_dim):
         A = np.concatenate([A, np.broadcast_to(extra_A, (len(A),) + extra_A.shape)], axis=1)
         c = np.concatenate([c, np.broadcast_to(extra_c, (len(c), len(extra_c)))], axis=1)
         keep, centers, radii = _essentialize(A, c, tau_lp, tau_dim)
-        ok = radii > tau_dim              # the systems _ball_error accepts
+        ok = radii > tau_dim              # the full-dimensional systems
         A_ok, c_ok = A[ok], c[ok]
         system, active = np.nonzero(keep[ok])
         ends = np.cumsum(np.bincount(system, minlength=len(A_ok))).tolist()
@@ -320,10 +333,12 @@ def regions_from_bits(net, patterns, extra_A=None, extra_c=None,
     return [region for *_, found in blocks for region in found]
 
 
-def region_from_bits(net, bits, tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
-    """The Region of a pattern; else raises the InfeasibleSystemError or
-    DegenerateSystemError `_ball_error` names, prefixed by the bits."""
-    (A, c, radii, found), = _blocks(net, [bits], None, None, tau_lp, tau_dim)
+def region_from_bits(net, bits, extra_A=None, extra_c=None,
+                     tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
+    """The Region of a pattern, with extra rows as `regions_from_bits`
+    takes them; else raises the InfeasibleSystemError or
+    DegenerateSystemError `_ball_error` builds, prefixed by the bits."""
+    (A, c, radii, found), = _blocks(net, [bits], extra_A, extra_c, tau_lp, tau_dim)
     if found:
         return found[0]
     err = _ball_error(A[0], c[0], radii[0], tau_dim)

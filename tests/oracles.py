@@ -14,9 +14,10 @@ the region's own rows, and only the ball inside the facet from
 `pivot_lookups` is no oracle: it records the reduction kernel's pivot
 lookups and checks, as they happen, that its pivot search only moves forward.
 Nor are `filtration_simplices`, a Filtration's simplices as one sorted list
-of Python tuples, `from_bits`, the BitVector of a 0/1 sequence, and
-`neighbors`, a Region's one-bit flips: they are test-only views of library
-types.
+of Python tuples, `from_bits`, the BitVector of a 0/1 sequence, `bit`,
+`flip` and `hamming`, one bit, one flip and one distance of BitVectors,
+`neighbors`, a Region's one-bit flips, and `region_bytes`, a Region's
+fields as raw bytes: they are test-only views of library types.
 """
 
 import math
@@ -26,7 +27,7 @@ import numpy as np
 
 from reluhom import lp
 from reluhom.network import BitVector
-from reluhom.errors import DegenerateSystemError
+from reluhom.errors import DegenerateSystemError, DimensionMismatch
 
 
 # --- naive persistent homology ---------------------------------------------
@@ -333,6 +334,27 @@ def from_bits(bits):
     return BitVector(bits.size, int.from_bytes(packed, "little"))
 
 
+def bit(v, i):
+    """Bit i of a BitVector."""
+    if not 0 <= i < v.n:
+        raise IndexError(i)
+    return (v.value >> i) & 1
+
+
+def flip(v, i):
+    """The BitVector v with bit i flipped."""
+    if not 0 <= i < v.n:
+        raise IndexError(i)
+    return BitVector(v.n, v.value ^ (1 << i))
+
+
+def hamming(a, b):
+    """Number of differing bits between two equal-length BitVectors."""
+    if len(a) != len(b):
+        raise DimensionMismatch(f"bit vector lengths differ: {len(a)} vs {len(b)}")
+    return (a.value ^ b.value).bit_count()
+
+
 def neighbors(region):
     """Bit vectors of the facet-neighbors: one active-bit flip each.
 
@@ -340,7 +362,14 @@ def neighbors(region):
     are not flippable and are skipped.
     """
     h = len(region.bits)
-    return [region.bits.flip(k) for k in region.active_bits if k < h]
+    return [flip(region.bits, k) for k in region.active_bits if k < h]
+
+
+def region_bytes(region):
+    """Every field of a Region, its arrays as shape and raw bytes."""
+    arrays = (region.A, region.c, region.A_essential, region.c_essential,
+              *region.affine, region.interior)
+    return region.bits, region.active_bits, [(a.shape, a.tobytes()) for a in arrays]
 
 
 def to_array(v):

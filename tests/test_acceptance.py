@@ -23,7 +23,7 @@ from reluhom import (
 )
 from reluhom.errors import DegenerateSystemError
 from conftest import random_net
-from oracles import facet_points, naive_barcodes, mst_weights
+from oracles import bit, facet_points, naive_barcodes, mst_weights
 
 FIXTURES = __file__.rsplit("/", 1)[0] + "/fixtures"
 
@@ -129,7 +129,7 @@ def test_criterion_3_adjacency_is_hamming_one_with_matching_maps(
         rng.shuffle(h1_pairs)
         for u, v in h1_pairs[:6]:
             ru = atlas.regions[u]
-            k = next(i for i in range(net.h) if u[i] != v[i])
+            k = next(i for i in range(net.h) if bit(u, i) != bit(v, i))
             try:
                 pts = facet_points(ru.A, ru.c, k, count=20, rng=rng)
                 shares_facet = True

@@ -171,6 +171,30 @@ class TestRegion:
         rc = cli.main(["region", "--net", str(netp), "--point", "0,1"])
         assert rc == 4
 
+    @pytest.mark.parametrize("args", [
+        ["region", "--point", "0"],
+        ["enumerate", "--mode", "traverse"],
+        ["enumerate", "--mode", "traverse", "--lower=-3", "--upper=3"],
+    ])
+    def test_slab_geometry_error_names_the_pattern(self, tmp_path, capsys, args):
+        # the slab -1 < x < 1 has Chebyshev radius 1: at --tau-dim 2 the
+        # point's region and traversal's seed region fail with one message
+        net = network.NetworkSpec(
+            weights=[np.array([[1.0], [-1.0]]), np.array([[1.0, 1.0]])],
+            biases=[np.ones(2), np.zeros(1)],
+            input_dim=1,
+        )
+        netp, out = tmp_path / "slab.json", tmp_path / "r.txt"
+        network.save_network(net, netp)
+        if args[0] == "enumerate":
+            args = args + ["--out-regions", str(out)]
+        rc = cli.main(args + ["--net", str(netp), "--tau-dim", "2"])
+        captured = capsys.readouterr()
+        assert rc == 4 and captured.out == "" and not out.exists()
+        assert captured.err == (
+            "error: pattern 11: region is not full-dimensional: Chebyshev radius 1 <= tau_dim 2\n"
+        )
+
     def test_malformed_net_exit_code(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")

@@ -7,9 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reluhom import _kernels, enumeration, lp, network, regions
-from reluhom.errors import DimensionMismatch, NonFiniteEntry, ResourceCapError
+from reluhom.errors import (
+    BoundaryPointError,
+    DegenerateSystemError,
+    DimensionMismatch,
+    NonFiniteEntry,
+    ResourceCapError,
+)
 from conftest import random_net
-from oracles import facet_points
+from oracles import bit, facet_points, flip, region_bytes
 
 
 def zaslavsky(h, m):
@@ -20,6 +26,35 @@ def zaslavsky(h, m):
 
 def atlas_keys(atlas):
     return {b.to01() for b in atlas.regions}
+
+
+def slab_net():
+    """The 1-D net of pre-activations x + 1 and 1 - x: regions x < -1,
+    -1 < x < 1 (pattern 11, Chebyshev radius 1) and x > 1."""
+    return network.NetworkSpec(
+        (np.array([[1.0], [-1.0]]), np.array([[1.0, 1.0]])), (np.ones(2), np.zeros(1)), 1
+    )
+
+
+def ci_net():
+    """The 3-8-8 net of the console-script pipeline (rng 0)."""
+    rng = np.random.default_rng(0)
+    weights = (rng.standard_normal((8, 3)), rng.standard_normal((8, 8)),
+               rng.standard_normal((1, 8)))
+    biases = (rng.standard_normal(8), rng.standard_normal(8), np.zeros(1))
+    return network.NetworkSpec(weights, biases, 3)
+
+
+def traverse_as_cli(net, box=None, **kw):
+    """`reluhom enumerate --mode traverse` at --seed 0: the seed point is
+    drawn from the same generator that redraws it."""
+    rng = np.random.default_rng(0)
+    seed = rng.uniform(box.lower, box.upper) if box else rng.standard_normal(net.input_dim)
+    return enumeration.enumerate_traverse(net, seed, box=box, rng=rng, **kw)
+
+
+# the box [-3, 3]^m of the console-script checks, for the slab and CI's net
+BOX1, BOX3 = (enumeration.BoxRegion(np.full(m, -3.0), np.full(m, 3.0)) for m in (1, 3))
 
 
 class TestBrute:
@@ -96,6 +131,40 @@ class TestTraverse:
         a = enumeration.enumerate_traverse(net, seed=np.array([0.1, -0.4]))
         b = enumeration.enumerate_traverse(net, seed=np.array([-3.0, 2.5]))
         assert atlas_keys(a) == atlas_keys(b)
+
+    @pytest.mark.parametrize("box", [None, BOX1])
+    def test_seed_on_a_boundary_is_redrawn(self, box):
+        net = slab_net()
+        assert network.on_boundary(net, np.array([-1.0]))
+        x = enumeration._draw_seed(net, [-1.0], box, np.random.default_rng(0))
+        assert x[0] != -1.0 and not network.on_boundary(net, x)
+        assert box is None or box.contains(x)
+        atlas = enumeration.enumerate_traverse(net, [-1.0], box=box)
+        assert atlas_keys(atlas) == {"01", "11", "10"}
+
+    def test_seed_outside_the_box_is_refused(self):
+        with pytest.raises(BoundaryPointError, match="^seed lies outside the box$"):
+            enumeration._draw_seed(slab_net(), [5.0], BOX1, np.random.default_rng(0))
+        with pytest.raises(BoundaryPointError, match="^seed lies outside the box$"):
+            enumeration.enumerate_traverse(slab_net(), [5.0], box=BOX1)
+
+    def test_no_seed_off_an_all_zero_row(self):
+        # the second node's pre-activation is 0 everywhere: every redraw
+        # lies on its boundary
+        net = network.NetworkSpec((np.array([[1.0], [0.0]]), np.array([[1.0, 1.0]])),
+                                  (np.array([1.0, 0.0]), np.zeros(1)), 1)
+        with pytest.raises(BoundaryPointError,
+                           match="^could not find a seed off the region boundaries$"):
+            enumeration._draw_seed(net, [0.5], None, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("box", [None, BOX1])
+    def test_degenerate_seed_region_names_its_pattern(self, box):
+        # the seed's region is built alone, so its error is `reluhom
+        # region`'s: the pattern's bits, then _ball_error's text
+        with pytest.raises(DegenerateSystemError, match=(
+            r"^pattern 11: region is not full-dimensional: Chebyshev radius 1 <= tau_dim 2$"
+        )):
+            enumeration.enumerate_traverse(slab_net(), [0.0], box=box, tau_dim=2.0)
 
 
 class TestBounded:
@@ -179,7 +248,7 @@ class TestDualGraph:
         checked = 0
         for u, v in list(atlas.edges)[:10]:
             ru, rv = atlas.regions[u], atlas.regions[v]
-            k = next(i for i in range(net.h) if u[i] != v[i])
+            k = next(i for i in range(net.h) if bit(u, i) != bit(v, i))
             pos = ru.active_bits.index(k)
             pts = facet_points(ru.A, ru.c, k, count=5, rng=rng)
             Mu, vu = ru.affine
@@ -233,7 +302,7 @@ def test_adjacency_is_a_one_bit_flip_of_a_shared_facet(case):
     adjacent = 0
     for u, region in atlas.regions.items():
         for k in range(net.h):
-            v = u.flip(k)
+            v = flip(u, k)
             if v.value < u.value or v not in atlas.regions:
                 continue
             in_u = k in region.active_bits
@@ -409,16 +478,27 @@ def test_peak_memory_is_the_atlas(name):
 def test_traversal_finds_every_region_above_the_default_tau_lp():
     # the console-script pipeline's 3-8-8 net, enumerated as `reluhom
     # enumerate --tau-lp 0.1` does in both modes
-    rng = np.random.default_rng(0)
-    weights = (rng.standard_normal((8, 3)), rng.standard_normal((8, 8)),
-               rng.standard_normal((1, 8)))
-    biases = (rng.standard_normal(8), rng.standard_normal(8), np.zeros(1))
-    net = network.NetworkSpec(weights, biases, 3)
+    net = ci_net()
     brute = enumeration.enumerate_brute(net, tau_lp=0.1)
-    rng = np.random.default_rng(0)
-    trav = enumeration.enumerate_traverse(net, rng.standard_normal(3), rng=rng, tau_lp=0.1)
+    trav = traverse_as_cli(net, tau_lp=0.1)
     if (len(brute.regions), len(brute.edges)) != (897, 2543):
         pytest.fail(f"brute force found {len(brute.regions)} regions, "
                     f"{len(brute.edges)} edges, not 897 and 2,543")
     assert atlas_keys(trav) == atlas_keys(brute)
     assert trav.edges == brute.edges
+
+
+@pytest.mark.parametrize("box", [None, BOX3])
+@pytest.mark.parametrize("tau_lp", [0.1, 0.5])
+def test_traversal_is_brute_force_restricted_to_what_it_reaches(tau_lp, box):
+    # above the default tau_lp traversal misses regions (881 and 876 of 897,
+    # 541 and 526 of 559 in the box), but what it finds is brute force's:
+    # the same Regions byte for byte and brute force's edges among them
+    net = ci_net()
+    brute = enumeration.enumerate_brute(net, box=box, tau_lp=tau_lp)
+    trav = traverse_as_cli(net, box=box, tau_lp=tau_lp)
+    assert len(brute.regions) == (559 if box else 897)
+    assert trav.regions.keys() <= brute.regions.keys()
+    for bits, region in trav.regions.items():
+        assert region_bytes(region) == region_bytes(brute.regions[bits])
+    assert trav.edges == {edge for edge in brute.edges if edge <= trav.regions.keys()}

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 from scipy.optimize import linprog
 
-from reluhom import lp
+from reluhom import lp, regions
 from reluhom.errors import InfeasibleSystemError, IterationLimitError
 from oracles import bland_leaving_row, bland_simplex, essential_rows_linprog, linprog_max
 
@@ -37,7 +37,7 @@ def redundant(A, c, tol=lp.TAU_LP):
 def feasible(A, c):
     """The capped Chebyshev LP decides whether {x : Ax <= c} is non-empty."""
     radius = lp.chebyshev_centers(A[None], c[None], r_cap=1.0)[1][0]
-    return lp._infeasibility(A, c, radius) is None
+    return radius >= -lp.TAU_LP
 
 
 @st.composite
@@ -346,11 +346,12 @@ class TestChebyshev:
             feasible = linprog(np.zeros(A.shape[1]), A_ub=A, b_ub=c,
                                bounds=[(None, None)] * A.shape[1], method="highs")
             assert empty == (feasible.status == 2)
-            err = lp._infeasibility(A, c, got)
             if empty:
+                assert got < -lp.TAU_LP
+                err = regions._ball_error(A, c, got, lp.TAU_DIM)
                 assert isinstance(err, InfeasibleSystemError) and "infeasible" in str(err)
                 continue
-            assert err is None
+            assert got >= -lp.TAU_LP
             assert got == pytest.approx(min(radius, r_cap), rel=1e-7, abs=1e-9)
             norms = np.linalg.norm(A, axis=1)
             assert np.all(A @ center + norms * got <= c + 1e-7)
@@ -361,15 +362,16 @@ class TestChebyshev:
         c = np.stack([np.append(SQUARE_C, 1.0), np.append(SQUARE_C, -1.0)])
         radii = lp.chebyshev_centers(np.stack([A, A]), c, r_cap=1.0)[1]
         assert radii == pytest.approx([0.5, -np.inf], abs=1e-8)
-        assert lp._infeasibility(A, c[0], radii[0]) is None
-        err = lp._infeasibility(A, c[1], radii[1])
+        assert radii[0] >= -lp.TAU_LP
+        err = regions._ball_error(A, c[1], radii[1], lp.TAU_DIM)
         assert isinstance(err, InfeasibleSystemError) and "row 4 is 0 <= -1" in str(err)
 
     def test_infeasible_raises(self):
         # x <= -1 and x >= 0: the error each caller raises for an empty system
         A, c = np.array([[1.0], [-1.0]]), np.array([-1.0, 0.0])
         radius = lp.chebyshev_centers(A[None], c[None], r_cap=1.0)[1][0]
-        assert isinstance(lp._infeasibility(A, c, radius), InfeasibleSystemError)
+        assert radius < -lp.TAU_LP
+        assert isinstance(regions._ball_error(A, c, radius, lp.TAU_DIM), InfeasibleSystemError)
 
 
 class TestKernel:

@@ -11,12 +11,14 @@ from reluhom.errors import (
     InfeasibleSystemError,
 )
 from oracles import (
+    bit,
     duplicate_rows_loop,
     essential_rows_linprog,
     facet_points,
     from_bits,
     neighbors,
     polygon_facet_count,
+    region_bytes,
 )
 
 
@@ -147,11 +149,11 @@ def rows_with_repeats(draw):
 
 def essential_rows(A, c, tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
     """The rows `_essentialize` keeps of the one system A x <= c, as a stack
-    of one, and its center; raises the error `_ball_error` names."""
+    of one, and its center; raises the error `_ball_error` builds when its
+    radius is at most tau_dim."""
     keep, centers, radii = regions._essentialize(A[None], c[None], tau_lp, tau_dim)
-    err = regions._ball_error(A, c, radii[0], tau_dim)
-    if err is not None:
-        raise err
+    if radii[0] <= tau_dim:
+        raise regions._ball_error(A, c, radii[0], tau_dim)
     return np.flatnonzero(keep[0]), centers[0]
 
 
@@ -189,7 +191,7 @@ class TestAssemble:
         (A, c), _ = regions._hat_maps(net_221, [bits])
         W1, b1 = net_221.weights[0], net_221.biases[0]
         for j in range(2):
-            sgn = -1.0 if bits[j] else 1.0
+            sgn = -1.0 if bit(bits, j) else 1.0
             assert np.allclose(A[0, j], sgn * W1[j])
             assert c[0, j] == pytest.approx(sgn * -b1[j])
 
@@ -300,13 +302,14 @@ class TestEssentialize:
         A, c, tau_lp = case
         keep, centers, radii = regions._essentialize(A, c, tau_lp, lp.TAU_DIM)
         for s in range(len(A)):
-            err = regions._ball_error(A[s], c[s], radii[s], lp.TAU_DIM)
             try:
                 want_keep, want_center = essential_rows(A[s], c[s], tau_lp=tau_lp)
             except (InfeasibleSystemError, DegenerateSystemError) as want:
+                assert radii[s] <= lp.TAU_DIM
+                err = regions._ball_error(A[s], c[s], radii[s], lp.TAU_DIM)
                 assert type(err) is type(want) and str(err) == str(want)
                 continue
-            assert err is None
+            assert radii[s] > lp.TAU_DIM
             assert np.array_equal(np.flatnonzero(keep[s]), want_keep)
             assert np.array_equal(centers[s], want_center)
 
@@ -398,20 +401,13 @@ class TestRegionOf:
             regions.region_from_bits(net_x1, network.BitVector.from01("000"))
 
 
-def region_bytes(region):
-    """Every field of a Region, its arrays as shape and raw bytes."""
-    arrays = (region.A, region.c, region.A_essential, region.c_essential,
-              *region.affine, region.interior)
-    return region.bits, region.active_bits, [(a.shape, a.tobytes()) for a in arrays]
-
-
 class TestBatch:
     @pytest.mark.parametrize("box", [False, True])
     def test_returns_exactly_the_patterns_a_stack_of_one_accepts(self, net_2331, box):
         # all 2^6 patterns in one batch: the regions of the patterns a stack
         # of one accepts, in input order and bit for bit; a stack of one
         # rejects each other pattern with a geometry error, which
-        # region_from_bits raises
+        # region_from_bits, given the same box rows, raises
         h = net_2331.h
         patterns = [from_bits([(j >> i) & 1 for i in range(h)]) for j in range(2**h)]
         B, d = (np.vstack([np.eye(2), -np.eye(2)]), np.full(4, 2.0)) if box else (None, None)
@@ -420,16 +416,14 @@ class TestBatch:
             (A, c, radii, found), = regions._blocks(net_2331, [bits], B, d, lp.TAU_LP, lp.TAU_DIM)
             if found:
                 want.append(found[0])
-                if not box:
-                    got = regions.region_from_bits(net_2331, bits)
-                    assert region_bytes(got) == region_bytes(found[0])
+                got = regions.region_from_bits(net_2331, bits, B, d)
+                assert region_bytes(got) == region_bytes(found[0])
                 continue
             err = regions._ball_error(A[0], c[0], radii[0], lp.TAU_DIM)
             assert type(err) in (InfeasibleSystemError, DegenerateSystemError)
-            if not box:
-                with pytest.raises(type(err)) as raised:
-                    regions.region_from_bits(net_2331, bits)
-                assert str(raised.value) == f"pattern {bits.to01()}: {err}"
+            with pytest.raises(type(err)) as raised:
+                regions.region_from_bits(net_2331, bits, B, d)
+            assert str(raised.value) == f"pattern {bits.to01()}: {err}"
         got = regions.regions_from_bits(net_2331, patterns, B, d)
         assert all(type(region) is regions.Region for region in got)
         assert [region_bytes(r) for r in got] == [region_bytes(r) for r in want]
@@ -520,7 +514,7 @@ class TestNeighbors:
         for flipped in nbrs:
             # each candidate differs in exactly one position
             assert sum(
-                flipped[i] != reg.bits[i] for i in range(net_2331.h)
+                bit(flipped, i) != bit(reg.bits, i) for i in range(net_2331.h)
             ) == 1
 
     def test_shared_facet_has_points(self, net_2331):
