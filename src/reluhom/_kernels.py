@@ -7,18 +7,14 @@ takes, and the block holds at most BLOCK_BYTES of them, at least one item.
 
 The Hamming matrix is one Gram product of the unpacked bits, using
 |x xor y| = |x| + |y| - 2 x.y; its memory is O(k^2) for k vectors.  The
-reduction walks the columns from last to first and takes a column's
-lowest row as its pivot.  It first finds the apparent pairs by array
-operations (Bauer, "Ripser", JACT 2021, arXiv:1908.02518): a column whose
-lowest row lies in no live column to its right has that row as pivot with
-no addition.  Its Python loop visits only the other columns.  A column
-whose first pivot is free costs one dict lookup; a column that needs
-additions is held in one reused boolean working column, each addition is
-one xor of the added column's rows into it, and the next pivot is the
-first set row at or after the current one, so the search only moves
-forward; there is no heap, no row set and no multiplicity count.  There
-is one backend, plain numpy and Python; ``tests/test_kernels.py`` checks
-it exactly against independent oracles.
+reduction walks the live columns from last to first and takes a column's
+lowest row as its pivot.  A column whose first pivot is free costs one
+dict lookup; a column that needs additions is held in one reused boolean
+working column, each addition is one xor of the added column's rows into
+it, and the next pivot is the first set row at or after the current one,
+so the search only moves forward; there is no heap, no row set and no
+multiplicity count.  There is one backend, plain numpy and Python;
+``tests/test_kernels.py`` checks it exactly against independent oracles.
 ``USING_NUMBA`` is always ``False``: it is kept only because the benchmark
 records it in its environment report.
 """
@@ -104,24 +100,18 @@ def hamming_matrix_packed(packed):
 # ---------------------------------------------------------------------------
 #
 # Columns are reduced right to left; a column's pivot is its lowest row.  A
-# column is live when it is neither skipped nor empty.  Apparent pairs come
-# first, by array operations (Bauer, "Ripser", JACT 2021, arXiv:1908.02518):
-# a live column f whose lowest row r lies in no live column to its right has
-# pivot r with no addition, since a reduced column k > f is a sum of live
-# columns >= k.  Their pivots seed `low` and `owner` before the loop; a column
-# never looks up an apparent column to its left (no column right of it holds
-# that row), so the seeding changes no pivot.  The loop visits the other live
-# columns, each starting from its lowest row as found above: a column whose
-# pivot nobody owns costs one dict lookup.  A column whose pivot is owned is
-# set into `dense`, a boolean working column over the rows with a sentinel
-# past the last row, and each addition flips the owner's rows in it.  The
-# owner's rows all lie at or after the pivot, which they cancel, so the next
-# pivot is the first set row after it (the sentinel if the column is zero):
-# the search only moves forward.  A column that ends with a pivot reads its
-# rows off the window from the pivot to the largest row added and clears the
-# window, so `dense` holds only the sentinel between columns.  Only columns
-# that additions changed are stored; an unchanged pivot column is re-read
-# from its slice.
+# column is live when it is neither skipped nor empty.  Each live column
+# starts from its first row, the lowest: a column whose pivot nobody owns
+# costs one dict lookup.  A column whose pivot is owned is set into `dense`,
+# a boolean working column over the rows with a sentinel past the last row,
+# and each addition flips the owner's rows in it.  The owner's rows all lie
+# at or after the pivot, which they cancel, so the next pivot is the first
+# set row after it (the sentinel if the column is zero): the search only
+# moves forward.  A column that ends with a pivot reads its rows off the
+# window from the pivot to the largest row added and clears the window, so
+# `dense` holds only the sentinel between columns.  Only columns that
+# additions changed are stored; an unchanged pivot column is re-read from
+# its slice.  `low` is read off the owner map once, at the end.
 
 def reduce_columns(col_ptr, col_rows, skip):
     """Pivot row of each CSR column after reduction, or -1 for a zero column.
@@ -130,29 +120,14 @@ def reduce_columns(col_ptr, col_rows, skip):
     in `skip` are known to reduce to zero (clearing) and are not touched.
     """
     counts = np.diff(col_ptr)
-    low = np.full(counts.size, -1, dtype=np.int64)
-    nonempty = counts > 0
-    live = ~skip & nonempty
-    if not live.any():
-        return low
-    # each live column's lowest row (its first: rows ascend), and each
-    # row's last live column
-    cols = np.flatnonzero(live)
-    lowest = col_rows[col_ptr[cols]]
-    entry_col = np.repeat(np.arange(counts.size), counts)
-    held = live[entry_col]
-    last = np.full(int(col_rows.max()) + 1, -1, dtype=np.int64)
-    np.maximum.at(last, col_rows[held], entry_col[held])
-    apparent = last[lowest] == cols
-    low[cols[apparent]] = lowest[apparent]
-    owner = dict(zip(lowest[apparent].tolist(), cols[apparent].tolist()))
+    cols = np.flatnonzero(~skip & (counts > 0))[::-1]
     ptr = col_ptr.tolist()
-    n_rows = last.size
+    n_rows = int(col_rows.max(initial=-1)) + 1
     dense = np.zeros(n_rows + 1, dtype=bool)
     dense[n_rows] = True
+    owner = dict()   # pivot row -> its column; a call, which tests patch
     reduced = {}     # rows of the columns that additions changed
-    rest = ~apparent
-    for j, pivot in zip(cols[rest][::-1].tolist(), lowest[rest][::-1].tolist()):
+    for j, pivot in zip(cols.tolist(), col_rows[col_ptr[cols]].tolist()):
         k = owner.get(pivot)
         if k is not None:
             rows = col_rows[ptr[j]:ptr[j + 1]]
@@ -171,6 +146,8 @@ def reduce_columns(col_ptr, col_rows, skip):
             window = dense[pivot:top + 1]
             reduced[j] = pivot + window.nonzero()[0]
             window[:] = False
-        low[j] = pivot
         owner[pivot] = j
+    low = np.full(counts.size, -1, dtype=np.int64)
+    low[np.fromiter(owner.values(), np.int64, len(owner))] = np.fromiter(
+        owner.keys(), np.int64, len(owner))
     return low

@@ -40,7 +40,8 @@ def read_points(path):
             pts = None
         if pts is None or pts.ndim != 2:
             pts = _each_point(raw, path)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
+            OverflowError) as exc:
         raise FormatError(f"cannot read points file {path}: {exc}") from exc
     bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
     if bad.size:

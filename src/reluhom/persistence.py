@@ -172,11 +172,7 @@ def compute_barcodes(filtration):
 
     A coboundary matrix is the facet table transposed by one stable sort
     of its face indices in their narrowest unsigned type (a radix sort up
-    to 65,536 faces).  The reduction pairs the apparent pairs first, by
-    array operations (Bauer, "Ripser", JACT 2021, arXiv:1908.02518): a face f
-    pairs with its earliest coface j, with no addition, when no live face
-    after f is a facet of j.  On a Rips filtration most pairs are apparent;
-    only the other columns enter the reduction's Python loop.  There a
+    to 65,536 faces).  The reduction's loop visits each live column once: a
     column whose first pivot is free costs one dict lookup, and a column
     that needs additions is flipped into one reused boolean working column
     whose pivot search only moves forward.

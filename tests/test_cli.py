@@ -88,6 +88,14 @@ class TestEnumerate:
         bits = [json.loads(l)["bits"] for l in outs["brute"][0].splitlines()]
         assert bits == sorted(bits)
 
+    def test_lower_without_upper_exits_3(self, netfile, tmp_path, capsys):
+        _, netp = netfile
+        out = tmp_path / "r.txt"
+        argv = ["enumerate", "--net", str(netp), "--lower=-1,-1", "--out-regions", str(out)]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == "error: --lower and --upper must be given together\n"
+        assert not out.exists()
+
     def test_box_flags_present(self, netfile, tmp_path):
         _, netp = netfile
         rp = tmp_path / "r.jsonl"
@@ -148,6 +156,21 @@ class TestRegion:
         rec = json.loads(capsys.readouterr().out)
         assert {"bits", "active_bits", "essential_rows", "affine", "interior_point"} <= set(rec)
         assert len(rec["essential_rows"]) == len(rec["active_bits"])
+
+    def test_out_file_is_the_printed_text(self, netfile, tmp_path, capsys):
+        _, netp = netfile
+        argv = ["region", "--net", str(netp), "--point", "0.3,-0.7"]
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "region.json"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == printed
+
+    def test_point_that_is_not_a_vector_exits_3(self, netfile, capsys):
+        _, netp = netfile
+        assert cli.main(["region", "--net", str(netp), "--point", "0.1,x"]) == 3
+        assert capsys.readouterr().err == "error: not a comma-separated vector: '0.1,x'\n"
 
     def test_tau_lp_decides_near_redundant_rows(self, cut_square_net, capsys):
         active = {}
@@ -387,6 +410,14 @@ class TestSamplers:
         assert pts.shape == (20, 3)
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)
 
+    def test_one_anchor_exits_3(self, tmp_path, capsys):
+        ap, out = tmp_path / "a.json", tmp_path / "c.json"
+        write_points(ap, [[1.0, 0.0]])
+        argv = ["sample-circle", "--anchors", str(ap), "--count", "5", "--out", str(out)]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == "error: anchor file must hold at least 2 vectors\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["sample-circle", "--count", "5", "--theta1", "inf"],
         ["sample-torus", "--n1", "3", "--n2", "3", "--alpha", "nan"],
@@ -502,6 +533,24 @@ class TestInputErrors:
         }[command]
         assert cli.main(argv) == 3
         assert f"{ptp}: point 1 has a non-finite coordinate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bits", "export-ldm", "sample-circle"])
+    def test_overflowing_coordinate_exits_3_without_output(
+        self, netfile, tmp_path, capsys, command
+    ):
+        _, netp = netfile
+        ptp, out = tmp_path / "pts.json", tmp_path / "out.txt"
+        ptp.write_text(f'{{"points": [[1{"0" * 400}, 2.0], [0.0, 1.0]]}}')
+        argv = {
+            "bits": ["bits", "--net", str(netp), "--points", str(ptp)],
+            "export-ldm": ["export-ldm", "--points", str(ptp)],
+            "sample-circle": ["sample-circle", "--anchors", str(ptp), "--count", "4"],
+        }[command]
+        assert cli.main(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read points file {ptp}: ")
+        assert len(err.splitlines()) == 1, err
+        assert not out.exists()
 
     @pytest.mark.parametrize("point", ["nan,1", "1,inf"])
     def test_non_finite_region_point_exits_3(self, netfile, capsys, point):

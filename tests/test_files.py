@@ -210,6 +210,11 @@ def test_points_text_is_written_a_block_at_a_time(tmp_path):
         ('{"points": [[1.0], [2.0, 3.0]]}', FormatError, "mixed lengths"),
         ('{"points": [[1.0, 2.0], [3.0, NaN], [Infinity, 0.0]]}', NonFiniteEntry,
          "point 1 has a non-finite coordinate"),
+        # json reads a 401-digit integer exactly; its float overflows
+        pytest.param('{"points": [[1%s, 2.0], [0.0, 1.0]]}' % ("0" * 400), FormatError,
+                     "cannot read points file", id="overflow"),
+        pytest.param('{"points": [[1%s, 2.0], [1.0]]}' % ("0" * 400), FormatError,
+                     "cannot read points file", id="overflow-ragged"),
     ],
 )
 def test_read_points_rejects_by_name(tmp_path, doc, error, message):

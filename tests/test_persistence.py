@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reluhom import _kernels, persistence, sampling
 from reluhom.metric import DistanceMatrix
@@ -305,20 +305,21 @@ def criterion9_torus():
     return persistence.build_filtration(euclidean_matrix(pts), max_dim=2, t_max=1.7)
 
 
-def test_reduction_loop_visits_only_columns_that_are_not_apparent(monkeypatch):
+def test_reduction_loop_visits_each_live_column_once(monkeypatch):
     f = criterion9_torus()
     passes = record_passes(monkeypatch)
     owner_type, calls = pivot_lookups()       # a visit looks up its first pivot
     monkeypatch.setattr(_kernels, "dict", owner_type, raising=False)
     persistence.compute_barcodes(f)
-    bound = []
-    for dim, (skip, _) in enumerate(passes, start=1):
-        live = ~skip & np.isin(np.arange(skip.size), f.facets[dim])
-        bound.append(int(live.sum()) - len(facet_apparent_pairs(f.facets[dim], skip)))
-    visited = [len(visits) for visits in calls]
     assert len(calls) == len(passes) == 3
-    assert all(0 < v <= b for v, b in zip(visited, bound)), (visited, bound)
-    assert bound[2] == 329
+    for dim, ((skip, _), visits) in enumerate(zip(passes, calls), start=1):
+        # right to left, each live column once, from its lowest row
+        col_ptr, col_rows = persistence._coboundary(f.facets[dim], skip.size)
+        live = np.flatnonzero(~skip & np.isin(np.arange(skip.size), f.facets[dim]))
+        assert [v[0] for v in visits] == col_rows[col_ptr[live[::-1]]].tolist()
+    # each lookup after a visit's first follows one addition
+    assert [len(visits) for visits in calls] == [100, 1301, 5501]
+    assert [sum(len(v) - 1 for v in visits) for visits in calls] == [99, 471, 519]
 
 
 # sha256 of each pass's pivots (the int64 `low` array) on the criterion-9
@@ -351,9 +352,9 @@ def test_reduction_peak_is_a_small_multiple_of_its_coboundary(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the apparent-pair prologue's entry arrays take about 4 times the rows;
-    # the row sets of the set-based loop took it to 4.7
-    assert peak <= 4.5 * col_rows.nbytes, f"peak {peak / col_rows.nbytes:.2f} x"
+    # the owner map takes about 1.5 times the rows, and the column pointers
+    # and live columns as Python ints take the peak to about 2.5
+    assert peak <= 3.0 * col_rows.nbytes, f"peak {peak / col_rows.nbytes:.2f} x"
 
 
 @st.composite
@@ -598,6 +599,8 @@ def _outcome(read):
 
 @settings(max_examples=60, deadline=None)
 @given(ldm_texts())
+# an entry of 16 digits is past _MAX_DIGITS: the line reader takes the file
+@example(("1234567890123456\n", False))
 def test_ldm_byte_parser_agrees_with_line_reader(case):
     text, plain = case
     assert (persistence._read_digits(text.encode()) is not None) == plain
