@@ -191,6 +191,13 @@ def enumerate_traverse(net, seed, box=None, rng=None,
     The frontier goes in waves: the untested flips of a wave's regions are
     tested as one batch, whose regions form the next wave.  A seed region
     that is not full-dimensional raises `region_from_bits`'s error.
+
+    The walk runs at tau_lp no larger than lp.TAU_LP.  Above it a facet
+    can be dropped as near-redundant, and its flip would never be tried,
+    but which patterns are full-dimensional does not depend on tau_lp (the
+    Chebyshev radius against tau_dim decides it).  So above lp.TAU_LP the
+    regions the walk finds are rebuilt at tau_lp, as one batch in the
+    walk's order, and only their facets and edges change.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -199,7 +206,8 @@ def enumerate_traverse(net, seed, box=None, rng=None,
     atlas = DecompositionAtlas()
 
     h = net.h
-    wave = [region_from_bits(net, bit_vector(net, x0), *extra, tau_lp=tau_lp, tau_dim=tau_dim)]
+    walk = min(tau_lp, lp.TAU_LP)
+    wave = [region_from_bits(net, bit_vector(net, x0), *extra, tau_lp=walk, tau_dim=tau_dim)]
     seen = set()                    # the values of the atlas's patterns
     while wave:
         atlas.regions.update((region.bits, region) for region in wave)
@@ -211,7 +219,10 @@ def enumerate_traverse(net, seed, box=None, rng=None,
             for flip in (region.bits.value ^ (1 << k) for k in region.active_bits if k < h)
             if flip not in seen
         )
-        wave = _found(net, list(flips), extra, tau_lp, tau_dim)
+        wave = _found(net, list(flips), extra, walk, tau_dim)
+    if walk < tau_lp:
+        found = _found(net, [bits.value for bits in atlas.regions], extra, tau_lp, tau_dim)
+        atlas.regions = {region.bits: region for region in found}
     return _finalize(net, atlas)
 
 

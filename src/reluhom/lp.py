@@ -14,6 +14,12 @@ ratio test.  A row an LP does not use stays in place as an inert row
 (zero coefficients, right-hand side >= 0): it never enters or leaves the
 basis and leaves Bland's order over the other rows alone.
 
+A stack pivots in one working copy of its tableaus, bases and labels,
+whose unfinished LPs are a prefix: each step works on views of it, and
+LPs that finish move behind it by one stable permutation.  Each LP's
+final state goes back to the caller's arrays once, when the last LP of
+the stack finishes.
+
 The tableaus are condensed (Chvatal, "Linear Programming", 1983, ch. 2-3):
 an LP of m rows in n unknowns keeps its 2 n nonbasic columns and its
 right-hand side, (m + 1) x (2 n + 1) entries against (m + 1) x (2 n + m +
@@ -96,14 +102,18 @@ def _leaving(col, rhs, basis):
     return leave
 
 
-def _retire(out, work, keep, live, *more):
-    """Write the LPs that keep leaves out of work back to out (T, basis,
-    labels); return the rest of work, live and more."""
-    if work[0] is not out[0]:
-        gone = ~keep
-        for a, w in zip(out, work):
-            a[live[gone]] = w[gone]
-    return tuple(a[keep] for a in work), live[keep], *(a[keep] for a in more)
+def _front(work, place, keep):
+    """Reorder the first len(keep) LPs of work (T, basis, labels) by one
+    stable permutation that puts those keep marks first and the others
+    right behind them.  place[i] is the caller's index of work's LP i, and
+    None while work is the caller's own arrays, which are never reordered:
+    the first call gathers the working copy.  Returns work and place."""
+    perm = np.argsort(~keep, kind="stable")
+    if place is None:
+        return tuple(a[perm] for a in work), perm
+    for a in (*work, place):
+        a[:len(keep)] = a[perm]
+    return work, place
 
 
 def _simplex(T, basis, labels, max_iter):
@@ -113,37 +123,50 @@ def _simplex(T, basis, labels, max_iter):
     Column j of tableau p holds nonbasic variable labels[p, j], and row r
     basic variable basis[p, r]; the basic columns, unit vectors, are not
     stored.  The improving column (cost below -_PIVOT_TOL) of least label
-    enters.  An LP leaves the stack as soon as it is optimal, before the
-    ratio test, or when the ratio test finds it unbounded.  T, basis and
-    labels end in each LP's final state.  Returns which LPs are unbounded;
-    raises IterationLimitError when an LP has not finished after max_iter
-    pivots.
+    enters.  An LP finishes as soon as it is optimal, before the ratio
+    test, or when the ratio test finds it unbounded.
+
+    The stack pivots in one working copy whose first n LPs are the
+    unfinished ones, and each step works on views of that live prefix.
+    When LPs finish, `_front` moves them behind it; the first time, it
+    gathers the copy, and T, basis and labels are left alone until the
+    last LP finishes.  Then each LP's final tableau, basis and labels go
+    back to them at once.  Returns which LPs are unbounded; raises
+    IterationLimitError when an LP has not finished after max_iter pivots.
     """
     unbounded = np.zeros(len(T), dtype=bool)
-    live = k = np.arange(len(T))
-    out = T, basis, labels
-    work = W, B, L = out        # the unfinished LPs; finished ones go back to out
+    work = W, B, L = T, basis, labels
+    place = None
+    n = len(T)
+    k = np.arange(n)
     above = T.shape[1] + T.shape[2]     # more than any label
     for _ in range(max_iter):
-        improving = W[:, -1, :-1] < -_PIVOT_TOL
-        enter = np.where(improving, L, above).argmin(axis=1)
-        has = improving[k, enter]
-        if np.count_nonzero(has) < len(live):
-            work, live, enter = _retire(out, work, has, live, enter)
-            if not len(live):
-                return unbounded
+        improving = W[:n, -1, :-1] < -_PIVOT_TOL
+        enter = np.where(improving, L[:n], above).argmin(axis=1)
+        go = improving[k, enter]
+        if np.count_nonzero(go) < n:
+            n = np.count_nonzero(go)
+            if not n:
+                break
+            work, place = _front(work, place, go)
             W, B, L = work
-            k = np.arange(len(live))
-        leave = _leaving(W[k, :-1, enter], W[:, :-1, -1], B)
+            enter, k = enter[go], k[:n]
+        leave = _leaving(W[k, :-1, enter], W[:n, :-1, -1], B[:n])
         if np.count_nonzero(leave < 0):
-            unbounded[live[leave < 0]] = True
-            work, live, enter, leave = _retire(out, work, leave >= 0, live, enter, leave)
-            if not len(live):
-                return unbounded
+            go = leave >= 0
+            unbounded[(k if place is None else place[:n])[~go]] = True
+            n = np.count_nonzero(go)
+            if not n:
+                break
+            work, place = _front(work, place, go)
             W, B, L = work
-            k = np.arange(len(live))
-        _pivot(W, B, L, leave, enter)
-    raise IterationLimitError("simplex pivot limit exceeded")
+            enter, leave, k = enter[go], leave[go], k[:n]
+        _pivot(W[:n], B[:n], L[:n], leave, enter)
+    else:
+        raise IterationLimitError("simplex pivot limit exceeded")
+    if place is not None:
+        T[place], basis[place], labels[place] = work
+    return unbounded
 
 
 def _solve_leq(obj, A, b):

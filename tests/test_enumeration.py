@@ -471,10 +471,6 @@ def test_peak_memory_is_the_atlas(name):
     assert peak <= 1.5 * held
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "a facet dropped as near-redundant is a flip traversal never tries: at "
-    "tau_lp 0.1 traversal finds 881 regions and 2,483 edges, brute force "
-    "897 and 2,543"))
 def test_traversal_finds_every_region_above_the_default_tau_lp():
     # the console-script pipeline's 3-8-8 net, enumerated as `reluhom
     # enumerate --tau-lp 0.1` does in both modes
@@ -491,9 +487,10 @@ def test_traversal_finds_every_region_above_the_default_tau_lp():
 @pytest.mark.parametrize("box", [None, BOX3])
 @pytest.mark.parametrize("tau_lp", [0.1, 0.5])
 def test_traversal_is_brute_force_restricted_to_what_it_reaches(tau_lp, box):
-    # above the default tau_lp traversal misses regions (881 and 876 of 897,
-    # 541 and 526 of 559 in the box), but what it finds is brute force's:
-    # the same Regions byte for byte and brute force's edges among them
+    # above the default tau_lp, what traversal finds is brute force's: the
+    # same Regions byte for byte and brute force's edges among them (it
+    # walks at lp.TAU_LP and finds them all; a walk at tau_lp itself finds
+    # only 881 and 876 of 897, 541 and 526 of 559 in the box)
     net = ci_net()
     brute = enumeration.enumerate_brute(net, box=box, tau_lp=tau_lp)
     trav = traverse_as_cli(net, box=box, tau_lp=tau_lp)

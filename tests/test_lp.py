@@ -21,6 +21,14 @@ STATUS_2_C = np.array([-0.59, 1.96, 0.64, -0.1, 2.65, 2.17])
 MIXED_STACK = (np.array([[1.0], [1.0], [0.0]]),
                np.array([[[1.0], [1.0]], [[-1.0], [0.0]], [[1.0], [-1.0]]]),
                np.array([[1.0, 2.0], [0.0, 1.0], [1.0, 1.0]]))
+# four systems in two unknowns that finish out of order: the last at once
+# (a zero objective), the first after one pivot, the second unbounded at
+# the same step (max x + y, x <= 1 and -y <= 0), the third after two pivots
+OUT_OF_ORDER_STACK = (
+    np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]),
+    np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]],
+              [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]]),
+    np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0]]))
 
 
 def redundant(A, c, tol=lp.TAU_LP):
@@ -434,6 +442,7 @@ class TestKernel:
     @given(lp_stacks())
     @example((np.zeros((3, 2)), np.ones((3, 4, 2)), np.ones((3, 4))))   # all optimal
     @example(MIXED_STACK)
+    @example(OUT_OF_ORDER_STACK)
     def test_stacked_pivots_match_one_tableau_at_a_time(self, stack):
         # every bit of every tableau, zero signs included, and every basis
         (T0, basis0), unbounded, (T, basis) = simplex_run(*stack)
