@@ -24,7 +24,7 @@ from .errors import (
     NonFiniteEntry,
     ResourceCapError,
 )
-from .network import TAU_BIT, PackedBits, bit_vector, on_boundary
+from .network import TAU_BIT, PackedBits, _check_input, bit_vector, on_boundary
 from .regions import _compose, _inscribed_balls, region_from_bits, regions_from_bits
 
 H_MAX_BRUTE = 24
@@ -118,9 +118,10 @@ def enumerate_brute(net, box=None, h_max=H_MAX_BRUTE,
     whose new row leaves the parent's interior point z more than tau_dim
     inside needs no LP: it keeps z, with the smaller of the two radii.
     Each depth is held as stacked arrays, which replace the previous
-    depth's, and its Chebyshev LPs run as one batch; the patterns reached
-    at depth h go through regions_from_bits as one batch.  h is limited
-    only by h_max, which is checked before any LP.
+    depth's; its Chebyshev LPs run as one batch, which gathers the nodes
+    a block at a time, and the patterns reached at depth h go through
+    regions_from_bits as one batch.  h is limited only by h_max, which is
+    checked before any LP.
     """
     h = net.h
     if h > h_max:
@@ -138,7 +139,7 @@ def enumerate_brute(net, box=None, h_max=H_MAX_BRUTE,
     j, w_hat, b_hat = 0, net.weights[0][None], net.biases[0][None]
     for k in range(h):
         need = np.flatnonzero(r <= tau_dim)
-        z[need], r[need] = _inscribed_balls(A[need], c[need], tau_dim)
+        z[need], r[need] = _inscribed_balls(A, c, need, tau_dim)
         live = np.flatnonzero(r > tau_dim)
         values = [values[i] for i in live.tolist()]
         if k == h - 1:
@@ -168,8 +169,10 @@ def enumerate_brute(net, box=None, h_max=H_MAX_BRUTE,
 
 
 def _draw_seed(net, seed, box, rng, attempts=100):
-    """Return a generic start point, redrawing if seed sits on a boundary."""
-    x = np.asarray(seed, dtype=np.float64)
+    """Return a generic start point from one finite seed point, redrawn off boundaries."""
+    x = _check_input(net, seed)
+    if x.ndim != 1:
+        raise DimensionMismatch(f"seed has shape {x.shape}, network expects ({net.input_dim},)")
     if box is not None and not box.contains(x):
         raise BoundaryPointError("seed lies outside the box")
     for _ in range(attempts):

@@ -2,9 +2,10 @@
 
 Every activation pattern induces a system A x <= c whose rows stack
 layer-major; pruning it to the essential subsystem identifies the active
-bits, and flipping an active bit walks to the facet-neighbor.  Patterns
-are worked on as stacks of same-shape systems (`regions_from_bits`, which
-returns the full-dimensional ones' Regions), each step once per stack;
+bits, and flipping an active bit walks to the facet-neighbor.  A Region
+keeps only that subsystem, its affine map and an interior witness.
+Patterns are worked on as stacks of same-shape systems (`regions_from_bits`,
+which returns the full-dimensional ones' Regions), each step once per stack;
 `region_from_bits` builds one region as a stack of one, for `region_of`
 and traversal's seed, and raises the error `_ball_error` builds for a
 pattern that is not full-dimensional.
@@ -36,8 +37,6 @@ class Region:
     """A full-dimensional linear region and its pruned description."""
 
     bits: BitVector
-    A: np.ndarray
-    c: np.ndarray
     A_essential: np.ndarray
     c_essential: np.ndarray
     active_bits: tuple
@@ -169,13 +168,14 @@ def _ray_facets(A, b, tau_lp):
     return facet
 
 
-def _inscribed_balls(A, c, tau_dim):
-    """Chebyshev centers and radii of stacked systems, capped above tau_dim
-    (at 1 by default), which decides full dimension as no cap would."""
-    centers, radii = np.empty((len(A), A.shape[2])), np.empty(len(A))
+def _inscribed_balls(A, c, systems, tau_dim):
+    """Chebyshev centers and radii of the stacked systems A[systems], c[systems],
+    gathered a block at a time, capped above tau_dim (at 1 by default), which
+    decides full dimension as no cap would."""
+    centers, radii = np.empty((len(systems), A.shape[2])), np.empty(len(systems))
     r_cap = max(1.0, 2.0 * tau_dim)
-    for blk in _kernels.blocks(len(A), _system_bytes(A.shape[1], A.shape[2])):
-        centers[blk], radii[blk] = lp.chebyshev_centers(A[blk], c[blk], r_cap)
+    for blk in _kernels.blocks(len(systems), _system_bytes(A.shape[1], A.shape[2])):
+        centers[blk], radii[blk] = lp.chebyshev_centers(A[systems[blk]], c[systems[blk]], r_cap)
     return centers, radii
 
 
@@ -239,7 +239,7 @@ def _essentialize(A, c, tau_lp, tau_dim):
     so each system's rows are decided as they would be alone.  Every LP
     starts from the slack basis.
     """
-    centers, radii = _inscribed_balls(A, c, tau_dim)
+    centers, radii = _inscribed_balls(A, c, np.arange(len(A)), tau_dim)
     keep = np.zeros(c.shape, dtype=bool)
     ok = np.flatnonzero(radii > tau_dim)
     A, c = A[ok], c[ok]
@@ -285,8 +285,8 @@ def _blocks(net, patterns, extra_A, extra_c, tau_lp, tau_dim):
     """Per block of patterns: its stacked systems (A, c), their Chebyshev
     radii, and the Regions of its full-dimensional patterns, in order.
 
-    The regions of a block share one compacted copy of its accepted
-    systems, each array of a Region a view of its own part of it.
+    A Region keeps no whole system: its arrays are views of its own part of
+    the block's essential rows (gathered from the systems), maps and centers.
     """
     patterns = PackedBits.of(patterns)
     if len(patterns) and patterns.h != net.h:
@@ -300,22 +300,18 @@ def _blocks(net, patterns, extra_A, extra_c, tau_lp, tau_dim):
         A = np.concatenate([A, np.broadcast_to(extra_A, (len(A),) + extra_A.shape)], axis=1)
         c = np.concatenate([c, np.broadcast_to(extra_c, (len(c), len(extra_c)))], axis=1)
         keep, centers, radii = _essentialize(A, c, tau_lp, tau_dim)
-        ok = radii > tau_dim              # the full-dimensional systems
-        A_ok, c_ok = A[ok], c[ok]
-        system, active = np.nonzero(keep[ok])
-        ends = np.cumsum(np.bincount(system, minlength=len(A_ok))).tolist()
-        A_ess, c_ess = A_ok[system, active], c_ok[system, active]
+        ok = radii > tau_dim        # the full-dimensional systems; the others keep no row
+        system, active = np.nonzero(keep)
+        ends = np.cumsum(np.bincount(system, minlength=len(A))[ok]).tolist()
+        A_ess, c_ess = A[system, active], c[system, active]
         active = active.tolist()
         yield A, c, radii, [
             Region(
-                bits=bits, A=A_s, c=c_s,
-                A_essential=A_ess[lo:hi], c_essential=c_ess[lo:hi],
-                active_bits=tuple(active[lo:hi]),
-                affine=(M_s, v_s), interior=z_s,
+                bits=bits, A_essential=A_ess[lo:hi], c_essential=c_ess[lo:hi],
+                active_bits=tuple(active[lo:hi]), affine=(M_s, v_s), interior=z_s,
             )
-            for bits, A_s, c_s, M_s, v_s, z_s, lo, hi in zip(
-                PackedBits(packed[ok], net.h), A_ok, c_ok, M[ok], v[ok], centers[ok],
-                [0] + ends, ends,
+            for bits, M_s, v_s, z_s, lo, hi in zip(
+                PackedBits(packed[ok], net.h), M[ok], v[ok], centers[ok], [0] + ends, ends,
             )
         ]
 

@@ -16,8 +16,9 @@ lookups and checks, as they happen, that its pivot search only moves forward.
 Nor are `filtration_simplices`, a Filtration's simplices as one sorted list
 of Python tuples, `from_bits`, the BitVector of a 0/1 sequence, `bit`,
 `flip` and `hamming`, one bit, one flip and one distance of BitVectors,
-`neighbors`, a Region's one-bit flips, and `region_bytes`, a Region's
-fields as raw bytes: they are test-only views of library types.
+`neighbors`, a Region's one-bit flips, `region_bytes`, a Region's
+fields as raw bytes, and `full_system`, a pattern's whole inequality system
+as the library builds it: they are test-only views of library types.
 """
 
 import math
@@ -25,7 +26,7 @@ from itertools import combinations
 
 import numpy as np
 
-from reluhom import lp
+from reluhom import lp, regions
 from reluhom.network import BitVector
 from reluhom.errors import DegenerateSystemError, DimensionMismatch
 
@@ -367,9 +368,17 @@ def neighbors(region):
 
 def region_bytes(region):
     """Every field of a Region, its arrays as shape and raw bytes."""
-    arrays = (region.A, region.c, region.A_essential, region.c_essential,
-              *region.affine, region.interior)
+    arrays = (region.A_essential, region.c_essential, *region.affine, region.interior)
     return region.bits, region.active_bits, [(a.shape, a.tobytes()) for a in arrays]
+
+
+def full_system(net, bits, extra_A=None, extra_c=None):
+    """The whole system A x <= c of a pattern, `regions._hat_maps`'s h rows
+    and then the extra rows (e.g. box bounds), which take indices h, h+1, ..."""
+    (A, c), _ = regions._hat_maps(net, [bits])
+    if extra_A is None:
+        return A[0], c[0]
+    return np.vstack([A[0], extra_A]), np.concatenate([c[0], extra_c])
 
 
 def to_array(v):

@@ -23,7 +23,7 @@ from reluhom import (
 )
 from reluhom.errors import DegenerateSystemError
 from conftest import random_net
-from oracles import bit, facet_points, naive_barcodes, mst_weights
+from oracles import bit, facet_points, full_system, naive_barcodes, mst_weights
 
 FIXTURES = __file__.rsplit("/", 1)[0] + "/fixtures"
 
@@ -131,7 +131,7 @@ def test_criterion_3_adjacency_is_hamming_one_with_matching_maps(
             ru = atlas.regions[u]
             k = next(i for i in range(net.h) if bit(u, i) != bit(v, i))
             try:
-                pts = facet_points(ru.A, ru.c, k, count=20, rng=rng)
+                pts = facet_points(*full_system(net, u), k, count=20, rng=rng)
                 shares_facet = True
             except DegenerateSystemError:
                 shares_facet = False

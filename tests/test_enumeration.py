@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -15,7 +16,7 @@ from reluhom.errors import (
     ResourceCapError,
 )
 from conftest import random_net
-from oracles import bit, facet_points, flip, region_bytes
+from oracles import bit, facet_points, flip, full_system, region_bytes
 
 
 def zaslavsky(h, m):
@@ -148,6 +149,18 @@ class TestTraverse:
         with pytest.raises(BoundaryPointError, match="^seed lies outside the box$"):
             enumeration.enumerate_traverse(slab_net(), [5.0], box=BOX1)
 
+    @pytest.mark.parametrize("box", [None, BOX3])
+    @pytest.mark.parametrize("seed,error,text", [
+        pytest.param([0.1, 0.2], DimensionMismatch, r"shape \(2,\)", id="two-coordinates"),
+        pytest.param([0.1, np.nan, 0.3], NonFiniteEntry, "non-finite", id="nan"),
+        pytest.param([[0.1, 0.2, 0.3]], DimensionMismatch, r"shape \(1, 3\),", id="one-row-batch"),
+    ])
+    def test_seed_is_one_finite_point_before_the_box_test(self, box, seed, error, text):
+        # in the box, a short seed once failed numpy's broadcast and a NaN
+        # seed read as outside the box
+        with pytest.raises(error, match=text):
+            enumeration.enumerate_traverse(ci_net(), seed, box=box)
+
     def test_no_seed_off_an_all_zero_row(self):
         # the second node's pre-activation is 0 everywhere: every redraw
         # lies on its boundary
@@ -250,7 +263,7 @@ class TestDualGraph:
             ru, rv = atlas.regions[u], atlas.regions[v]
             k = next(i for i in range(net.h) if bit(u, i) != bit(v, i))
             pos = ru.active_bits.index(k)
-            pts = facet_points(ru.A, ru.c, k, count=5, rng=rng)
+            pts = facet_points(*full_system(net, u), k, count=5, rng=rng)
             Mu, vu = ru.affine
             Mv, vv = rv.affine
             for p in pts:
@@ -469,6 +482,26 @@ def test_peak_memory_is_the_atlas(name):
         tracemalloc.stop()
     assert len(atlas.regions) == 583
     assert peak <= 1.5 * held
+
+
+@pytest.mark.parametrize("name", ["traverse", "brute"])
+def test_atlas_keeps_no_array_bytes_beyond_its_regions(name):
+    # every array a Region holds is its own part of a buffer its batch's
+    # regions share, and those buffers hold nothing else: not the whole
+    # systems, nor a copy the regions do not use
+    atlas = ENUMERATORS[name](random_net(3, [8, 8], 7))
+    owners, own = {}, 0
+    for region in atlas.regions.values():
+        own += sum(a.nbytes for a in (region.A_essential, region.c_essential,
+                                      *region.affine, region.interior))
+        for value in (getattr(region, f.name) for f in dataclasses.fields(region)):
+            for array in value if isinstance(value, tuple) else (value,):
+                if isinstance(array, np.ndarray):
+                    while isinstance(array.base, np.ndarray):
+                        array = array.base
+                    owners[id(array)] = array
+    assert len(atlas.regions) == 583
+    assert sum(array.nbytes for array in owners.values()) == own
 
 
 def test_traversal_finds_every_region_above_the_default_tau_lp():

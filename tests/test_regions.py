@@ -16,6 +16,7 @@ from oracles import (
     essential_rows_linprog,
     facet_points,
     from_bits,
+    full_system,
     neighbors,
     polygon_facet_count,
     region_bytes,
@@ -157,17 +158,6 @@ def essential_rows(A, c, tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
     return np.flatnonzero(keep[0]), centers[0]
 
 
-def sample_interior_points(reg, rng, count=30):
-    """Random points inside a region, rejection-sampled around its witness."""
-    pts = []
-    x0 = reg.interior
-    while len(pts) < count:
-        cand = x0 + rng.standard_normal(x0.shape) * 0.3
-        if np.all(reg.A @ cand <= reg.c - 1e-9):
-            pts.append(cand)
-    return pts
-
-
 class TestAssemble:
     def test_rows_match_bit_count(self, net_2331):
         rng = np.random.default_rng(0)
@@ -236,31 +226,33 @@ class TestEssentialize:
         for _ in range(10):
             x = rng.standard_normal(2) * 2
             reg = regions.region_of(net_2331, x)
-            want = polygon_facet_count(reg.A, reg.c, reg.interior)
+            want = polygon_facet_count(*full_system(net_2331, reg.bits), reg.interior)
             assert len(reg.active_bits) == want
 
     def test_active_rows_are_tight_somewhere(self, net_2331):
         rng = np.random.default_rng(9)
         x = rng.standard_normal(2)
         reg = regions.region_of(net_2331, x)
+        A, c = full_system(net_2331, reg.bits)
         for i in reg.active_bits:
             # maximizing the row over the region must reach its bound
-            res = linprog(-reg.A[i], A_ub=reg.A, b_ub=reg.c, bounds=[(None, None)] * 2,
+            res = linprog(-A[i], A_ub=A, b_ub=c, bounds=[(None, None)] * 2,
                           method="highs")
             assert res.status == 0
-            assert -res.fun == pytest.approx(reg.c[i], abs=1e-7)
+            assert -res.fun == pytest.approx(c[i], abs=1e-7)
 
     def test_dropped_rows_are_redundant(self, net_2331):
         rng = np.random.default_rng(11)
         x = rng.standard_normal(2)
         reg = regions.region_of(net_2331, x)
+        A, c = full_system(net_2331, reg.bits)
         dropped = sorted(set(range(net_2331.h)) - set(reg.active_bits))
         for i in dropped:
             sub = np.setdiff1d(np.arange(net_2331.h), [i])
-            res = linprog(-reg.A[i], A_ub=reg.A[sub], b_ub=reg.c[sub],
+            res = linprog(-A[i], A_ub=A[sub], b_ub=c[sub],
                           bounds=[(None, None)] * 2, method="highs")
             if res.status == 0:
-                assert -res.fun <= reg.c[i] + lp.TAU_LP
+                assert -res.fun <= c[i] + lp.TAU_LP
 
     def test_duplicate_rows_keep_lowest_index(self):
         A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [2.0, 0.0]])
@@ -353,8 +345,12 @@ class TestRegionOf:
         B = np.vstack([np.eye(2), -np.eye(2)])
         d = np.full(4, 10.0)
         reg = regions.regions_from_bits(net_2331, [bits], B, d)[0]
-        A0, c0 = reg.A[:net_2331.h], reg.c[:net_2331.h]
-        assert np.array_equal(reg.A[net_2331.h:], B) and np.array_equal(reg.c[net_2331.h:], d)
+        A, c = full_system(net_2331, bits, B, d)
+        A0, c0 = A[:net_2331.h], c[:net_2331.h]
+        # the facets are the system's rows at the active bits, box rows included
+        active = list(reg.active_bits)
+        assert np.array_equal(reg.A_essential, A[active])
+        assert np.array_equal(reg.c_essential, c[active])
         # a box row is a facet exactly when everything else pokes past it
         for j in range(4):
             others = np.setdiff1d(np.arange(4), [j])
@@ -378,7 +374,9 @@ class TestRegionOf:
         reg = regions.region_from_bits(net_2331, bits)
         assert calls == [bits]
         (A, c), (M, v) = hat_maps(net_2331, [bits])
-        assert np.array_equal(reg.A, A[0]) and np.array_equal(reg.c, c[0])
+        active = list(reg.active_bits)
+        assert np.array_equal(reg.A_essential, A[0, active])
+        assert np.array_equal(reg.c_essential, c[0, active])
         assert np.array_equal(reg.affine[0], M[0]) and np.array_equal(reg.affine[1], v[0])
 
     def test_zero_row_with_negative_rhs_is_infeasible(self, net_2331):
@@ -465,8 +463,8 @@ class TestLpBudget:
 
         monkeypatch.setattr(lp, "redundant_rows", recorded)
         bits = network.bit_vector(net_2331, np.array([0.3, -0.7]))
-        reg = regions.region_from_bits(net_2331, bits)
-        A, c = reg.A, reg.c
+        regions.region_from_bits(net_2331, bits)
+        A, c = full_system(net_2331, bits)
         candidates = np.count_nonzero(
             (np.linalg.norm(A, axis=1) > 0) & ~regions._duplicate_rows(A[None], c[None])[0]
         )
@@ -497,7 +495,7 @@ class TestLpBudget:
                 reg = regions.region_from_bits(net_2331, bits)
             except (InfeasibleSystemError, DegenerateSystemError):
                 continue
-            A, c = reg.A, reg.c
+            A, c = full_system(net_2331, bits)
             rows = (np.linalg.norm(A, axis=1) > 0) & ~regions._duplicate_rows(A[None], c[None])[0]
             A, b = A[rows], (c - A @ reg.interior)[rows]
             undecided += np.count_nonzero(~regions._ray_facets(A[None], b[None], lp.TAU_LP)[0])
@@ -522,8 +520,9 @@ class TestNeighbors:
         x = rng.standard_normal(2)
         reg = regions.region_of(net_2331, x)
         k = reg.active_bits[0]
-        pts = facet_points(reg.A, reg.c, k, count=5, rng=rng)
+        A, c = full_system(net_2331, reg.bits)
+        pts = facet_points(A, c, k, count=5, rng=rng)
         for p in pts:
-            assert abs(reg.A[k] @ p - reg.c[k]) < 1e-7
-            others = np.setdiff1d(np.arange(reg.A.shape[0]), [k])
-            assert np.all(reg.A[others] @ p <= reg.c[others] + 1e-9)
+            assert abs(A[k] @ p - c[k]) < 1e-7
+            others = np.setdiff1d(np.arange(A.shape[0]), [k])
+            assert np.all(A[others] @ p <= c[others] + 1e-9)
