@@ -31,11 +31,14 @@ USING_NUMBA = False
 # bytes of a block's largest temporary, for every streamed loop.  Each
 # pivot step of an LP stack costs a fixed number of numpy calls whatever the
 # stack's width (optimal LPs leave it before the ratio test), so wider
-# stacks amortise them: at this size the redundancy batch of a traversal
-# wave of a 3-5-5 net runs in stacks of 151 LPs, each system's largest
-# temporary its 864-byte condensed Chebyshev tableau (12 x 9).  The
-# tracemalloc test of the atlas's peak memory caps it: at 512 KiB the
-# stacks' temporaries outgrow a 3-8-8 atlas.
+# stacks amortise them.  An LP stack holds one block of tableaus and
+# refills a finished LP's slot from its batch: at this size the Chebyshev
+# LPs of a 3-5-5 net's patterns run in stacks of 151 (864-byte condensed
+# 12 x 9 tableaus) and their redundancy LPs in stacks of 212 (11 x 7).
+# The budget also sizes brute force's prefix rounds, each as many bits as
+# keep its candidates within one Chebyshev stack.  The tracemalloc test of
+# the atlas's peak memory caps it: at 512 KiB the stacks' temporaries
+# outgrow a 3-8-8 atlas.
 BLOCK_BYTES = 128 * 1024
 
 

@@ -25,6 +25,7 @@ from .enumeration import (
     dual_graph,
     enumerate_brute,
     enumerate_traverse,
+    prefix_stack,
 )
 from .errors import (
     BoundaryPointError,
@@ -77,8 +78,9 @@ def cmd_enumerate(args):
         if args.h_max > H_MAX_BRUTE:
             print(
                 f"warning: brute-force guard raised to h = {args.h_max} "
-                "(the prefix search visits at most 2h prefix nodes per region "
-                "it finds, plus the root)",
+                "(each of the prefix search's at most h rounds tests at most 2 "
+                "prefix nodes per region it finds or one stack of "
+                f"{prefix_stack(net, box)} LPs, whichever is more, plus the root)",
                 file=sys.stderr,
             )
         atlas = enumerate_brute(

@@ -1,9 +1,9 @@
 """Full enumeration of the polyhedral decomposition and its dual graph.
 
-Two routes produce identical atlases: brute force, a level-wise search
-over bit prefixes that drops every prefix without a full-dimensional
+Two routes produce identical atlases: brute force, a search over bit
+prefixes in rounds that drops every prefix without a full-dimensional
 interior, and traversal from a seed region through active-bit flips, a
-wave of regions at a time; a level or a wave is one batch of LPs.  In
+wave of regions at a time; a round or a wave is one batch of LPs.  In
 bounded mode the box rows are appended to every system; whether a region
 hits the box wall is kept as metadata, never inside the Hamming bits.
 Inside both routes a pattern is the int of its bits (`BitVector.value`)
@@ -106,22 +106,35 @@ def _finalize(net, atlas):
     return atlas
 
 
+def prefix_stack(net, box=None):
+    """The most candidates a round of `enumerate_brute` that adds two or
+    more bits tests: one stack of Chebyshev LPs of its fewest rows."""
+    return lp.chebyshev_width(len(_box_rows(net, box)[1]) + 2, net.input_dim)
+
+
 def enumerate_brute(net, box=None, h_max=H_MAX_BRUTE,
                     tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
-    """Every full-dimensional region, by a level-wise search over bit prefixes.
+    """Every full-dimensional region, by a search over bit prefixes in rounds.
 
     Rows are layer-major, so rows 0..k-1 of a pattern's system depend only
     on its bits 0..k-1: a node at depth k holds those rows and the box
     rows.  A node whose rows hold no ball of radius above tau_dim (the
     Chebyshev test each region passes in regions_from_bits) has no
-    full-dimensional extension, so it is dropped with all of them.  A child
-    whose new row leaves the parent's interior point z more than tau_dim
-    inside needs no LP: it keeps z, with the smaller of the two radii.
-    Each depth is held as stacked arrays, which replace the previous
-    depth's; its Chebyshev LPs run as one batch, which gathers the nodes
-    a block at a time, and the patterns reached at depth h go through
-    regions_from_bits as one batch.  h is limited only by h_max, which is
-    checked before any LP.
+    full-dimensional extension, so it is dropped with all of them.
+
+    A round extends every live node by the next J bits of one hidden
+    layer, its 2^J candidates each, J as large as keeps the round's
+    candidates within one stack of Chebyshev LPs (`lp.chebyshev_width`,
+    so the block budget sizes the rounds), and at least 1.  A round never
+    crosses a layer boundary, whose rows need the layer's bits, and stops
+    at depth h - 1.  A candidate whose new rows leave its parent's
+    interior point z more than tau_dim inside needs no LP: it keeps z,
+    with the smallest of the radii.  Each round is held as stacked arrays,
+    which replace the previous round's, and its Chebyshev LPs run as one
+    stream.  So a round tests at most 2 candidates per region or
+    `prefix_stack` of them, and there are at most h rounds, the patterns
+    reached at depth h included, which go through regions_from_bits as one
+    batch.  h is limited only by h_max, which is checked before any LP.
     """
     h = net.h
     if h > h_max:
@@ -131,13 +144,15 @@ def enumerate_brute(net, box=None, h_max=H_MAX_BRUTE,
         )
     extra = _box_rows(net, box)
     offsets = net.bit_offsets()
+    n = net.input_dim
     # the nodes of depth k: bits 0..k-1, rows, interior points z and radius
     # lower bounds r at z (-inf: unknown), and the map (w_hat, b_hat) on
     # the prefix of hidden layer j, which holds bit k
     values, A, c = [0], extra[0][None], extra[1][None]
-    z, r = np.zeros((1, net.input_dim)), np.full(1, -np.inf)
+    z, r = np.zeros((1, n)), np.full(1, -np.inf)
     j, w_hat, b_hat = 0, net.weights[0][None], net.biases[0][None]
-    for k in range(h):
+    k = 0
+    while True:
         need = np.flatnonzero(r <= tau_dim)
         z[need], r[need] = _inscribed_balls(A, c, need, tau_dim)
         live = np.flatnonzero(r > tau_dim)
@@ -149,17 +164,27 @@ def enumerate_brute(net, box=None, h_max=H_MAX_BRUTE,
             s = PackedBits.of_values(values, k).unpack()[:, offsets[j]:]
             w_hat, b_hat = _compose(net, j, s, w_hat, b_hat)
             j += 1
-        a, b = w_hat[:, k - offsets[j]], b_hat[:, k - offsets[j]]
-        # bit 0 children, a.x + b <= 0, then bit 1 children, a.x + b >= 0
-        row, rhs = np.concatenate([a, -a]), np.concatenate([-b, b])
-        A, c, z, r, w_hat, b_hat = (np.concatenate([x, x]) for x in (A, c, z, r, w_hat, b_hat))
-        A, c = np.concatenate([A, row[:, None]], axis=1), np.append(c, rhs[:, None], axis=1)
+        # the round adds bits k..k+J-1 of layer j, as many as keep its
+        # candidates within one stack of Chebyshev LPs, at least one
+        stop, J = min(offsets[j + 1], h - 1), 1
+        while k + J < stop and len(values) << J + 1 <= lp.chebyshev_width(A.shape[1] + J + 1, n):
+            J += 1
+        bits = slice(k - offsets[j], k + J - offsets[j])
+        a, b = w_hat[:, bits], b_hat[:, bits]
+        # candidate t of each node sets bit k + i to bit i of t: 0 is the
+        # row a.x + b <= 0, 1 is -a.x - b <= 0
+        one = ((np.arange(1 << J)[:, None] >> np.arange(J)) & 1).astype(bool)[:, None]
+        row = np.where(one[..., None], -a, a).reshape(-1, J, n)
+        rhs = np.where(one, b, -b).reshape(-1, J)
+        A, c, z, r, w_hat, b_hat = (np.concatenate([x] * (1 << J)) for x in (A, c, z, r, w_hat, b_hat))
+        A, c = np.concatenate([A, row], axis=1), np.concatenate([c, rhs], axis=1)
         # (1, n) @ (n, 1) rounds as the dot products row @ z and row @ row
-        norm = np.sqrt((row[:, None, :] @ row[:, :, None])[:, 0, 0])
-        gap = np.divide(rhs - (row[:, None, :] @ z[:, :, None])[:, 0, 0], norm,
+        norm = np.sqrt((row[:, :, None, :] @ row[..., None])[..., 0, 0])
+        gap = np.divide(rhs - (row[:, :, None, :] @ z[:, None, :, None])[..., 0, 0], norm,
                         out=np.full(rhs.shape, -np.inf), where=norm > 0)
-        r = np.minimum(r, gap)
-        values += [value | 1 << k for value in values]
+        r = np.minimum(r, gap.min(axis=1))
+        values = [value | t << k for t in range(1 << J) for value in values]
+        k += J
     del A, c, z, r, w_hat, b_hat        # freed before the leaves' regions are made
     leaves = sorted(values + [value | 1 << (h - 1) for value in values])
     found = _found(net, leaves, extra, tau_lp, tau_dim)

@@ -14,11 +14,15 @@ ratio test.  A row an LP does not use stays in place as an inert row
 (zero coefficients, right-hand side >= 0): it never enters or leaves the
 basis and leaves Bland's order over the other rows alone.
 
-A stack pivots in one working copy of its tableaus, bases and labels,
-whose unfinished LPs are a prefix: each step works on views of it, and
-LPs that finish move behind it by one stable permutation.  Each LP's
-final state goes back to the caller's arrays once, when the last LP of
-the stack finishes.
+A batch of LPs runs as one stream through a stack of at most one block
+(`_kernels.BLOCK_BYTES`) of tableaus.  The stack pivots in one working
+copy of its tableaus, bases and labels, whose unfinished LPs are a
+prefix: each step works on views of it, LPs that finish move behind it
+by one stable permutation and are read off there, and the free slots are
+refilled from the batch, whose inputs are gathered and whose tableaus are
+built a chunk at a time.  So a stream takes about as many pivot steps as
+its LPs' pivots fill, not the slowest LP of every block, and no more than
+one block of tableaus exists.
 
 The tableaus are condensed (Chvatal, "Linear Programming", 1983, ch. 2-3):
 an LP of m rows in n unknowns keeps its 2 n nonbasic columns and its
@@ -45,6 +49,7 @@ rule.
 
 import numpy as np
 
+from . import _kernels
 from .errors import IterationLimitError
 
 TAU_LP = 1e-8    # feasibility / optimality tolerance
@@ -102,23 +107,20 @@ def _leaving(col, rhs, basis):
     return leave
 
 
-def _front(work, place, keep):
-    """Reorder the first len(keep) LPs of work (T, basis, labels) by one
-    stable permutation that puts those keep marks first and the others
-    right behind them.  place[i] is the caller's index of work's LP i, and
-    None while work is the caller's own arrays, which are never reordered:
-    the first call gathers the working copy.  Returns work and place."""
+def _front(work, n, keep):
+    """Reorder the first n LPs of each array of work by one stable
+    permutation that puts those keep marks first and the others right
+    behind them, and return how many keep marks."""
     perm = np.argsort(~keep, kind="stable")
-    if place is None:
-        return tuple(a[perm] for a in work), perm
-    for a in (*work, place):
-        a[:len(keep)] = a[perm]
-    return work, place
+    for a in work:
+        a[:n] = a[perm]
+    return np.count_nonzero(keep)
 
 
-def _simplex(T, basis, labels, max_iter):
-    """Bland-rule simplex on a stack of condensed tableaus, each with its
-    cost row and right-hand side last.
+def _simplex(fill, count, shape, width, max_iter):
+    """Bland-rule simplex on a stream of count condensed tableaus of one
+    shape, each with its cost row and right-hand side last, from the slack
+    basis; at most width of them pivot at once.
 
     Column j of tableau p holds nonbasic variable labels[p, j], and row r
     basic variable basis[p, r]; the basic columns, unit vectors, are not
@@ -126,106 +128,160 @@ def _simplex(T, basis, labels, max_iter):
     enters.  An LP finishes as soon as it is optimal, before the ratio
     test, or when the ratio test finds it unbounded.
 
-    The stack pivots in one working copy whose first n LPs are the
-    unfinished ones, and each step works on views of that live prefix.
-    When LPs finish, `_front` moves them behind it; the first time, it
-    gathers the copy, and T, basis and labels are left alone until the
-    last LP finishes.  Then each LP's final tableau, basis and labels go
-    back to them at once.  Returns which LPs are unbounded; raises
-    IterationLimitError when an LP has not finished after max_iter pivots.
+    The stack pivots in one working copy of width slots whose first n
+    LPs are the unfinished ones, and each step works on views of that live
+    prefix.  When LPs finish, `_front` moves them right behind it.
+    fill(idx, T) writes the starting tableaus of the batch's LPs idx into
+    T, a view of free slots: whenever a slot is free and LPs are left, the
+    finished LPs are handed over and the next LPs of the batch fill their
+    slots in one chunk, so the working copy is all the tableaus that ever
+    exist.  The generator hands finished LPs over as their batch indices,
+    final tableaus, bases and labels (views of the working copy, refilled
+    when it resumes) and whether each is unbounded.  Raises
+    IterationLimitError when an LP needs more than max_iter pivots of its
+    own.
     """
-    unbounded = np.zeros(len(T), dtype=bool)
-    work = W, B, L = T, basis, labels
-    place = None
-    n = len(T)
-    k = np.arange(n)
-    above = T.shape[1] + T.shape[2]     # more than any label
-    for _ in range(max_iter):
+    rows, cols = shape
+    width = max(1, min(width, count))
+    work = W, B, L, place = (np.empty((width, rows, cols)),
+                             np.empty((width, rows - 1), dtype=np.intp),
+                             np.empty((width, cols - 1), dtype=np.intp),
+                             np.empty(width, dtype=np.intp))
+    slack = cols - 1 + np.arange(rows - 1), np.arange(cols - 1)
+    born = np.empty(count, dtype=np.intp)   # the step each LP came in at
+    unbounded = np.zeros(count, dtype=bool)
+    k = np.arange(width)
+    above = rows + cols                     # more than any label
+    # n LPs live and filled - n finished in the working copy, built of the
+    # batch's LPs filled in; oldest is a lower bound on born of a live LP
+    n = filled = built = step = oldest = 0
+    while True:
+        if not n or n < width and built < count:
+            if filled > n:
+                done = place[n:filled]
+                yield done, W[n:filled], B[n:filled], L[n:filled], unbounded[done]
+            if built == count:
+                return
+            new = np.arange(built, min(count, built + width - n))
+            fill(new, W[n:n + new.size])
+            B[n:n + new.size], L[n:n + new.size] = slack
+            place[n:n + new.size], born[new] = new, step
+            n = filled = n + new.size
+            built += new.size
         improving = W[:n, -1, :-1] < -_PIVOT_TOL
         enter = np.where(improving, L[:n], above).argmin(axis=1)
-        go = improving[k, enter]
+        go = improving[k[:n], enter]
         if np.count_nonzero(go) < n:
-            n = np.count_nonzero(go)
+            n, enter = _front(work, n, go), enter[go]
             if not n:
-                break
-            work, place = _front(work, place, go)
-            W, B, L = work
-            enter, k = enter[go], k[:n]
-        leave = _leaving(W[k, :-1, enter], W[:n, :-1, -1], B[:n])
+                continue
+        leave = _leaving(W[k[:n], :-1, enter], W[:n, :-1, -1], B[:n])
         if np.count_nonzero(leave < 0):
             go = leave >= 0
-            unbounded[(k if place is None else place[:n])[~go]] = True
-            n = np.count_nonzero(go)
+            live = _front(work, n, go)
+            unbounded[place[live:n]] = True
+            n, enter, leave = live, enter[go], leave[go]
             if not n:
-                break
-            work, place = _front(work, place, go)
-            W, B, L = work
-            enter, leave, k = enter[go], leave[go], k[:n]
+                continue
+        if step - oldest >= max_iter:
+            oldest = born[place[:n]].min()
+            if step - oldest >= max_iter:
+                raise IterationLimitError("simplex pivot limit exceeded")
         _pivot(W[:n], B[:n], L[:n], leave, enter)
-    else:
-        raise IterationLimitError("simplex pivot limit exceeded")
-    if place is not None:
-        T[place], basis[place], labels[place] = work
-    return unbounded
+        step += 1
 
 
-def _solve_leq(obj, A, b):
-    """Simplex from the slack basis of each A x <= b of a stack (b >= 0):
-    which LPs are unbounded, and the optimal points of the others."""
-    count, m, n = A.shape
-    if m == 0 or count == 0:
-        return np.max(np.abs(obj), axis=1, initial=0.0) > _PIVOT_TOL, np.zeros((count, n))
-    # standard form A(u - v) + s = b with u, v, s >= 0; the slacks s start basic
-    T = np.zeros((count, m + 1, 2 * n + 1))
-    T[:, :m, :n] = A
-    T[:, :m, n: -1] = -A
-    T[:, :m, -1] = b
-    T[:, -1, :n] = -obj
-    T[:, -1, n: -1] = obj
-    basis = np.tile(2 * n + np.arange(m), (count, 1))
-    labels = np.tile(np.arange(2 * n), (count, 1))
-    unbounded = _simplex(T, basis, labels, 5000 + 200 * (2 * n + 2 * m))
-    x_full = np.zeros((count, 2 * n + m))
-    x_full[np.arange(count)[:, None], basis] = T[:, :m, -1]
-    return unbounded, x_full[:, :n] - x_full[:, n: 2 * n]
+def _width(m, n):
+    """How many LPs of m rows in n unknowns one stack pivots at once: a
+    block of their condensed tableaus."""
+    return _kernels.per_block(8 * (m + 1) * (2 * n + 1))
 
 
-def redundant_rows(A, b, rest, rows, tol=TAU_LP):
-    """Whether row rows[p] of each A[p] y <= b[p] of a stack is redundant
-    against the rows rest[p] marks (b >= 0 there), and the point where
-    each LP ends (its optimum when bounded); the other rows are inert."""
-    k = np.arange(len(rows))
-    obj = A[k, rows]
-    unbounded, x = _solve_leq(obj, np.where(rest[:, :, None], A, 0.0), np.where(rest, b, 0.0))
+def chebyshev_width(m, n):
+    """How many Chebyshev LPs of systems of m rows in n unknowns one stack
+    pivots at once."""
+    return _width(m + 1, n + 1)
+
+
+def _solve_leq(gather, count, m, n):
+    """Simplex from the slack basis of count LPs "maximize obj.x subject to
+    A x <= b" (b >= 0) of m rows in n unknowns, as one stream: gather(idx)
+    returns obj, A and b of the LPs idx, at most one stack of them.  Which
+    LPs are unbounded, and the optimal points of the others."""
+    def fill(idx, T):
+        # standard form A(u - v) + s = b with u, v, s >= 0; the slacks s start basic
+        obj, A, b = gather(idx)
+        T[:, :m, :n] = A
+        np.negative(A, out=T[:, :m, n:-1])
+        T[:, :m, -1] = b
+        np.negative(obj, out=T[:, -1, :n])
+        T[:, -1, n:-1] = obj
+        T[:, -1, -1] = 0.0
+
+    unbounded, x = np.zeros(count, dtype=bool), np.zeros((count, n))
+    stream = _simplex(fill, count, (m + 1, 2 * n + 1), _width(m, n),
+                      5000 + 200 * (2 * n + 2 * m))
+    for idx, T, basis, _, ends_unbounded in stream:
+        unbounded[idx] = ends_unbounded
+        x_full = np.zeros((len(idx), 2 * n + m))
+        x_full[np.arange(len(idx))[:, None], basis] = T[:, :m, -1]
+        x[idx] = x_full[:, :n] - x_full[:, n: 2 * n]
+    return unbounded, x
+
+
+def redundant_rows(A, b, rest, rows, tol=TAU_LP, systems=None):
+    """Whether row rows[p] of system s = systems[p] (s = p by default),
+    A[s] y <= b[s], is redundant against the other rows rest[s] marks (b
+    >= 0 there), and the point where each LP ends (its optimum when
+    bounded); the rows left out are inert.  The LPs run as one stream,
+    which gathers their systems one stack at a time."""
+    systems = np.arange(len(rows)) if systems is None else systems
+    obj = A[systems, rows]
+
+    def gather(idx):
+        s = systems[idx]
+        keep = rest[s]
+        keep[np.arange(idx.size), rows[idx]] = False
+        return obj[idx], np.where(keep[:, :, None], A[s], 0.0), np.where(keep, b[s], 0.0)
+
+    unbounded, x = _solve_leq(gather, len(rows), *A.shape[1:])
     # (1, n) @ (n, 1) rounds as the dot product obj @ x does
     value = (obj[:, None, :] @ x[:, :, None])[:, 0, 0]
-    return ~unbounded & (value <= b[k, rows] + tol), x
+    return ~unbounded & (value <= b[systems, rows] + tol), x
 
 
-def chebyshev_centers(A, c, r_cap):
-    """Centers and signed radii of the largest inscribed balls of a stack of systems.
+def chebyshev_centers(A, c, r_cap, systems=None):
+    """Centers and signed radii of the largest inscribed balls of the
+    stacked systems A[systems], c[systems] (all of them by default).
 
     One LP per system {x : A x <= c} maximizes a free r subject to a_i.x +
     |a_i| r <= c_i and r <= r_cap, so it is bounded even when the region
     contains arbitrarily large balls.  The radius is negative when the
     system is empty, -inf (with no LP) when a zero row reads 0 <= c_i <
     -TAU_LP.  The LP runs on r - r0 with r0 = min(r_cap, min_i c_i / |a_i|),
-    whose right-hand sides are all non-negative; zero rows are inert.
+    whose right-hand sides are all non-negative; zero rows are inert.  The
+    LPs run as one stream, which gathers their systems one stack at a time.
     """
-    count, m, n = A.shape
-    norms = np.linalg.norm(A, axis=2)
-    zero = norms == 0
-    quot = np.divide(c, norms, out=np.full(c.shape, np.inf), where=~zero)
-    r0 = np.minimum(float(r_cap), np.min(quot, axis=1, initial=np.inf))
-    rows = np.zeros((count, m + 1, n + 1))
-    rows[:, :m, :n] = A
-    rows[:, :m, n] = norms
-    rows[:, m, n] = 1.0                           # r <= r_cap
-    rhs = np.append(c - norms * r0[:, None], (float(r_cap) - r0)[:, None], axis=1)
-    centers, radii = np.zeros((count, n)), np.full(count, -np.inf)
-    ok = np.flatnonzero(~(zero & (c < -TAU_LP)).any(axis=1))
-    objective = np.broadcast_to(np.eye(n + 1)[n], (ok.size, n + 1))
-    _, x = _solve_leq(objective, rows[ok], np.maximum(rhs[ok], 0.0))
-    centers[ok], radii[ok] = x[:, :n], r0[ok] + x[:, n]
-    return centers, radii
+    systems = np.arange(len(A)) if systems is None else systems
+    m, n = A.shape[1:]
+    empty = ((np.linalg.norm(A, axis=2) == 0) & (c < -TAU_LP)).any(axis=1)
+    ok = np.flatnonzero(~empty[systems])
+    r0 = np.empty(ok.size)
 
+    def gather(idx):
+        s = systems[ok[idx]]
+        As, cs = A[s], c[s]
+        norms = np.linalg.norm(As, axis=2)
+        quot = np.divide(cs, norms, out=np.full(cs.shape, np.inf), where=norms != 0)
+        r0[idx] = np.minimum(float(r_cap), np.min(quot, axis=1, initial=np.inf))
+        rows = np.zeros((idx.size, m + 1, n + 1))
+        rows[:, :m, :n] = As
+        rows[:, :m, n] = norms
+        rows[:, m, n] = 1.0                           # r <= r_cap
+        rhs = np.append(cs - norms * r0[idx, None], (float(r_cap) - r0[idx])[:, None], axis=1)
+        return np.eye(n + 1)[n], rows, np.maximum(rhs, 0.0)
+
+    _, x = _solve_leq(gather, ok.size, m + 1, n + 1)
+    centers, radii = np.zeros((len(systems), n)), np.full(len(systems), -np.inf)
+    centers[ok], radii[ok] = x[:, :n], r0 + x[:, n]
+    return centers, radii

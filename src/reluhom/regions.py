@@ -170,13 +170,9 @@ def _ray_facets(A, b, tau_lp):
 
 def _inscribed_balls(A, c, systems, tau_dim):
     """Chebyshev centers and radii of the stacked systems A[systems], c[systems],
-    gathered a block at a time, capped above tau_dim (at 1 by default), which
+    as one stream of LPs, capped above tau_dim (at 1 by default), which
     decides full dimension as no cap would."""
-    centers, radii = np.empty((len(systems), A.shape[2])), np.empty(len(systems))
-    r_cap = max(1.0, 2.0 * tau_dim)
-    for blk in _kernels.blocks(len(systems), _system_bytes(A.shape[1], A.shape[2])):
-        centers[blk], radii[blk] = lp.chebyshev_centers(A[systems[blk]], c[systems[blk]], r_cap)
-    return centers, radii
+    return lp.chebyshev_centers(A, c, max(1.0, 2.0 * tau_dim), systems)
 
 
 def _system_bytes(m, n):
@@ -228,7 +224,7 @@ def _essentialize(A, c, tau_lp, tau_dim):
     tau_lp) is kept with no LP.
 
     Every other row gets one redundancy LP against all other candidates,
-    all of them in one batch of stacks, and the batch's answers are settled
+    all of them in one stream of LPs, and the batch's answers are settled
     by the sequential rule.  A row the batch keeps is kept: its sequential
     survivors are a subset of the batch's, and a maximum over fewer rows is
     no smaller.  A row the batch drops is dropped when no earlier row the
@@ -247,14 +243,11 @@ def _essentialize(A, c, tau_lp, tau_dim):
     cand = (np.linalg.norm(A, axis=2) > 0) & ~_duplicate_rows(A, c)
     system, row = np.nonzero(cand & ~_ray_facets(A, np.where(cand, b, np.inf), tau_lp))
     cols = np.arange(c.shape[1])
-    dropped = np.zeros(row.shape, dtype=bool)
+    dropped, x = lp.redundant_rows(A, b, cand, row, tau_lp, system)
     binds = np.zeros((row.size, cols.size), dtype=bool)  # earlier rows tight at the optimum
     for blk in _kernels.blocks(row.size, _system_bytes(*A.shape[1:])):
-        As, bs, i = A[system[blk]], b[system[blk]], row[blk]
-        rest = cand[system[blk]]
-        rest[np.arange(i.size), i] = False
-        dropped[blk], x = lp.redundant_rows(As, bs, rest, i, tau_lp)
-        binds[blk] = (bs - (As @ x[:, :, None])[:, :, 0] <= tau_lp) & (cols < i[:, None])
+        s, i = system[blk], row[blk]
+        binds[blk] = (b[s] - (A[s] @ x[blk, :, None])[:, :, 0] <= tau_lp) & (cols < i[:, None])
     alive = cand.copy()
     alive[system[dropped], row[dropped]] = False
     unsure = dropped & (binds & (cand & ~alive)[system]).any(axis=1)
@@ -264,7 +257,6 @@ def _essentialize(A, c, tau_lp, tau_dim):
         test = np.flatnonzero(pending.any(axis=1))
         i = pending[test].argmax(axis=1)
         rest = np.where(cols < i[:, None], alive[test], cand[test])
-        rest[np.arange(test.size), i] = False
         alive[test, i] = ~lp.redundant_rows(A[test], b[test], rest, i, tau_lp)[0]
         pending[test, i] = False
     keep[ok] = alive

@@ -93,10 +93,15 @@ def lp_counter(monkeypatch):
     counts = SimpleNamespace(solves=0, redundancy=0, pivots=0, min_rhs=[])
     solve_leq, redundant_rows, pivot = lp._solve_leq, lp.redundant_rows, lp._pivot
 
-    def counted_solve_leq(obj, A, b):
-        counts.solves += len(b)
-        counts.min_rhs.extend(np.min(b, axis=1, initial=np.inf).tolist())
-        return solve_leq(obj, A, b)
+    def counted_solve_leq(gather, count, m, n):
+        counts.solves += count
+
+        def recorded(idx):
+            obj, A, b = gather(idx)
+            counts.min_rhs.extend(np.min(b, axis=1, initial=np.inf).tolist())
+            return obj, A, b
+
+        return solve_leq(recorded, count, m, n)
 
     def counted_redundant_rows(A, b, rest, rows, *args, **kwargs):
         counts.redundancy += len(rows)   # one LP each, counted by counted_solve_leq too

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reluhom import _kernels, cli, metric, network, persistence
+from reluhom import _kernels, cli, enumeration, metric, network, persistence
 from conftest import random_net
 from oracles import ldm_text, point_bits
 
@@ -133,9 +133,11 @@ class TestEnumerate:
         assert capsys.readouterr().err == ""
         assert cli.main(argv + ["--h-max", "25"]) == 0
         assert capsys.readouterr().err == (
-            "warning: brute-force guard raised to h = 25 (the prefix search visits "
-            "at most 2h prefix nodes per region it finds, plus the root)\n"
+            "warning: brute-force guard raised to h = 25 (each of the prefix search's "
+            "at most h rounds tests at most 2 prefix nodes per region it finds or one "
+            "stack of 585 LPs, whichever is more, plus the root)\n"
         )
+        assert enumeration.prefix_stack(netfile[0]) == 585
 
     def test_resource_cap_exit_code(self, tmp_path):
         net = random_net(2, [30], 1)

@@ -96,9 +96,10 @@ class TestBrute:
         calls = []
         chebyshev_centers = lp.chebyshev_centers
 
-        def counting(A, *args, **kwargs):
-            calls.extend([1] * len(A))      # one Chebyshev LP per system
-            return chebyshev_centers(A, *args, **kwargs)
+        def counting(A, c, r_cap, systems=None):
+            # one Chebyshev LP per system
+            calls.extend([1] * (len(A) if systems is None else len(systems)))
+            return chebyshev_centers(A, c, r_cap, systems)
 
         monkeypatch.setattr(lp, "chebyshev_centers", counting)
         atlas = enumeration.enumerate_brute(net)
@@ -385,51 +386,138 @@ def test_m4_atlas_floats_are_pinned(name, want):
     assert atlas_fingerprint(ENUMERATORS[name](random_net(4, [6, 6], 7))) == want
 
 
-def stack_widths(name):
-    """The width of every `lp._simplex` stack one enumeration of the 3-5-5
-    net makes, and the rows of the systems its LPs are built from."""
-    widths = []
-    simplex = lp._simplex
+@pytest.mark.parametrize("boxed", [False, True])
+@pytest.mark.parametrize("m,sizes,seed", [(3, [5, 5], 7), (4, [6, 6], 7), (2, [6, 6, 6], 3)])
+def test_brute_force_finds_one_atlas_at_every_budget(monkeypatch, m, sizes, seed, boxed):
+    # the budget sizes the prefix rounds: one bit a round at 4 KiB past
+    # the first, a few at the default and a layer at a time at 1 GiB.  The
+    # live prefixes are exact, so every Region byte, edge and boundary
+    # flag is the same
+    net = random_net(m, sizes, seed)
+    box = enumeration.BoxRegion(np.full(m, -3.0), np.full(m, 3.0)) if boxed else None
+    atlases = []
+    for budget in (4096, 128 * 1024, 1 << 30):
+        monkeypatch.setattr(_kernels, "BLOCK_BYTES", budget)
+        atlases.append(enumeration.enumerate_brute(net, box=box))
+    want = atlases[0]
+    assert len(want.regions) > 40
+    for atlas in atlases[1:]:
+        assert list(atlas.regions) == list(want.regions)
+        assert [region_bytes(region) for region in atlas.regions.values()] == [
+            region_bytes(region) for region in want.regions.values()]
+        assert atlas.edges == want.edges
+        assert atlas.boundary_flags == want.boundary_flags
 
-    def recording(T, *args):
+
+@pytest.mark.parametrize("budget,rounds", [(4096, 8), (None, 5), (1 << 30, 3)])
+def test_prefix_rounds_follow_the_block_budget(monkeypatch, budget, rounds):
+    # the Chebyshev rounds before the leaves on the 3-5-5 net, the root's
+    # included: 10 when every round added one bit
+    calls = []
+    inscribed_balls = enumeration._inscribed_balls
+
+    def counting(*args):
+        calls.append(1)
+        return inscribed_balls(*args)
+
+    monkeypatch.setattr(enumeration, "_inscribed_balls", counting)
+    if budget is not None:
+        monkeypatch.setattr(_kernels, "BLOCK_BYTES", budget)
+    enumeration.enumerate_brute(random_net(3, [5, 5], 7))
+    assert len(calls) == rounds
+
+
+@pytest.mark.parametrize("boxed", [False, True])
+@pytest.mark.parametrize("m,sizes,seed", [(1, [10], 0), (3, [5, 5], 7), (2, [6, 6, 6], 3)])
+def test_prefix_search_tests_within_the_guard_bound(monkeypatch, m, sizes, seed, boxed):
+    # the bound `reluhom enumerate` prints when the guard is raised: each
+    # of at most h rounds, the leaves included, tests at most 2 prefix
+    # nodes per region or one stack of prefix_stack, plus the root.  The
+    # 1-D net's 10 or so regions break the one-bit search's 2 h per
+    # region: its second round tests 256 prefixes at once
+    tested = []
+    inscribed_balls, found = enumeration._inscribed_balls, enumeration._found
+
+    def counting_balls(A, *args):
+        tested.append(len(A))
+        return inscribed_balls(A, *args)
+
+    def counting_found(net, values, *args):
+        tested.append(len(values))
+        return found(net, values, *args)
+
+    monkeypatch.setattr(enumeration, "_inscribed_balls", counting_balls)
+    monkeypatch.setattr(enumeration, "_found", counting_found)
+    net = random_net(m, sizes, seed)
+    box = enumeration.BoxRegion(np.full(m, -3.0), np.full(m, 3.0)) if boxed else None
+    regions = len(enumeration.enumerate_brute(net, box=box).regions)
+    assert tested[0] == 1 and len(tested) <= net.h + 1
+    assert max(tested[1:]) <= max(2 * regions, enumeration.prefix_stack(net, box))
+    assert sum(tested) <= net.h * max(2 * regions, enumeration.prefix_stack(net, box)) + 1
+    if m == 1:
+        assert sum(tested) > 2 * net.h * regions + 1
+
+
+def stack_widths(name):
+    """The LP streams one enumeration of the 3-5-5 net runs, one per
+    `lp._simplex` call: its LPs, its width and the rows of the systems its
+    LPs are built from; and the bytes of every stack of tableaus that
+    pivots."""
+    streams, stacks = [], []
+    simplex, pivot = lp._simplex, lp._pivot
+
+    def recording(fill, count, shape, width, max_iter):
         # a system of m rows in n = 3 unknowns has an (m + 2) x 9 Chebyshev
         # tableau and an (m + 1) x 7 redundancy tableau
-        widths.append((len(T), T.shape[1] - 1 - (T.shape[2] == 9)))
-        return simplex(T, *args)
+        streams.append((count, width, shape[0] - 1 - (shape[1] == 9)))
+        return simplex(fill, count, shape, width, max_iter)
+
+    def recording_pivot(T, *args):
+        stacks.append(T.nbytes)
+        return pivot(T, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp, "_simplex", recording)
+        mp.setattr(lp, "_pivot", recording_pivot)
         ENUMERATORS[name](random_net(3, [5, 5], 7))
-    return widths
+    return streams, stacks
 
 
-def lps(widths):
-    return sum(width for width, _ in widths)
+def lps(streams):
+    return sum(count for count, *_ in streams)
 
 
 def test_traversal_splits_no_wave(monkeypatch):
     # the block budget cuts stacks, not LPs: the same 907 LPs run at
     # _kernels.BLOCK_BYTES as with no cap on a stack's bytes, and no stack
-    # is wider than one block of the net's 10-row systems
-    widths = stack_widths("traverse")
-    assert {rows for _, rows in widths} == {10}
-    assert max(width for width, _ in widths) <= _kernels.per_block(regions._system_bytes(10, 3))
+    # that pivots is larger than one block
+    streams, stacks = stack_widths("traverse")
+    assert {rows for *_, rows in streams} == {10}
+    assert max(stacks) <= _kernels.BLOCK_BYTES
     monkeypatch.setattr(_kernels, "BLOCK_BYTES", 1 << 30)
-    assert lps(widths) == lps(stack_widths("traverse")) == 907
+    assert lps(streams) == lps(stack_widths("traverse")[0]) == 907
 
 
 def test_brute_force_splits_no_level(monkeypatch):
-    # the same LPs at _kernels.BLOCK_BYTES as with no cap on a stack's
-    # bytes, and no stack wider than one block of its systems, whose rows
-    # grow with the prefix depth
-    widths = stack_widths("brute")
-    room = [(width, _kernels.per_block(regions._system_bytes(rows, 3))) for width, rows in widths]
-    assert all(width <= block for width, block in room)
-    assert any(width == block for width, block in room)
-    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 1 << 30)
-    unlimited = stack_widths("brute")
-    assert len(unlimited) < len(widths)
-    assert lps(widths) == lps(unlimited) == 1267
+    # each prefix round's Chebyshev LPs, and each LP batch of the leaves,
+    # run as one stream whose stacks that pivot are at most one block, and
+    # some stream refills its stack.  The budget sizes the prefix rounds,
+    # so the LPs they take follow it, pinned at each budget (1,267 at
+    # every budget before the rounds took more than one bit); the atlas
+    # does not follow it
+    net = random_net(3, [5, 5], 7)
+    want = atlas_fingerprint(enumeration.enumerate_brute(net))
+    counts = []
+    for budget, pin in [(4096, 1267), (_kernels.BLOCK_BYTES, 1276), (1 << 30, 1410)]:
+        monkeypatch.setattr(_kernels, "BLOCK_BYTES", budget)
+        streams, stacks = stack_widths("brute")
+        assert max(stacks) <= budget
+        assert lps(streams) == pin
+        assert atlas_fingerprint(enumeration.enumerate_brute(net)) == want
+        counts.append(len(streams))
+        if budget < 1 << 30:
+            assert any(count > width for count, width, _ in streams)
+    assert counts == sorted(counts, reverse=True) and counts[1] < counts[0]
 
 
 def test_traversal_ratio_tests_only_lps_that_go_on(monkeypatch):
@@ -463,9 +551,10 @@ def test_traversal_ratio_tests_only_lps_that_go_on(monkeypatch):
 
 
 def test_brute_force_stacks_are_wide():
-    # a prefix level or the leaves is one stack or a few (93 stacks with
-    # 32 KiB full tableaus, 40 with 128 KiB, 18 with 128 KiB condensed)
-    assert len(stack_widths("brute")) <= 48
+    # a prefix round or the leaves is one stream or a few (93 stacks with
+    # 32 KiB full tableaus, 40 with 128 KiB, 18 with 128 KiB condensed, 9
+    # streams of 128 KiB stacks)
+    assert len(stack_widths("brute")[0]) <= 48
 
 
 @pytest.mark.parametrize("name", ["traverse", "brute"])

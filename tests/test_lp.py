@@ -109,22 +109,49 @@ def full_width(T, basis, labels):
     return full
 
 
-def simplex_run(obj, A, b):
+def solve(obj, A, b):
+    """`_solve_leq` of a stack of LPs given as arrays."""
+    return lp._solve_leq(lambda idx: (obj[idx], A[idx], b[idx]), len(b), *A.shape[1:])
+
+
+def simplex_run(obj, A, b, width=None):
     """The tableaus, at full width, and basis `_solve_leq`'s simplex starts
-    from, where it leaves them, and its unbounded flags."""
-    runs = []
+    each LP from, where it leaves them, and its unbounded flags, with at
+    most width LPs (one block by default) pivoting at once."""
+    starts, ends, unbounded = {}, {}, {}
     simplex = lp._simplex
 
-    def recorded(T, basis, labels, max_iter):
-        start = full_width(T, basis, labels), basis.copy()
-        unbounded = simplex(T, basis, labels, max_iter)
-        runs.extend([start, unbounded, (full_width(T, basis, labels), basis)])
-        return unbounded
+    def recorded(fill, count, shape, block, max_iter):
+        rows, cols = shape
+        slack = np.arange(cols - 1, cols + rows - 2), np.arange(cols - 1)
+
+        def recording(idx, T):
+            fill(idx, T)
+            basis, labels = (np.tile(a, (len(idx), 1)) for a in slack)
+            starts.update(zip(idx.tolist(), zip(full_width(T, basis, labels), basis)))
+
+        for idx, T, basis, labels, ends_unbounded in simplex(
+            recording, count, shape, width or block, max_iter
+        ):
+            ends.update(zip(idx.tolist(), zip(full_width(T, basis, labels), basis.copy())))
+            unbounded.update(zip(idx.tolist(), ends_unbounded.tolist()))
+            yield idx, T, basis, labels, ends_unbounded
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp, "_simplex", recorded)
-        lp._solve_leq(obj, A, b)
-    return runs
+        solve(obj, A, b)
+    lps = range(len(b))
+    assert starts.keys() == ends.keys() == unbounded.keys() == set(lps)
+    return ((np.stack([starts[p][0] for p in lps]), np.stack([starts[p][1] for p in lps])),
+            np.array([unbounded[p] for p in lps]),
+            (np.stack([ends[p][0] for p in lps]), np.stack([ends[p][1] for p in lps])))
+
+
+def stream_of(T):
+    """A `_simplex` fill that copies the stack T's tableaus."""
+    def fill(idx, out):
+        out[:] = T[idx]
+    return fill
 
 
 def linprog_signed_radius(A, c):
@@ -143,7 +170,7 @@ class TestSolve:
     def test_1d_box(self):
         # max x over 0 <= x <= 2, and over 0 <= x <= 0.5, as one stack
         A = np.array([[[1.0], [-1.0]]] * 2)
-        unbounded, x = lp._solve_leq(np.ones((2, 1)), A, np.array([[2.0, 0.0], [0.5, 0.0]]))
+        unbounded, x = solve(np.ones((2, 1)), A, np.array([[2.0, 0.0], [0.5, 0.0]]))
         assert unbounded.tolist() == [False, False]
         assert x[:, 0] == pytest.approx([2.0, 0.5], abs=1e-8)
 
@@ -155,8 +182,8 @@ class TestSolve:
 
     def test_open_ray(self):
         # max x over x >= 0 is unbounded, over x <= 1 it is 1
-        unbounded, x = lp._solve_leq(np.ones((2, 1)), np.array([[[-1.0]], [[1.0]]]),
-                                     np.array([[0.0], [1.0]]))
+        unbounded, x = solve(np.ones((2, 1)), np.array([[[-1.0]], [[1.0]]]),
+                             np.array([[0.0], [1.0]]))
         assert unbounded.tolist() == [True, False]
         assert x[1, 0] == pytest.approx(1.0, abs=1e-8)
 
@@ -170,7 +197,7 @@ class TestSolve:
             A = rng.standard_normal((count, m, n))
             b = rng.uniform(0.0, 2.0, (count, m)) * (rng.random((count, m)) > 0.2)
             obj = rng.standard_normal((count, n))
-            unbounded, x = lp._solve_leq(obj, A, b)
+            unbounded, x = solve(obj, A, b)
             for p in range(count):
                 ref = linprog(-obj[p], A_ub=A[p], b_ub=b[p], bounds=[(None, None)] * n,
                               method="highs")
@@ -185,7 +212,20 @@ class TestSolve:
         # max x0 subject to x0 + x1 = 0, x1 basic: x0 enters, but no pivot may run
         T = np.array([[[1.0, 0.0], [-1.0, 0.0]]])
         with pytest.raises(IterationLimitError, match="simplex pivot limit exceeded"):
-            lp._simplex(T.copy(), np.array([[1]]), np.array([[0]]), max_iter=0)
+            list(lp._simplex(stream_of(T), 1, (2, 2), 1, max_iter=0))
+
+    def test_iteration_limit_counts_each_lps_own_pivots(self):
+        # max x over x <= 1 takes one pivot, max x + y over x, y <= 1 two: a
+        # long stream of the first, one at a time, stays within one pivot
+        # each, while the second alone does not
+        one = np.array([[[1.0, 1.0], [-1.0, 0.0]]] * 50)
+        two = np.array([[[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [-1.0, -1.0, 0.0]]])
+        for width in (1, 7, 50):
+            stream = lp._simplex(stream_of(one), 50, (2, 2), width, max_iter=1)
+            assert sorted(p for idx, *_ in stream for p in idx.tolist()) == list(range(50))
+        with pytest.raises(IterationLimitError, match="simplex pivot limit exceeded"):
+            list(lp._simplex(stream_of(two), 1, (3, 3), 1, max_iter=1))
+        assert len(list(lp._simplex(stream_of(two), 1, (3, 3), 1, max_iter=2))) == 1
 
 
 class TestFeasible:
@@ -431,10 +471,10 @@ class TestKernel:
             obj = rng.standard_normal(3)
             spliced = np.insert(A, [0, 2, 2, 6], 0.0, axis=0)
             b_spliced = np.insert(b, [0, 2, 2, 6], [0.0, 1.0, 0.0, 1.0])
-            unbounded, x = lp._solve_leq(np.stack([obj, obj]),
-                                         np.stack([np.vstack([A, np.zeros((4, 3))]), spliced]),
-                                         np.stack([np.append(b, np.ones(4)), b_spliced]))
-            alone = lp._solve_leq(obj[None], A[None], b[None])
+            unbounded, x = solve(np.stack([obj, obj]),
+                                 np.stack([np.vstack([A, np.zeros((4, 3))]), spliced]),
+                                 np.stack([np.append(b, np.ones(4)), b_spliced]))
+            alone = solve(obj[None], A[None], b[None])
             assert unbounded.tolist() == [alone[0][0]] * 2
             if not alone[0][0]:
                 assert np.array_equal(x[0], alone[1][0]) and np.array_equal(x[1], alone[1][0])
@@ -452,6 +492,21 @@ class TestKernel:
             assert np.array(rows).tobytes() == T[p].tobytes()
             assert order == basis[p].tolist()
 
+    @given(lp_stacks())
+    @example(MIXED_STACK)
+    @example(OUT_OF_ORDER_STACK)
+    def test_refilled_stacks_pivot_each_lp_as_alone(self, stack):
+        # at every width, each LP's slot refilled from the rest of the stream
+        # as LPs finish: every bit of every tableau, every basis and label,
+        # and every unbounded flag as the LP alone gets them
+        for width in range(1, len(stack[0]) + 1):
+            (T0, basis0), unbounded, (T, basis) = simplex_run(*stack, width=width)
+            for p in range(len(T)):
+                rows, order = T0[p].tolist(), basis0[p].tolist()
+                assert bland_simplex(rows, order, lp._PIVOT_TOL, 10**4)[0] == unbounded[p]
+                assert np.array(rows).tobytes() == T[p].tobytes()
+                assert order == basis[p].tolist()
+
     def test_finished_lps_take_no_ratio_test(self, monkeypatch):
         widths = []
         leaving = lp._leaving
@@ -462,7 +517,7 @@ class TestKernel:
 
         monkeypatch.setattr(lp, "_leaving", recorded)
         rng = np.random.default_rng(3)
-        lp._solve_leq(np.zeros((3, 2)), rng.standard_normal((3, 4, 2)), np.ones((3, 4)))
+        solve(np.zeros((3, 2)), rng.standard_normal((3, 4, 2)), np.ones((3, 4)))
         assert widths == []
         # each step tests the LPs that still have an improving column: those
         # that pivot at that step, and those it finds unbounded
@@ -473,5 +528,5 @@ class TestKernel:
                 bland_simplex(T.tolist(), order.tolist(), lp._PIVOT_TOL, 10**4)
                 for T, order in zip(T0, basis0))]
             widths.clear()
-            lp._solve_leq(obj, A, b)
+            solve(obj, A, b)
             assert widths == [sum(s > step for s in steps) for step in range(max(steps))]

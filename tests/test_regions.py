@@ -457,9 +457,11 @@ class TestLpBudget:
         rhs = []
         redundant_rows = lp.redundant_rows
 
-        def recorded(A, b, rest, *args, **kwargs):
-            rhs.extend(bs[keep] for bs, keep in zip(b, rest))
-            return redundant_rows(A, b, rest, *args, **kwargs)
+        def recorded(A, b, rest, rows, tol, systems=None):
+            # one LP per row, over the other rows its system's rest marks
+            for s, i in zip(range(len(rows)) if systems is None else systems, rows):
+                rhs.append(np.delete(b[s], i)[np.delete(rest[s], i)])
+            return redundant_rows(A, b, rest, rows, tol, systems)
 
         monkeypatch.setattr(lp, "redundant_rows", recorded)
         bits = network.bit_vector(net_2331, np.array([0.3, -0.7]))
