@@ -3,9 +3,12 @@
 Two routes produce identical atlases: brute force, a search over bit
 prefixes in rounds that drops every prefix without a full-dimensional
 interior, and traversal from a seed region through active-bit flips, a
-wave of regions at a time; a round or a wave is one batch of LPs.  In
-bounded mode the box rows are appended to every system; whether a region
-hits the box wall is kept as metadata, never inside the Hamming bits.
+wave of regions at a time; a round or a wave is one batch of LPs.  A
+prefix node is its bits, an interior point and a bound on its radius; a
+round takes its systems from `regions._hat_maps`, which builds whole
+patterns' systems too.  In bounded mode the box rows are appended to
+every system; whether a region hits the box wall is kept as metadata,
+never inside the Hamming bits.
 Inside both routes a pattern is the int of its bits (`BitVector.value`)
 and a batch is one `PackedBits`; `regions_from_bits` returns only the
 full-dimensional patterns' Regions, and makes a `BitVector` only for a
@@ -25,7 +28,7 @@ from .errors import (
     ResourceCapError,
 )
 from .network import TAU_BIT, PackedBits, _check_input, bit_vector, on_boundary
-from .regions import _compose, _inscribed_balls, region_from_bits, regions_from_bits
+from .regions import _hat_maps, _inscribed_balls, region_from_bits, regions_from_bits
 
 H_MAX_BRUTE = 24
 
@@ -116,9 +119,10 @@ def enumerate_brute(net, box=None, h_max=H_MAX_BRUTE,
                     tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
     """Every full-dimensional region, by a search over bit prefixes in rounds.
 
-    Rows are layer-major, so rows 0..k-1 of a pattern's system depend only
-    on its bits 0..k-1: a node at depth k holds those rows and the box
-    rows.  A node whose rows hold no ball of radius above tau_dim (the
+    Rows are layer-major, so `_hat_maps` builds rows 0..k-1 of a pattern's
+    system from its bits 0..k-1 alone: a node at depth k is those bits, an
+    interior point z and a lower bound r on its radius at z.  A node whose
+    rows and the box rows hold no ball of radius above tau_dim (the
     Chebyshev test each region passes in regions_from_bits) has no
     full-dimensional extension, so it is dropped with all of them.
 
@@ -126,31 +130,40 @@ def enumerate_brute(net, box=None, h_max=H_MAX_BRUTE,
     layer, its 2^J candidates each, J as large as keeps the round's
     candidates within one stack of Chebyshev LPs (`lp.chebyshev_width`,
     so the block budget sizes the rounds), and at least 1.  A round never
-    crosses a layer boundary, whose rows need the layer's bits, and stops
-    at depth h - 1.  A candidate whose new rows leave its parent's
-    interior point z more than tau_dim inside needs no LP: it keeps z,
-    with the smallest of the radii.  Each round is held as stacked arrays,
-    which replace the previous round's, and its Chebyshev LPs run as one
-    stream.  So a round tests at most 2 candidates per region or
-    `prefix_stack` of them, and there are at most h rounds, the patterns
-    reached at depth h included, which go through regions_from_bits as one
-    batch.  h is limited only by h_max, which is checked before any LP.
+    crosses a layer boundary and stops at depth h - 1.  A candidate whose
+    new rows leave its parent's z more than tau_dim inside needs no LP: it
+    keeps z, with the smallest of the radii.  Each round is held as
+    stacked arrays, which replace the previous round's, and its Chebyshev
+    LPs run as one stream.  So a round tests at most 2 candidates per
+    region or `prefix_stack` of them, and there are at most h rounds, the
+    patterns reached at depth h included, which go through
+    regions_from_bits as one batch.  h is limited only by h_max, which is
+    checked before any LP.
     """
-    h = net.h
-    if h > h_max:
+    if net.h > h_max:
         raise ResourceCapError(
-            f"h = {h} exceeds the brute-force guard ({h_max}); "
+            f"h = {net.h} exceeds the brute-force guard ({h_max}); "
             "raise the limit explicitly to proceed"
         )
     extra = _box_rows(net, box)
+    found = _found(net, _leaves(net, extra, tau_dim), extra, tau_lp, tau_dim)
+    atlas = DecompositionAtlas()
+    atlas.regions.update((region.bits, region) for region in found)
+    return _finalize(net, atlas)
+
+
+def _leaves(net, extra, tau_dim):
+    """The patterns `enumerate_brute`'s prefix search reaches at depth h,
+    sorted: the empty pattern alone at h = 0.  The search's systems are
+    freed when it returns, before the leaves' regions are made."""
+    h, n = net.h, net.input_dim
+    if h == 0:
+        return [0]
     offsets = net.bit_offsets()
-    n = net.input_dim
-    # the nodes of depth k: bits 0..k-1, rows, interior points z and radius
-    # lower bounds r at z (-inf: unknown), and the map (w_hat, b_hat) on
-    # the prefix of hidden layer j, which holds bit k
-    values, A, c = [0], extra[0][None], extra[1][None]
-    z, r = np.zeros((1, n)), np.full(1, -np.inf)
-    j, w_hat, b_hat = 0, net.weights[0][None], net.biases[0][None]
+    # the nodes of depth k: bits 0..k-1, interior points z and radius lower
+    # bounds r at z (-inf: unknown), and their systems, box rows first
+    values, z, r = [0], np.zeros((1, n)), np.full(1, -np.inf)
+    A, c = extra[0][None], extra[1][None]
     k = 0
     while True:
         need = np.flatnonzero(r <= tau_dim)
@@ -158,39 +171,26 @@ def enumerate_brute(net, box=None, h_max=H_MAX_BRUTE,
         live = np.flatnonzero(r > tau_dim)
         values = [values[i] for i in live.tolist()]
         if k == h - 1:
-            break
-        A, c, z, r, w_hat, b_hat = (x[live] for x in (A, c, z, r, w_hat, b_hat))
-        while k == offsets[j + 1]:
-            s = PackedBits.of_values(values, k).unpack()[:, offsets[j]:]
-            w_hat, b_hat = _compose(net, j, s, w_hat, b_hat)
-            j += 1
-        # the round adds bits k..k+J-1 of layer j, as many as keep its
+            return sorted(values + [value | 1 << k for value in values])
+        # the round adds bits k..k+J-1 of one layer, as many as keep its
         # candidates within one stack of Chebyshev LPs, at least one
-        stop, J = min(offsets[j + 1], h - 1), 1
+        stop, J = min(next(o for o in offsets if o > k), h - 1), 1
         while k + J < stop and len(values) << J + 1 <= lp.chebyshev_width(A.shape[1] + J + 1, n):
             J += 1
-        bits = slice(k - offsets[j], k + J - offsets[j])
-        a, b = w_hat[:, bits], b_hat[:, bits]
-        # candidate t of each node sets bit k + i to bit i of t: 0 is the
-        # row a.x + b <= 0, 1 is -a.x - b <= 0
-        one = ((np.arange(1 << J)[:, None] >> np.arange(J)) & 1).astype(bool)[:, None]
-        row = np.where(one[..., None], -a, a).reshape(-1, J, n)
-        rhs = np.where(one, b, -b).reshape(-1, J)
-        A, c, z, r, w_hat, b_hat = (np.concatenate([x] * (1 << J)) for x in (A, c, z, r, w_hat, b_hat))
-        A, c = np.concatenate([A, row], axis=1), np.concatenate([c, rhs], axis=1)
-        # (1, n) @ (n, 1) rounds as the dot products row @ z and row @ row
+        # candidate t of each node sets bit k + i to bit i of t
+        values = [value | t << k for t in range(1 << J) for value in values]
+        z, r = (np.concatenate([x[live]] * (1 << J)) for x in (z, r))
+        k += J
+        A, c = _hat_maps(net, PackedBits.of_values(values, k))[0]
+        A = np.concatenate([np.broadcast_to(extra[0], (len(A),) + extra[0].shape), A], axis=1)
+        c = np.concatenate([np.broadcast_to(extra[1], (len(c),) + extra[1].shape), c], axis=1)
+        # the new rows are the last J; (1, n) @ (n, 1) rounds as the dot
+        # products row @ z and row @ row
+        row, rhs = A[:, -J:], c[:, -J:]
         norm = np.sqrt((row[:, :, None, :] @ row[..., None])[..., 0, 0])
         gap = np.divide(rhs - (row[:, :, None, :] @ z[:, None, :, None])[..., 0, 0], norm,
                         out=np.full(rhs.shape, -np.inf), where=norm > 0)
         r = np.minimum(r, gap.min(axis=1))
-        values = [value | t << k for t in range(1 << J) for value in values]
-        k += J
-    del A, c, z, r, w_hat, b_hat        # freed before the leaves' regions are made
-    leaves = sorted(values + [value | 1 << (h - 1) for value in values])
-    found = _found(net, leaves, extra, tau_lp, tau_dim)
-    atlas = DecompositionAtlas()
-    atlas.regions.update((region.bits, region) for region in found)
-    return _finalize(net, atlas)
 
 
 def _draw_seed(net, seed, box, rng, attempts=100):

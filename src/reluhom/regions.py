@@ -1,14 +1,15 @@
 """Per-pattern polyhedra: inequality systems, facet pruning, affine maps.
 
 Every activation pattern induces a system A x <= c whose rows stack
-layer-major; pruning it to the essential subsystem identifies the active
-bits, and flipping an active bit walks to the facet-neighbor.  A Region
-keeps only that subsystem, its affine map and an interior witness.
-Patterns are worked on as stacks of same-shape systems (`regions_from_bits`,
-which returns the full-dimensional ones' Regions), each step once per stack;
-`region_from_bits` builds one region as a stack of one, for `region_of`
-and traversal's seed, and raises the error `_ball_error` builds for a
-pattern that is not full-dimensional.
+layer-major; `_hat_maps` builds every system, a whole pattern's or a
+brute-force prefix's.  Pruning it to the essential subsystem identifies
+the active bits, and flipping an active bit walks to the facet-neighbor.
+A Region keeps only that subsystem, its affine map and an interior
+witness.  Patterns are worked on as stacks of same-shape systems
+(`regions_from_bits`, which returns the full-dimensional ones' Regions),
+each step once per stack; `region_from_bits` builds one region as a
+stack of one, for `region_of` and traversal's seed, and raises the error
+`_ball_error` builds for a pattern that is not full-dimensional.
 """
 
 import functools
@@ -60,43 +61,40 @@ class Region:
 
 
 def _hat_maps(net, patterns):
-    """The stacked systems (A, c) and output maps (M, v) of patterns (a
-    PackedBits or a sequence of BitVectors), in one pass.
+    """The stacked systems (A, c) of patterns of k <= h bits (a PackedBits
+    or a sequence of BitVectors) and their maps (M, v), in one pass: every
+    system, a whole pattern's or a brute-force prefix's, is built here.
 
     Hidden layer j's pre-activations are What_j x + bhat_j on a region,
-    composed through the 0/1 masks of the layers before it; the output
-    layer composed the same way gives M x + v.
+    composed through the 0/1 masks of the layers before it once the prefix
+    holds bits past them, and bit i sets the sign of row i.  So k bits give
+    the first k rows of every whole pattern they begin, bit for bit, and
+    the stacked products round as one region's would.  Whole patterns get
+    the output layer composed the same way, M x + v; a shorter prefix gets
+    the pre-activation map of the layer its last bit is in.
     """
     offsets = net.bit_offsets()
     patterns = PackedBits.of(patterns)
+    k = patterns.h
     bit_arr = patterns.unpack()
-    A = np.empty((len(patterns), net.h, net.input_dim))
-    c = np.empty((len(patterns), net.h))
-    w_hat = net.weights[0]
-    b_hat = net.biases[0]
+    A = np.empty((len(patterns), k, net.input_dim))
+    c = np.empty((len(patterns), k))
+    w_hat, b_hat = net.weights[0], net.biases[0]
     for j in range(net.n_hidden_layers):
-        layer = slice(offsets[j], offsets[j + 1])
-        s = bit_arr[:, layer]
+        lo, hi = offsets[j], min(offsets[j + 1], k)
+        s = bit_arr[:, lo:hi]
         sign = 1.0 - 2.0 * s  # bit 1 -> -1
-        A[:, layer] = sign[:, :, None] * w_hat
-        c[:, layer] = sign * (-b_hat)
-        w_hat, b_hat = _compose(net, j, s, w_hat, b_hat)
+        A[:, lo:hi] = sign[:, :, None] * w_hat[..., :hi - lo, :]
+        c[:, lo:hi] = sign * (-b_hat[..., :hi - lo])
+        if k < net.h and k <= offsets[j + 1]:
+            break
+        # the ReLU keeps the nodes with s = 1, and layer j + 1 applies its
+        # affine map to them
+        w_hat, b_hat = (
+            net.weights[j + 1] @ (s[:, :, None] * w_hat),
+            (net.weights[j + 1] @ (s * b_hat)[:, :, None])[:, :, 0] + net.biases[j + 1],
+        )
     return (A, c), (w_hat, b_hat)
-
-
-def _compose(net, j, s, w_hat, b_hat):
-    """Layer j + 1's maps on a stack of regions from hidden layer j's maps
-    and 0/1 masks s (one row per region).
-
-    Hidden layer j's pre-activations are w_hat x + b_hat (in the first
-    layer, the same for all); the ReLU keeps the nodes with s = 1, and
-    layer j + 1 applies its affine map to them.  The stacked products
-    round as one region's would.
-    """
-    return (
-        net.weights[j + 1] @ (s[:, :, None] * w_hat),
-        (net.weights[j + 1] @ (s * b_hat)[:, :, None])[:, :, 0] + net.biases[j + 1],
-    )
 
 
 def _duplicate_rows(A, c):

@@ -112,6 +112,19 @@ class TestBrute:
         assert len(calls) < 2 ** net.h
         assert len(calls) < visited
 
+    @pytest.mark.parametrize("boxed", [False, True])
+    def test_no_hidden_units_is_one_region(self, boxed):
+        # h = 0: the empty pattern is the one region, as traversal finds it
+        net = network.NetworkSpec(
+            (np.zeros((0, 2)), np.zeros((1, 0))), (np.zeros(0), np.zeros(1)), 2)
+        box = enumeration.BoxRegion(np.full(2, -3.0), np.full(2, 3.0)) if boxed else None
+        brute = enumeration.enumerate_brute(net, box=box)
+        trav = enumeration.enumerate_traverse(net, np.zeros(2), box=box)
+        assert [b.to01() for b in brute.regions] == [""] and not brute.edges
+        assert [region_bytes(r) for r in brute.regions.values()] == [
+            region_bytes(r) for r in trav.regions.values()]
+        assert brute.boundary_flags == trav.boundary_flags == {network.BitVector(0, 0): boxed}
+
     def test_region_witnesses_are_interior(self):
         net = random_net(3, [5], 9)
         atlas = enumeration.enumerate_brute(net)

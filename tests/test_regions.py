@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -10,6 +12,7 @@ from reluhom.errors import (
     DegenerateSystemError,
     InfeasibleSystemError,
 )
+from conftest import random_net
 from oracles import (
     bit,
     duplicate_rows_loop,
@@ -199,6 +202,26 @@ class TestAssemble:
                 assert np.any(A @ y > c - 1e-9)
                 seen_other += 1
         assert seen_other > 0
+
+    @pytest.mark.parametrize("m,sizes,seed,want", [
+        (2, [6, 6, 6], 3, "11b0ba6ee5daf594f4e289b277de71391643de09d16b37593824cf481e89d903"),
+        (3, [0, 2], 0, "d347dc373a19c90e39ef448c22ca561c03b52c64ef15bf14e24437a7c1e68419"),
+        (2, [5, 1, 5], 5, "b4090bdbffb1d62d467a247af3f69163292957b03dafae1ecd06da8df6f7553f"),
+    ])
+    def test_prefix_rows_are_the_whole_patterns_first_rows(self, m, sizes, seed, want):
+        # k bits of a pattern give rows 0..k-1 of its whole system, bit for
+        # bit, at every k; the whole systems and maps of the 40 patterns are
+        # pinned as recorded when `_hat_maps` built whole patterns only
+        net = random_net(m, sizes, seed)
+        values = [int(v) for v in np.random.default_rng(0).integers(0, 1 << net.h, 40)]
+        (A, c), (M, v) = regions._hat_maps(net, network.PackedBits.of_values(values, net.h))
+        assert hashlib.sha256(b"".join(a.tobytes() for a in (A, c, M, v))).hexdigest() == want
+        for k in range(net.h + 1):
+            prefixes = network.PackedBits.of_values([x & ((1 << k) - 1) for x in values], k)
+            (A_k, c_k), maps = regions._hat_maps(net, prefixes)
+            assert A_k.tobytes() == A[:, :k].tobytes()
+            assert c_k.tobytes() == c[:, :k].tobytes()
+        assert [a.tobytes() for a in maps] == [M.tobytes(), v.tobytes()]
 
 
 class TestAffineMap:
