@@ -126,19 +126,18 @@ def enumerate_brute(net, box=None, h_max=H_MAX_BRUTE,
     Chebyshev test each region passes in regions_from_bits) has no
     full-dimensional extension, so it is dropped with all of them.
 
-    A round extends every live node by the next J bits of one hidden
-    layer, its 2^J candidates each, J as large as keeps the round's
-    candidates within one stack of Chebyshev LPs (`lp.chebyshev_width`,
-    so the block budget sizes the rounds), and at least 1.  A round never
-    crosses a layer boundary and stops at depth h - 1.  A candidate whose
-    new rows leave its parent's z more than tau_dim inside needs no LP: it
-    keeps z, with the smallest of the radii.  Each round is held as
-    stacked arrays, which replace the previous round's, and its Chebyshev
-    LPs run as one stream.  So a round tests at most 2 candidates per
-    region or `prefix_stack` of them, and there are at most h rounds, the
-    patterns reached at depth h included, which go through
-    regions_from_bits as one batch.  h is limited only by h_max, which is
-    checked before any LP.
+    A round extends every live node by its next J bits, its 2^J candidates
+    each, J as large as keeps the round's candidates within one stack of
+    Chebyshev LPs (`lp.chebyshev_width`, so the block budget alone sizes
+    the rounds, across layer boundaries), and at least 1.  A round stops
+    at depth h - 1.  A candidate whose new rows leave its parent's z more
+    than tau_dim inside needs no LP: it keeps z, with the smallest of the
+    radii.  Each round's systems are stacked arrays, built once the
+    previous round's are freed, and its Chebyshev LPs run as one stream.
+    So a round tests at most 2 candidates per region or `prefix_stack` of
+    them, and there are at most h rounds, the patterns reached at depth h
+    included, which go through regions_from_bits as one batch.  h is
+    limited only by h_max, which is checked before any LP.
     """
     if net.h > h_max:
         raise ResourceCapError(
@@ -154,43 +153,42 @@ def enumerate_brute(net, box=None, h_max=H_MAX_BRUTE,
 
 def _leaves(net, extra, tau_dim):
     """The patterns `enumerate_brute`'s prefix search reaches at depth h,
-    sorted: the empty pattern alone at h = 0.  The search's systems are
-    freed when it returns, before the leaves' regions are made."""
+    sorted: the empty pattern alone at h = 0.  Each round's systems are
+    freed before the next round's are built, and the last round's when
+    the search returns, before the leaves' regions are made."""
     h, n = net.h, net.input_dim
     if h == 0:
         return [0]
-    offsets = net.bit_offsets()
-    # the nodes of depth k: bits 0..k-1, interior points z and radius lower
-    # bounds r at z (-inf: unknown), and their systems, box rows first
+    # the nodes of depth k, J of whose bits are new: bits 0..k-1, interior
+    # points z and radius lower bounds r at z (-inf: unknown)
     values, z, r = [0], np.zeros((1, n)), np.full(1, -np.inf)
-    A, c = extra[0][None], extra[1][None]
-    k = 0
+    k = J = 0
     while True:
+        # rows 0..k-1 of each node's system, then the box rows; the new rows
+        # are k-J..k-1, none at the root.  (1, n) @ (n, 1) rounds as the dot
+        # products row @ z and row @ row
+        A, c = _hat_maps(net, PackedBits.of_values(values, k), extra)[0]
+        row, rhs = A[:, k - J:k], c[:, k - J:k]
+        norm = np.sqrt((row[:, :, None, :] @ row[..., None])[..., 0, 0])
+        gap = np.divide(rhs - (row[:, :, None, :] @ z[:, None, :, None])[..., 0, 0], norm,
+                        out=np.full(rhs.shape, -np.inf), where=norm > 0)
+        r = np.minimum(r, gap.min(axis=1, initial=np.inf))
         need = np.flatnonzero(r <= tau_dim)
         z[need], r[need] = _inscribed_balls(A, c, need, tau_dim)
         live = np.flatnonzero(r > tau_dim)
         values = [values[i] for i in live.tolist()]
         if k == h - 1:
             return sorted(values + [value | 1 << k for value in values])
-        # the round adds bits k..k+J-1 of one layer, as many as keep its
-        # candidates within one stack of Chebyshev LPs, at least one
-        stop, J = min(next(o for o in offsets if o > k), h - 1), 1
-        while k + J < stop and len(values) << J + 1 <= lp.chebyshev_width(A.shape[1] + J + 1, n):
+        # the round adds bits k..k+J-1, as many as keep its candidates
+        # within one stack of Chebyshev LPs, at least one
+        J = 1
+        while k + J < h - 1 and len(values) << J + 1 <= lp.chebyshev_width(A.shape[1] + J + 1, n):
             J += 1
         # candidate t of each node sets bit k + i to bit i of t
         values = [value | t << k for t in range(1 << J) for value in values]
         z, r = (np.concatenate([x[live]] * (1 << J)) for x in (z, r))
         k += J
-        A, c = _hat_maps(net, PackedBits.of_values(values, k))[0]
-        A = np.concatenate([np.broadcast_to(extra[0], (len(A),) + extra[0].shape), A], axis=1)
-        c = np.concatenate([np.broadcast_to(extra[1], (len(c),) + extra[1].shape), c], axis=1)
-        # the new rows are the last J; (1, n) @ (n, 1) rounds as the dot
-        # products row @ z and row @ row
-        row, rhs = A[:, -J:], c[:, -J:]
-        norm = np.sqrt((row[:, :, None, :] @ row[..., None])[..., 0, 0])
-        gap = np.divide(rhs - (row[:, :, None, :] @ z[:, None, :, None])[..., 0, 0], norm,
-                        out=np.full(rhs.shape, -np.inf), where=norm > 0)
-        r = np.minimum(r, gap.min(axis=1))
+        del A, c, row, rhs      # before the next round's systems are built
 
 
 def _draw_seed(net, seed, box, rng, attempts=100):

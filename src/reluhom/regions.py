@@ -60,7 +60,7 @@ class Region:
         )
 
 
-def _hat_maps(net, patterns):
+def _hat_maps(net, patterns, extra=None):
     """The stacked systems (A, c) of patterns of k <= h bits (a PackedBits
     or a sequence of BitVectors) and their maps (M, v), in one pass: every
     system, a whole pattern's or a brute-force prefix's, is built here.
@@ -69,23 +69,27 @@ def _hat_maps(net, patterns):
     composed through the 0/1 masks of the layers before it once the prefix
     holds bits past them, and bit i sets the sign of row i.  So k bits give
     the first k rows of every whole pattern they begin, bit for bit, and
-    the stacked products round as one region's would.  Whole patterns get
-    the output layer composed the same way, M x + v; a shorter prefix gets
-    the pre-activation map of the layer its last bit is in.
+    the stacked products round as one region's would.  Extra rows (B, d),
+    e.g. box bounds, follow them in every system as rows k, k+1, ...; each
+    system is allocated once and filled in place.  Whole patterns get the
+    output layer composed the same way, M x + v; a shorter prefix gets the
+    pre-activation map of the layer its last bit is in.
     """
     offsets = net.bit_offsets()
     patterns = PackedBits.of(patterns)
     k = patterns.h
     bit_arr = patterns.unpack()
-    A = np.empty((len(patterns), k, net.input_dim))
-    c = np.empty((len(patterns), k))
+    B, d = (np.empty((0, net.input_dim)), np.empty(0)) if extra is None else extra
+    A = np.empty((len(patterns), k + len(d), net.input_dim))
+    c = np.empty((len(patterns), k + len(d)))
+    A[:, k:], c[:, k:] = B, d
     w_hat, b_hat = net.weights[0], net.biases[0]
     for j in range(net.n_hidden_layers):
         lo, hi = offsets[j], min(offsets[j + 1], k)
         s = bit_arr[:, lo:hi]
         sign = 1.0 - 2.0 * s  # bit 1 -> -1
-        A[:, lo:hi] = sign[:, :, None] * w_hat[..., :hi - lo, :]
-        c[:, lo:hi] = sign * (-b_hat[..., :hi - lo])
+        np.multiply(sign[:, :, None], w_hat[..., :hi - lo, :], out=A[:, lo:hi])
+        np.multiply(sign, -b_hat[..., :hi - lo], out=c[:, lo:hi])
         if k < net.h and k <= offsets[j + 1]:
             break
         # the ReLU keeps the nodes with s = 1, and layer j + 1 applies its
@@ -281,14 +285,11 @@ def _blocks(net, patterns, extra_A, extra_c, tau_lp, tau_dim):
     patterns = PackedBits.of(patterns)
     if len(patterns) and patterns.h != net.h:
         raise DimensionMismatch(f"bit vector length {patterns.h} != h = {net.h}")
-    if extra_A is None:
-        extra_A, extra_c = np.empty((0, net.input_dim)), np.empty(0)
-    rows = net.h + len(extra_c)
+    extra = None if extra_A is None else (extra_A, extra_c)
+    rows = net.h + (0 if extra is None else len(extra_c))
     for blk in _kernels.blocks(len(patterns), _system_bytes(rows, net.input_dim)):
         packed = patterns.packed[blk]
-        (A, c), (M, v) = _hat_maps(net, PackedBits(packed, net.h))
-        A = np.concatenate([A, np.broadcast_to(extra_A, (len(A),) + extra_A.shape)], axis=1)
-        c = np.concatenate([c, np.broadcast_to(extra_c, (len(c), len(extra_c)))], axis=1)
+        (A, c), (M, v) = _hat_maps(net, PackedBits(packed, net.h), extra)
         keep, centers, radii = _essentialize(A, c, tau_lp, tau_dim)
         ok = radii > tau_dim        # the full-dimensional systems; the others keep no row
         system, active = np.nonzero(keep)

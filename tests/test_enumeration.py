@@ -403,9 +403,9 @@ def test_m4_atlas_floats_are_pinned(name, want):
 @pytest.mark.parametrize("m,sizes,seed", [(3, [5, 5], 7), (4, [6, 6], 7), (2, [6, 6, 6], 3)])
 def test_brute_force_finds_one_atlas_at_every_budget(monkeypatch, m, sizes, seed, boxed):
     # the budget sizes the prefix rounds: one bit a round at 4 KiB past
-    # the first, a few at the default and a layer at a time at 1 GiB.  The
-    # live prefixes are exact, so every Region byte, edge and boundary
-    # flag is the same
+    # the first, a few at the default and many at 1 GiB, across layer
+    # boundaries.  The live prefixes are exact, so every Region byte, edge
+    # and boundary flag is the same
     net = random_net(m, sizes, seed)
     box = enumeration.BoxRegion(np.full(m, -3.0), np.full(m, 3.0)) if boxed else None
     atlases = []
@@ -422,7 +422,7 @@ def test_brute_force_finds_one_atlas_at_every_budget(monkeypatch, m, sizes, seed
         assert atlas.boundary_flags == want.boundary_flags
 
 
-@pytest.mark.parametrize("budget,rounds", [(4096, 8), (None, 5), (1 << 30, 3)])
+@pytest.mark.parametrize("budget,rounds", [(4096, 8), (None, 4), (1 << 30, 2)])
 def test_prefix_rounds_follow_the_block_budget(monkeypatch, budget, rounds):
     # the Chebyshev rounds before the leaves on the 3-5-5 net, the root's
     # included: 10 when every round added one bit
@@ -521,7 +521,7 @@ def test_brute_force_splits_no_level(monkeypatch):
     net = random_net(3, [5, 5], 7)
     want = atlas_fingerprint(enumeration.enumerate_brute(net))
     counts = []
-    for budget, pin in [(4096, 1267), (_kernels.BLOCK_BYTES, 1276), (1 << 30, 1410)]:
+    for budget, pin in [(4096, 1267), (_kernels.BLOCK_BYTES, 1293), (1 << 30, 1499)]:
         monkeypatch.setattr(_kernels, "BLOCK_BYTES", budget)
         streams, stacks = stack_widths("brute")
         assert max(stacks) <= budget
@@ -573,7 +573,8 @@ def test_brute_force_stacks_are_wide():
 @pytest.mark.parametrize("name", ["traverse", "brute"])
 def test_peak_memory_is_the_atlas(name):
     # the batches' temporaries are cut into blocks and each brute-force
-    # depth replaces the one before, so the atlas itself dominates the peak
+    # round's systems are freed before the next round's are built, so the
+    # atlas itself dominates the peak
     net = random_net(3, [8, 8], 7)
     tracemalloc.start()
     try:
@@ -583,7 +584,7 @@ def test_peak_memory_is_the_atlas(name):
     finally:
         tracemalloc.stop()
     assert len(atlas.regions) == 583
-    assert peak <= 1.5 * held
+    assert peak <= 1.3 * held
 
 
 @pytest.mark.parametrize("name", ["traverse", "brute"])
@@ -622,15 +623,15 @@ def test_traversal_finds_every_region_above_the_default_tau_lp():
 @pytest.mark.parametrize("box", [None, BOX3])
 @pytest.mark.parametrize("tau_lp", [0.1, 0.5])
 def test_traversal_is_brute_force_restricted_to_what_it_reaches(tau_lp, box):
-    # above the default tau_lp, what traversal finds is brute force's: the
-    # same Regions byte for byte and brute force's edges among them (it
-    # walks at lp.TAU_LP and finds them all; a walk at tau_lp itself finds
-    # only 881 and 876 of 897, 541 and 526 of 559 in the box)
+    # above the default tau_lp, what traversal reaches is all of brute
+    # force's atlas: the same regions, Regions byte for byte and edges (it
+    # walks at lp.TAU_LP; a walk at tau_lp itself finds only 881 and 876 of
+    # 897, 541 and 526 of 559 in the box)
     net = ci_net()
     brute = enumeration.enumerate_brute(net, box=box, tau_lp=tau_lp)
     trav = traverse_as_cli(net, box=box, tau_lp=tau_lp)
     assert len(brute.regions) == (559 if box else 897)
-    assert trav.regions.keys() <= brute.regions.keys()
+    assert trav.regions.keys() == brute.regions.keys()
     for bits, region in trav.regions.items():
         assert region_bytes(region) == region_bytes(brute.regions[bits])
-    assert trav.edges == {edge for edge in brute.edges if edge <= trav.regions.keys()}
+    assert trav.edges == brute.edges

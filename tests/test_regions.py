@@ -210,18 +210,27 @@ class TestAssemble:
     ])
     def test_prefix_rows_are_the_whole_patterns_first_rows(self, m, sizes, seed, want):
         # k bits of a pattern give rows 0..k-1 of its whole system, bit for
-        # bit, at every k; the whole systems and maps of the 40 patterns are
-        # pinned as recorded when `_hat_maps` built whole patterns only
+        # bit, at every k, and then the box rows, if any; the whole systems
+        # and maps of the 40 patterns are pinned as recorded when
+        # `_hat_maps` built whole patterns only, and with the box they are
+        # `full_system`'s
         net = random_net(m, sizes, seed)
         values = [int(v) for v in np.random.default_rng(0).integers(0, 1 << net.h, 40)]
         (A, c), (M, v) = regions._hat_maps(net, network.PackedBits.of_values(values, net.h))
         assert hashlib.sha256(b"".join(a.tobytes() for a in (A, c, M, v))).hexdigest() == want
-        for k in range(net.h + 1):
-            prefixes = network.PackedBits.of_values([x & ((1 << k) - 1) for x in values], k)
-            (A_k, c_k), maps = regions._hat_maps(net, prefixes)
-            assert A_k.tobytes() == A[:, :k].tobytes()
-            assert c_k.tobytes() == c[:, :k].tobytes()
-        assert [a.tobytes() for a in maps] == [M.tobytes(), v.tobytes()]
+        for box in (None, enumeration.BoxRegion(np.full(m, -3.0), np.full(m, 3.0)).rows()):
+            B, d = box or (np.empty((0, m)), np.empty(0))
+            for k in range(net.h + 1):
+                prefixes = network.PackedBits.of_values([x & ((1 << k) - 1) for x in values], k)
+                (A_k, c_k), maps = regions._hat_maps(net, prefixes, box)
+                assert A_k.tobytes() == np.concatenate(
+                    [A[:, :k], np.broadcast_to(B, (len(A),) + B.shape)], axis=1).tobytes()
+                assert c_k.tobytes() == np.concatenate(
+                    [c[:, :k], np.broadcast_to(d, (len(c),) + d.shape)], axis=1).tobytes()
+            assert [a.tobytes() for a in maps] == [M.tobytes(), v.tobytes()]
+            for bits, A_s, c_s in zip(prefixes, A_k, c_k):
+                A_f, c_f = full_system(net, bits, *(box or ()))
+                assert (A_s.tobytes(), c_s.tobytes()) == (A_f.tobytes(), c_f.tobytes())
 
 
 class TestAffineMap:
@@ -388,9 +397,9 @@ class TestRegionOf:
         calls = []
         hat_maps = regions._hat_maps
 
-        def counting(net, patterns):
+        def counting(net, patterns, extra=None):
             calls.extend(patterns)
-            return hat_maps(net, patterns)
+            return hat_maps(net, patterns, extra)
 
         monkeypatch.setattr(regions, "_hat_maps", counting)
         bits = network.bit_vector(net_2331, np.random.default_rng(21).standard_normal(2))
