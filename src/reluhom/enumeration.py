@@ -2,18 +2,20 @@
 
 Two routes produce identical atlases: brute force, a search over bit
 prefixes in rounds that drops every prefix without a full-dimensional
-interior, and traversal from a seed region through active-bit flips, a
-wave of regions at a time; a round or a wave is one batch of LPs.  A
-prefix node is its bits, an interior point and a bound on its radius; a
-round takes its systems from `regions._hat_maps`, which builds whole
-patterns' systems too.  In bounded mode the box rows are appended to
-every system; whether a region hits the box wall is kept as metadata,
-never inside the Hamming bits.
+interior, and traversal from a seed region through active-bit flips in
+stages, each one stream of LPs: a stage's Chebyshev LPs test the flips
+known so far beside the redundancy LPs of the patterns the stage before
+centred (`regions._stage`).  A prefix node is its bits, an interior
+point and a bound on its radius; a round takes its systems from
+`regions._hat_maps`, which builds whole patterns' systems too.  In
+bounded mode the box rows are appended to every system; whether a
+region hits the box wall is kept as metadata, never inside the Hamming
+bits.
 Inside both routes a pattern is the int of its bits (`BitVector.value`)
 and a batch is one `PackedBits`; `regions_from_bits` returns only the
 full-dimensional patterns' Regions, and makes a `BitVector` only for a
-region's atlas key.  Traversal's seed region is built alone, by
-`region_from_bits`, whose error names the seed pattern's bits.
+region's atlas key.  A seed pattern that is not full-dimensional is
+built alone, by `region_from_bits`, whose error names its bits.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +30,9 @@ from .errors import (
     ResourceCapError,
 )
 from .network import TAU_BIT, PackedBits, _check_input, bit_vector, on_boundary
-from .regions import _hat_maps, _inscribed_balls, region_from_bits, regions_from_bits
+from .regions import (
+    _centred, _hat_maps, _inscribed_balls, _stage, region_from_bits, regions_from_bits,
+)
 
 H_MAX_BRUTE = 24
 
@@ -104,7 +108,7 @@ def _finalize(net, atlas):
         for k in region.active_bits:
             v = u ^ (1 << k)
             if k < h and v in keys:
-                pairs.add((min(u, v), max(u, v)))
+                pairs.add((u, v) if u < v else (v, u))
     atlas.edges.update(frozenset((keys[u], keys[v])) for u, v in pairs)
     return atlas
 
@@ -212,11 +216,17 @@ def enumerate_traverse(net, seed, box=None, rng=None,
                        tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
     """Grow the atlas from the seed's region through active-bit flips.
 
-    FIFO frontier: each region is expanded exactly once, and each flip of
-    one of its active bits not yet in the atlas is tested as a new region.
-    The frontier goes in waves: the untested flips of a wave's regions are
-    tested as one batch, whose regions form the next wave.  A seed region
-    that is not full-dimensional raises `region_from_bits`'s error.
+    Each flip of a region's active bits is tested once, as a new region.
+    The walk goes in stages (`regions._stage`), each one stream of LPs:
+    the Chebyshev LPs of every untested flip known so far beside the
+    redundancy LPs of the patterns the stage before centred.  A pattern's
+    facets that a ray certifies are known once it is centred, so their
+    flips go into the next stage with its redundancy LPs; the flips of
+    the facets only its redundancy LPs keep go into the stage after.  A
+    seed region that is not full-dimensional raises `region_from_bits`'s
+    error.  The atlas lists the regions in the FIFO order of a
+    breadth-first walk from the seed's region, which tests the untested
+    flips of one region's active bits at a time.
 
     The walk runs at tau_lp no larger than lp.TAU_LP.  Above it a facet
     can be dropped as near-redundant, and its flip would never be tried,
@@ -229,27 +239,54 @@ def enumerate_traverse(net, seed, box=None, rng=None,
         rng = np.random.default_rng(0)
     extra = _box_rows(net, box)
     x0 = _draw_seed(net, seed, box, rng)
-    atlas = DecompositionAtlas()
-
-    h = net.h
     walk = min(tau_lp, lp.TAU_LP)
-    wave = [region_from_bits(net, bit_vector(net, x0), *extra, tau_lp=walk, tau_dim=tau_dim)]
-    seen = set()                    # the values of the atlas's patterns
-    while wave:
-        atlas.regions.update((region.bits, region) for region in wave)
-        seen.update(region.bits.value for region in wave)
-        # each flip not in the atlas once, in the order the FIFO meets it
-        flips = dict.fromkeys(
-            flip
-            for region in wave
-            for flip in (region.bits.value ^ (1 << k) for k in region.active_bits if k < h)
-            if flip not in seen
-        )
-        wave = _found(net, list(flips), extra, walk, tau_dim)
+    found = _walk(net, x0, extra, walk, tau_dim)
     if walk < tau_lp:
-        found = _found(net, [bits.value for bits in atlas.regions], extra, tau_lp, tau_dim)
-        atlas.regions = {region.bits: region for region in found}
+        found = _found(net, [region.bits.value for region in found], extra, tau_lp, tau_dim)
+    atlas = DecompositionAtlas()
+    atlas.regions.update((region.bits, region) for region in found)
     return _finalize(net, atlas)
+
+
+def _walk(net, x0, extra, tau_lp, tau_dim):
+    """The Regions `enumerate_traverse` reaches from the region of the
+    generic point x0, in breadth-first order.  Its sets of patterns are
+    freed when it returns, before the atlas's edges are made."""
+    h = net.h
+    first = bit_vector(net, x0)
+    # a facet that a ray from x0 certifies is a facet at the seed's Chebyshev
+    # center too, so its flip is tested beside the seed's Chebyshev LP
+    (A, c), _ = _hat_maps(net, PackedBits.of([first]), extra)
+    _, ray = np.nonzero(_centred(A, c, x0[None], tau_lp).ray[:, :h])
+    flips = [first.value] + [first.value ^ 1 << k for k in ray.tolist()]
+    tested, found = set(flips), {}         # the values of the patterns tested
+    settled, waiting = _stage(net, PackedBits.of_values(flips, h), extra, None, tau_lp, tau_dim)
+    if waiting.bits[:1] != [first]:
+        # the seed's region alone raises the error that names its bits
+        region_from_bits(net, first, *extra, tau_lp=tau_lp, tau_dim=tau_dim)
+    while True:
+        # the facets a ray certifies of the patterns just centred, and those
+        # of the regions just settled; each untested flip once
+        system, ray = np.nonzero(waiting.centred.ray[:, :h])
+        values = [bits.value for bits in waiting.bits]
+        flips = dict.fromkeys(values[s] ^ 1 << k for s, k in zip(system.tolist(), ray.tolist()))
+        flips.update(dict.fromkeys(region.bits.value ^ 1 << k for region in settled
+                                   for k in region.active_bits if k < h))
+        flips = [flip for flip in flips if flip not in tested]
+        if not flips and not len(waiting.bits):
+            break
+        tested.update(flips)
+        settled, waiting = _stage(net, PackedBits.of_values(flips, h), extra, waiting,
+                                  tau_lp, tau_dim)
+        found.update((region.bits.value, region) for region in settled)
+    # the FIFO order: each region's flips not yet placed, in the order of
+    # its active bits, after those of the regions before it
+    order = [found.pop(first.value)]
+    for region in order:
+        u = region.bits.value
+        order.extend(found.pop(u ^ 1 << k) for k in region.active_bits
+                     if k < h and u ^ 1 << k in found)
+    return order
 
 
 def dual_graph(atlas):
@@ -258,17 +295,17 @@ def dual_graph(atlas):
     The coloring is certified: a monochromatic edge means the adjacency
     relation is broken, and is raised as an internal consistency failure.
     """
-    name = {bits: bits.to01() for bits in atlas.regions}
-    vertices = sorted(atlas.regions, key=name.get)
+    name = {bits.value: bits.to01() for bits in atlas.regions}
+    vertices = sorted(atlas.regions, key=lambda bits: name[bits.value])
     coloring = {bits: bits.popcount() % 2 for bits in vertices}
     ends = []
     for u, v in atlas.edges:
-        nu, nv = name[u], name[v]
+        nu, nv = name[u.value], name[v.value]
         ends.append((nu, nv, u, v) if nu < nv else (nv, nu, v, u))
     ends.sort()                 # names are distinct: no BitVector is compared
     edges = [(u, v) for _, _, u, v in ends]
     for u, v in edges:
-        if coloring[u] == coloring[v]:
+        if (u.value ^ v.value).bit_count() % 2 == 0:      # the same color
             raise AssertionError(
                 f"monochromatic dual edge {u.to01()} -- {v.to01()}: "
                 "adjacency is inconsistent"

@@ -24,6 +24,15 @@ built a chunk at a time.  So a stream takes about as many pivot steps as
 its LPs' pivots fill, not the slowest LP of every block, and no more than
 one block of tableaus exists.
 
+A batch of LPs is an `LPs` (`chebyshev_lps`, `redundancy_lps`), which
+`chebyshev_centers` and `redundant_rows` run alone.  `stream` runs
+several batches as one stream in the shape of the largest: a redundancy
+LP of m rows in n unknowns goes into a Chebyshev-shaped (m + 2) x (2 n +
+3) slot as the same LP plus one zero unknown and one inert row, and
+pivots bit for bit as alone.  A stream pays a fixed cost per pivot step
+whatever its width, so one stream of both kinds takes fewer steps than
+one of each.
+
 The tableaus are condensed (Chvatal, "Linear Programming", 1983, ch. 2-3):
 an LP of m rows in n unknowns keeps its 2 n nonbasic columns and its
 right-hand side, (m + 1) x (2 n + 1) entries against (m + 1) x (2 n + m +
@@ -46,6 +55,8 @@ keeps the row.  `redundant_rows` also returns each LP's optimum, from which
 `regions._essentialize` settles a whole batch of rows by the sequential
 rule.
 """
+
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -229,12 +240,54 @@ def _solve_leq(gather, count, m, n):
     return unbounded, x
 
 
-def redundant_rows(A, b, rest, rows, tol=TAU_LP, systems=None):
-    """Whether row rows[p] of system s = systems[p] (s = p by default),
-    A[s] y <= b[s], is redundant against the other rows rest[s] marks (b
-    >= 0 there), and the point where each LP ends (its optimum when
-    bounded); the rows left out are inert.  The LPs run as one stream,
-    which gathers their systems one stack at a time."""
+class LPs(NamedTuple):
+    """A batch of count LPs "maximize obj.x subject to A x <= b" (b >= 0)
+    of m rows in n unknowns: gather(idx) returns obj, A and b of the LPs
+    idx, and answer(unbounded, x) turns where they end into the batch's
+    result."""
+
+    count: int
+    m: int
+    n: int
+    gather: Callable
+    answer: Callable
+
+
+def stream(*batches):
+    """Each batch's result, in order, from one stream of all their LPs.
+
+    The stream takes the largest shape of the batches, and an LP of fewer
+    rows or unknowns goes into its slot padded with inert zero rows after
+    its own rows and zero unknowns after its own: a zero unknown has zero
+    cost and a zero column, so it never improves and stays 0, an inert
+    row never enters a ratio test, and the labels of the LP's own
+    variables keep their order.  So Bland's rule pivots it bit for bit as
+    alone, and its optimum is the same point.
+    """
+    live = [lps for lps in batches if lps.count] or batches[:1]
+    m, n = max(lps.m for lps in live), max(lps.n for lps in live)
+    ends = np.cumsum([lps.count for lps in batches]).tolist()
+    parts = list(zip(batches, [0] + ends[:-1], ends))
+
+    def padded(idx):
+        # idx ascends, as `_simplex` fills, so each batch's LPs are one run of it
+        obj, A, b = np.zeros((idx.size, n)), np.zeros((idx.size, m, n)), np.zeros((idx.size, m))
+        cuts = np.searchsorted(idx, ends).tolist()
+        for (lps, lo, _), i, j in zip(parts, [0] + cuts[:-1], cuts):
+            if j > i:
+                obj[i:j, :lps.n], A[i:j, :lps.m, :lps.n], b[i:j, :lps.m] = lps.gather(idx[i:j] - lo)
+        return obj, A, b
+
+    if ends[-1]:
+        unbounded, x = _solve_leq(live[0].gather if len(live) == 1 else padded, ends[-1], m, n)
+    else:                       # no LPs, no stream
+        unbounded, x = np.zeros(0, dtype=bool), np.zeros((0, n))
+    return [lps.answer(unbounded[lo:hi], x[lo:hi, :lps.n] if hi > lo else np.zeros((0, lps.n)))
+            for lps, lo, hi in parts]
+
+
+def redundancy_lps(A, b, rest, rows, tol=TAU_LP, systems=None):
+    """The batch of LPs `redundant_rows` runs, one per row."""
     systems = np.arange(len(rows)) if systems is None else systems
     obj = A[systems, rows]
 
@@ -244,10 +297,53 @@ def redundant_rows(A, b, rest, rows, tol=TAU_LP, systems=None):
         keep[np.arange(idx.size), rows[idx]] = False
         return obj[idx], np.where(keep[:, :, None], A[s], 0.0), np.where(keep, b[s], 0.0)
 
-    unbounded, x = _solve_leq(gather, len(rows), *A.shape[1:])
-    # (1, n) @ (n, 1) rounds as the dot product obj @ x does
-    value = (obj[:, None, :] @ x[:, :, None])[:, 0, 0]
-    return ~unbounded & (value <= b[systems, rows] + tol), x
+    def answer(unbounded, x):
+        # (1, n) @ (n, 1) rounds as the dot product obj @ x does
+        value = (obj[:, None, :] @ x[:, :, None])[:, 0, 0]
+        return ~unbounded & (value <= b[systems, rows] + tol), x
+
+    return LPs(len(rows), *A.shape[1:], gather, answer)
+
+
+def redundant_rows(A, b, rest, rows, tol=TAU_LP, systems=None):
+    """Whether row rows[p] of system s = systems[p] (s = p by default),
+    A[s] y <= b[s], is redundant against the other rows rest[s] marks (b
+    >= 0 there), and the point where each LP ends (its optimum when
+    bounded); the rows left out are inert.  The LPs run as one stream,
+    which gathers their systems one stack at a time."""
+    return stream(redundancy_lps(A, b, rest, rows, tol, systems))[0]
+
+
+def chebyshev_lps(A, c, r_cap, systems=None):
+    """The batch of LPs `chebyshev_centers` runs, one per system that has
+    no zero row 0 <= c_i < -TAU_LP."""
+    systems = np.arange(len(A)) if systems is None else systems
+    m, n = A.shape[1:]
+    norm = np.linalg.norm(A, axis=2)
+    ok = np.flatnonzero(~((norm == 0) & (c < -TAU_LP)).any(axis=1)[systems])
+    r0 = np.empty(ok.size)
+    obj = np.eye(n + 1)[n]                            # maximize r
+
+    def gather(idx):
+        s = systems[ok[idx]]
+        cs, norms = c[s], norm[s]
+        quot = np.divide(cs, norms, out=np.full(cs.shape, np.inf), where=norms != 0)
+        r0[idx] = np.minimum(float(r_cap), np.min(quot, axis=1, initial=np.inf))
+        rows = np.zeros((idx.size, m + 1, n + 1))
+        rows[:, :m, :n] = A[s]
+        rows[:, :m, n] = norms
+        rows[:, m, n] = 1.0                           # r <= r_cap
+        rhs = np.empty((idx.size, m + 1))
+        np.subtract(cs, norms * r0[idx, None], out=rhs[:, :m])
+        rhs[:, m] = float(r_cap) - r0[idx]
+        return obj, rows, np.maximum(rhs, 0.0, out=rhs)
+
+    def answer(unbounded, x):
+        centers, radii = np.zeros((len(systems), n)), np.full(len(systems), -np.inf)
+        centers[ok], radii[ok] = x[:, :n], r0 + x[:, n]
+        return centers, radii
+
+    return LPs(ok.size, m + 1, n + 1, gather, answer)
 
 
 def chebyshev_centers(A, c, r_cap, systems=None):
@@ -262,26 +358,4 @@ def chebyshev_centers(A, c, r_cap, systems=None):
     whose right-hand sides are all non-negative; zero rows are inert.  The
     LPs run as one stream, which gathers their systems one stack at a time.
     """
-    systems = np.arange(len(A)) if systems is None else systems
-    m, n = A.shape[1:]
-    empty = ((np.linalg.norm(A, axis=2) == 0) & (c < -TAU_LP)).any(axis=1)
-    ok = np.flatnonzero(~empty[systems])
-    r0 = np.empty(ok.size)
-
-    def gather(idx):
-        s = systems[ok[idx]]
-        As, cs = A[s], c[s]
-        norms = np.linalg.norm(As, axis=2)
-        quot = np.divide(cs, norms, out=np.full(cs.shape, np.inf), where=norms != 0)
-        r0[idx] = np.minimum(float(r_cap), np.min(quot, axis=1, initial=np.inf))
-        rows = np.zeros((idx.size, m + 1, n + 1))
-        rows[:, :m, :n] = As
-        rows[:, :m, n] = norms
-        rows[:, m, n] = 1.0                           # r <= r_cap
-        rhs = np.append(cs - norms * r0[idx, None], (float(r_cap) - r0[idx])[:, None], axis=1)
-        return np.eye(n + 1)[n], rows, np.maximum(rhs, 0.0)
-
-    _, x = _solve_leq(gather, ok.size, m + 1, n + 1)
-    centers, radii = np.zeros((len(systems), n)), np.full(len(systems), -np.inf)
-    centers[ok], radii[ok] = x[:, :n], r0 + x[:, n]
-    return centers, radii
+    return stream(chebyshev_lps(A, c, r_cap, systems))[0]

@@ -163,10 +163,6 @@ class NetworkSpec:
     def h(self):
         return sum(self.hidden_sizes)
 
-    @property
-    def output_dim(self):
-        return self.weights[-1].shape[0]
-
     def bit_offsets(self):
         """Start index of each hidden layer's block in the packed bit vector."""
         offsets = [0]

@@ -8,13 +8,18 @@ A Region keeps only that subsystem, its affine map and an interior
 witness.  Patterns are worked on as stacks of same-shape systems
 (`regions_from_bits`, which returns the full-dimensional ones' Regions),
 each step once per stack; `region_from_bits` builds one region as a
-stack of one, for `region_of` and traversal's seed, and raises the error
-`_ball_error` builds for a pattern that is not full-dimensional.
+stack of one, for `region_of` and a traversal seed that is not
+full-dimensional, and raises the error `_ball_error` builds for such a
+pattern.  `_essentialize` runs its Chebyshev LPs, `_centred`, its
+redundancy LPs and `_settled` in turn; traversal's `_stage` runs the
+redundancy LPs of one stage's centred systems in the stream of the next
+stage's Chebyshev LPs (`lp.stream`).
 """
 
 import functools
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,12 +122,17 @@ def _duplicate_rows(A, c):
     sq = np.einsum("sij,sij->si", N, N)
     pair_sq = sq[:, :, None] + sq[:, None, :]
     # entrywise within _DUP_TOL means a squared distance of at most
-    # k _DUP_TOL^2; the second term bounds the rounding of the Gram form
+    # k _DUP_TOL^2; the second term bounds the rounding of the Gram form.
+    # Both sides are worked out in place: two (m, m) arrays per system
     k = N.shape[2]
-    near = pair_sq - 2.0 * (N @ N.transpose(0, 2, 1)) <= (
-        k * _DUP_TOL**2 + 4 * (k + 2) * np.finfo(np.float64).eps * pair_sq
-    )
-    system, first, later = np.nonzero(np.triu(near & nz[:, :, None] & nz[:, None, :], 1))
+    dist = N @ N.transpose(0, 2, 1)
+    dist *= -2.0
+    dist += pair_sq
+    pair_sq *= 4 * (k + 2) * np.finfo(np.float64).eps
+    pair_sq += k * _DUP_TOL**2
+    rows = np.arange(c.shape[1])
+    near = (dist <= pair_sq) & nz[:, :, None] & nz[:, None, :] & (rows[:, None] < rows)
+    system, first, later = np.nonzero(near)
     same = np.abs(N[system, first] - N[system, later]).max(axis=1) <= _DUP_TOL
     dup = np.zeros(nz.shape, dtype=bool)
     # pairs come in ascending order of system and first row, so dup[s, i]
@@ -156,25 +166,35 @@ def _ray_facets(A, b, tau_lp):
     block's numpy calls, small enough for the atlas's tracemalloc peak.
     """
     facet = np.zeros(b.shape, dtype=bool)
+    s, m = b.shape
     for rays in _kernels.blocks(_N_RAYS, 8 * b.size) if b.size else []:
         P = A @ _rays(A.shape[2])[:, rays]
-        T = np.divide(b[:, :, None], P, out=np.full(P.shape, np.inf), where=P > 0)
-        first = T.argmin(axis=1)[:, None, :]
-        hit = np.isfinite(np.take_along_axis(T, first, axis=1)[:, 0])
-        np.put_along_axis(T, first, np.inf, axis=1)
-        system, ray = np.nonzero(hit)
-        row = first[system, 0, ray]
-        over = P[system, row, ray] * T.min(axis=1)[system, ray] - b[system, row]
-        facet[system[over > tau_lp], row[over > tau_lp]] = True
+        r = P.shape[2]
+        with np.errstate(divide="ignore", invalid="ignore"):   # rays that never meet a row
+            T = np.where(P > 0, b[:, :, None] / P, np.inf)
+        # each ray's first row, as flat indices into (system, row, ray) and
+        # (system, row); that row's ratio goes, and the least left is t2
+        row = np.arange(s)[:, None] * m + T.argmin(axis=1)
+        at = row * r + np.arange(r)
+        hit = np.flatnonzero(np.isfinite(T.reshape(-1)[at]))
+        T.reshape(-1)[at] = np.inf
+        at, row = at.reshape(-1)[hit], row.reshape(-1)[hit]
+        over = P.reshape(-1)[at] * T.min(axis=1).reshape(-1)[hit] - b.reshape(-1)[row]
+        facet.reshape(-1)[row[over > tau_lp]] = True
         del P, T                # before the next block makes its own
     return facet
 
 
+def _r_cap(tau_dim):
+    """The cap on Chebyshev radii: above tau_dim (at 1 by default), so it
+    decides full dimension as no cap would."""
+    return max(1.0, 2.0 * tau_dim)
+
+
 def _inscribed_balls(A, c, systems, tau_dim):
     """Chebyshev centers and radii of the stacked systems A[systems], c[systems],
-    as one stream of LPs, capped above tau_dim (at 1 by default), which
-    decides full dimension as no cap would."""
-    return lp.chebyshev_centers(A, c, max(1.0, 2.0 * tau_dim), systems)
+    as one stream of LPs, capped at `_r_cap`."""
+    return lp.chebyshev_centers(A, c, _r_cap(tau_dim), systems)
 
 
 def _system_bytes(m, n):
@@ -204,6 +224,61 @@ def _ball_error(A, c, radius, tau_dim):
         f"region is not full-dimensional: Chebyshev radius {radius:.3g} "
         f"<= tau_dim {tau_dim:g}"
     )
+
+
+class _Centred(NamedTuple):
+    """Full-dimensional systems A x <= c between their Chebyshev and
+    redundancy halves: b = c - A z at their centers z, the candidate rows
+    (cand), the facets among them that a ray certifies (ray), and the
+    system and row of each candidate left to a redundancy LP."""
+
+    A: np.ndarray
+    c: np.ndarray
+    b: np.ndarray
+    cand: np.ndarray
+    ray: np.ndarray
+    system: np.ndarray
+    row: np.ndarray
+
+
+def _centred(A, c, centers, tau_lp):
+    """The full-dimensional systems A x <= c translated to interior points
+    (their Chebyshev centers, or traversal's seed point): zero rows and
+    repeated hyperplanes are no candidates, and `_ray_facets` certifies
+    some of the others.  `_duplicate_rows` takes a block of systems at a
+    time, so any number of them can be centred."""
+    b = c - (A @ centers[:, :, None])[:, :, 0]
+    cand = np.linalg.norm(A, axis=2) > 0
+    for blk in _kernels.blocks(len(A), _system_bytes(*A.shape[1:])):
+        cand[blk] &= ~_duplicate_rows(A[blk], c[blk])
+    ray = _ray_facets(A, np.where(cand, b, np.inf), tau_lp)
+    return _Centred(A, c, b, cand, ray, *np.nonzero(cand & ~ray))
+
+
+def _settled(centred, dropped, x, tau_lp):
+    """The surviving rows of centred's systems, from the answers of its
+    redundancy LPs: which rows each drops, and the point where each ends.
+    The batch's answers are settled by the sequential rule, and the few
+    rows it leaves are decided by the sequence itself (see
+    `_essentialize`)."""
+    A, _, b, cand, _, system, row = centred
+    cols = np.arange(b.shape[1])
+    binds = np.zeros((row.size, cols.size), dtype=bool)  # earlier rows tight at the optimum
+    for blk in _kernels.blocks(row.size, _system_bytes(*A.shape[1:])):
+        s, i = system[blk], row[blk]
+        binds[blk] = (b[s] - (A[s] @ x[blk, :, None])[:, :, 0] <= tau_lp) & (cols < i[:, None])
+    alive = cand.copy()
+    alive[system[dropped], row[dropped]] = False
+    unsure = dropped & (binds & (cand & ~alive)[system]).any(axis=1)
+    pending = np.zeros(b.shape, dtype=bool)
+    pending[system[unsure], row[unsure]] = True
+    while pending.any():
+        test = np.flatnonzero(pending.any(axis=1))
+        i = pending[test].argmax(axis=1)
+        rest = np.where(cols < i[:, None], alive[test], cand[test])
+        alive[test, i] = ~lp.redundant_rows(A[test], b[test], rest, i, tau_lp)[0]
+        pending[test, i] = False
+    return alive
 
 
 def _essentialize(A, c, tau_lp, tau_dim):
@@ -236,32 +311,17 @@ def _essentialize(A, c, tau_lp, tau_dim):
     one LP each, with the next of every system that has one in one stack,
     so each system's rows are decided as they would be alone.  Every LP
     starts from the slack basis.
+
+    The two halves are `_centred` and `_settled` around the redundancy
+    LPs; traversal runs them itself, with one stage's redundancy LPs in
+    the stream of the next stage's Chebyshev LPs (`_stage`).
     """
     centers, radii = _inscribed_balls(A, c, np.arange(len(A)), tau_dim)
-    keep = np.zeros(c.shape, dtype=bool)
     ok = np.flatnonzero(radii > tau_dim)
-    A, c = A[ok], c[ok]
-    b = c - (A @ centers[ok, :, None])[:, :, 0]
-    cand = (np.linalg.norm(A, axis=2) > 0) & ~_duplicate_rows(A, c)
-    system, row = np.nonzero(cand & ~_ray_facets(A, np.where(cand, b, np.inf), tau_lp))
-    cols = np.arange(c.shape[1])
-    dropped, x = lp.redundant_rows(A, b, cand, row, tau_lp, system)
-    binds = np.zeros((row.size, cols.size), dtype=bool)  # earlier rows tight at the optimum
-    for blk in _kernels.blocks(row.size, _system_bytes(*A.shape[1:])):
-        s, i = system[blk], row[blk]
-        binds[blk] = (b[s] - (A[s] @ x[blk, :, None])[:, :, 0] <= tau_lp) & (cols < i[:, None])
-    alive = cand.copy()
-    alive[system[dropped], row[dropped]] = False
-    unsure = dropped & (binds & (cand & ~alive)[system]).any(axis=1)
-    pending = np.zeros(c.shape, dtype=bool)
-    pending[system[unsure], row[unsure]] = True
-    while pending.any():
-        test = np.flatnonzero(pending.any(axis=1))
-        i = pending[test].argmax(axis=1)
-        rest = np.where(cols < i[:, None], alive[test], cand[test])
-        alive[test, i] = ~lp.redundant_rows(A[test], b[test], rest, i, tau_lp)[0]
-        pending[test, i] = False
-    keep[ok] = alive
+    w = _centred(A[ok], c[ok], centers[ok], tau_lp)
+    dropped, x = lp.redundant_rows(w.A, w.b, w.cand, w.row, tau_lp, w.system)
+    keep = np.zeros(c.shape, dtype=bool)
+    keep[ok] = _settled(w, dropped, x, tau_lp)
     return keep, centers, radii
 
 
@@ -275,13 +335,28 @@ def region_of(net, x, tau_bit=TAU_BIT, tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
     return region_from_bits(net, bits, tau_lp=tau_lp, tau_dim=tau_dim)
 
 
+def _regions(bits, A, c, keep, maps, centers):
+    """The Regions of full-dimensional systems A x <= c with their
+    surviving rows keep, maps (M, v) and Chebyshev centers.  A Region keeps
+    no whole system: its arrays are views of its own part of one copy of
+    the systems' essential rows (gathered from the systems), maps and
+    centers."""
+    system, active = np.nonzero(keep)
+    ends = np.cumsum(np.bincount(system, minlength=len(A))).tolist()
+    A_ess, c_ess = A[system, active], c[system, active]
+    active = active.tolist()
+    return [
+        Region(
+            bits=bits, A_essential=A_ess[lo:hi], c_essential=c_ess[lo:hi],
+            active_bits=tuple(active[lo:hi]), affine=(M_s, v_s), interior=z_s,
+        )
+        for bits, M_s, v_s, z_s, lo, hi in zip(bits, *maps, centers, [0] + ends, ends)
+    ]
+
+
 def _blocks(net, patterns, extra_A, extra_c, tau_lp, tau_dim):
     """Per block of patterns: its stacked systems (A, c), their Chebyshev
-    radii, and the Regions of its full-dimensional patterns, in order.
-
-    A Region keeps no whole system: its arrays are views of its own part of
-    the block's essential rows (gathered from the systems), maps and centers.
-    """
+    radii, and the Regions of its full-dimensional patterns, in order."""
     patterns = PackedBits.of(patterns)
     if len(patterns) and patterns.h != net.h:
         raise DimensionMismatch(f"bit vector length {patterns.h} != h = {net.h}")
@@ -292,19 +367,42 @@ def _blocks(net, patterns, extra_A, extra_c, tau_lp, tau_dim):
         (A, c), (M, v) = _hat_maps(net, PackedBits(packed, net.h), extra)
         keep, centers, radii = _essentialize(A, c, tau_lp, tau_dim)
         ok = radii > tau_dim        # the full-dimensional systems; the others keep no row
-        system, active = np.nonzero(keep)
-        ends = np.cumsum(np.bincount(system, minlength=len(A))[ok]).tolist()
-        A_ess, c_ess = A[system, active], c[system, active]
-        active = active.tolist()
-        yield A, c, radii, [
-            Region(
-                bits=bits, A_essential=A_ess[lo:hi], c_essential=c_ess[lo:hi],
-                active_bits=tuple(active[lo:hi]), affine=(M_s, v_s), interior=z_s,
-            )
-            for bits, M_s, v_s, z_s, lo, hi in zip(
-                PackedBits(packed[ok], net.h), M[ok], v[ok], centers[ok], [0] + ends, ends,
-            )
-        ]
+        yield A, c, radii, _regions(PackedBits(packed[ok], net.h), A[ok], c[ok], keep[ok],
+                                    (M[ok], v[ok]), centers[ok])
+
+
+class _Waiting(NamedTuple):
+    """Full-dimensional patterns of one traversal stage, waiting for their
+    redundancy LPs in the next: their bits, centred systems, maps and
+    centers."""
+
+    bits: list
+    centred: _Centred
+    maps: tuple
+    centers: np.ndarray
+
+
+def _stage(net, patterns, extra, waiting, tau_lp, tau_dim):
+    """One stage of traversal: the Chebyshev LPs of patterns (a PackedBits)
+    and the redundancy LPs of the systems waiting from the stage before
+    (None at the first) run as one stream.  The Regions of waiting, in
+    order, and the full-dimensional patterns, centred, which wait for the
+    next stage; their ray-certified facets are known now."""
+    (A, c), (M, v) = _hat_maps(net, patterns, extra)
+    batches = [lp.chebyshev_lps(A, c, _r_cap(tau_dim))]
+    if waiting is not None:
+        w = waiting.centred
+        batches.append(lp.redundancy_lps(w.A, w.b, w.cand, w.row, tau_lp, w.system))
+    (centers, radii), *settling = lp.stream(*batches)
+    found = []
+    if waiting is not None:
+        found = _regions(waiting.bits, w.A, w.c, _settled(w, *settling[0], tau_lp),
+                         waiting.maps, waiting.centers)
+    ok = radii > tau_dim
+    if not ok.all():            # at the default tau_lp every flip is a region
+        patterns, A, c, M, v, centers = (PackedBits(patterns.packed[ok], net.h),
+                                         A[ok], c[ok], M[ok], v[ok], centers[ok])
+    return found, _Waiting(list(patterns), _centred(A, c, centers, tau_lp), (M, v), centers)
 
 
 def regions_from_bits(net, patterns, extra_A=None, extra_c=None,

@@ -16,7 +16,8 @@ lookups and checks, as they happen, that its pivot search only moves forward.
 Nor are `filtration_simplices`, a Filtration's simplices as one sorted list
 of Python tuples, `from_bits`, the BitVector of a 0/1 sequence, `bit`,
 `flip` and `hamming`, one bit, one flip and one distance of BitVectors,
-`neighbors`, a Region's one-bit flips, `region_bytes`, a Region's
+`neighbors`, a Region's one-bit flips, `facets_below_h`, an atlas's
+pattern facets and those whose flip it lacks, `region_bytes`, a Region's
 fields as raw bytes, and `full_system`, a pattern's whole inequality system
 as the library builds it: they are test-only views of library types.
 """
@@ -364,6 +365,17 @@ def neighbors(region):
     """
     h = len(region.bits)
     return [flip(region.bits, k) for k in region.active_bits if k < h]
+
+
+def facets_below_h(atlas):
+    """The facets of an atlas's regions that are pattern bits (k < h, not
+    box rows), as (bits, k) pairs, and those among them whose flip is not
+    a region of the atlas.  Crossing a facet of bit k at a generic point
+    changes that one pre-activation's sign, so in a complete atlas every
+    such facet's flip is a region, and each edge is two facets."""
+    facets = [(bits, k) for bits, region in atlas.regions.items()
+              for k in region.active_bits if k < len(bits)]
+    return facets, [(bits, k) for bits, k in facets if flip(bits, k) not in atlas.regions]
 
 
 def region_bytes(region):

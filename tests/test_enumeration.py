@@ -16,7 +16,7 @@ from reluhom.errors import (
     ResourceCapError,
 )
 from conftest import random_net
-from oracles import bit, facet_points, flip, full_system, region_bytes
+from oracles import bit, facet_points, facets_below_h, flip, full_system, region_bytes
 
 
 def zaslavsky(h, m):
@@ -340,6 +340,43 @@ def test_adjacency_is_a_one_bit_flip_of_a_shared_facet(case):
     assert adjacent == len(atlas.edges)
 
 
+@st.composite
+def layered_nets(draw):
+    """random_net nets of 1-3 inputs and 2-3 hidden layers of 1-4 units, with
+    or without the box [-3, 3]^m."""
+    m = draw(st.integers(1, 3))
+    net = random_net(m, draw(st.lists(st.integers(1, 4), min_size=2, max_size=3)),
+                     draw(st.integers(0, 2**32 - 1)))
+    box = enumeration.BoxRegion(np.full(m, -3.0), np.full(m, 3.0)) if draw(st.booleans()) else None
+    return net, box
+
+
+@settings(max_examples=40)
+@given(layered_nets())
+def test_every_facet_below_h_has_its_flip_in_the_atlas(case):
+    # crossing a facet of bit k flips bit k alone, so both enumerators'
+    # atlases hold the flip of every pattern facet, and each edge is two
+    # facets: the closure traversal's early flips and its order rest on
+    net, box = case
+    for atlas in (enumeration.enumerate_brute(net, box=box),
+                  enumeration.enumerate_traverse(net, np.full(net.input_dim, 0.123), box=box)):
+        facets, dangling = facets_below_h(atlas)
+        assert dangling == []
+        assert len(facets) == 2 * len(atlas.edges)
+
+
+def test_a_missing_region_leaves_its_neighbours_facets_dangling():
+    # the dual graph is connected, so an atlas that lacks a region has a
+    # facet with no region across it: each of the region's facets below h
+    net = random_net(3, [5, 5], 7)
+    atlas = enumeration.enumerate_brute(net)
+    bits, region = list(atlas.regions.items())[len(atlas.regions) // 2]
+    del atlas.regions[bits]
+    dangling = facets_below_h(atlas)[1]
+    assert {flip(u, k) for u, k in dangling} == {bits}
+    assert sorted(k for _, k in dangling) == [k for k in region.active_bits if k < net.h]
+
+
 def atlas_fingerprint(atlas):
     """sha256 over the regions in dict order: bits, active bits and the raw
     float64 bytes of the interior point, essential rows and affine map."""
@@ -511,6 +548,21 @@ def test_traversal_splits_no_wave(monkeypatch):
     assert lps(streams) == lps(stack_widths("traverse")[0]) == 907
 
 
+def test_traversal_pivot_steps_are_pinned(monkeypatch):
+    # the stages' streams on the 3-5-5 net: 16 streams and 117 steps when
+    # each wave ran its Chebyshev LPs and then its redundancy LPs
+    steps = []
+    pivot = lp._pivot
+
+    def counted(*args):
+        steps.append(1)
+        return pivot(*args)
+
+    monkeypatch.setattr(lp, "_pivot", counted)
+    streams, _ = stack_widths("traverse")
+    assert (len(streams), len(steps)) == (9, 71)
+
+
 def test_brute_force_splits_no_level(monkeypatch):
     # each prefix round's Chebyshev LPs, and each LP batch of the leaves,
     # run as one stream whose stacks that pivot are at most one block, and
@@ -585,6 +637,28 @@ def test_peak_memory_is_the_atlas(name):
         tracemalloc.stop()
     assert len(atlas.regions) == 583
     assert peak <= 1.3 * held
+
+
+@pytest.mark.parametrize("name", ["traverse", "brute"])
+@pytest.mark.parametrize("m,sizes", [(3, [8, 8]), (4, [6, 6])])
+def test_boxed_peak_is_the_atlas_and_a_few_blocks(name, m, sizes):
+    # in the box [-3, 3]^m the atlas is smaller, so no ratio bounds the
+    # transient above it, but a few blocks do: traversal holds one stage's
+    # centred systems beside the next stage's
+    net = random_net(m, sizes, 7)
+    box = enumeration.BoxRegion(np.full(m, -3.0), np.full(m, 3.0))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        if name == "traverse":
+            atlas = enumeration.enumerate_traverse(net, np.full(m, 0.37), box=box)
+        else:
+            atlas = enumeration.enumerate_brute(net, box=box)
+        held, peak = (size - base for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(atlas.regions) == (371 if m == 3 else 238)
+    assert peak - held <= 4 * _kernels.BLOCK_BYTES
 
 
 @pytest.mark.parametrize("name", ["traverse", "brute"])

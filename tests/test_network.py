@@ -47,7 +47,7 @@ class TestLoadNetwork:
         net = load_network(io.StringIO(json.dumps(doc)))
         assert net.n_hidden_layers == 2
         assert net.input_dim == 2
-        assert net.output_dim == 1
+        assert net.weights[-1].shape[0] == 1
         assert net.h == 6
 
     def test_dimension_mismatch_names_layer(self):
