@@ -295,17 +295,17 @@ def dual_graph(atlas):
     The coloring is certified: a monochromatic edge means the adjacency
     relation is broken, and is raised as an internal consistency failure.
     """
-    name = {bits.value: bits.to01() for bits in atlas.regions}
-    vertices = sorted(atlas.regions, key=lambda bits: name[bits.value])
+    name = {bits: bits.to01() for bits in atlas.regions}
+    vertices = sorted(atlas.regions, key=name.get)
     coloring = {bits: bits.popcount() % 2 for bits in vertices}
     ends = []
     for u, v in atlas.edges:
-        nu, nv = name[u.value], name[v.value]
+        nu, nv = name[u], name[v]
         ends.append((nu, nv, u, v) if nu < nv else (nv, nu, v, u))
     ends.sort()                 # names are distinct: no BitVector is compared
     edges = [(u, v) for _, _, u, v in ends]
     for u, v in edges:
-        if (u.value ^ v.value).bit_count() % 2 == 0:      # the same color
+        if coloring[u] == coloring[v]:
             raise AssertionError(
                 f"monochromatic dual edge {u.to01()} -- {v.to01()}: "
                 "adjacency is inconsistent"
