@@ -257,7 +257,7 @@ def _walk(net, x0, extra, tau_lp, tau_dim):
     # a facet that a ray from x0 certifies is a facet at the seed's Chebyshev
     # center too, so its flip is tested beside the seed's Chebyshev LP
     (A, c), _ = _hat_maps(net, PackedBits.of([first]), extra)
-    _, ray = np.nonzero(_centred(A, c, x0[None], tau_lp).ray[:, :h])
+    _, ray = np.nonzero(_centred(A, c, x0[None], tau_lp, np.linalg.norm(A, axis=2)).ray[:, :h])
     flips = [first.value] + [first.value ^ 1 << k for k in ray.tolist()]
     tested, found = set(flips), {}         # the values of the patterns tested
     settled, waiting = _stage(net, PackedBits.of_values(flips, h), extra, None, tau_lp, tau_dim)

@@ -314,12 +314,13 @@ def redundant_rows(A, b, rest, rows, tol=TAU_LP, systems=None):
     return stream(redundancy_lps(A, b, rest, rows, tol, systems))[0]
 
 
-def chebyshev_lps(A, c, r_cap, systems=None):
+def chebyshev_lps(A, c, r_cap, systems=None, norm=None):
     """The batch of LPs `chebyshev_centers` runs, one per system that has
-    no zero row 0 <= c_i < -TAU_LP."""
+    no zero row 0 <= c_i < -TAU_LP; `norm` is A's row norms, when the
+    caller has them."""
     systems = np.arange(len(A)) if systems is None else systems
     m, n = A.shape[1:]
-    norm = np.linalg.norm(A, axis=2)
+    norm = np.linalg.norm(A, axis=2) if norm is None else norm
     ok = np.flatnonzero(~((norm == 0) & (c < -TAU_LP)).any(axis=1)[systems])
     r0 = np.empty(ok.size)
     obj = np.eye(n + 1)[n]                            # maximize r

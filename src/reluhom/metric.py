@@ -33,15 +33,19 @@ class DistanceMatrix:
         d = np.asarray(self.data, dtype=np.float64)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise DimensionMismatch(f"not square: {d.shape}")
-        nan = np.isnan(d)
-        if nan.any():
-            i, j = np.argwhere(nan)[0]
-            raise NonFiniteEntry(f"entry ({i}, {j}) is NaN")
+        # a NaN never equals itself, so a symmetric matrix has none; the
+        # errors keep their order: NaN, not hollow, not symmetric, negative
+        symmetric = np.array_equal(d, d.T)
+        if not symmetric:
+            nan = np.isnan(d)
+            if nan.any():
+                i, j = np.argwhere(nan)[0]
+                raise NonFiniteEntry(f"entry ({i}, {j}) is NaN")
         if np.any(np.diagonal(d) != 0.0):
             raise FormatError("matrix is not hollow")
-        if not np.array_equal(d, d.T):
+        if not symmetric:
             raise FormatError("matrix is not symmetric")
-        if np.any(d < 0.0):
+        if d.size and d.min() < 0.0:
             raise FormatError("matrix has negative entries")
         d.setflags(write=False)
         object.__setattr__(self, "data", d)

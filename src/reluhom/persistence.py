@@ -54,6 +54,11 @@ def build_filtration(d, max_dim=1, t_max=None, simplex_cap=SIMPLEX_CAP):
     of its last vertex adjacent to all its vertices.  Dropping vertex k of
     the new simplex gives (facet k of its parent, new vertex), one search in
     the previous dimension's (parent, vertex) keys, sorted as they are made.
+
+    ResourceCapError is raised once more than simplex_cap simplices would
+    be made, before the dimension that passes the cap is built: when its
+    candidates could pass the cap, its survivors are first counted over
+    blocks of parents, so memory stays about one block of candidates.
     """
     if max_dim < 0:
         raise FormatError("max_dim must be >= 0")
@@ -70,24 +75,44 @@ def build_filtration(d, max_dim=1, t_max=None, simplex_cap=SIMPLEX_CAP):
     lo, hi = np.nonzero(np.triu(near, 1))
     ptr = np.concatenate(([0, n], n + np.cumsum(np.bincount(lo, minlength=n))))
     nbrs = np.concatenate((np.arange(n), hi)).astype(np.int32)
+    del lo, hi
     verts, vals, last = np.empty((1, 0), np.int32), np.zeros(1), np.array([-1])
     levels, total, facets, keys = [], 0, None, None    # the empty simplex: no facets
     for dim in range(max_dim + 2):
-        m, start = verts.shape[0], ptr[last + 1]
-        count = ptr[last + 2] - start
+        m = verts.shape[0]
+        count = ptr[last + 2] - ptr[last + 1]
         itype = np.int32 if max(count.sum(), nbrs.size, m) < 2**31 else np.int64
-        parent = np.repeat(np.arange(m, dtype=itype), count)
-        cand = np.arange(parent.size, dtype=itype)      # positions in nbrs
-        cand += np.repeat((start - np.cumsum(count) + count).astype(itype), count)
-        cand = nbrs[cand]
-        for k in range(dim - 1):
-            keep = near[verts[parent, k], cand]
-            parent = parent[keep]
-            cand = cand[keep]
+
+        def cofaces(rows):
+            """The (parent, vertex) pairs of the cofaces of parents rows."""
+            start, size = ptr[last[rows] + 1], count[rows]
+            parent = np.repeat(np.arange(rows.start, rows.stop, dtype=itype), size)
+            cand = np.arange(parent.size, dtype=itype)      # positions in nbrs
+            cand += np.repeat((start - np.cumsum(size) + size).astype(itype), size)
+            cand = nbrs[cand]
+            for k in range(dim - 1):
+                keep = near[verts[parent, k], cand]
+                parent = parent[keep]
+                cand = cand[keep]
+            return parent, cand
+
+        runs = [slice(0, m)]
+        if total + count.sum() > simplex_cap:
+            # the candidates could pass the cap: count the survivors over
+            # blocks of parents of about one block of candidates each (16
+            # bytes a candidate: parent, vertex and their gathers), and
+            # build them only when the count fits
+            runs = _parent_blocks(count, _kernels.per_block(16))
+            found = total
+            for rows in runs:
+                found += cofaces(rows)[0].size
+                if found > simplex_cap:
+                    raise ResourceCapError(
+                        f"filtration would exceed {simplex_cap} simplices at dim {dim}")
+        parts = [cofaces(rows) for rows in runs]
+        parent, cand = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        del parts
         total += parent.size
-        if total > simplex_cap:
-            raise ResourceCapError(
-                f"filtration would exceed {simplex_cap} simplices at dim {dim}")
         verts, vals = np.column_stack((verts[parent], cand)), vals[parent]
         table = np.repeat(parent[:, None], dim + 1, axis=1)    # column dim: parent
         for k in range(dim):
@@ -106,6 +131,15 @@ def build_filtration(d, max_dim=1, t_max=None, simplex_cap=SIMPLEX_CAP):
         rank = np.empty(order.size, dtype=facets.dtype)
         rank[order] = np.arange(order.size, dtype=rank.dtype)
     return Filtration(tuple(blocks), tuple(tables), int(max_dim), float(t_max), n)
+
+
+def _parent_blocks(count, step):
+    """Slices of parents, in order, each of about `step` candidates: a
+    parent's count of candidates is count[parent]."""
+    ends = np.cumsum(count)
+    cuts = np.searchsorted(ends, np.arange(step, ends[-1], step), side="right")
+    bounds = np.unique(np.concatenate(([0], cuts, [count.size]))).tolist()
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -202,23 +236,68 @@ def compute_barcodes(filtration):
 # Python repr (so "inf" for an infinite distance); parsing the text gives
 # back the same doubles bit for bit.  The writer walks the lower triangle in
 # blocks of whole rows, as many as _kernels.BLOCK_BYTES holds at 8 bytes per
-# entry of a full row (21 rows at n = 778): each distinct value of a
-# block is formatted once, and the rows are joined from that vocabulary, so
-# a Hamming matrix with a few hundred distinct distances costs a few hundred
-# formatting calls per block and memory stays one block whatever n is.
+# entry of a full row (21 rows at n = 778), so memory stays one block
+# whatever n is.  A block whose entries are all integers of at most
+# _MAX_DIGITS digits (every block of a Hamming matrix) is written by array
+# operations: its entries become the rows of a byte matrix, one column per
+# digit position, right-aligned by integer division, then a comma or a
+# newline; leading zeros are NUL bytes, which one bytes.translate deletes.
+# Any other block is written from a vocabulary: each distinct value is
+# formatted once, and the rows are joined from those words.
 # The reader takes the whole text as bytes.  A text of plain digit entries
-# of at most 15 digits (every Hamming LDM) is parsed by array operations in
-# the writer's blocks of rows: a block's token ends are its bytes that are
-# not digits, each line's entry count is checked against the newline
-# positions, and the values are summed digit position by digit position,
-# exactly, since 10**15 < 2**53.  Any other text (a non-integral or infinite
-# entry, CRLF line ends, blank lines, spaces, a malformed row) goes to the
-# line reader, which parses with Python's float(), one line at a time, and
-# names the line of an error.
+# of at most _MAX_DIGITS digits (every Hamming LDM) is parsed by array
+# operations in the writer's blocks of rows: a block's token ends are its
+# bytes that are not digits, each line's entry count is checked against the
+# newline positions, and the values are summed digit position by digit
+# position, exactly, since 10**15 < 2**53.  Any other text (a non-integral
+# or infinite entry, CRLF line ends, blank lines, spaces, a malformed row)
+# goes to the line reader, which parses with Python's float(), one line at a
+# time, and names the line of an error.
 # ---------------------------------------------------------------------------
+
+#: digits of the longest entry the digit writer and the byte parser take:
+#: 10**15 - 1 < 2**53
+_MAX_DIGITS = 15
+
 
 def _fmt(x):
     return str(int(x)) if x.is_integer() else repr(x)
+
+
+def _digit_text(entries, ends):
+    """The text of a block's entries, its rows ending at `ends`, when they
+    are all integers below 10**_MAX_DIGITS; else None."""
+    top = entries.max()
+    if not top < 10 ** _MAX_DIGITS:
+        return None
+    q = entries.astype(np.min_scalar_type(int(top)))     # -0.0 becomes 0
+    if not np.array_equal(q, entries):
+        return None
+    width = len(str(int(top)))
+    text = np.empty((q.size, width + 1), np.uint8)
+    text[:, width] = ord(",")
+    text[ends - 1, width] = ord("\n")
+    for p in range(width - 1, -1, -1):          # from the last digit back
+        r = q // 10
+        lead = q > 0                            # False where a leading zero goes
+        q -= r * 10
+        q += ord("0")
+        if p < width - 1:
+            q *= lead
+        text[:, p] = q
+        q = r
+    return text.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _word_text(entries, ends):
+    """The text of a block's entries, its rows ending at `ends`, joined
+    from the words of its distinct values."""
+    values, inverse = np.unique(entries, return_inverse=True)
+    # -0.0 and 0.0 share a slot; both are written "0"
+    words = np.array(list(map(_fmt, values.tolist())), dtype=object)
+    words = words[inverse].tolist()
+    ends = ends.tolist()
+    return "".join(",".join(words[lo:hi]) + "\n" for lo, hi in zip([0] + ends, ends))
 
 
 def export_lower_distance(d, sink):
@@ -234,15 +313,9 @@ def export_lower_distance(d, sink):
         hi = min(n, lo + step)
         # row lo + r of the block holds D[lo + r, :lo + r]
         entries = D[lo:hi, :hi][np.tri(hi - lo, hi, lo - 1, dtype=bool)]
-        values, inverse = np.unique(entries, return_inverse=True)
-        # -0.0 and 0.0 share a slot; both are written "0"
-        words = np.array(list(map(_fmt, values.tolist())), dtype=object)
-        words = words[inverse].tolist()
-        ends = np.cumsum(np.arange(lo, hi)).tolist()
-        sink.write("".join(
-            ",".join(words[end - i:end]) + "\n"
-            for i, end in zip(range(lo, hi), ends)
-        ))
+        ends = np.cumsum(np.arange(lo, hi))             # one past each row's last entry
+        text = _digit_text(entries, ends)
+        sink.write(_word_text(entries, ends) if text is None else text)
 
 
 def read_lower_distance(source):
@@ -263,10 +336,6 @@ def read_lower_distance(source):
     # a non-ASCII character becomes "?", which sends the text to the line reader
     d = _read_digits(text.encode("ascii", "replace"))
     return _read_lines(io.StringIO(text)) if d is None else d
-
-
-#: digits of the longest entry the byte parser takes: 10**15 - 1 < 2**53
-_MAX_DIGITS = 15
 
 
 def _read_digits(data):
@@ -309,9 +378,11 @@ def _read_digits(data):
             digit = digits.take(at, mode="clip")
             digit[width <= p] = 0
             values += digit * 10.0 ** p
-        mask = np.tri(hi - lo, hi, lo - 1, dtype=bool)
-        D[lo:hi, :hi][mask] = values
-        D[:hi, lo:hi].T[mask] = values
+        D[lo:hi, :hi][np.tri(hi - lo, hi, lo - 1, dtype=bool)] = values
+        # the upper triangle: the rectangle left of the block, transposed,
+        # and the block's own corner, whose upper half is still zero
+        D[:lo, lo:hi] = D[lo:hi, :lo].T
+        D[lo:hi, lo:hi] += D[lo:hi, lo:hi].T
         start += block.size
     return DistanceMatrix(D)
 

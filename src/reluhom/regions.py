@@ -106,9 +106,9 @@ def _hat_maps(net, patterns, extra=None):
     return (A, c), (w_hat, b_hat)
 
 
-def _duplicate_rows(A, c):
+def _duplicate_rows(A, c, norms):
     """Rows of each stacked system repeating an earlier hyperplane (same row
-    up to scale).
+    up to scale); `norms` is A's row norms.
 
     Row j repeats row i < j when their normalised (a, c) agree within
     _DUP_TOL entry by entry and row i is not itself a repeat.  Such rows are
@@ -116,7 +116,6 @@ def _duplicate_rows(A, c):
     normalised rows picks the candidate pairs, and the entrywise test
     decides them.  Zero rows repeat nothing.
     """
-    norms = np.linalg.norm(A, axis=2)
     nz = norms > 0
     N = np.concatenate([A, c[:, :, None]], axis=2) / np.where(nz, norms, 1.0)[:, :, None]
     sq = np.einsum("sij,sij->si", N, N)
@@ -241,16 +240,16 @@ class _Centred(NamedTuple):
     row: np.ndarray
 
 
-def _centred(A, c, centers, tau_lp):
-    """The full-dimensional systems A x <= c translated to interior points
-    (their Chebyshev centers, or traversal's seed point): zero rows and
-    repeated hyperplanes are no candidates, and `_ray_facets` certifies
-    some of the others.  `_duplicate_rows` takes a block of systems at a
-    time, so any number of them can be centred."""
+def _centred(A, c, centers, tau_lp, norm):
+    """The full-dimensional systems A x <= c, of row norms `norm`,
+    translated to interior points (their Chebyshev centers, or traversal's
+    seed point): zero rows and repeated hyperplanes are no candidates, and
+    `_ray_facets` certifies some of the others.  `_duplicate_rows` takes a
+    block of systems at a time, so any number of them can be centred."""
     b = c - (A @ centers[:, :, None])[:, :, 0]
-    cand = np.linalg.norm(A, axis=2) > 0
+    cand = norm > 0
     for blk in _kernels.blocks(len(A), _system_bytes(*A.shape[1:])):
-        cand[blk] &= ~_duplicate_rows(A[blk], c[blk])
+        cand[blk] &= ~_duplicate_rows(A[blk], c[blk], norm[blk])
     ray = _ray_facets(A, np.where(cand, b, np.inf), tau_lp)
     return _Centred(A, c, b, cand, ray, *np.nonzero(cand & ~ray))
 
@@ -318,7 +317,7 @@ def _essentialize(A, c, tau_lp, tau_dim):
     """
     centers, radii = _inscribed_balls(A, c, np.arange(len(A)), tau_dim)
     ok = np.flatnonzero(radii > tau_dim)
-    w = _centred(A[ok], c[ok], centers[ok], tau_lp)
+    w = _centred(A[ok], c[ok], centers[ok], tau_lp, np.linalg.norm(A[ok], axis=2))
     dropped, x = lp.redundant_rows(w.A, w.b, w.cand, w.row, tau_lp, w.system)
     keep = np.zeros(c.shape, dtype=bool)
     keep[ok] = _settled(w, dropped, x, tau_lp)
@@ -389,7 +388,8 @@ def _stage(net, patterns, extra, waiting, tau_lp, tau_dim):
     order, and the full-dimensional patterns, centred, which wait for the
     next stage; their ray-certified facets are known now."""
     (A, c), (M, v) = _hat_maps(net, patterns, extra)
-    batches = [lp.chebyshev_lps(A, c, _r_cap(tau_dim))]
+    norm = np.linalg.norm(A, axis=2)        # taken once for the whole stage
+    batches = [lp.chebyshev_lps(A, c, _r_cap(tau_dim), norm=norm)]
     if waiting is not None:
         w = waiting.centred
         batches.append(lp.redundancy_lps(w.A, w.b, w.cand, w.row, tau_lp, w.system))
@@ -400,9 +400,10 @@ def _stage(net, patterns, extra, waiting, tau_lp, tau_dim):
                          waiting.maps, waiting.centers)
     ok = radii > tau_dim
     if not ok.all():            # at the default tau_lp every flip is a region
-        patterns, A, c, M, v, centers = (PackedBits(patterns.packed[ok], net.h),
-                                         A[ok], c[ok], M[ok], v[ok], centers[ok])
-    return found, _Waiting(list(patterns), _centred(A, c, centers, tau_lp), (M, v), centers)
+        patterns, A, c, M, v, centers, norm = (PackedBits(patterns.packed[ok], net.h), A[ok],
+                                               c[ok], M[ok], v[ok], centers[ok], norm[ok])
+    return found, _Waiting(list(patterns), _centred(A, c, centers, tau_lp, norm), (M, v),
+                           centers)
 
 
 def regions_from_bits(net, patterns, extra_A=None, extra_c=None,

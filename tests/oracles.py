@@ -6,7 +6,9 @@ come from Kruskal and union-find, the 2-D facet count walks the polygon
 directly, the essential rows come from scipy's linprog, repeated rows from a
 row-at-a-time scan, the simplex's leaving row from the sequential ratio
 scan and its pivots from a one-tableau simplex in plain floats, the
-text-format oracles format one entry or one bit at a time, and activation
+text-format oracles format one entry or one bit at a time (but
+`ldm_vocabulary_text`, the LDM writer before its digit path, formats one
+distinct value per block of rows), and activation
 patterns and sample points come from one point at a time.  The one
 exception is the facet-point sampler: it takes the facet's hyperplane from
 the region's own rows, and only the ball inside the facet from
@@ -27,7 +29,7 @@ from itertools import combinations
 
 import numpy as np
 
-from reluhom import lp, regions
+from reluhom import _kernels, lp, regions
 from reluhom.network import BitVector
 from reluhom.errors import DegenerateSystemError, DimensionMismatch
 
@@ -327,6 +329,28 @@ def ldm_text(D):
     return "".join(
         ",".join(fmt(v) for v in D[i, :i]) + "\n" for i in range(1, D.shape[0])
     )
+
+
+def ldm_vocabulary_text(D):
+    """Lower-distance-matrix text as the library wrote every block before
+    its digit writer: each distinct value of a block of rows formatted once,
+    and the rows joined from that vocabulary."""
+    def fmt(x):
+        return str(int(x)) if x.is_integer() else repr(x)
+
+    D = np.asarray(D, dtype=float)
+    n = D.shape[0]
+    step = _kernels.per_block(8 * n)
+    out = []
+    for lo in range(1, n, step):
+        hi = min(n, lo + step)
+        entries = D[lo:hi, :hi][np.tri(hi - lo, hi, lo - 1, dtype=bool)]
+        values, inverse = np.unique(entries, return_inverse=True)
+        words = np.array(list(map(fmt, values.tolist())), dtype=object)
+        words = words[inverse].tolist()
+        ends = np.cumsum(np.arange(lo, hi)).tolist()
+        out.extend(",".join(words[end - i:end]) + "\n" for i, end in zip(range(lo, hi), ends))
+    return "".join(out)
 
 
 def from_bits(bits):

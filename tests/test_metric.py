@@ -143,6 +143,24 @@ class TestDistanceMatrix:
         with pytest.raises(NonFiniteEntry, match=rf"\({i}, {j}\)"):
             metric.DistanceMatrix(d)
 
+    @pytest.mark.parametrize("fault, error, match", [
+        ("nan", NonFiniteEntry, r"entry \(1, 2\) is NaN"),
+        ("not hollow", FormatError, "not hollow"),
+        ("negative", FormatError, "not symmetric"),
+    ])
+    def test_error_precedence_with_asymmetry(self, fault, error, match):
+        # each matrix has two faults, one of them D[0, 1] != D[1, 0]; the
+        # errors rank NaN, not hollow, not symmetric, negative
+        d = np.array([[0.0, 1.0, 2.0], [3.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        if fault == "nan":
+            d[1, 2] = d[2, 1] = np.nan
+        elif fault == "not hollow":
+            d[2, 2] = 1.0
+        else:
+            d[0, 2] = d[2, 0] = -1.0
+        with pytest.raises(error, match=match):
+            metric.DistanceMatrix(d)
+
     def test_combine_min_max(self):
         d1 = metric.DistanceMatrix(np.array([[0.0, 3.0], [3.0, 0.0]]))
         d2 = metric.DistanceMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))

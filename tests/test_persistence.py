@@ -15,6 +15,7 @@ from reluhom.errors import FormatError, NonFiniteEntry, ResourceCapError
 from oracles import (
     filtration_simplices,
     ldm_text,
+    ldm_vocabulary_text,
     mst_weights,
     n_components,
     naive_barcodes,
@@ -107,6 +108,22 @@ class TestFiltration:
             tracemalloc.stop()
         # the dense (n_edges, 2, n) adjacency gather peaked at 84.3 MiB here
         assert peak < 72 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_simplex_cap_counts_before_it_builds(self):
+        # a complete graph: C(400, 3) = 10,586,800 triangle candidates, all
+        # survivors; the guard counts them a block of parents at a time
+        d = DistanceMatrix(euclidean_matrix(
+            np.random.default_rng(0).standard_normal((400, 3))))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError, match="at dim 2"):
+                persistence.build_filtration(d, max_dim=2, simplex_cap=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # building the candidates first peaked at 137 MiB here; the edges'
+        # own level takes about 6 MiB
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_peak_memory_is_a_small_multiple_of_the_output(self):
         rng = np.random.default_rng(0)
@@ -495,6 +512,46 @@ def test_ldm_blocks_match_per_entry_oracle(D):
     back = persistence.read_lower_distance(io.StringIO(text))
     # -0.0 is written "0", as the oracle writes it, and reads back as 0.0
     assert back.data.tobytes() == (D + 0.0).tobytes()
+
+
+@st.composite
+def integral_ldm_matrices(draw):
+    """Integral matrices of up to 300 points, so the writer's blocks of rows
+    end mid-matrix.  Entries have up to a drawn number of digits, a drawn
+    share of them 0, -0.0, 10**15 - 1 or 10**15; one entry may be inf or
+    a fraction, so its block takes the vocabulary writer."""
+    n = draw(st.integers(2, 300))
+    digits = draw(st.integers(1, 15))
+    share = draw(st.sampled_from([0.0, 0.01, 0.3]))
+    odd = draw(st.sampled_from([None, None, math.inf, 0.5, 1e14 + 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = n * (n - 1) // 2
+    entries = rng.integers(0, 10**digits, m).astype(float)
+    special = np.flatnonzero(rng.random(m) < share)
+    entries[special] = np.array([0.0, -0.0, 1e15 - 1, 1e15])[rng.integers(0, 4, special.size)]
+    if odd is not None:
+        entries[rng.integers(m)] = odd
+    D = np.zeros((n, n))
+    i, j = np.tril_indices(n, -1)
+    D[i, j] = D[j, i] = entries
+    return D
+
+
+@settings(max_examples=60, deadline=None)
+@given(integral_ldm_matrices())
+def test_ldm_digit_writer_matches_vocabulary_writer(D):
+    sink = io.StringIO()
+    persistence.export_lower_distance(D, sink)
+    text = sink.getvalue()
+    assert text == ldm_vocabulary_text(D)
+    # -0.0 is written "0" and reads back as 0.0
+    want = (D + 0.0).tobytes()
+    assert persistence._read_lines(io.StringIO(text)).data.tobytes() == want
+    digits = persistence._read_digits(text.encode())
+    if np.all(D < 1e15) and np.array_equal(D, np.round(D)):
+        assert digits.data.tobytes() == want
+    else:
+        assert digits is None
 
 
 def test_ldm_formats_each_distinct_value_once_per_block(monkeypatch):

@@ -296,7 +296,7 @@ class TestEssentialize:
     @example(REPEAT_CHAIN)
     def test_duplicate_rows_match_loop_oracle(self, system):
         A, c = system
-        got = regions._duplicate_rows(A[None], c[None])[0]
+        got = regions._duplicate_rows(A[None], c[None], np.linalg.norm(A, axis=1)[None])[0]
         assert got.tolist() == duplicate_rows_loop(A, c, regions._DUP_TOL).tolist()
 
     def test_parallel_facets_certify_nothing(self):
@@ -499,8 +499,9 @@ class TestLpBudget:
         bits = network.bit_vector(net_2331, np.array([0.3, -0.7]))
         regions.region_from_bits(net_2331, bits)
         A, c = full_system(net_2331, bits)
+        norm = np.linalg.norm(A, axis=1)
         candidates = np.count_nonzero(
-            (np.linalg.norm(A, axis=1) > 0) & ~regions._duplicate_rows(A[None], c[None])[0]
+            (norm > 0) & ~regions._duplicate_rows(A[None], c[None], norm[None])[0]
         )
         # a right-hand side >= 0 puts the origin in the system: no phase 1
         assert all(np.all(r >= 0) for r in rhs)
@@ -530,7 +531,8 @@ class TestLpBudget:
             except (InfeasibleSystemError, DegenerateSystemError):
                 continue
             A, c = full_system(net_2331, bits)
-            rows = (np.linalg.norm(A, axis=1) > 0) & ~regions._duplicate_rows(A[None], c[None])[0]
+            norm = np.linalg.norm(A, axis=1)
+            rows = (norm > 0) & ~regions._duplicate_rows(A[None], c[None], norm[None])[0]
             A, b = A[rows], (c - A @ reg.interior)[rows]
             undecided += np.count_nonzero(~regions._ray_facets(A[None], b[None], lp.TAU_LP)[0])
         assert lp_counter.redundancy == undecided == 65
