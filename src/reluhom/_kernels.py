@@ -6,9 +6,12 @@ or `per_block`: the loop states how many bytes one item's largest temporary
 takes, and the block holds at most BLOCK_BYTES of them, at least one item.
 
 The Hamming matrix is one Gram product of the unpacked bits, using
-|x xor y| = |x| + |y| - 2 x.y; its memory is O(k^2) for k vectors.  The
-reduction walks the live columns from last to first and takes a column's
-lowest row as its pivot.  A column whose first pivot is free costs one
+|x xor y| = |x| + |y| - 2 x.y, computed inside its float64 output: the
+float32 product takes the output's second half and the unpacked bits its
+first, and rows convert to distances top down, so for k vectors the one
+(k, k) array is the output and the rest is blocks.  The reduction walks
+the live columns from last to first and takes a column's lowest row as its
+pivot.  A column whose first pivot is free costs one
 dict lookup; a column that needs additions is held in one reused boolean
 working column, each addition is one xor of the added column's rows into
 it, and the next pivot is the first set row at or after the current one,
@@ -69,32 +72,51 @@ def hamming_matrix_packed(packed):
     """Pairwise popcount(xor) for rows of a (k, w) uint8 array, as float64.
 
     |x xor y| = |x| + |y| - 2 x.y, with x.y and |x| = x.x read off one Gram
-    product X @ X.T of the unpacked bits.  The product is accumulated over
-    blocks of bytes, so an unpacked block is no larger than the (k, k)
-    output or _HAMMING_BLOCK_MIN bytes, whichever is larger.  Its entries
-    are integers no larger than the bit count: float32 holds them exactly
-    below 2**24 bits, float64 above.  The terms are combined in float64,
-    also exactly.  Rows of zero width give the zero matrix.
+    product X @ X.T of the unpacked bits.  Its entries are integers no
+    larger than the bit count: float32 holds them exactly below 2**24 bits,
+    float64 above, and the terms are combined in float64, also exactly.
+    Rows of zero width give the zero matrix.
+
+    Only the (k, k) float64 output is allocated whole.  A float32 Gram
+    product lives in the output's second half, and the unpacked bits in its
+    first half while the product accumulates over blocks of bytes; an
+    unpacked block is no larger than that half or _HAMMING_BLOCK_MIN bytes,
+    whichever is larger, and is allocated apart only when the half cannot
+    hold it.  (A float64 product takes the whole output.)  The rows then
+    convert to distances a block at a time from the top down, each block's
+    Gram rows copied out first: float64 row i spans the bytes of float32
+    rows 2i - k and 2i - k + 1 of the second half, so the rows a block
+    overwrites are its own or rows above it, already converted.
     """
     k, w = packed.shape
-    dtype = np.float32 if 8 * w < 2**24 else np.float64
-    block_bytes = max(8 * k * k, _HAMMING_BLOCK_MIN)
-    step = max(1, block_bytes // (8 * np.dtype(dtype).itemsize * max(k, 1)))  # bytes
-    gram = None
+    out = np.empty((k, k))
+    if 8 * w < 2**24:
+        halves = out.reshape(-1).view(np.float32)
+        free, gram = halves[:k * k], halves[k * k:].reshape(k, k)
+    else:
+        free, gram = out.reshape(-1)[:0], out
+    size = gram.itemsize
+    step = max(1, max(free.nbytes, _HAMMING_BLOCK_MIN) // (8 * size * max(k, 1)))  # bytes
     for lo in range(0, max(w, 1), step):
+        cols = packed[:, lo:lo + step]
+        bits = 8 * cols.shape[1]
+        x = free[:k * bits] if k * bits <= free.size else np.empty(k * bits, gram.dtype)
+        x = x.reshape(k, bits)
         # the order of the bits within a block does not change a dot product
-        x = np.unpackbits(packed[:, lo:lo + step], axis=1).astype(dtype)
-        block = x @ x.T
-        del x
-        if gram is None:
-            gram = block
+        for rows in blocks(k, bits):
+            x[rows] = np.unpackbits(cols[rows], axis=1)
+        if lo == 0:
+            np.matmul(x, x.T, out=gram)
         else:
-            gram += block
+            for rows in blocks(k, size * k):
+                gram[rows] += x[rows] @ x.T
+        del x
     pop = np.diagonal(gram).astype(np.float64)          # |x| = x.x
-    out = np.multiply(gram, -2.0, dtype=np.float64)
-    del gram
-    out += pop[:, None]
-    out += pop
+    for rows in blocks(k, size * k):
+        g = gram[rows].copy()                           # out[rows] overwrites it
+        np.multiply(g, -2.0, out=out[rows])
+        out[rows] += pop[rows, None]
+        out[rows] += pop
     return out
 
 

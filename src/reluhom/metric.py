@@ -34,13 +34,17 @@ class DistanceMatrix:
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise DimensionMismatch(f"not square: {d.shape}")
         # a NaN never equals itself, so a symmetric matrix has none; the
-        # errors keep their order: NaN, not hollow, not symmetric, negative
-        symmetric = np.array_equal(d, d.T)
+        # errors keep their order: NaN, not hollow, not symmetric, negative.
+        # Rows are compared with their columns a block at a time, so no
+        # (n, n) temporary is made.
+        rows = _kernels.blocks(d.shape[0], d.shape[0])      # a bool per entry
+        symmetric = all(np.array_equal(d[r], d[:, r].T) for r in rows)
         if not symmetric:
-            nan = np.isnan(d)
-            if nan.any():
-                i, j = np.argwhere(nan)[0]
-                raise NonFiniteEntry(f"entry ({i}, {j}) is NaN")
+            for r in rows:
+                nan = np.isnan(d[r])
+                if nan.any():
+                    i, j = np.argwhere(nan)[0]
+                    raise NonFiniteEntry(f"entry ({r.start + i}, {j}) is NaN")
         if np.any(np.diagonal(d) != 0.0):
             raise FormatError("matrix is not hollow")
         if not symmetric:

@@ -72,7 +72,10 @@ def build_filtration(d, max_dim=1, t_max=None, simplex_cap=SIMPLEX_CAP):
         raise FormatError(f"t_max {t_max:g} is negative")
     near = D <= t_max
     # CSR lists: row 0 holds every vertex, row v + 1 the neighbours of v above v
-    lo, hi = np.nonzero(np.triu(near, 1))
+    lo, hi = np.nonzero(near)
+    above = lo < hi
+    lo, hi = lo[above], hi[above]
+    del above
     ptr = np.concatenate(([0, n], n + np.cumsum(np.bincount(lo, minlength=n))))
     nbrs = np.concatenate((np.arange(n), hi)).astype(np.int32)
     del lo, hi
@@ -244,15 +247,18 @@ def compute_barcodes(filtration):
 # newline; leading zeros are NUL bytes, which one bytes.translate deletes.
 # Any other block is written from a vocabulary: each distinct value is
 # formatted once, and the rows are joined from those words.
-# The reader takes the whole text as bytes.  A text of plain digit entries
-# of at most _MAX_DIGITS digits (every Hamming LDM) is parsed by array
-# operations in the writer's blocks of rows: a block's token ends are its
-# bytes that are not digits, each line's entry count is checked against the
-# newline positions, and the values are summed digit position by digit
-# position, exactly, since 10**15 < 2**53.  Any other text (a non-integral
-# or infinite entry, CRLF line ends, blank lines, spaces, a malformed row)
-# goes to the line reader, which parses with Python's float(), one line at a
-# time, and names the line of an error.
+# The reader of a file reads it a block of rows at a time, in the writer's
+# blocks, and never holds its whole text.  A text of plain digit entries of
+# at most _MAX_DIGITS digits (every Hamming LDM) is parsed by array
+# operations: n is read off the last line's commas before anything else,
+# and the matrix is allocated only when the file is long enough to hold
+# its n (n - 1) / 2 entries of two bytes or more.  Then a block's token
+# ends are its bytes that are not digits, each line's last token must be
+# its newline, and the values are summed digit position by digit position,
+# from the highest, exactly, since 10**15 < 2**53.  Any other text (a
+# non-integral or infinite entry, CRLF line ends, blank lines, spaces, a
+# malformed row) goes to the line reader, which parses with Python's
+# float(), one line at a time, and names the line of an error.
 # ---------------------------------------------------------------------------
 
 #: digits of the longest entry the digit writer and the byte parser take:
@@ -323,7 +329,7 @@ def read_lower_distance(source):
     if isinstance(source, (str, os.PathLike)):
         try:
             with open(source, "rb") as fh:
-                d = _read_digits(fh.read())
+                d = _read_digits(fh)
             if d is None:
                 with open(source) as fh:
                     d = _read_lines(fh)
@@ -339,52 +345,86 @@ def read_lower_distance(source):
 
 
 def _read_digits(data):
-    """The DistanceMatrix of LDM bytes of plain digit entries, or None.
+    """The DistanceMatrix of an LDM of plain digit entries, or None.
 
-    None unless the bytes are only digits, commas and newlines, end in a
-    newline, and hold rows of the right lengths of non-empty entries of at
-    most _MAX_DIGITS digits; the line reader decides every other text.
+    `data` is the LDM's bytes or a seekable binary file of them, which is
+    read a block of rows at a time.  None unless the text is only digits,
+    commas and newlines, ends in a newline, and holds rows of the right
+    lengths of non-empty entries of at most _MAX_DIGITS digits; the line
+    reader decides every other text.
     """
-    if not data.endswith(b"\n") or data.translate(None, b"0123456789,\n"):
+    fh = io.BytesIO(data) if isinstance(data, bytes) else data
+    end = fh.seek(0, os.SEEK_END)
+    fh.seek(max(end - 1, 0))
+    if fh.read(1) != b"\n":
         return None
-    n = data.count(b"\n") + 1
-    # every entry ends at a comma or a newline; checked before the n x n
-    # allocation, which a file of many short lines would make huge
-    if data.count(b",") + n - 1 != n * (n - 1) // 2:
+    n = _last_line_commas(fh, end) + 2      # the last line holds n - 1 entries
+    # every entry takes two bytes or more, a digit and its comma or newline:
+    # checked before the n x n allocation, which a file of many short lines
+    # or one long last line would make huge
+    if n * (n - 1) > end:
         return None
-    buf = np.frombuffer(data, np.uint8)
-    newlines = np.flatnonzero(buf == 10)
     D = np.zeros((n, n))
+    fh.seek(0)
     step = _kernels.per_block(8 * n)
-    start = 0
     for lo in range(1, n, step):
         hi = min(n, lo + step)
-        # lines lo..hi-1: line i holds D[i, :i], so its entries end at these tokens
-        last = np.cumsum(np.arange(lo, hi)) - 1
-        block = buf[start:newlines[hi - 2] + 1]
-        ends = np.flatnonzero(block < 48)               # commas and newlines
-        if ends.size != last[-1] + 1 or not np.array_equal(
-                ends[last], newlines[lo - 1:hi - 1] - start):
+        values = _digit_values(b"".join([fh.readline() for _ in range(lo, hi)]), lo, hi)
+        if values is None:
             return None
-        width = np.diff(ends, prepend=-1)
-        width -= 1                                      # digits per entry
-        if width.min() < 1 or width.max() > _MAX_DIGITS:
-            return None
-        digits = block - 48
-        at = ends - 1                                   # each entry's last digit
-        values = digits[at].astype(np.float64)
-        for p in range(1, int(width.max())):
-            at -= 1     # past the start of an entry of p digits or fewer: masked
-            digit = digits.take(at, mode="clip")
-            digit[width <= p] = 0
-            values += digit * 10.0 ** p
         D[lo:hi, :hi][np.tri(hi - lo, hi, lo - 1, dtype=bool)] = values
+        del values                                  # before the next block is parsed
         # the upper triangle: the rectangle left of the block, transposed,
         # and the block's own corner, whose upper half is still zero
         D[:lo, lo:hi] = D[lo:hi, :lo].T
         D[lo:hi, lo:hi] += D[lo:hi, lo:hi].T
-        start += block.size
+    if fh.tell() != end:
+        return None
     return DistanceMatrix(D)
+
+
+def _last_line_commas(fh, end):
+    """Commas on the last line of a file of `end` bytes ending in a newline,
+    read back from the end a block at a time."""
+    commas, hi = 0, end - 1
+    while hi:
+        lo = max(0, hi - _kernels.BLOCK_BYTES)
+        fh.seek(lo)
+        chunk = fh.read(hi - lo)
+        cut = chunk.rfind(b"\n") + 1
+        commas += chunk.count(b",", cut)
+        hi = 0 if cut else lo
+    return commas
+
+
+def _digit_values(block, lo, hi):
+    """The entries of LDM lines lo..hi-1, in order, from their bytes; None
+    unless every line holds its count of plain digit entries."""
+    if block.translate(None, b"0123456789,\n"):
+        return None
+    buf = np.frombuffer(block, np.uint8)
+    # line i holds D[i, :i], so its entries end at these tokens
+    last = np.cumsum(np.arange(lo, hi)) - 1
+    ends = np.flatnonzero(buf < 48)                     # commas and newlines
+    if ends.size != last[-1] + 1 or np.any(buf[ends[last]] != 10):
+        return None
+    width = ends.copy()                                 # digits per entry
+    width[1:] -= ends[:-1]
+    width[1:] -= 1
+    top = int(width.max())
+    if width.min() < 1 or top > _MAX_DIGITS:
+        return None
+    width = width.astype(np.uint8)
+    ends -= top + 1     # one before each entry's digit top - 1, or a masked byte
+    values = np.zeros(ends.size)
+    for p in range(top - 1, -1, -1):
+        ends += 1
+        digit = buf.take(ends, mode="clip")
+        digit -= 48
+        digit[width <= p] = 0
+        values *= 10.0
+        values += digit
+    return values
 
 
 def _read_lines(lines):

@@ -164,6 +164,33 @@ def test_hamming_kernel_memory_is_the_output():
     assert peak <= 5 * got.nbytes, f"peak {peak / got.nbytes:.2f} times the output"
 
 
+def test_hamming_kernel_holds_only_its_output():
+    """800 vectors of 512 bits: the float32 Gram product and the unpacked
+    bits live inside the float64 output, so only blocks are allocated
+    beside it (a Gram product beside the output peaked at 1.51 times it)."""
+    packed = np.random.default_rng(23).integers(0, 256, (800, 64), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        got = _kernels.hamming_matrix_packed(packed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = np.stack([np.bitwise_count(packed ^ row).sum(axis=1) for row in packed])
+    assert np.array_equal(got, want)
+    assert peak <= 1.15 * got.nbytes, f"peak {peak / got.nbytes:.2f} times the output"
+
+
+@pytest.mark.parametrize("k, w", [(0, 3), (1, 1), (7, 2), (9, 40), (130, 0), (130, 17), (200, 100)])
+def test_hamming_kernel_in_the_output_matches_popcounts(k, w):
+    """Too few rows for the bits to fit in the output's free half, bits that
+    fit in one block and in several, and rows of zero width."""
+    packed = np.random.default_rng(k * 1000 + w).integers(0, 256, (k, w), dtype=np.uint8)
+    want = np.bitwise_count(packed[:, None, :] ^ packed[None]).sum(axis=2)
+    got = _kernels.hamming_matrix_packed(packed)
+    assert got.dtype == np.float64 and got.shape == (k, k)
+    assert np.array_equal(got, want)
+
+
 def test_hamming_kernel_is_exact_past_float32():
     """2**24 + 64 bits: a popcount of 2**24 + 63 is odd and above 2**24,
     where float32 holds only even integers, so the Gram product must run

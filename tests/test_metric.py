@@ -1,5 +1,6 @@
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,33 @@ class TestDistanceMatrix:
             d[0, 2] = d[2, 0] = -1.0
         with pytest.raises(error, match=match):
             metric.DistanceMatrix(d)
+
+    def test_nan_in_a_later_block_is_named_by_its_row(self):
+        # 400 rows are two blocks of the symmetry check; the NaN is in the second
+        d = np.zeros((400, 400))
+        d[0, 1] = 1.0                        # not symmetric, but NaN ranks first
+        d[390, 5] = np.nan
+        with pytest.raises(NonFiniteEntry, match=r"entry \(390, 5\) is NaN"):
+            metric.DistanceMatrix(d)
+        d[390, 5] = 0.0
+        d[399, 398] = 2.0
+        with pytest.raises(FormatError, match="not symmetric"):
+            metric.DistanceMatrix(d)
+
+    def test_checks_allocate_a_block_not_a_matrix(self):
+        """The symmetry check compares rows with columns a block at a time;
+        comparing the matrix with its transpose allocated 0.14 times it."""
+        n = 800
+        d = np.triu(np.random.default_rng(800).integers(0, 513, (n, n)).astype(float), 1)
+        d = d + d.T
+        tracemalloc.start()
+        try:
+            dm = metric.DistanceMatrix(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dm.data is d
+        assert peak <= 0.05 * d.nbytes, f"peak {peak / d.nbytes:.3f} times the matrix"
 
     def test_combine_min_max(self):
         d1 = metric.DistanceMatrix(np.array([[0.0, 3.0], [3.0, 0.0]]))
