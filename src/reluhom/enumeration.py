@@ -11,14 +11,23 @@ point and a bound on its radius; a round takes its systems from
 bounded mode the box rows are appended to every system; whether a
 region hits the box wall is kept as metadata, never inside the Hamming
 bits.
+The patterns brute force reaches at depth h, its leaves, hold every
+full-dimensional pattern, and one Chebyshev stream tells which they are
+before any redundancy LP runs.  So at tau_lp <= lp.TAU_LP (and tau_dim
+<= lp.TAU_DIM) a facet candidate j < h whose flip is no region takes no
+redundancy LP: crossing a facet of bit j at a generic point flips bit j
+alone.  A system with a repeated hyperplane keeps all its LPs, since a
+wall two rows share, or a row shares with a box face, flips both bits
+or leaves the box.
 Inside both routes a pattern is the int of its bits (`BitVector.value`)
-and a batch is one `PackedBits`; `regions_from_bits` returns only the
+and a batch is one `PackedBits`; a batch returns only the
 full-dimensional patterns' Regions, and makes a `BitVector` only for a
 region's atlas key.  A seed pattern that is not full-dimensional is
 built alone, by `region_from_bits`, whose error names its bits.
 """
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -31,7 +40,8 @@ from .errors import (
 )
 from .network import TAU_BIT, PackedBits, _check_input, bit_vector, on_boundary
 from .regions import (
-    _centred, _hat_maps, _inscribed_balls, _stage, region_from_bits, regions_from_bits,
+    _balls, _centred, _hat_maps, _inscribed_balls, _leaf_regions, _stage, region_from_bits,
+    regions_from_bits,
 )
 
 H_MAX_BRUTE = 24
@@ -80,10 +90,18 @@ class DecompositionAtlas:
 
 
 def _found(net, values, extra, tau_lp, tau_dim):
-    """The full-dimensional regions of the patterns whose BitVector.values
-    these are, in their order."""
-    patterns = PackedBits.of_values(values, net.h)
-    return regions_from_bits(net, patterns, *extra, tau_lp=tau_lp, tau_dim=tau_dim)
+    """The full-dimensional regions of brute force's leaves, the patterns
+    whose BitVector.values these are, in their order: one Chebyshev stream
+    over all of them (`regions._balls`), then their facets by the flip
+    rule (`regions._unflipped`).  Above lp.TAU_LP a near-redundant drop
+    can make a non-facet row essential, and above lp.TAU_DIM a region
+    thinner than tau_dim across a facet is no region, so there the rule
+    is off."""
+    centers, radii = _balls(net, PackedBits.of_values(values, net.h), extra, tau_dim)
+    ok = radii > tau_dim
+    values = list(compress(values, ok.tolist()))
+    full = set(values) if tau_lp <= lp.TAU_LP and tau_dim <= lp.TAU_DIM else None
+    return _leaf_regions(net, values, centers[ok], extra, tau_lp, full)
 
 
 def _box_rows(net, box):
@@ -127,7 +145,7 @@ def enumerate_brute(net, box=None, h_max=H_MAX_BRUTE,
     system from its bits 0..k-1 alone: a node at depth k is those bits, an
     interior point z and a lower bound r on its radius at z.  A node whose
     rows and the box rows hold no ball of radius above tau_dim (the
-    Chebyshev test each region passes in regions_from_bits) has no
+    Chebyshev test each region passes) has no
     full-dimensional extension, so it is dropped with all of them.
 
     A round extends every live node by its next J bits, its 2^J candidates
@@ -140,8 +158,8 @@ def enumerate_brute(net, box=None, h_max=H_MAX_BRUTE,
     previous round's are freed, and its Chebyshev LPs run as one stream.
     So a round tests at most 2 candidates per region or `prefix_stack` of
     them, and there are at most h rounds, the patterns reached at depth h
-    included, which go through regions_from_bits as one batch.  h is
-    limited only by h_max, which is checked before any LP.
+    included, which are one batch (`_found`).  h is limited only by
+    h_max, which is checked before any LP.
     """
     if net.h > h_max:
         raise ResourceCapError(
@@ -242,7 +260,8 @@ def enumerate_traverse(net, seed, box=None, rng=None,
     walk = min(tau_lp, lp.TAU_LP)
     found = _walk(net, x0, extra, walk, tau_dim)
     if walk < tau_lp:
-        found = _found(net, [region.bits.value for region in found], extra, tau_lp, tau_dim)
+        found = regions_from_bits(net, [region.bits for region in found], *extra,
+                                  tau_lp=tau_lp, tau_dim=tau_dim)
     atlas = DecompositionAtlas()
     atlas.regions.update((region.bits, region) for region in found)
     return _finalize(net, atlas)

@@ -327,17 +327,8 @@ def chebyshev_lps(A, c, r_cap, systems=None, norm=None):
 
     def gather(idx):
         s = systems[ok[idx]]
-        cs, norms = c[s], norm[s]
-        quot = np.divide(cs, norms, out=np.full(cs.shape, np.inf), where=norms != 0)
-        r0[idx] = np.minimum(float(r_cap), np.min(quot, axis=1, initial=np.inf))
-        rows = np.zeros((idx.size, m + 1, n + 1))
-        rows[:, :m, :n] = A[s]
-        rows[:, :m, n] = norms
-        rows[:, m, n] = 1.0                           # r <= r_cap
-        rhs = np.empty((idx.size, m + 1))
-        np.subtract(cs, norms * r0[idx, None], out=rhs[:, :m])
-        rhs[:, m] = float(r_cap) - r0[idx]
-        return obj, rows, np.maximum(rhs, 0.0, out=rhs)
+        r0[idx], rows, rhs = chebyshev_rows(A[s], c[s], norm[s], r_cap)
+        return obj, rows, rhs
 
     def answer(unbounded, x):
         centers, radii = np.zeros((len(systems), n)), np.full(len(systems), -np.inf)
@@ -345,6 +336,23 @@ def chebyshev_lps(A, c, r_cap, systems=None, norm=None):
         return centers, radii
 
     return LPs(ok.size, m + 1, n + 1, gather, answer)
+
+
+def chebyshev_rows(A, c, norm, r_cap):
+    """The Chebyshev LPs of the stacked systems A x <= c of row norms
+    `norm`, as `chebyshev_centers` poses them: each one's shift r0, and its
+    rows and right-hand sides in the unknowns (x, r - r0)."""
+    s, m, n = A.shape
+    quot = np.divide(c, norm, out=np.full(c.shape, np.inf), where=norm != 0)
+    r0 = np.minimum(float(r_cap), np.min(quot, axis=1, initial=np.inf))
+    rows = np.zeros((s, m + 1, n + 1))
+    rows[:, :m, :n] = A
+    rows[:, :m, n] = norm
+    rows[:, m, n] = 1.0                               # r <= r_cap
+    rhs = np.empty((s, m + 1))
+    np.subtract(c, norm * r0[:, None], out=rhs[:, :m])
+    rhs[:, m] = float(r_cap) - r0
+    return r0, rows, np.maximum(rhs, 0.0, out=rhs)
 
 
 def chebyshev_centers(A, c, r_cap, systems=None):

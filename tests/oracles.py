@@ -264,7 +264,9 @@ def linprog_max(a, A, c):
 
     HiGHS reports some unbounded LPs as infeasible (status 2).  When a
     zero objective over the same rows finds a point, that status can only
-    mean unbounded.
+    mean unbounded.  It gives up on others with model status Unknown
+    (status 4); those are solved again inside the box |x_i| <= 1e6, and
+    an optimum on the box's boundary means unbounded.
     """
     from scipy.optimize import linprog
 
@@ -274,6 +276,10 @@ def linprog_max(a, A, c):
         point = linprog(np.zeros(A.shape[1]), A_ub=A, b_ub=c, bounds=bounds, method="highs")
         assert point.status == 0, point.message
         return math.inf
+    if res.status == 4:
+        res = linprog(-a, A_ub=A, b_ub=c, bounds=[(-1e6, 1e6)] * A.shape[1], method="highs")
+        assert res.status == 0, res.message
+        return math.inf if np.abs(res.x).max() >= 1e6 * (1 - 1e-9) else -res.fun
     assert res.status in (0, 3), res.message
     return math.inf if res.status == 3 else -res.fun
 

@@ -16,7 +16,9 @@ from reluhom.errors import (
     ResourceCapError,
 )
 from conftest import random_net
-from oracles import bit, facet_points, facets_below_h, flip, full_system, region_bytes
+from oracles import (
+    bit, essential_rows_linprog, facet_points, facets_below_h, flip, full_system, region_bytes,
+)
 
 
 def zaslavsky(h, m):
@@ -567,13 +569,13 @@ def test_brute_force_splits_no_level(monkeypatch):
     # each prefix round's Chebyshev LPs, and each LP batch of the leaves,
     # run as one stream whose stacks that pivot are at most one block, and
     # some stream refills its stack.  The budget sizes the prefix rounds,
-    # so the LPs they take follow it, pinned at each budget (1,267 at
-    # every budget before the rounds took more than one bit); the atlas
-    # does not follow it
+    # so the LPs they take follow it, pinned at each budget (1,267 / 1,293
+    # / 1,499 while every facet candidate rays left took a redundancy LP);
+    # the atlas does not follow it
     net = random_net(3, [5, 5], 7)
     want = atlas_fingerprint(enumeration.enumerate_brute(net))
     counts = []
-    for budget, pin in [(4096, 1267), (_kernels.BLOCK_BYTES, 1293), (1 << 30, 1499)]:
+    for budget, pin in [(4096, 619), (_kernels.BLOCK_BYTES, 645), (1 << 30, 851)]:
         monkeypatch.setattr(_kernels, "BLOCK_BYTES", budget)
         streams, stacks = stack_widths("brute")
         assert max(stacks) <= budget
@@ -709,3 +711,86 @@ def test_traversal_is_brute_force_restricted_to_what_it_reaches(tau_lp, box):
     for bits, region in trav.regions.items():
         assert region_bytes(region) == region_bytes(brute.regions[bits])
     assert trav.edges == brute.edges
+
+
+@settings(max_examples=25)
+@given(layered_nets())
+def test_brute_force_facets_are_the_linprog_oracles(case):
+    # each region's active bits are the rows scipy's sequential sweep keeps
+    # of its whole system, an oracle that reads neither the atlas nor its
+    # patterns: a facet that the flip rule spares an LP in error shows here
+    net, box = case
+    extra = box.rows() if box else ()
+    for bits, region in enumeration.enumerate_brute(net, box=box).regions.items():
+        want = essential_rows_linprog(*full_system(net, bits, *extra), lp.TAU_LP)
+        assert list(region.active_bits) == want, bits.to01()
+
+
+def test_brute_force_facets_above_the_default_tau_dim_are_the_linprog_oracles():
+    # at tau_dim 0.2 a region thinner than that across a facet is no
+    # region, so its flip is missing from the atlas and the flip rule does
+    # not hold: every candidate keeps its LP
+    net = random_net(2, [4, 4], 7)
+    atlas = enumeration.enumerate_brute(net, tau_dim=0.2)
+    assert facets_below_h(atlas)[1]
+    for bits, region in atlas.regions.items():
+        assert list(region.active_bits) == essential_rows_linprog(*full_system(net, bits),
+                                                                   lp.TAU_LP)
+
+
+NET243 = random_net(2, [4, 3], 0)
+BOX2 = enumeration.BoxRegion(np.full(2, -3.0), np.full(2, 3.0))
+
+
+def net243_with(neuron, weights, bias):
+    """NET243 with layer-1 neuron `neuron` given these weights and bias."""
+    W, c = NET243.weights[0].copy(), NET243.biases[0].copy()
+    W[neuron], c[neuron] = weights, bias
+    return network.NetworkSpec((W, *NET243.weights[1:]), (c, *NET243.biases[1:]), 2)
+
+
+# layer-1 neuron 3 is 2.5 times neuron 1: one wall of two bits (CI's net5.json)
+DUPLICATED = net243_with(3, 2.5 * NET243.weights[0][1], 2.5 * NET243.biases[0][1])
+# layer-1 neuron 2 is x_0 - 3, whose wall is the box face x_0 = 3
+ON_THE_FACE = net243_with(2, [1.0, 0.0], -3.0)
+
+
+@pytest.mark.parametrize("net,box,want", [
+    (DUPLICATED, None, "52be4e3dc4ec684f33852e7e8f1d8777c5f574bda5f55e978f213d0c5c5cb5af"),
+    (DUPLICATED, BOX2, "ed76f2bc2d690d5125e68aab92e9388ef3e9696e7a0caccde3801e7a85982c7c"),
+    (ON_THE_FACE, None, "e74b457460301acfea493470c51f96b2c1e3dc4f61b7242c3d32ee97dd1310b6"),
+    (ON_THE_FACE, BOX2, "ee1d846cfab0f150f42b57993a2ac9d84eef6340bafb81d95c4d89c1752bb74f"),
+], ids=["duplicated", "duplicated-box", "on-the-face", "on-the-face-box"])
+def test_coincident_rows_keep_their_lps(monkeypatch, net, box, want):
+    # crossing a wall that two rows share flips both bits, or leaves the
+    # box, so the lowest copy's one-bit flip is no region though the row
+    # is a facet.  With no ray to certify it, only its redundancy LP keeps
+    # it: pinned from brute force before the flip rule
+    monkeypatch.setattr(regions, "_ray_facets",
+                        lambda A, b, tau_lp: np.zeros(b.shape, dtype=bool))
+    assert atlas_fingerprint(enumeration.enumerate_brute(net, box=box)) == want
+
+
+@pytest.mark.parametrize("boxed", [False, True])
+def test_brute_force_lps_only_rows_the_flip_rule_leaves(lp_counter, boxed):
+    # of the rows no ray certifies, a redundancy LP goes to a box row, a
+    # row of a system with a repeated hyperplane, or a row whose flip is a
+    # region; the others are no facets.  Above lp.TAU_LP every one keeps
+    # its LP: 863 and 645 then, as before the rule
+    net = random_net(3, [5, 5], 7)
+    box = BOX3 if boxed else None
+    extra = box.rows() if box else ()
+    atlas = enumeration.enumerate_brute(net, box=box)
+    want = 0
+    for bits, region in atlas.regions.items():
+        A, c = full_system(net, bits, *extra)
+        norm = np.linalg.norm(A, axis=1)
+        dup = regions._duplicate_rows(A[None], c[None], norm[None])[0]
+        cand = (norm > 0) & ~dup
+        b = np.where(cand, c - A @ region.interior, np.inf)
+        for j in np.flatnonzero(cand & ~regions._ray_facets(A[None], b[None], lp.TAU_LP)[0]):
+            want += j >= net.h or dup.any() or flip(bits, j) in atlas.regions
+    assert lp_counter.redundancy == want == (263 if boxed else 126)
+    lp_counter.redundancy = 0
+    enumeration.enumerate_brute(net, box=box, tau_lp=0.1)
+    assert lp_counter.redundancy == (645 if boxed else 863)
