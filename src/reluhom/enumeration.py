@@ -11,14 +11,16 @@ point and a bound on its radius; a round takes its systems from
 bounded mode the box rows are appended to every system; whether a
 region hits the box wall is kept as metadata, never inside the Hamming
 bits.
-The patterns brute force reaches at depth h, its leaves, hold every
-full-dimensional pattern, and one Chebyshev stream tells which they are
-before any redundancy LP runs.  So at tau_lp <= lp.TAU_LP (and tau_dim
-<= lp.TAU_DIM) a facet candidate j < h whose flip is no region takes no
-redundancy LP: crossing a facet of bit j at a generic point flips bit j
-alone.  A system with a repeated hyperplane keeps all its LPs, since a
-wall two rows share, or a row shares with a box face, flips both bits
-or leaves the box.
+The patterns brute force reaches at depth h, its leaves, and the
+prefixes it drops account for every pattern, and one Chebyshev stream
+over the leaves runs before any redundancy LP.  So at tau_lp <=
+lp.TAU_LP a facet candidate j < h whose flip is known empty (a dropped
+prefix or a leaf of Chebyshev radius at most -TAU_LP) takes no
+redundancy LP (`_unflipped`): crossing a facet of bit j at a generic
+point flips bit j alone, into a ball.  A flip only thinner than tau_dim keeps the LP.  A
+system with a repeated hyperplane keeps all its LPs, since a wall two
+rows share, or a row shares with a box face, flips both bits or leaves
+the box.
 Inside both routes a pattern is the int of its bits (`BitVector.value`)
 and a batch is one `PackedBits`; a batch returns only the
 full-dimensional patterns' Regions, and makes a `BitVector` only for a
@@ -26,12 +28,12 @@ region's atlas key.  A seed pattern that is not full-dimensional is
 built alone, by `region_from_bits`, whose error names its bits.
 """
 
+import functools
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 
-from . import lp
+from . import _kernels, lp
 from .errors import (
     BoundaryPointError,
     DimensionMismatch,
@@ -40,8 +42,8 @@ from .errors import (
 )
 from .network import TAU_BIT, PackedBits, _check_input, bit_vector, on_boundary
 from .regions import (
-    _balls, _centred, _hat_maps, _inscribed_balls, _leaf_regions, _stage, region_from_bits,
-    regions_from_bits,
+    _balls, _centred, _essential, _hat_maps, _inscribed_balls, _regions, _stage, _system_bytes,
+    region_from_bits, regions_from_bits,
 )
 
 H_MAX_BRUTE = 24
@@ -89,19 +91,78 @@ class DecompositionAtlas:
         return len(self.regions)
 
 
-def _found(net, values, extra, tau_lp, tau_dim):
+def _found(net, values, empty, extra, tau_lp, tau_dim):
     """The full-dimensional regions of brute force's leaves, the patterns
-    whose BitVector.values these are, in their order: one Chebyshev stream
-    over all of them (`regions._balls`), then their facets by the flip
-    rule (`regions._unflipped`).  Above lp.TAU_LP a near-redundant drop
-    can make a non-facet row essential, and above lp.TAU_DIM a region
-    thinner than tau_dim across a facet is no region, so there the rule
-    is off."""
-    centers, radii = _balls(net, PackedBits.of_values(values, net.h), extra, tau_dim)
-    ok = radii > tau_dim
-    values = list(compress(values, ok.tolist()))
-    full = set(values) if tau_lp <= lp.TAU_LP and tau_dim <= lp.TAU_DIM else None
-    return _leaf_regions(net, values, centers[ok], extra, tau_lp, full)
+    whose BitVector.values these are, in their order.  `empty` holds the
+    `_prefix_key`s of the prefixes the search found empty, of Chebyshev
+    radius at most -TAU_LP; with the leaves they account for every
+    pattern.
+
+    One Chebyshev stream runs over all the leaves (`regions._balls`), and
+    the leaves it finds empty join `empty`.  Then a block of
+    full-dimensional leaves at a time is built again and its surviving
+    rows are decided (`regions._essential`), the candidates the flip rule
+    settles (`_unflipped`) with no LP.  Above lp.TAU_LP a near-redundant
+    drop can make a non-facet row essential, so there the leaves are one
+    batch of `regions_from_bits`, every candidate with its LP."""
+    h = net.h
+    patterns = PackedBits.of_values(values, h)
+    if tau_lp > lp.TAU_LP:
+        return regions_from_bits(net, patterns, *extra, tau_lp=tau_lp, tau_dim=tau_dim)
+    centers, radii = _balls(net, patterns, extra, tau_dim)
+    empty.update(_prefix_key(values[i], h)
+                 for i in np.flatnonzero(radii <= min(tau_dim, -lp.TAU_LP)).tolist())
+    depths = sorted({key.bit_length() - 1 for key in empty})
+    ok, found = np.flatnonzero(radii > tau_dim), []
+    for blk in _kernels.blocks(ok.size, _system_bytes(h + len(extra[1]), net.input_dim)):
+        bits, z = PackedBits(patterns.packed[ok[blk]], h), centers[ok[blk]]
+        (A, c), maps = _hat_maps(net, bits, extra)
+        norm = np.linalg.norm(A, axis=2)
+        prune = functools.partial(_unflipped, values=[values[i] for i in ok[blk].tolist()],
+                                  empty=empty, depths=depths, norm=norm, h=h)
+        found += _regions(bits, A, c, _essential(A, c, z, tau_lp, norm, prune), maps, z)
+    return found
+
+
+def _prefix_key(value, k):
+    """The key of bits 0..k-1 of `value` among prefixes of any length:
+    those bits, and bit k set."""
+    return value & ((1 << k) - 1) | 1 << k
+
+
+def _unflipped(centred, values, empty, depths, norm, h):
+    """centred less the candidates that are no facets by the flip rule: a
+    row j < h of a system with no repeated hyperplane whose flip
+    values[s] ^ 1 << j is known empty.  It is when the `_prefix_key` of
+    its bits 0..k-1, for some k > j, is in `empty`; `depths` are the k of
+    the keys.
+
+    Crossing a facet of row j at a generic point changes the sign of row
+    j's pre-activation alone, so the flip holds a ball there, and so do
+    its prefixes: none has a Chebyshev radius at most -TAU_LP.  A flip
+    thinner than tau_dim, not known empty, is no region but may lie
+    across a facet, so its row keeps its LP.  A repeated hyperplane flips
+    all its copies' bits at once, and a box face takes no bit, so a
+    system with a repeated row keeps every LP."""
+    system, row = centred.system, centred.row
+    plain = ~((norm > 0) & ~centred.cand).any(axis=1)
+    at = np.flatnonzero(plain[system] & (row < h))
+
+    # each depth's `_prefix_key` as a mask and a bit, inline in the loop
+    keys = [(k, (1 << k) - 1, 1 << k) for k in depths]
+
+    def known_empty(s, j):
+        flip = values[s] ^ 1 << j
+        for k, mask, bit in keys:
+            if k > j and flip & mask | bit in empty:
+                return True
+        return False
+
+    out = at[np.array([known_empty(s, j) for s, j in zip(system[at].tolist(), row[at].tolist())],
+                      dtype=bool)]
+    cand, lps = centred.cand.copy(), np.ones(row.size, dtype=bool)
+    cand[system[out], row[out]] = lps[out] = False
+    return centred._replace(cand=cand, system=system[lps], row=row[lps])
 
 
 def _box_rows(net, box):
@@ -167,7 +228,7 @@ def enumerate_brute(net, box=None, h_max=H_MAX_BRUTE,
             "raise the limit explicitly to proceed"
         )
     extra = _box_rows(net, box)
-    found = _found(net, _leaves(net, extra, tau_dim), extra, tau_lp, tau_dim)
+    found = _found(net, *_leaves(net, extra, tau_dim), extra, tau_lp, tau_dim)
     atlas = DecompositionAtlas()
     atlas.regions.update((region.bits, region) for region in found)
     return _finalize(net, atlas)
@@ -175,16 +236,18 @@ def enumerate_brute(net, box=None, h_max=H_MAX_BRUTE,
 
 def _leaves(net, extra, tau_dim):
     """The patterns `enumerate_brute`'s prefix search reaches at depth h,
-    sorted: the empty pattern alone at h = 0.  Each round's systems are
-    freed before the next round's are built, and the last round's when
-    the search returns, before the leaves' regions are made."""
+    sorted (the empty pattern alone at h = 0), and the set of the
+    `_prefix_key`s of the prefixes it found empty, of Chebyshev radius at
+    most -TAU_LP.  Each round's systems are freed before the next round's
+    are built, and the last round's when the search returns, before the
+    leaves' regions are made."""
     h, n = net.h, net.input_dim
     if h == 0:
-        return [0]
+        return [0], set()
     # the nodes of depth k, J of whose bits are new: bits 0..k-1, interior
     # points z and radius lower bounds r at z (-inf: unknown)
     values, z, r = [0], np.zeros((1, n)), np.full(1, -np.inf)
-    k = J = 0
+    empty, k, J = set(), 0, 0
     while True:
         # rows 0..k-1 of each node's system, then the box rows; the new rows
         # are k-J..k-1, none at the root.  (1, n) @ (n, 1) rounds as the dot
@@ -197,10 +260,12 @@ def _leaves(net, extra, tau_dim):
         r = np.minimum(r, gap.min(axis=1, initial=np.inf))
         need = np.flatnonzero(r <= tau_dim)
         z[need], r[need] = _inscribed_balls(A, c, need, tau_dim)
+        empty.update(_prefix_key(values[i], k)
+                     for i in np.flatnonzero(r <= min(tau_dim, -lp.TAU_LP)).tolist())
         live = np.flatnonzero(r > tau_dim)
         values = [values[i] for i in live.tolist()]
         if k == h - 1:
-            return sorted(values + [value | 1 << k for value in values])
+            return sorted(values + [value | 1 << k for value in values]), empty
         # the round adds bits k..k+J-1, as many as keep its candidates
         # within one stack of Chebyshev LPs, at least one
         J = 1

@@ -25,13 +25,14 @@ its LPs' pivots fill, not the slowest LP of every block, and no more than
 one block of tableaus exists.
 
 A batch of LPs is an `LPs` (`chebyshev_lps`, `redundancy_lps`), which
-`chebyshev_centers` and `redundant_rows` run alone.  `stream` runs
-several batches as one stream in the shape of the largest: a redundancy
-LP of m rows in n unknowns goes into a Chebyshev-shaped (m + 2) x (2 n +
-3) slot as the same LP plus one zero unknown and one inert row, and
-pivots bit for bit as alone.  A stream pays a fixed cost per pivot step
-whatever its width, so one stream of both kinds takes fewer steps than
-one of each.
+`chebyshev_centers` and `redundant_rows` run alone; `chebyshev_batch`
+poses the Chebyshev LPs of systems its caller builds a chunk at a time.
+`stream` runs several batches as one stream in the shape of the
+largest: a redundancy LP of m rows in n unknowns goes into a
+Chebyshev-shaped (m + 2) x (2 n + 3) slot as the same LP plus one zero
+unknown and one inert row, and pivots bit for bit as alone.  A stream
+pays a fixed cost per pivot step whatever its width, so one stream of
+both kinds takes fewer steps than one of each.
 
 The tableaus are condensed (Chvatal, "Linear Programming", 1983, ch. 2-3):
 an LP of m rows in n unknowns keeps its 2 n nonbasic columns and its
@@ -319,40 +320,49 @@ def chebyshev_lps(A, c, r_cap, systems=None, norm=None):
     no zero row 0 <= c_i < -TAU_LP; `norm` is A's row norms, when the
     caller has them."""
     systems = np.arange(len(A)) if systems is None else systems
-    m, n = A.shape[1:]
     norm = np.linalg.norm(A, axis=2) if norm is None else norm
     ok = np.flatnonzero(~((norm == 0) & (c < -TAU_LP)).any(axis=1)[systems])
-    r0 = np.empty(ok.size)
-    obj = np.eye(n + 1)[n]                            # maximize r
-
-    def gather(idx):
-        s = systems[ok[idx]]
-        r0[idx], rows, rhs = chebyshev_rows(A[s], c[s], norm[s], r_cap)
-        return obj, rows, rhs
+    s = systems[ok]
+    lps = chebyshev_batch(ok.size, *A.shape[1:], r_cap,
+                          lambda idx: (A[s[idx]], c[s[idx]], norm[s[idx]]))
 
     def answer(unbounded, x):
-        centers, radii = np.zeros((len(systems), n)), np.full(len(systems), -np.inf)
-        centers[ok], radii[ok] = x[:, :n], r0 + x[:, n]
+        centers, radii = np.zeros((len(systems), A.shape[2])), np.full(len(systems), -np.inf)
+        centers[ok], radii[ok] = lps.answer(unbounded, x)
         return centers, radii
 
-    return LPs(ok.size, m + 1, n + 1, gather, answer)
+    return lps._replace(answer=answer)
 
 
-def chebyshev_rows(A, c, norm, r_cap):
-    """The Chebyshev LPs of the stacked systems A x <= c of row norms
-    `norm`, as `chebyshev_centers` poses them: each one's shift r0, and its
-    rows and right-hand sides in the unknowns (x, r - r0)."""
-    s, m, n = A.shape
-    quot = np.divide(c, norm, out=np.full(c.shape, np.inf), where=norm != 0)
-    r0 = np.minimum(float(r_cap), np.min(quot, axis=1, initial=np.inf))
-    rows = np.zeros((s, m + 1, n + 1))
-    rows[:, :m, :n] = A
-    rows[:, :m, n] = norm
-    rows[:, m, n] = 1.0                               # r <= r_cap
-    rhs = np.empty((s, m + 1))
-    np.subtract(c, norm * r0[:, None], out=rhs[:, :m])
-    rhs[:, m] = float(r_cap) - r0
-    return r0, rows, np.maximum(rhs, 0.0, out=rhs)
+def chebyshev_batch(count, m, n, r_cap, build):
+    """The Chebyshev LPs of count systems A x <= c of m rows in n unknowns,
+    as `chebyshev_centers` poses them: build(idx) returns A, c and the row
+    norms of the systems idx, at most one stack of them, so only a chunk
+    of systems exists at a time.  The answer is their centers and radii.
+    A system with a zero row 0 <= c_i < -TAU_LP takes an LP of no cost,
+    which ends before its first pivot, and radius -inf."""
+    r0, bad = np.empty(count), np.empty(count, dtype=bool)
+
+    def gather(idx):
+        A, c, norm = build(idx)
+        bad[idx] = ((norm == 0) & (c < -TAU_LP)).any(axis=1)
+        quot = np.divide(c, norm, out=np.full(c.shape, np.inf), where=norm != 0)
+        r0[idx] = np.minimum(float(r_cap), np.min(quot, axis=1, initial=np.inf))
+        rows = np.zeros((idx.size, m + 1, n + 1))
+        rows[:, :m, :n] = A
+        rows[:, :m, n] = norm
+        rows[:, m, n] = 1.0                           # r <= r_cap
+        rhs = np.empty((idx.size, m + 1))
+        np.subtract(c, norm * r0[idx, None], out=rhs[:, :m])
+        rhs[:, m] = float(r_cap) - r0[idx]
+        obj = np.zeros((idx.size, n + 1))
+        obj[:, n] = ~bad[idx]                         # maximize r
+        return obj, rows, np.maximum(rhs, 0.0, out=rhs)
+
+    def answer(unbounded, x):
+        return x[:, :n], np.where(bad, -np.inf, r0 + x[:, n])
+
+    return LPs(count, m + 1, n + 1, gather, answer)
 
 
 def chebyshev_centers(A, c, r_cap, systems=None):

@@ -13,14 +13,12 @@ full-dimensional, and raises the error `_ball_error` builds for such a
 pattern.  `_essentialize` runs its Chebyshev LPs, `_centred`, its
 redundancy LPs and `_settled` in turn; traversal's `_stage` runs the
 redundancy LPs of one stage's centred systems in the stream of the next
-stage's Chebyshev LPs (`lp.stream`).  Brute force's leaves, which hold
-every full-dimensional pattern, run their Chebyshev LPs as one stream
-over systems built a chunk at a time (`_balls`), and then
-`_leaf_regions` spares the redundancy LP of each candidate row j < h
-that the flip rule settles (`_unflipped`): the pattern across a facet
-of row j is the flip of bit j, so a row whose flip is no region is no
-facet, unless a repeated hyperplane (a box face too) shares its wall.
-The rule holds at tau_lp <= lp.TAU_LP and tau_dim <= lp.TAU_DIM only.
+stage's Chebyshev LPs (`lp.stream`).
+
+Brute force's leaves take the two halves apart too: `_balls` runs their
+Chebyshev LPs as one stream over systems built a chunk at a time, and
+`_essential` decides the surviving rows of a block of them, with the
+candidates the flip rule settles (`enumeration._unflipped`) taken out.
 """
 
 import functools
@@ -319,16 +317,27 @@ def _essentialize(A, c, tau_lp, tau_dim):
     starts from the slack basis.
 
     The two halves are `_centred` and `_settled` around the redundancy
-    LPs; traversal runs them itself, with one stage's redundancy LPs in
-    the stream of the next stage's Chebyshev LPs (`_stage`).
+    LPs (`_essential`); traversal runs them itself, with one stage's
+    redundancy LPs in the stream of the next stage's Chebyshev LPs
+    (`_stage`).
     """
     centers, radii = _inscribed_balls(A, c, np.arange(len(A)), tau_dim)
     ok = np.flatnonzero(radii > tau_dim)
-    w = _centred(A[ok], c[ok], centers[ok], tau_lp, np.linalg.norm(A[ok], axis=2))
-    dropped, x = lp.redundant_rows(w.A, w.b, w.cand, w.row, tau_lp, w.system)
     keep = np.zeros(c.shape, dtype=bool)
-    keep[ok] = _settled(w, dropped, x, tau_lp)
+    keep[ok] = _essential(A[ok], c[ok], centers[ok], tau_lp, np.linalg.norm(A[ok], axis=2))
     return keep, centers, radii
+
+
+def _essential(A, c, centers, tau_lp, norm, prune=None):
+    """The surviving rows of full-dimensional systems A x <= c, of row norms
+    `norm`, from their Chebyshev centers, as `_essentialize` decides them:
+    `_centred`, its redundancy LPs and `_settled`.  prune(centred), when
+    given, takes out of the candidates those it settles with no LP."""
+    w = _centred(A, c, centers, tau_lp, norm)
+    if prune is not None:
+        w = prune(w)
+    dropped, x = lp.redundant_rows(w.A, w.b, w.cand, w.row, tau_lp, w.system)
+    return _settled(w, dropped, x, tau_lp)
 
 
 def region_of(net, x, tau_bit=TAU_BIT, tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
@@ -380,65 +389,15 @@ def _blocks(net, patterns, extra_A, extra_c, tau_lp, tau_dim):
 def _balls(net, patterns, extra, tau_dim):
     """Chebyshev centers and radii of the whole patterns (a PackedBits),
     the extra rows (B, d) appended, as one stream of LPs whose gather
-    builds each chunk's systems (`_hat_maps`): no more than a chunk of
-    systems exists.  A system with a zero row 0 <= c_i < -TAU_LP takes an
-    LP of no cost, which ends before its first pivot, and radius -inf."""
-    m, n, r_cap = patterns.h + len(extra[1]), net.input_dim, _r_cap(tau_dim)
-    r0, bad = np.empty(len(patterns)), np.empty(len(patterns), dtype=bool)
-
-    def gather(idx):
+    builds each chunk's systems (`_hat_maps`, `lp.chebyshev_batch`): no
+    more than a chunk of systems exists."""
+    def build(idx):
         (A, c), _ = _hat_maps(net, PackedBits(patterns.packed[idx], patterns.h), extra)
-        norm = np.linalg.norm(A, axis=2)
-        bad[idx] = ((norm == 0) & (c < -lp.TAU_LP)).any(axis=1)
-        r0[idx], rows, rhs = lp.chebyshev_rows(A, c, norm, r_cap)
-        obj = np.zeros((idx.size, n + 1))
-        obj[:, n] = ~bad[idx]                       # maximize r
-        return obj, rows, rhs
+        return A, c, np.linalg.norm(A, axis=2)
 
-    def answer(unbounded, x):
-        return x[:, :n], np.where(bad, -np.inf, r0 + x[:, n])
-
-    return lp.stream(lp.LPs(len(patterns), m + 1, n + 1, gather, answer))[0]
-
-
-def _unflipped(centred, values, full, norm, h):
-    """centred less the candidates it leaves to a redundancy LP that are no
-    facets by the flip rule: a row j < h of a system with no repeated
-    hyperplane, whose flip values[s] ^ 1 << j is not in `full`.
-
-    Crossing a facet of row j at a generic point changes the sign of row
-    j's pre-activation alone, so the pattern across is the flip, a region
-    when the patterns in `full` are all the full-dimensional ones.  A
-    repeated hyperplane flips all its copies' bits at once, and a box face
-    takes no bit, so a system with a repeated row keeps every LP."""
-    system, row = centred.system, centred.row
-    plain = ~((norm > 0) & ~centred.cand).any(axis=1)
-    at = np.flatnonzero(plain[system] & (row < h))
-    out = at[np.array([values[s] ^ 1 << j not in full
-                       for s, j in zip(system[at].tolist(), row[at].tolist())], dtype=bool)]
-    cand, lps = centred.cand.copy(), np.ones(row.size, dtype=bool)
-    cand[system[out], row[out]] = lps[out] = False
-    return centred._replace(cand=cand, system=system[lps], row=row[lps])
-
-
-def _leaf_regions(net, values, centers, extra, tau_lp, full):
-    """The Regions of the full-dimensional patterns whose BitVector.values
-    these are, from their Chebyshev centers, in order: a `_blocks`-sized
-    block at a time, `_centred`, its redundancy LPs and `_settled`.  When
-    `full` is the set of every full-dimensional pattern's value, not None,
-    the candidates `_unflipped` rules out take no LP and leave the
-    candidate set."""
-    h, found = net.h, []
-    for blk in _kernels.blocks(len(values), _system_bytes(h + len(extra[1]), net.input_dim)):
-        bits = PackedBits.of_values(values[blk], h)
-        (A, c), maps = _hat_maps(net, bits, extra)
-        norm = np.linalg.norm(A, axis=2)
-        w = _centred(A, c, centers[blk], tau_lp, norm)
-        if full is not None:
-            w = _unflipped(w, values[blk], full, norm, h)
-        dropped, x = lp.redundant_rows(w.A, w.b, w.cand, w.row, tau_lp, w.system)
-        found += _regions(bits, A, c, _settled(w, dropped, x, tau_lp), maps, centers[blk])
-    return found
+    m = patterns.h + len(extra[1])
+    return lp.stream(lp.chebyshev_batch(len(patterns), m, net.input_dim, _r_cap(tau_dim),
+                                        build))[0]
 
 
 class _Waiting(NamedTuple):

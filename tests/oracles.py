@@ -265,8 +265,9 @@ def linprog_max(a, A, c):
     HiGHS reports some unbounded LPs as infeasible (status 2).  When a
     zero objective over the same rows finds a point, that status can only
     mean unbounded.  It gives up on others with model status Unknown
-    (status 4); those are solved again inside the box |x_i| <= 1e6, and
-    an optimum on the box's boundary means unbounded.
+    (status 4); those are solved again inside the boxes |x_i| <= 1e6 and
+    1e7, and read as unbounded only when the optimum grows with the box
+    and stays on its boundary.  Else status 4 fails.
     """
     from scipy.optimize import linprog
 
@@ -277,9 +278,13 @@ def linprog_max(a, A, c):
         assert point.status == 0, point.message
         return math.inf
     if res.status == 4:
-        res = linprog(-a, A_ub=A, b_ub=c, bounds=[(-1e6, 1e6)] * A.shape[1], method="highs")
-        assert res.status == 0, res.message
-        return math.inf if np.abs(res.x).max() >= 1e6 * (1 - 1e-9) else -res.fun
+        boxed = [linprog(-a, A_ub=A, b_ub=c, bounds=[(-r, r)] * A.shape[1], method="highs")
+                 for r in (1e6, 1e7)]
+        assert all(box.status == 0 for box in boxed), res.message
+        small, big = boxed
+        assert -big.fun > -small.fun + 1.0 and np.abs(big.x).max() >= 1e7 * (1 - 1e-9), \
+            res.message
+        return math.inf
     assert res.status in (0, 3), res.message
     return math.inf if res.status == 3 else -res.fun
 

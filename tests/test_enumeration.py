@@ -728,8 +728,8 @@ def test_brute_force_facets_are_the_linprog_oracles(case):
 
 def test_brute_force_facets_above_the_default_tau_dim_are_the_linprog_oracles():
     # at tau_dim 0.2 a region thinner than that across a facet is no
-    # region, so its flip is missing from the atlas and the flip rule does
-    # not hold: every candidate keeps its LP
+    # region, so its flip is missing from the atlas; it is not empty, so
+    # the flip rule leaves its row to its LP
     net = random_net(2, [4, 4], 7)
     atlas = enumeration.enumerate_brute(net, tau_dim=0.2)
     assert facets_below_h(atlas)[1]
@@ -771,12 +771,20 @@ def test_coincident_rows_keep_their_lps(monkeypatch, net, box, want):
     assert atlas_fingerprint(enumeration.enumerate_brute(net, box=box)) == want
 
 
+def radius(system):
+    """The Chebyshev radius of one system (A, c), as brute force takes it."""
+    A, c = system
+    return regions._inscribed_balls(A[None], c[None], np.arange(1), lp.TAU_DIM)[1][0]
+
+
 @pytest.mark.parametrize("boxed", [False, True])
 def test_brute_force_lps_only_rows_the_flip_rule_leaves(lp_counter, boxed):
     # of the rows no ray certifies, a redundancy LP goes to a box row, a
     # row of a system with a repeated hyperplane, or a row whose flip is a
-    # region; the others are no facets.  Above lp.TAU_LP every one keeps
-    # its LP: 863 and 645 then, as before the rule
+    # region or thinner than tau_dim but not empty (no flip here has an
+    # empty pattern but a thin prefix, whose row would take an LP too);
+    # the others are no facets.  Above lp.TAU_LP every one keeps its LP:
+    # 863 and 645 then, as before the rule
     net = random_net(3, [5, 5], 7)
     box = BOX3 if boxed else None
     extra = box.rows() if box else ()
@@ -789,8 +797,31 @@ def test_brute_force_lps_only_rows_the_flip_rule_leaves(lp_counter, boxed):
         cand = (norm > 0) & ~dup
         b = np.where(cand, c - A @ region.interior, np.inf)
         for j in np.flatnonzero(cand & ~regions._ray_facets(A[None], b[None], lp.TAU_LP)[0]):
-            want += j >= net.h or dup.any() or flip(bits, j) in atlas.regions
+            want += (j >= net.h or dup.any() or flip(bits, j) in atlas.regions
+                     or radius(full_system(net, flip(bits, j), *extra)) > -lp.TAU_LP)
     assert lp_counter.redundancy == want == (263 if boxed else 126)
     lp_counter.redundancy = 0
     enumeration.enumerate_brute(net, box=box, tau_lp=0.1)
     assert lp_counter.redundancy == (645 if boxed else 863)
+
+
+# walls at x = 1 and x = 1 + 5e-9: the slab between them is thinner than
+# tau_dim, and no ray certifies a facet by an excess of 5e-9
+TWO_WALLS = network.NetworkSpec((np.array([[1.0], [1.0]]), np.array([[1.0, 1.0]])),
+                                (np.array([-1.0, -1.0 - 5e-9]), np.zeros(1)), 1)
+
+
+def test_a_facet_across_a_thin_region_keeps_its_lp():
+    # the flip across each region's facet is no region but not empty, so
+    # the flip rule leaves the row to its LP, which keeps it, as scipy's
+    # sweep does and traversal does from either side
+    brute = enumeration.enumerate_brute(TWO_WALLS)
+    assert [bits.to01() for bits in brute.regions] == ["00", "11"]
+    for bits, region in brute.regions.items():
+        want = essential_rows_linprog(*full_system(TWO_WALLS, bits), lp.TAU_LP)
+        assert list(region.active_bits) == want == [1]
+    for seed in (0.0, 2.0):
+        trav = enumeration.enumerate_traverse(TWO_WALLS, np.array([seed]))
+        assert len(trav.regions) == 1
+        for bits, region in trav.regions.items():
+            assert region_bytes(region) == region_bytes(brute.regions[bits])
