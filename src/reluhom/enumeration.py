@@ -1,12 +1,11 @@
 """Full enumeration of the polyhedral decomposition and its dual graph.
 
-Two routes produce identical atlases: brute force, a search over bit
-prefixes in rounds that drops every prefix without a full-dimensional
-interior, and traversal from a seed region through active-bit flips in
-stages, each one stream of LPs: a stage's Chebyshev LPs test the flips
-known so far beside the redundancy LPs of the patterns the stage before
-centred (`regions._stage`).  A prefix node is its bits, an interior
-point and a bound on its radius; a round takes its systems from
+One search finds the regions: brute force, a search over bit prefixes
+in rounds that drops every prefix without a full-dimensional interior.
+Traversal runs the same search and keeps the seed's component of the
+dual graph, the regions reached from the seed's region through
+active-bit flips.  A prefix node is its bits, an interior point and a
+bound on its radius; a round takes its systems from
 `regions._hat_maps`, which builds whole patterns' systems too.  In
 bounded mode the box rows are appended to every system; whether a
 region hits the box wall is kept as metadata, never inside the Hamming
@@ -17,11 +16,11 @@ over the leaves runs before any redundancy LP.  So at tau_lp <=
 lp.TAU_LP a facet candidate j < h whose flip is known empty (a dropped
 prefix or a leaf of Chebyshev radius at most -TAU_LP) takes no
 redundancy LP (`_unflipped`): crossing a facet of bit j at a generic
-point flips bit j alone, into a ball.  A flip only thinner than tau_dim keeps the LP.  A
-system with a repeated hyperplane keeps all its LPs, since a wall two
-rows share, or a row shares with a box face, flips both bits or leaves
-the box.
-Inside both routes a pattern is the int of its bits (`BitVector.value`)
+point flips bit j alone, into a ball.  A flip only thinner than tau_dim
+keeps the LP.  A system with a repeated hyperplane keeps all its LPs,
+since a wall two rows share, or a row shares with a box face, flips
+both bits or leaves the box.
+Inside the search a pattern is the int of its bits (`BitVector.value`)
 and a batch is one `PackedBits`; a batch returns only the
 full-dimensional patterns' Regions, and makes a `BitVector` only for a
 region's atlas key.  A seed pattern that is not full-dimensional is
@@ -42,8 +41,8 @@ from .errors import (
 )
 from .network import TAU_BIT, PackedBits, _check_input, bit_vector, on_boundary
 from .regions import (
-    _balls, _centred, _essential, _hat_maps, _inscribed_balls, _regions, _stage, _system_bytes,
-    region_from_bits, regions_from_bits,
+    _balls, _essential, _hat_maps, _inscribed_balls, _regions, _system_bytes, region_from_bits,
+    regions_from_bits,
 )
 
 H_MAX_BRUTE = 24
@@ -297,80 +296,47 @@ def _draw_seed(net, seed, box, rng, attempts=100):
 
 def enumerate_traverse(net, seed, box=None, rng=None,
                        tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
-    """Grow the atlas from the seed's region through active-bit flips.
+    """The regions reached from the seed's region through active-bit flips.
 
-    Each flip of a region's active bits is tested once, as a new region.
-    The walk goes in stages (`regions._stage`), each one stream of LPs:
-    the Chebyshev LPs of every untested flip known so far beside the
-    redundancy LPs of the patterns the stage before centred.  A pattern's
-    facets that a ray certifies are known once it is centred, so their
-    flips go into the next stage with its redundancy LPs; the flips of
-    the facets only its redundancy LPs keep go into the stage after.  A
-    seed region that is not full-dimensional raises `region_from_bits`'s
-    error.  The atlas lists the regions in the FIFO order of a
-    breadth-first walk from the seed's region, which tests the untested
-    flips of one region's active bits at a time.
+    The regions are brute force's (`_leaves`, `_found`), with no h_max
+    guard, and the atlas keeps those of the seed's component of the dual
+    graph: a wall two bits share is no one-bit flip, so the regions
+    beyond it are not reached.  A seed region that is not
+    full-dimensional raises `region_from_bits`'s error.  The atlas lists
+    the regions in the FIFO order of a breadth-first walk from the seed's
+    region, which places each region's unplaced flips in the order of its
+    active bits.
 
-    The walk runs at tau_lp no larger than lp.TAU_LP.  Above it a facet
-    can be dropped as near-redundant, and its flip would never be tried,
+    The search runs at tau_lp no larger than lp.TAU_LP.  Above it a facet
+    can be dropped as near-redundant, and its flip would never be reached,
     but which patterns are full-dimensional does not depend on tau_lp (the
     Chebyshev radius against tau_dim decides it).  So above lp.TAU_LP the
-    regions the walk finds are rebuilt at tau_lp, as one batch in the
-    walk's order, and only their facets and edges change.
+    regions reached are rebuilt at tau_lp, as one batch in the walk's
+    order, and only their facets and edges change.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     extra = _box_rows(net, box)
-    x0 = _draw_seed(net, seed, box, rng)
+    first = bit_vector(net, _draw_seed(net, seed, box, rng))
     walk = min(tau_lp, lp.TAU_LP)
-    found = _walk(net, x0, extra, walk, tau_dim)
-    if walk < tau_lp:
-        found = regions_from_bits(net, [region.bits for region in found], *extra,
-                                  tau_lp=tau_lp, tau_dim=tau_dim)
-    atlas = DecompositionAtlas()
-    atlas.regions.update((region.bits, region) for region in found)
-    return _finalize(net, atlas)
-
-
-def _walk(net, x0, extra, tau_lp, tau_dim):
-    """The Regions `enumerate_traverse` reaches from the region of the
-    generic point x0, in breadth-first order.  Its sets of patterns are
-    freed when it returns, before the atlas's edges are made."""
-    h = net.h
-    first = bit_vector(net, x0)
-    # a facet that a ray from x0 certifies is a facet at the seed's Chebyshev
-    # center too, so its flip is tested beside the seed's Chebyshev LP
-    (A, c), _ = _hat_maps(net, PackedBits.of([first]), extra)
-    _, ray = np.nonzero(_centred(A, c, x0[None], tau_lp, np.linalg.norm(A, axis=2)).ray[:, :h])
-    flips = [first.value] + [first.value ^ 1 << k for k in ray.tolist()]
-    tested, found = set(flips), {}         # the values of the patterns tested
-    settled, waiting = _stage(net, PackedBits.of_values(flips, h), extra, None, tau_lp, tau_dim)
-    if waiting.bits[:1] != [first]:
+    found = {region.bits.value: region
+             for region in _found(net, *_leaves(net, extra, tau_dim), extra, walk, tau_dim)}
+    if first.value not in found:
         # the seed's region alone raises the error that names its bits
-        region_from_bits(net, first, *extra, tau_lp=tau_lp, tau_dim=tau_dim)
-    while True:
-        # the facets a ray certifies of the patterns just centred, and those
-        # of the regions just settled; each untested flip once
-        system, ray = np.nonzero(waiting.centred.ray[:, :h])
-        values = [bits.value for bits in waiting.bits]
-        flips = dict.fromkeys(values[s] ^ 1 << k for s, k in zip(system.tolist(), ray.tolist()))
-        flips.update(dict.fromkeys(region.bits.value ^ 1 << k for region in settled
-                                   for k in region.active_bits if k < h))
-        flips = [flip for flip in flips if flip not in tested]
-        if not flips and not len(waiting.bits):
-            break
-        tested.update(flips)
-        settled, waiting = _stage(net, PackedBits.of_values(flips, h), extra, waiting,
-                                  tau_lp, tau_dim)
-        found.update((region.bits.value, region) for region in settled)
+        region_from_bits(net, first, *extra, tau_lp=walk, tau_dim=tau_dim)
     # the FIFO order: each region's flips not yet placed, in the order of
     # its active bits, after those of the regions before it
-    order = [found.pop(first.value)]
+    h, order = net.h, [found.pop(first.value)]
     for region in order:
         u = region.bits.value
         order.extend(found.pop(u ^ 1 << k) for k in region.active_bits
                      if k < h and u ^ 1 << k in found)
-    return order
+    if walk < tau_lp:
+        order = regions_from_bits(net, [region.bits for region in order], *extra,
+                                  tau_lp=tau_lp, tau_dim=tau_dim)
+    atlas = DecompositionAtlas()
+    atlas.regions.update((region.bits, region) for region in order)
+    return _finalize(net, atlas)
 
 
 def dual_graph(atlas):

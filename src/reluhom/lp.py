@@ -25,14 +25,9 @@ its LPs' pivots fill, not the slowest LP of every block, and no more than
 one block of tableaus exists.
 
 A batch of LPs is an `LPs` (`chebyshev_lps`, `redundancy_lps`), which
-`chebyshev_centers` and `redundant_rows` run alone; `chebyshev_batch`
-poses the Chebyshev LPs of systems its caller builds a chunk at a time.
-`stream` runs several batches as one stream in the shape of the
-largest: a redundancy LP of m rows in n unknowns goes into a
-Chebyshev-shaped (m + 2) x (2 n + 3) slot as the same LP plus one zero
-unknown and one inert row, and pivots bit for bit as alone.  A stream
-pays a fixed cost per pivot step whatever its width, so one stream of
-both kinds takes fewer steps than one of each.
+`stream` runs as one stream for `chebyshev_centers` and
+`redundant_rows`; `chebyshev_batch` poses the Chebyshev LPs of systems
+its caller builds a chunk at a time.
 
 The tableaus are condensed (Chvatal, "Linear Programming", 1983, ch. 2-3):
 an LP of m rows in n unknowns keeps its 2 n nonbasic columns and its
@@ -254,37 +249,13 @@ class LPs(NamedTuple):
     answer: Callable
 
 
-def stream(*batches):
-    """Each batch's result, in order, from one stream of all their LPs.
-
-    The stream takes the largest shape of the batches, and an LP of fewer
-    rows or unknowns goes into its slot padded with inert zero rows after
-    its own rows and zero unknowns after its own: a zero unknown has zero
-    cost and a zero column, so it never improves and stays 0, an inert
-    row never enters a ratio test, and the labels of the LP's own
-    variables keep their order.  So Bland's rule pivots it bit for bit as
-    alone, and its optimum is the same point.
-    """
-    live = [lps for lps in batches if lps.count] or batches[:1]
-    m, n = max(lps.m for lps in live), max(lps.n for lps in live)
-    ends = np.cumsum([lps.count for lps in batches]).tolist()
-    parts = list(zip(batches, [0] + ends[:-1], ends))
-
-    def padded(idx):
-        # idx ascends, as `_simplex` fills, so each batch's LPs are one run of it
-        obj, A, b = np.zeros((idx.size, n)), np.zeros((idx.size, m, n)), np.zeros((idx.size, m))
-        cuts = np.searchsorted(idx, ends).tolist()
-        for (lps, lo, _), i, j in zip(parts, [0] + cuts[:-1], cuts):
-            if j > i:
-                obj[i:j, :lps.n], A[i:j, :lps.m, :lps.n], b[i:j, :lps.m] = lps.gather(idx[i:j] - lo)
-        return obj, A, b
-
-    if ends[-1]:
-        unbounded, x = _solve_leq(live[0].gather if len(live) == 1 else padded, ends[-1], m, n)
+def stream(lps):
+    """The batch's result, from one stream of its LPs."""
+    if lps.count:
+        unbounded, x = _solve_leq(lps.gather, lps.count, lps.m, lps.n)
     else:                       # no LPs, no stream
-        unbounded, x = np.zeros(0, dtype=bool), np.zeros((0, n))
-    return [lps.answer(unbounded[lo:hi], x[lo:hi, :lps.n] if hi > lo else np.zeros((0, lps.n)))
-            for lps, lo, hi in parts]
+        unbounded, x = np.zeros(0, dtype=bool), np.zeros((0, lps.n))
+    return lps.answer(unbounded, x)
 
 
 def redundancy_lps(A, b, rest, rows, tol=TAU_LP, systems=None):
@@ -312,15 +283,14 @@ def redundant_rows(A, b, rest, rows, tol=TAU_LP, systems=None):
     >= 0 there), and the point where each LP ends (its optimum when
     bounded); the rows left out are inert.  The LPs run as one stream,
     which gathers their systems one stack at a time."""
-    return stream(redundancy_lps(A, b, rest, rows, tol, systems))[0]
+    return stream(redundancy_lps(A, b, rest, rows, tol, systems))
 
 
-def chebyshev_lps(A, c, r_cap, systems=None, norm=None):
+def chebyshev_lps(A, c, r_cap, systems=None):
     """The batch of LPs `chebyshev_centers` runs, one per system that has
-    no zero row 0 <= c_i < -TAU_LP; `norm` is A's row norms, when the
-    caller has them."""
+    no zero row 0 <= c_i < -TAU_LP."""
     systems = np.arange(len(A)) if systems is None else systems
-    norm = np.linalg.norm(A, axis=2) if norm is None else norm
+    norm = np.linalg.norm(A, axis=2)
     ok = np.flatnonzero(~((norm == 0) & (c < -TAU_LP)).any(axis=1)[systems])
     s = systems[ok]
     lps = chebyshev_batch(ok.size, *A.shape[1:], r_cap,
@@ -377,4 +347,4 @@ def chebyshev_centers(A, c, r_cap, systems=None):
     whose right-hand sides are all non-negative; zero rows are inert.  The
     LPs run as one stream, which gathers their systems one stack at a time.
     """
-    return stream(chebyshev_lps(A, c, r_cap, systems))[0]
+    return stream(chebyshev_lps(A, c, r_cap, systems))

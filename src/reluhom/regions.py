@@ -11,14 +11,13 @@ each step once per stack; `region_from_bits` builds one region as a
 stack of one, for `region_of` and a traversal seed that is not
 full-dimensional, and raises the error `_ball_error` builds for such a
 pattern.  `_essentialize` runs its Chebyshev LPs, `_centred`, its
-redundancy LPs and `_settled` in turn; traversal's `_stage` runs the
-redundancy LPs of one stage's centred systems in the stream of the next
-stage's Chebyshev LPs (`lp.stream`).
+redundancy LPs and `_settled` in turn.
 
-Brute force's leaves take the two halves apart too: `_balls` runs their
-Chebyshev LPs as one stream over systems built a chunk at a time, and
-`_essential` decides the surviving rows of a block of them, with the
-candidates the flip rule settles (`enumeration._unflipped`) taken out.
+Brute force's leaves, which traversal searches too, take the two halves
+apart: `_balls` runs their Chebyshev LPs as one stream over systems
+built a chunk at a time, and `_essential` decides the surviving rows of
+a block of them, with the candidates the flip rule settles
+(`enumeration._unflipped`) taken out.
 """
 
 import functools
@@ -247,10 +246,10 @@ class _Centred(NamedTuple):
 
 def _centred(A, c, centers, tau_lp, norm):
     """The full-dimensional systems A x <= c, of row norms `norm`,
-    translated to interior points (their Chebyshev centers, or traversal's
-    seed point): zero rows and repeated hyperplanes are no candidates, and
-    `_ray_facets` certifies some of the others.  `_duplicate_rows` takes a
-    block of systems at a time, so any number of them can be centred."""
+    translated to interior points (their Chebyshev centers): zero rows and
+    repeated hyperplanes are no candidates, and `_ray_facets` certifies
+    some of the others.  `_duplicate_rows` takes a block of systems at a
+    time, so any number of them can be centred."""
     b = c - (A @ centers[:, :, None])[:, :, 0]
     cand = norm > 0
     for blk in _kernels.blocks(len(A), _system_bytes(*A.shape[1:])):
@@ -317,9 +316,8 @@ def _essentialize(A, c, tau_lp, tau_dim):
     starts from the slack basis.
 
     The two halves are `_centred` and `_settled` around the redundancy
-    LPs (`_essential`); traversal runs them itself, with one stage's
-    redundancy LPs in the stream of the next stage's Chebyshev LPs
-    (`_stage`).
+    LPs (`_essential`), which brute force's leaves run apart from the
+    Chebyshev LPs (`enumeration._found`).
     """
     centers, radii = _inscribed_balls(A, c, np.arange(len(A)), tau_dim)
     ok = np.flatnonzero(radii > tau_dim)
@@ -397,43 +395,7 @@ def _balls(net, patterns, extra, tau_dim):
 
     m = patterns.h + len(extra[1])
     return lp.stream(lp.chebyshev_batch(len(patterns), m, net.input_dim, _r_cap(tau_dim),
-                                        build))[0]
-
-
-class _Waiting(NamedTuple):
-    """Full-dimensional patterns of one traversal stage, waiting for their
-    redundancy LPs in the next: their bits, centred systems, maps and
-    centers."""
-
-    bits: list
-    centred: _Centred
-    maps: tuple
-    centers: np.ndarray
-
-
-def _stage(net, patterns, extra, waiting, tau_lp, tau_dim):
-    """One stage of traversal: the Chebyshev LPs of patterns (a PackedBits)
-    and the redundancy LPs of the systems waiting from the stage before
-    (None at the first) run as one stream.  The Regions of waiting, in
-    order, and the full-dimensional patterns, centred, which wait for the
-    next stage; their ray-certified facets are known now."""
-    (A, c), (M, v) = _hat_maps(net, patterns, extra)
-    norm = np.linalg.norm(A, axis=2)        # taken once for the whole stage
-    batches = [lp.chebyshev_lps(A, c, _r_cap(tau_dim), norm=norm)]
-    if waiting is not None:
-        w = waiting.centred
-        batches.append(lp.redundancy_lps(w.A, w.b, w.cand, w.row, tau_lp, w.system))
-    (centers, radii), *settling = lp.stream(*batches)
-    found = []
-    if waiting is not None:
-        found = _regions(waiting.bits, w.A, w.c, _settled(w, *settling[0], tau_lp),
-                         waiting.maps, waiting.centers)
-    ok = radii > tau_dim
-    if not ok.all():            # at the default tau_lp every flip is a region
-        patterns, A, c, M, v, centers, norm = (PackedBits(patterns.packed[ok], net.h), A[ok],
-                                               c[ok], M[ok], v[ok], centers[ok], norm[ok])
-    return found, _Waiting(list(patterns), _centred(A, c, centers, tau_lp, norm), (M, v),
-                           centers)
+                                        build))
 
 
 def regions_from_bits(net, patterns, extra_A=None, extra_c=None,

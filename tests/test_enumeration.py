@@ -539,20 +539,9 @@ def lps(streams):
     return sum(count for count, *_ in streams)
 
 
-def test_traversal_splits_no_wave(monkeypatch):
-    # the block budget cuts stacks, not LPs: the same 907 LPs run at
-    # _kernels.BLOCK_BYTES as with no cap on a stack's bytes, and no stack
-    # that pivots is larger than one block
-    streams, stacks = stack_widths("traverse")
-    assert {rows for *_, rows in streams} == {10}
-    assert max(stacks) <= _kernels.BLOCK_BYTES
-    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 1 << 30)
-    assert lps(streams) == lps(stack_widths("traverse")[0]) == 907
-
-
-def test_traversal_pivot_steps_are_pinned(monkeypatch):
-    # the stages' streams on the 3-5-5 net: 16 streams and 117 steps when
-    # each wave ran its Chebyshev LPs and then its redundancy LPs
+def test_traversal_runs_brute_forces_streams(monkeypatch):
+    # traversal runs brute force's search: the same streams, each of the
+    # same LPs, width and rows, in the same pivot steps
     steps = []
     pivot = lp._pivot
 
@@ -561,8 +550,11 @@ def test_traversal_pivot_steps_are_pinned(monkeypatch):
         return pivot(*args)
 
     monkeypatch.setattr(lp, "_pivot", counted)
-    streams, _ = stack_widths("traverse")
-    assert (len(streams), len(steps)) == (9, 71)
+    runs = []
+    for name in ("traverse", "brute"):
+        steps.clear()
+        runs.append((stack_widths(name)[0], len(steps)))
+    assert runs[0] == runs[1]
 
 
 def test_brute_force_splits_no_level(monkeypatch):
@@ -645,8 +637,8 @@ def test_peak_memory_is_the_atlas(name):
 @pytest.mark.parametrize("m,sizes", [(3, [8, 8]), (4, [6, 6])])
 def test_boxed_peak_is_the_atlas_and_a_few_blocks(name, m, sizes):
     # in the box [-3, 3]^m the atlas is smaller, so no ratio bounds the
-    # transient above it, but a few blocks do: traversal holds one stage's
-    # centred systems beside the next stage's
+    # transient above it, but a few blocks do: traversal runs brute
+    # force's search, whose rounds and leaves go a block at a time
     net = random_net(m, sizes, 7)
     box = enumeration.BoxRegion(np.full(m, -3.0), np.full(m, 3.0))
     tracemalloc.start()
@@ -769,6 +761,44 @@ def test_coincident_rows_keep_their_lps(monkeypatch, net, box, want):
     monkeypatch.setattr(regions, "_ray_facets",
                         lambda A, b, tau_lp: np.zeros(b.shape, dtype=bool))
     assert atlas_fingerprint(enumeration.enumerate_brute(net, box=box)) == want
+
+
+@pytest.mark.parametrize("net,box,seed,regions,want", [
+    (DUPLICATED, None, (0.37, 0.37), 10,
+     "8ea032ace1204efe26f493d41c7d22ad79c594a786a87b54ddadf642b7fee5fe"),
+    (DUPLICATED, None, (-2.0, 2.0), 10,
+     "852cb44efe056888d0c8982f9bb04ddb8be2117ee6d145d3b73ac5ef7a13c8de"),
+    (DUPLICATED, None, (2.5, 2.5), 14,
+     "5752bb9a79b5367453b8266b10037f186d6206069802bee18fc562369758d548"),
+    (DUPLICATED, BOX2, (0.37, 0.37), 4,
+     "2cba35e7fb3ac0f8b1e6600dffc0b4858c409d928a58edc88d0180ede112921a"),
+    (DUPLICATED, BOX2, (-2.0, 2.0), 4,
+     "5bb9355c5af37db5cd7c95acf89a552cdabc3279e58477dbe3961efe69423544"),
+    (DUPLICATED, BOX2, (2.5, 2.5), 5,
+     "0b3a8e903709e1bf68b114235734a73166ca515a4667c1c12b98540b2be5418d"),
+    (ON_THE_FACE, None, (0.37, 0.37), 28,
+     "8c941eb1b9fce17f20efb1a844972c7a38793155d2a9f85fe83d329299af307c"),
+    (ON_THE_FACE, None, (-2.0, 2.0), 28,
+     "2912c6ad4e197bbc5ea8ec17d6b2cb1d11014047c5ff6ec67fc7bd33e2a66ddb"),
+    (ON_THE_FACE, None, (2.5, 2.5), 28,
+     "3a96ce178638c5b0e0b96b05660a9ed2a1de042ded45d8fda131595040b92fcc"),
+    (ON_THE_FACE, BOX2, (0.37, 0.37), 11,
+     "78a3a7d09c19779168a2a6a25987e36bd2b8f8a9be6c25499d147caeeeb25ee1"),
+    (ON_THE_FACE, BOX2, (-2.0, 2.0), 11,
+     "cb897cc46054ba3ec65e9cf8bbdda5d4be5bab4d54d61f00a3815b0055d809e8"),
+    (ON_THE_FACE, BOX2, (2.5, 2.5), 11,
+     "5aa52ffeb66a16df6bf8431b5de6b5ef40e21e3edf8b1eb77b204f36f77e1ff0"),
+])
+def test_traversal_returns_the_seeds_component(net, box, seed, regions, want):
+    # a wall two bits share is no one-bit flip, so traversal of DUPLICATED
+    # returns the seed's component of brute force's 24 regions (9 in the
+    # box); ON_THE_FACE's dual graph is connected.  The regions in FIFO
+    # order, float bytes and sorted edges are pinned from the walk in
+    # stages that traversal ran before it ran brute force's search
+    atlas = enumeration.enumerate_traverse(net, np.array(seed), box=box)
+    edges = sorted(sorted(bits.to01() for bits in edge) for edge in atlas.edges)
+    assert len(atlas.regions) == regions
+    assert hashlib.sha256((atlas_fingerprint(atlas) + repr(edges)).encode()).hexdigest() == want
 
 
 def radius(system):

@@ -147,36 +147,6 @@ def simplex_run(obj, A, b, width=None):
             (np.stack([ends[p][0] for p in lps]), np.stack([ends[p][1] for p in lps])))
 
 
-def stream_run(batches, width=None):
-    """`lp.stream`'s results for the batches, and where its simplex leaves
-    each LP of the stream: its final tableau, basis, labels and unbounded
-    flag, with at most width LPs (one block by default) pivoting at once."""
-    ends = {}
-    simplex = lp._simplex
-
-    def recorded(fill, count, shape, block, max_iter):
-        for idx, T, basis, labels, ends_unbounded in simplex(
-            fill, count, shape, width or block, max_iter
-        ):
-            ends.update(zip(idx.tolist(), zip(T.copy(), basis.copy(), labels.copy(),
-                                              ends_unbounded.tolist())))
-            yield idx, T, basis, labels, ends_unbounded
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp, "_simplex", recorded)
-        results = lp.stream(*batches)
-    return results, [ends[p] for p in range(len(ends))]
-
-
-def own_label(label, m, n):
-    """The label of an LP of m rows in n unknowns padded with one zero
-    unknown and one inert row, as the LP alone labels it; None for the
-    zero unknown's two columns and the inert row's slack."""
-    if label in (n, 2 * n + 1, 2 * n + 2 + m):
-        return None
-    return label - (label > n) - (label > 2 * n + 1)
-
-
 def stream_of(T):
     """A `_simplex` fill that copies the stack T's tableaus."""
     def fill(idx, out):
@@ -450,59 +420,6 @@ class TestChebyshev:
         radius = lp.chebyshev_centers(A[None], c[None], r_cap=1.0)[1][0]
         assert radius < -lp.TAU_LP
         assert isinstance(regions._ball_error(A, c, radius, lp.TAU_DIM), InfeasibleSystemError)
-
-
-class TestStream:
-    @given(systems(count=st.integers(1, 4)), st.integers(1, 12))
-    def test_redundancy_lps_beside_chebyshev_lps_end_as_alone(self, stack, width):
-        # the systems' Chebyshev LPs and the redundancy LPs of the full-
-        # dimensional ones, translated to their centers, as one stream: each
-        # redundancy LP is padded to the Chebyshev LPs' shape with a zero
-        # unknown and an inert row, and ends at the same point, flag and
-        # final tableau (its own rows and columns, labels mapped), byte for
-        # byte, as in a stream of its own
-        A, c = stack
-        centers, radii = lp.chebyshev_centers(A, c, r_cap=1.0)
-        ok = radii > 1e-6
-        assume(ok.any())
-        b = np.maximum(c[ok] - (A[ok] @ centers[ok, :, None])[:, :, 0], 0.0)
-        system, row = np.nonzero(np.ones(b.shape, dtype=bool))
-        redundancy = lp.redundancy_lps(A[ok], b, np.ones(b.shape, dtype=bool), row,
-                                       lp.TAU_LP, system)
-        chebyshev = lp.chebyshev_lps(A, c, 1.0)
-        (alone,), alone_ends = stream_run([redundancy], width)
-        (_, together), together_ends = stream_run([chebyshev, redundancy], width)
-        assert [a.tobytes() for a in alone] == [a.tobytes() for a in together]
-        m, n = b.shape[1], A.shape[2]
-        own_rows = list(range(m)) + [m + 1]
-        own_cols = list(range(n)) + list(range(n + 1, 2 * n + 1)) + [2 * n + 2]
-        for (T, basis, labels, unbounded), (T2, basis2, labels2, unbounded2) in zip(
-            alone_ends, together_ends[chebyshev.count:]
-        ):
-            assert unbounded2 == unbounded
-            assert (labels2[n], labels2[2 * n + 1], basis2[m]) == (n, 2 * n + 1, 2 * n + 2 + m)
-            assert T2[np.ix_(own_rows, own_cols)].tobytes() == T.tobytes()
-            assert [own_label(l, m, n) for l in basis2[:m]] == basis.tolist()
-            assert [own_label(l, m, n) for l in labels2[own_cols[:-1]]] == labels.tolist()
-
-    def test_a_stream_takes_the_shape_of_its_largest_lps(self, monkeypatch):
-        # a Chebyshev LP of a 3-row system in 2 unknowns is 4 x 3, so the
-        # stream's tableaus are 5 x 7; no stream runs for a batch of no LPs
-        shapes = []
-        simplex = lp._simplex
-
-        def recorded(fill, count, shape, width, max_iter):
-            shapes.append((count, shape))
-            return simplex(fill, count, shape, width, max_iter)
-
-        monkeypatch.setattr(lp, "_simplex", recorded)
-        A = np.array([[[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]])
-        b = np.ones((1, 3))
-        lp.stream(lp.chebyshev_lps(A, b, 1.0),
-                  lp.redundancy_lps(A, b, np.ones((1, 3), dtype=bool), np.arange(3),
-                                    systems=np.zeros(3, dtype=np.intp)))
-        lp.stream(lp.redundancy_lps(A, b, np.ones((1, 3), dtype=bool), np.arange(0)))
-        assert shapes == [(4, (5, 7))]
 
 
 class TestKernel:
