@@ -557,6 +557,37 @@ def test_traversal_runs_brute_forces_streams(monkeypatch):
     assert runs[0] == runs[1]
 
 
+def test_traversal_splits_no_wave(monkeypatch):
+    # the block budget cuts stacks and sizes the prefix rounds: at each
+    # budget no stack that pivots is larger than one block, and the LPs
+    # follow the rounds as brute force's do (907 at every budget while the
+    # staged walk ran 10-row streams), with the same atlas
+    net = random_net(3, [5, 5], 7)
+    want = atlas_fingerprint(ENUMERATORS["traverse"](net))
+    for budget, pin in [(4096, 619), (_kernels.BLOCK_BYTES, 645), (1 << 30, 851)]:
+        monkeypatch.setattr(_kernels, "BLOCK_BYTES", budget)
+        streams, stacks = stack_widths("traverse")
+        assert max(stacks) <= budget
+        assert lps(streams) == pin
+        assert atlas_fingerprint(ENUMERATORS["traverse"](net)) == want
+
+
+def test_traversal_pivot_steps_are_pinned(monkeypatch):
+    # the streams on the 3-5-5 net: 9 streams and 71 steps in the staged
+    # walk, 16 and 117 when each of its waves ran its Chebyshev LPs and
+    # then its redundancy LPs
+    steps = []
+    pivot = lp._pivot
+
+    def counted(*args):
+        steps.append(1)
+        return pivot(*args)
+
+    monkeypatch.setattr(lp, "_pivot", counted)
+    streams, _ = stack_widths("traverse")
+    assert (len(streams), len(steps)) == (6, 50)
+
+
 def test_brute_force_splits_no_level(monkeypatch):
     # each prefix round's Chebyshev LPs, and each LP batch of the leaves,
     # run as one stream whose stacks that pivot are at most one block, and
