@@ -12,19 +12,22 @@ region hits the box wall is kept as metadata, never inside the Hamming
 bits.
 The patterns brute force reaches at depth h, its leaves, and the
 prefixes it drops account for every pattern, and one Chebyshev stream
-over the leaves runs before any redundancy LP.  So at tau_lp <=
-lp.TAU_LP a facet candidate j < h whose flip is known empty (a dropped
-prefix or a leaf of Chebyshev radius at most -TAU_LP) takes no
-redundancy LP (`_unflipped`): crossing a facet of bit j at a generic
-point flips bit j alone, into a ball.  A flip only thinner than tau_dim
-keeps the LP.  A system with a repeated hyperplane keeps all its LPs,
-since a wall two rows share, or a row shares with a box face, flips
-both bits or leaves the box.
+over the leaves runs before any redundancy LP.  So each facet candidate
+j < h looks up its flip once (`_flips`): crossing a facet of bit j at a
+generic point flips bit j alone, into a ball.  A flip that is a region
+aims a ray from the region's center at the flip's, which may prove row j
+a facet with no LP (`_aimed`), at every tau_lp.  At tau_lp <= lp.TAU_LP
+a flip known empty (a dropped prefix or a leaf of Chebyshev radius at
+most -TAU_LP) drops row j with no LP, unless the system has a repeated
+hyperplane: a wall two rows share, or a row shares with a box face,
+flips both bits or leaves the box.  Any other row, a flip only thinner
+than tau_dim's among them, takes its LP.
 Inside the search a pattern is the int of its bits (`BitVector.value`)
 and a batch is one `PackedBits`; a batch returns only the
 full-dimensional patterns' Regions, and makes a `BitVector` only for a
-region's atlas key.  A seed pattern that is not full-dimensional is
-built alone, by `region_from_bits`, whose error names its bits.
+region's atlas key.  Every atlas region is built by `_found`; a seed
+pattern that is not full-dimensional is built alone, by
+`region_from_bits`, whose error names its bits.
 """
 
 import functools
@@ -42,7 +45,6 @@ from .errors import (
 from .network import TAU_BIT, PackedBits, _check_input, bit_vector, on_boundary
 from .regions import (
     _balls, _essential, _hat_maps, _inscribed_balls, _regions, _system_bytes, region_from_bits,
-    regions_from_bits,
 )
 
 H_MAX_BRUTE = 24
@@ -91,34 +93,34 @@ class DecompositionAtlas:
 
 
 def _found(net, values, empty, extra, tau_lp, tau_dim):
-    """The full-dimensional regions of brute force's leaves, the patterns
-    whose BitVector.values these are, in their order.  `empty` holds the
-    `_prefix_key`s of the prefixes the search found empty, of Chebyshev
-    radius at most -TAU_LP; with the leaves they account for every
-    pattern.
+    """The full-dimensional regions of the patterns whose BitVector.values
+    these are, in their order: brute force's leaves, or the regions
+    traversal reaches.  `empty` holds the `_prefix_key`s of the prefixes
+    the search found empty, of Chebyshev radius at most -TAU_LP; with
+    brute force's leaves they account for every pattern.
 
-    One Chebyshev stream runs over all the leaves (`regions._balls`), and
-    the leaves it finds empty join `empty`.  Then a block of
-    full-dimensional leaves at a time is built again and its surviving
-    rows are decided (`regions._essential`), the candidates the flip rule
-    settles (`_unflipped`) with no LP.  Above lp.TAU_LP a near-redundant
-    drop can make a non-facet row essential, so there the leaves are one
-    batch of `regions_from_bits`, every candidate with its LP."""
+    One Chebyshev stream runs over all the patterns (`regions._balls`),
+    and those it finds empty join `empty`.  Then a block of
+    full-dimensional patterns at a time is built again and its surviving
+    rows are decided (`regions._essential`), the candidates their flips
+    settle (`_flips`) with no LP.  Above lp.TAU_LP a near-redundant drop
+    can make a non-facet row essential, so there the flip rule is off and
+    only the aim settles rows."""
     h = net.h
     patterns = PackedBits.of_values(values, h)
-    if tau_lp > lp.TAU_LP:
-        return regions_from_bits(net, patterns, *extra, tau_lp=tau_lp, tau_dim=tau_dim)
     centers, radii = _balls(net, patterns, extra, tau_dim)
     empty.update(_prefix_key(values[i], h)
                  for i in np.flatnonzero(radii <= min(tau_dim, -lp.TAU_LP)).tolist())
-    depths = sorted({key.bit_length() - 1 for key in empty})
+    depths = sorted({key.bit_length() - 1 for key in empty}) if tau_lp <= lp.TAU_LP else []
     ok, found = np.flatnonzero(radii > tau_dim), []
+    at = {values[i]: i for i in ok.tolist()}
     for blk in _kernels.blocks(ok.size, _system_bytes(h + len(extra[1]), net.input_dim)):
         bits, z = PackedBits(patterns.packed[ok[blk]], h), centers[ok[blk]]
         (A, c), maps = _hat_maps(net, bits, extra)
         norm = np.linalg.norm(A, axis=2)
-        prune = functools.partial(_unflipped, values=[values[i] for i in ok[blk].tolist()],
-                                  empty=empty, depths=depths, norm=norm, h=h)
+        prune = functools.partial(_flips, values=[values[i] for i in ok[blk].tolist()], z=z,
+                                  at=at, centers=centers, empty=empty, depths=depths,
+                                  norm=norm, h=h, tau_lp=tau_lp)
         found += _regions(bits, A, c, _essential(A, c, z, tau_lp, norm, prune), maps, z)
     return found
 
@@ -129,12 +131,19 @@ def _prefix_key(value, k):
     return value & ((1 << k) - 1) | 1 << k
 
 
-def _unflipped(centred, values, empty, depths, norm, h):
-    """centred less the candidates that are no facets by the flip rule: a
-    row j < h of a system with no repeated hyperplane whose flip
-    values[s] ^ 1 << j is known empty.  It is when the `_prefix_key` of
-    its bits 0..k-1, for some k > j, is in `empty`; `depths` are the k of
-    the keys.
+def _flips(centred, values, z, at, centers, empty, depths, norm, h, tau_lp):
+    """centred less the LPs of the candidates their flips settle.  The
+    flip values[s] ^ 1 << j of a candidate row j < h of system s, of
+    center z[s], is one of:
+
+    - a found region, of center centers[at[flip]]: the ray from z[s]
+      toward that center (`_aimed`) proves row j a facet when it crosses
+      row j first and far enough, and the row is kept with no LP;
+    - known empty, in a system with no repeated hyperplane (the flip
+      rule): the `_prefix_key` of its bits 0..k-1, for some k > j, is in
+      `empty`, and `depths` are the k of the keys.  Row j is no facet and
+      no candidate;
+    - neither: row j takes its LP.
 
     Crossing a facet of row j at a generic point changes the sign of row
     j's pre-activation alone, so the flip holds a ball there, and so do
@@ -142,26 +151,61 @@ def _unflipped(centred, values, empty, depths, norm, h):
     thinner than tau_dim, not known empty, is no region but may lie
     across a facet, so its row keeps its LP.  A repeated hyperplane flips
     all its copies' bits at once, and a box face takes no bit, so a
-    system with a repeated row keeps every LP."""
+    system with a repeated row keeps those LPs.  The aim needs no such
+    care: its certificate is a point, whichever way the ray goes."""
     system, row = centred.system, centred.row
-    plain = ~((norm > 0) & ~centred.cand).any(axis=1)
-    at = np.flatnonzero(plain[system] & (row < h))
+    plain = (~((norm > 0) & ~centred.cand).any(axis=1)).tolist()
+    low = np.flatnonzero(row < h)
 
     # each depth's `_prefix_key` as a mask and a bit, inline in the loop
     keys = [(k, (1 << k) - 1, 1 << k) for k in depths]
 
-    def known_empty(s, j):
+    def fate(s, j):
+        """The index in centers of the flip's region, -1 when it is known
+        empty, else -2."""
         flip = values[s] ^ 1 << j
-        for k, mask, bit in keys:
-            if k > j and flip & mask | bit in empty:
-                return True
-        return False
+        i = at.get(flip)
+        if i is not None:
+            return i
+        if plain[s] and any(k > j and flip & mask | bit in empty for k, mask, bit in keys):
+            return -1
+        return -2
 
-    out = at[np.array([known_empty(s, j) for s, j in zip(system[at].tolist(), row[at].tolist())],
-                      dtype=bool)]
+    fates = np.array([fate(s, j) for s, j in zip(system[low].tolist(), row[low].tolist())],
+                     dtype=np.int64)
+    across = fates >= 0
+    out, aim = low[fates == -1], low[across]
     cand, lps = centred.cand.copy(), np.ones(row.size, dtype=bool)
     cand[system[out], row[out]] = lps[out] = False
+    d = centers[fates[across]] - z[system[aim]]
+    lps[aim[_aimed(centred.A, np.where(cand, centred.b, np.inf), system[aim], row[aim], d,
+                   tau_lp)]] = False
     return centred._replace(cand=cand, system=system[lps], row=row[lps])
+
+
+def _aimed(A, b, system, row, d, tau_lp):
+    """Whether the ray from y = 0 along d[a] proves row row[a] of the
+    system A[system[a]] y <= b[system[a]] (b >= 0; rows with b = inf take
+    no part) essential, for every a.
+
+    The ray meets row i at t_i = b_i / (a_i.d) when a_i.d > 0.  If row[a]
+    is met first and every other row no earlier than t2, the point t2 d
+    satisfies all other rows and exceeds row[a] by (a.d) t2 - b (infinite
+    when no other row is met).  When that exceeds tau_lp, the redundancy
+    LP of the row, against these rows or any subset of them, keeps it.
+    The rays go in blocks of at most _kernels.BLOCK_BYTES of their
+    systems, the LP stacks' budget."""
+    sure = np.zeros(row.size, dtype=bool)
+    for blk in _kernels.blocks(row.size, A[:1].nbytes):
+        s, j = system[blk], row[blk]
+        aimed = np.arange(j.size), j
+        P = (A[s] @ d[blk, :, None])[:, :, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):   # rows the ray never meets
+            T = np.where(P > 0, b[s] / P, np.inf)
+            first = (T.argmin(axis=1) == j) & np.isfinite(T[aimed])
+            T[aimed] = np.inf
+            sure[blk] = first & (P[aimed] * T.min(axis=1) - b[s, j] > tau_lp)
+    return sure
 
 
 def _box_rows(net, box):
@@ -311,7 +355,7 @@ def enumerate_traverse(net, seed, box=None, rng=None,
     can be dropped as near-redundant, and its flip would never be reached,
     but which patterns are full-dimensional does not depend on tau_lp (the
     Chebyshev radius against tau_dim decides it).  So above lp.TAU_LP the
-    regions reached are rebuilt at tau_lp, as one batch in the walk's
+    regions reached are rebuilt at tau_lp by `_found`, in the walk's
     order, and only their facets and edges change.
     """
     if rng is None:
@@ -332,8 +376,8 @@ def enumerate_traverse(net, seed, box=None, rng=None,
         order.extend(found.pop(u ^ 1 << k) for k in region.active_bits
                      if k < h and u ^ 1 << k in found)
     if walk < tau_lp:
-        order = regions_from_bits(net, [region.bits for region in order], *extra,
-                                  tau_lp=tau_lp, tau_dim=tau_dim)
+        order = _found(net, [region.bits.value for region in order], set(), extra, tau_lp,
+                       tau_dim)
     atlas = DecompositionAtlas()
     atlas.regions.update((region.bits, region) for region in order)
     return _finalize(net, atlas)

@@ -42,14 +42,13 @@ Chebyshev tableau 12 x 9, against 11 x 17 and 12 x 20.
 Every simplex run starts from the slack basis, so the right-hand sides it
 sees are non-negative and there are no artificial variables.  The Chebyshev
 LP has such right-hand sides by construction (see `chebyshev_centers`);
-`regions._essentialize` translates each region to its Chebyshev center
-before its redundancy LPs.
+`regions._centred` translates each region to its Chebyshev center before
+its redundancy LPs.
 
 A row is redundant at tolerance `tol` when maximizing it over the other
 rows gives at most its right-hand side plus `tol`; an unbounded maximum
 keeps the row.  `redundant_rows` also returns each LP's optimum, from which
-`regions._essentialize` settles a whole batch of rows by the sequential
-rule.
+`regions._settled` settles a whole batch of rows by the sequential rule.
 """
 
 from typing import Callable, NamedTuple

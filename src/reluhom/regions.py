@@ -5,22 +5,21 @@ layer-major; `_hat_maps` builds every system, a whole pattern's or a
 brute-force prefix's.  Pruning it to the essential subsystem identifies
 the active bits, and flipping an active bit walks to the facet-neighbor.
 A Region keeps only that subsystem, its affine map and an interior
-witness.  Patterns are worked on as stacks of same-shape systems
-(`regions_from_bits`, which returns the full-dimensional ones' Regions),
-each step once per stack; `region_from_bits` builds one region as a
-stack of one, for `region_of` and a traversal seed that is not
-full-dimensional, and raises the error `_ball_error` builds for such a
-pattern.  `_essentialize` runs its Chebyshev LPs, `_centred`, its
-redundancy LPs and `_settled` in turn.
+witness.  Patterns are worked on as stacks of same-shape systems, each
+step once per stack.
 
-Brute force's leaves, which traversal searches too, take the two halves
-apart: `_balls` runs their Chebyshev LPs as one stream over systems
-built a chunk at a time, and `_essential` decides the surviving rows of
-a block of them, with the candidates the flip rule settles
-(`enumeration._unflipped`) taken out.
+An atlas's regions, brute force's leaves or the regions traversal
+reaches, take the two halves of `_essentialize` apart: `_balls` runs
+their Chebyshev LPs as one stream over systems built a chunk at a time,
+and `_essential` decides the surviving rows of a block of them, with
+the candidates their flips settle (`enumeration._flips`) taken out of
+the redundancy LPs.  `region_from_bits` builds one region as a stack of
+one, for `region_of` and a traversal seed that is not full-dimensional,
+and raises the error `_ball_error` builds for such a pattern; there
+`_essentialize` runs its Chebyshev LPs, `_centred`, a redundancy LP for
+every candidate and `_settled` in turn.
 """
 
-import functools
 import json
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -37,9 +36,6 @@ from .errors import (
 from .network import BitVector, PackedBits, TAU_BIT, bit_vector, on_boundary
 
 _DUP_TOL = 1e-9
-# rays shot from each region's interior point to certify facets without LPs
-_N_RAYS = 64
-_RAY_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -146,48 +142,6 @@ def _duplicate_rows(A, c, norms):
     return dup
 
 
-@functools.lru_cache(maxsize=None)
-def _rays(n):
-    """The fixed, read-only (n, _N_RAYS) unit directions of input dimension n."""
-    d = np.random.default_rng(_RAY_SEED).standard_normal((n, _N_RAYS))
-    d /= np.linalg.norm(d, axis=0)
-    d.flags.writeable = False
-    return d
-
-
-def _ray_facets(A, b, tau_lp):
-    """Rows of each stacked system A y <= b (b > 0) that a ray from y = 0
-    proves essential; rows with b = inf take no part.
-
-    Ray d meets row i at t_i = b_i / (a_i.d) when a_i.d > 0.  If row i is
-    met first and every other row no earlier than t2, the point t2 d
-    satisfies all other rows and exceeds row i by (a_i.d) t2 - b_i
-    (infinite when no other row is met).  When that exceeds tau_lp, the
-    redundancy LP of row i, against these rows or any subset of them,
-    keeps the row.  The rays go in blocks of at most _kernels.BLOCK_BYTES
-    of products, the LP stacks' budget: wide enough to amortise each
-    block's numpy calls, small enough for the atlas's tracemalloc peak.
-    """
-    facet = np.zeros(b.shape, dtype=bool)
-    s, m = b.shape
-    for rays in _kernels.blocks(_N_RAYS, 8 * b.size) if b.size else []:
-        P = A @ _rays(A.shape[2])[:, rays]
-        r = P.shape[2]
-        with np.errstate(divide="ignore", invalid="ignore"):   # rays that never meet a row
-            T = np.where(P > 0, b[:, :, None] / P, np.inf)
-        # each ray's first row, as flat indices into (system, row, ray) and
-        # (system, row); that row's ratio goes, and the least left is t2
-        row = np.arange(s)[:, None] * m + T.argmin(axis=1)
-        at = row * r + np.arange(r)
-        hit = np.flatnonzero(np.isfinite(T.reshape(-1)[at]))
-        T.reshape(-1)[at] = np.inf
-        at, row = at.reshape(-1)[hit], row.reshape(-1)[hit]
-        over = P.reshape(-1)[at] * T.min(axis=1).reshape(-1)[hit] - b.reshape(-1)[row]
-        facet.reshape(-1)[row[over > tau_lp]] = True
-        del P, T                # before the next block makes its own
-    return facet
-
-
 def _r_cap(tau_dim):
     """The cap on Chebyshev radii: above tau_dim (at 1 by default), so it
     decides full dimension as no cap would."""
@@ -232,30 +186,28 @@ def _ball_error(A, c, radius, tau_dim):
 class _Centred(NamedTuple):
     """Full-dimensional systems A x <= c between their Chebyshev and
     redundancy halves: b = c - A z at their centers z, the candidate rows
-    (cand), the facets among them that a ray certifies (ray), and the
-    system and row of each candidate left to a redundancy LP."""
+    (cand), and the system and row of each candidate left to a redundancy
+    LP."""
 
     A: np.ndarray
     c: np.ndarray
     b: np.ndarray
     cand: np.ndarray
-    ray: np.ndarray
     system: np.ndarray
     row: np.ndarray
 
 
-def _centred(A, c, centers, tau_lp, norm):
+def _centred(A, c, centers, norm):
     """The full-dimensional systems A x <= c, of row norms `norm`,
-    translated to interior points (their Chebyshev centers): zero rows and
-    repeated hyperplanes are no candidates, and `_ray_facets` certifies
-    some of the others.  `_duplicate_rows` takes a block of systems at a
-    time, so any number of them can be centred."""
+    translated to interior points (their Chebyshev centers), every
+    candidate left to its LP: zero rows and repeated hyperplanes are no
+    candidates.  `_duplicate_rows` takes a block of systems at a time, so
+    any number of them can be centred."""
     b = c - (A @ centers[:, :, None])[:, :, 0]
     cand = norm > 0
     for blk in _kernels.blocks(len(A), _system_bytes(*A.shape[1:])):
         cand[blk] &= ~_duplicate_rows(A[blk], c[blk], norm[blk])
-    ray = _ray_facets(A, np.where(cand, b, np.inf), tau_lp)
-    return _Centred(A, c, b, cand, ray, *np.nonzero(cand & ~ray))
+    return _Centred(A, c, b, cand, *np.nonzero(cand))
 
 
 def _settled(centred, dropped, x, tau_lp):
@@ -264,7 +216,7 @@ def _settled(centred, dropped, x, tau_lp):
     The batch's answers are settled by the sequential rule, and the few
     rows it leaves are decided by the sequence itself (see
     `_essentialize`)."""
-    A, _, b, cand, _, system, row = centred
+    A, _, b, cand, system, row = centred
     cols = np.arange(b.shape[1])
     binds = np.zeros((row.size, cols.size), dtype=bool)  # earlier rows tight at the optimum
     for blk in _kernels.blocks(row.size, _system_bytes(*A.shape[1:])):
@@ -299,11 +251,9 @@ def _essentialize(A, c, tau_lp, tau_dim):
     are decided in ascending order against the current survivor set: row i
     is redundant when the maximum of a_i.y over the other survivors (the
     rows before i that stay, and every candidate after it) is at most its
-    right-hand side plus tau_lp.  A row that one of _N_RAYS fixed rays from
-    z certifies (_ray_facets: an explicit point past the row by more than
-    tau_lp) is kept with no LP.
+    right-hand side plus tau_lp.
 
-    Every other row gets one redundancy LP against all other candidates,
+    Every candidate gets one redundancy LP against all other candidates,
     all of them in one stream of LPs, and the batch's answers are settled
     by the sequential rule.  A row the batch keeps is kept: its sequential
     survivors are a subset of the batch's, and a maximum over fewer rows is
@@ -316,8 +266,9 @@ def _essentialize(A, c, tau_lp, tau_dim):
     starts from the slack basis.
 
     The two halves are `_centred` and `_settled` around the redundancy
-    LPs (`_essential`), which brute force's leaves run apart from the
-    Chebyshev LPs (`enumeration._found`).
+    LPs (`_essential`), which the atlas's leaves run apart from the
+    Chebyshev LPs, some candidates settled by their flips with no LP
+    (`enumeration._found`).
     """
     centers, radii = _inscribed_balls(A, c, np.arange(len(A)), tau_dim)
     ok = np.flatnonzero(radii > tau_dim)
@@ -330,8 +281,9 @@ def _essential(A, c, centers, tau_lp, norm, prune=None):
     """The surviving rows of full-dimensional systems A x <= c, of row norms
     `norm`, from their Chebyshev centers, as `_essentialize` decides them:
     `_centred`, its redundancy LPs and `_settled`.  prune(centred), when
-    given, takes out of the candidates those it settles with no LP."""
-    w = _centred(A, c, centers, tau_lp, norm)
+    given, takes out of the LPs the candidates it settles: a row it proves
+    a facet stays a candidate, a row it proves no facet does not."""
+    w = _centred(A, c, centers, norm)
     if prune is not None:
         w = prune(w)
     dropped, x = lp.redundant_rows(w.A, w.b, w.cand, w.row, tau_lp, w.system)
@@ -398,24 +350,14 @@ def _balls(net, patterns, extra, tau_dim):
                                         build))
 
 
-def regions_from_bits(net, patterns, extra_A=None, extra_c=None,
-                      tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
-    """The Regions of the full-dimensional patterns, in input order; the
-    other patterns are left out, with no error built for them.
-
-    `patterns` is a PackedBits or a sequence of BitVectors.  Extra rows
-    (e.g. box bounds) are appended to every pattern's system and take
-    indices h, h+1, ... in active_bits.
-    """
-    blocks = _blocks(net, patterns, extra_A, extra_c, tau_lp, tau_dim)
-    return [region for *_, found in blocks for region in found]
-
-
 def region_from_bits(net, bits, extra_A=None, extra_c=None,
                      tau_lp=lp.TAU_LP, tau_dim=lp.TAU_DIM):
-    """The Region of a pattern, with extra rows as `regions_from_bits`
-    takes them; else raises the InfeasibleSystemError or
-    DegenerateSystemError `_ball_error` builds, prefixed by the bits."""
+    """The Region of a pattern; else raises the InfeasibleSystemError or
+    DegenerateSystemError `_ball_error` builds, prefixed by the bits.
+
+    Extra rows (e.g. box bounds) are appended to the pattern's system and
+    take indices h, h+1, ... in active_bits.  Every facet candidate takes
+    its redundancy LP: one region has no flips to settle any."""
     (A, c, radii, found), = _blocks(net, [bits], extra_A, extra_c, tau_lp, tau_dim)
     if found:
         return found[0]

@@ -561,10 +561,11 @@ def test_traversal_splits_no_wave(monkeypatch):
     # the block budget cuts stacks and sizes the prefix rounds: at each
     # budget no stack that pivots is larger than one block, and the LPs
     # follow the rounds as brute force's do (907 at every budget while the
-    # staged walk ran 10-row streams), with the same atlas
+    # staged walk ran 10-row streams; 619 / 645 / 851 while 64 random rays
+    # per system certified facets, before the aimed rays), with the same atlas
     net = random_net(3, [5, 5], 7)
     want = atlas_fingerprint(ENUMERATORS["traverse"](net))
-    for budget, pin in [(4096, 619), (_kernels.BLOCK_BYTES, 645), (1 << 30, 851)]:
+    for budget, pin in [(4096, 521), (_kernels.BLOCK_BYTES, 547), (1 << 30, 753)]:
         monkeypatch.setattr(_kernels, "BLOCK_BYTES", budget)
         streams, stacks = stack_widths("traverse")
         assert max(stacks) <= budget
@@ -575,7 +576,8 @@ def test_traversal_splits_no_wave(monkeypatch):
 def test_traversal_pivot_steps_are_pinned(monkeypatch):
     # the streams on the 3-5-5 net: 9 streams and 71 steps in the staged
     # walk, 16 and 117 when each of its waves ran its Chebyshev LPs and
-    # then its redundancy LPs
+    # then its redundancy LPs, 6 and 50 with random rays before the aimed
+    # ones
     steps = []
     pivot = lp._pivot
 
@@ -585,7 +587,7 @@ def test_traversal_pivot_steps_are_pinned(monkeypatch):
 
     monkeypatch.setattr(lp, "_pivot", counted)
     streams, _ = stack_widths("traverse")
-    assert (len(streams), len(steps)) == (6, 50)
+    assert (len(streams), len(steps)) == (6, 48)
 
 
 def test_brute_force_splits_no_level(monkeypatch):
@@ -593,12 +595,13 @@ def test_brute_force_splits_no_level(monkeypatch):
     # run as one stream whose stacks that pivot are at most one block, and
     # some stream refills its stack.  The budget sizes the prefix rounds,
     # so the LPs they take follow it, pinned at each budget (1,267 / 1,293
-    # / 1,499 while every facet candidate rays left took a redundancy LP);
-    # the atlas does not follow it
+    # / 1,499 while every facet candidate rays left took a redundancy LP,
+    # 619 / 645 / 851 with random rays and the flip rule before the aimed
+    # rays); the atlas does not follow it
     net = random_net(3, [5, 5], 7)
     want = atlas_fingerprint(enumeration.enumerate_brute(net))
     counts = []
-    for budget, pin in [(4096, 619), (_kernels.BLOCK_BYTES, 645), (1 << 30, 851)]:
+    for budget, pin in [(4096, 521), (_kernels.BLOCK_BYTES, 547), (1 << 30, 753)]:
         monkeypatch.setattr(_kernels, "BLOCK_BYTES", budget)
         streams, stacks = stack_widths("brute")
         assert max(stacks) <= budget
@@ -778,6 +781,11 @@ DUPLICATED = net243_with(3, 2.5 * NET243.weights[0][1], 2.5 * NET243.biases[0][1
 ON_THE_FACE = net243_with(2, [1.0, 0.0], -3.0)
 
 
+def aim_off(A, b, system, row, d, tau_lp):
+    """`enumeration._aimed` proving no row a facet."""
+    return np.zeros(row.size, dtype=bool)
+
+
 @pytest.mark.parametrize("net,box,want", [
     (DUPLICATED, None, "52be4e3dc4ec684f33852e7e8f1d8777c5f574bda5f55e978f213d0c5c5cb5af"),
     (DUPLICATED, BOX2, "ed76f2bc2d690d5125e68aab92e9388ef3e9696e7a0caccde3801e7a85982c7c"),
@@ -787,10 +795,9 @@ ON_THE_FACE = net243_with(2, [1.0, 0.0], -3.0)
 def test_coincident_rows_keep_their_lps(monkeypatch, net, box, want):
     # crossing a wall that two rows share flips both bits, or leaves the
     # box, so the lowest copy's one-bit flip is no region though the row
-    # is a facet.  With no ray to certify it, only its redundancy LP keeps
-    # it: pinned from brute force before the flip rule
-    monkeypatch.setattr(regions, "_ray_facets",
-                        lambda A, b, tau_lp: np.zeros(b.shape, dtype=bool))
+    # is a facet.  With the aim off, only its redundancy LP keeps it:
+    # pinned from brute force before the flip rule
+    monkeypatch.setattr(enumeration, "_aimed", aim_off)
     assert atlas_fingerprint(enumeration.enumerate_brute(net, box=box)) == want
 
 
@@ -838,14 +845,29 @@ def radius(system):
     return regions._inscribed_balls(A[None], c[None], np.arange(1), lp.TAU_DIM)[1][0]
 
 
+def aims(A, b, j, d, tau_lp):
+    """Whether the ray from y = 0 along d proves row j of A y <= b
+    essential (rows with b = inf take no part): it meets row j first, and
+    where it meets the next row it lies past row j by more than tau_lp."""
+    P = A @ d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where((P > 0) & np.isfinite(b), b / P, np.inf)
+    t2 = np.delete(t, j).min(initial=np.inf)
+    return bool(np.isfinite(t[j]) and t[j] <= t2 and P[j] * t2 - b[j] > tau_lp)
+
+
 @pytest.mark.parametrize("boxed", [False, True])
 def test_brute_force_lps_only_rows_the_flip_rule_leaves(lp_counter, boxed):
-    # of the rows no ray certifies, a redundancy LP goes to a box row, a
-    # row of a system with a repeated hyperplane, or a row whose flip is a
-    # region or thinner than tau_dim but not empty (no flip here has an
-    # empty pattern but a thin prefix, whose row would take an LP too);
-    # the others are no facets.  Above lp.TAU_LP every one keeps its LP:
-    # 863 and 645 then, as before the rule
+    # a redundancy LP goes to every candidate row its flip leaves: a box
+    # row, or a row whose flip is a region but the ray from this region's
+    # center toward that region's does not prove the row a facet, or whose
+    # flip is no region and not empty, or is in a system with a repeated
+    # hyperplane (no flip here has an empty pattern but a thin prefix,
+    # whose row would take an LP too).  The flip rule's rows are no
+    # candidates of the ray.  28 LPs, and 306 in the box, whose rows no aim
+    # proves facets (126 and 263 while 64 random rays per system certified
+    # facets).  Above lp.TAU_LP only the aim settles rows: 765 and 692 (863
+    # and 645 with random rays)
     net = random_net(3, [5, 5], 7)
     box = BOX3 if boxed else None
     extra = box.rows() if box else ()
@@ -856,14 +878,57 @@ def test_brute_force_lps_only_rows_the_flip_rule_leaves(lp_counter, boxed):
         norm = np.linalg.norm(A, axis=1)
         dup = regions._duplicate_rows(A[None], c[None], norm[None])[0]
         cand = (norm > 0) & ~dup
+        for j in np.flatnonzero(cand[:net.h]):
+            cand[j] = (dup.any() or flip(bits, j) in atlas.regions
+                       or radius(full_system(net, flip(bits, j), *extra)) > -lp.TAU_LP)
         b = np.where(cand, c - A @ region.interior, np.inf)
-        for j in np.flatnonzero(cand & ~regions._ray_facets(A[None], b[None], lp.TAU_LP)[0]):
-            want += (j >= net.h or dup.any() or flip(bits, j) in atlas.regions
-                     or radius(full_system(net, flip(bits, j), *extra)) > -lp.TAU_LP)
-    assert lp_counter.redundancy == want == (263 if boxed else 126)
+        for j in np.flatnonzero(cand):
+            across = atlas.regions.get(flip(bits, j)) if j < net.h else None
+            want += across is None or not aims(A, b, j, across.interior - region.interior,
+                                               lp.TAU_LP)
+    assert lp_counter.redundancy == want == (306 if boxed else 28)
     lp_counter.redundancy = 0
     enumeration.enumerate_brute(net, box=box, tau_lp=0.1)
-    assert lp_counter.redundancy == (645 if boxed else 863)
+    assert lp_counter.redundancy == (692 if boxed else 765)
+
+
+@settings(max_examples=20)
+@given(layered_nets(), st.sampled_from([lp.TAU_LP, 0.1]))
+def test_aimed_rays_prove_only_linprog_facets(case, tau_lp):
+    # every row a ray aimed at its flip's center keeps with no LP is one
+    # scipy's sequential sweep keeps of the row's whole system, at the
+    # tau_lp of the LPs it spares (traversal searches at lp.TAU_LP before it
+    # rebuilds at 0.1), and the aim only spares LPs: with it off both
+    # atlases are the same, byte for byte
+    net, box = case
+    extra = box.rows() if box else ()
+    seed = np.full(net.input_dim, 0.123)
+    aimed, flips = [], enumeration._flips
+
+    def recording(centred, values, **kwargs):
+        out = flips(centred, values=values, **kwargs)
+        lps = np.zeros(out.cand.shape, dtype=bool)
+        lps[out.system, out.row] = True
+        aimed.extend((values[s], j, kwargs["tau_lp"])
+                     for s, j in zip(*np.nonzero(out.cand & ~lps)))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "_flips", recording)
+        brute = enumeration.enumerate_brute(net, box=box, tau_lp=tau_lp)
+        trav = enumeration.enumerate_traverse(net, seed, box=box, tau_lp=tau_lp)
+    keys, oracle = {bits.value: bits for bits in brute.regions}, {}
+    for value, j, tol in aimed:
+        if (value, tol) not in oracle:
+            oracle[value, tol] = essential_rows_linprog(*full_system(net, keys[value], *extra), tol)
+        assert j < net.h and j in oracle[value, tol]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "_aimed", aim_off)
+        assert (atlas_fingerprint(enumeration.enumerate_brute(net, box=box, tau_lp=tau_lp))
+                == atlas_fingerprint(brute))
+        assert (atlas_fingerprint(enumeration.enumerate_traverse(net, seed, box=box,
+                                                                 tau_lp=tau_lp))
+                == atlas_fingerprint(trav))
 
 
 # walls at x = 1 and x = 1 + 5e-9: the slab between them is thinner than

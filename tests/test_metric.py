@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reluhom import files, metric
+from reluhom import enumeration, files, metric
 from reluhom.files import read_bits, write_bits
 from reluhom.network import BitVector, PackedBits, bit_vectors
 from reluhom.errors import DimensionMismatch, FormatError, NonFiniteEntry
 
 from conftest import random_net
-from oracles import hamming
+from oracles import bfs_distance, hamming
 
 
 def bv(s):
@@ -200,3 +200,30 @@ class TestDistanceMatrix:
         d2 = metric.DistanceMatrix(np.zeros((3, 3)))
         with pytest.raises(DimensionMismatch):
             metric.combine(d1, d2, "min")
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 3), st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_hamming_distance_is_at_most_the_dual_graph_distance(m, sizes, seed, boxed):
+    # every atlas edge is a one-bit flip, so the Hamming distance of two
+    # regions' patterns is at most their path distance in the dual graph.
+    # For one hidden layer the regions are the chambers of a hyperplane
+    # arrangement, and a path need cross only the hyperplanes that separate
+    # two of them, in the box too, since it is convex: the two are equal
+    net = random_net(m, sizes, seed)
+    box = enumeration.BoxRegion(np.full(m, -3.0), np.full(m, 3.0)) if boxed else None
+    for atlas in (enumeration.enumerate_brute(net, box=box),
+                  enumeration.enumerate_traverse(net, np.full(m, 0.123), box=box)):
+        keys = list(atlas.regions)
+        D = metric.hamming_matrix(keys).data
+        adjacency = {bits: set() for bits in keys}
+        for u, v in atlas.edges:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+        for a, u in enumerate(keys):
+            dist = bfs_distance(adjacency, u)
+            path = np.array([dist.get(v, np.inf) for v in keys])
+            assert np.all(D[a] <= path)
+            if len(sizes) == 1:
+                assert np.array_equal(D[a], path)

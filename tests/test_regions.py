@@ -30,9 +30,8 @@ from oracles import (
 # inside the square's corner, so it is a facet for tau_lp < 0.1 only
 CUT_SQUARE_A = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
 CUT_SQUARE_C = np.array([1.0, 1.0, 0.0, 0.0, 1.9])
-# the square |x|, |y| <= 1 and y <= 1.05: at tau_lp = 0.1 rays certify rows
-# 0, 1 and 3 only, and rows 2 and 4, parallel and 0.05 apart, each bound the
-# other within tau_lp
+# the square |x|, |y| <= 1 and y <= 1.05: rows 2 and 4, parallel and 0.05
+# apart, each bound the other within tau_lp = 0.1
 PARALLEL_A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.0, 1.0]])
 PARALLEL_C = np.array([1.0, 1.0, 1.0, 1.0, 1.05])
 # row 1 repeats row 0, and row 2 repeats row 1 but not row 0: only a row that
@@ -376,7 +375,7 @@ class TestRegionOf:
         bits = network.bit_vector(net_2331, x)
         B = np.vstack([np.eye(2), -np.eye(2)])
         d = np.full(4, 10.0)
-        reg = regions.regions_from_bits(net_2331, [bits], B, d)[0]
+        (*_, (reg,)), = regions._blocks(net_2331, [bits], B, d, lp.TAU_LP, lp.TAU_DIM)
         A, c = full_system(net_2331, bits, B, d)
         A0, c0 = A[:net_2331.h], c[:net_2331.h]
         # the facets are the system's rows at the active bits, box rows included
@@ -454,7 +453,8 @@ class TestBatch:
             with pytest.raises(type(err)) as raised:
                 regions.region_from_bits(net_2331, bits, B, d)
             assert str(raised.value) == f"pattern {bits.to01()}: {err}"
-        got = regions.regions_from_bits(net_2331, patterns, B, d)
+        got = [region for *_, found in regions._blocks(net_2331, patterns, B, d, lp.TAU_LP,
+                                                       lp.TAU_DIM) for region in found]
         assert all(type(region) is regions.Region for region in got)
         assert [region_bytes(r) for r in got] == [region_bytes(r) for r in want]
         assert len(got) == (17 if box else 22)
@@ -483,9 +483,7 @@ class TestLpBudget:
             regions.region_from_bits(net_x1, network.BitVector.from01("000"))
         assert lps_besides_redundancy() == 1
 
-    def test_redundancy_lps_start_feasible_and_rays_spare_some(
-        self, net_2331, monkeypatch
-    ):
+    def test_redundancy_lps_start_feasible_one_per_candidate(self, net_2331, monkeypatch):
         rhs = []
         redundant_rows = lp.redundant_rows
 
@@ -503,9 +501,10 @@ class TestLpBudget:
         candidates = np.count_nonzero(
             (norm > 0) & ~regions._duplicate_rows(A[None], c[None], norm[None])[0]
         )
-        # a right-hand side >= 0 puts the origin in the system: no phase 1
+        # a right-hand side >= 0 puts the origin in the system: no phase 1.
+        # One region has no flips to settle a row: each candidate takes its LP
         assert all(np.all(r >= 0) for r in rhs)
-        assert len(rhs) < candidates
+        assert len(rhs) == candidates
 
 
     def test_no_lp_starts_from_a_negative_rhs(self, net_2331, lp_counter):
@@ -521,8 +520,10 @@ class TestLpBudget:
     def test_redundancy_lps_only_for_rows_no_certificate_decides(
         self, net_2331, lp_counter
     ):
-        # every row the rays leave undecided takes one LP in the batch, and
-        # none falls back to a second: 65 LPs over the net's 2^6 patterns
+        # one region at a time no certificate decides a row: every candidate
+        # takes one LP in the batch, and none falls back to a second, 132
+        # LPs over the net's 2^6 patterns (65 while 64 random rays per
+        # system certified facets)
         undecided = 0
         for j in range(2**net_2331.h):
             bits = from_bits([(j >> i) & 1 for i in range(net_2331.h)])
@@ -533,9 +534,8 @@ class TestLpBudget:
             A, c = full_system(net_2331, bits)
             norm = np.linalg.norm(A, axis=1)
             rows = (norm > 0) & ~regions._duplicate_rows(A[None], c[None], norm[None])[0]
-            A, b = A[rows], (c - A @ reg.interior)[rows]
-            undecided += np.count_nonzero(~regions._ray_facets(A[None], b[None], lp.TAU_LP)[0])
-        assert lp_counter.redundancy == undecided == 65
+            undecided += np.count_nonzero(rows)
+        assert lp_counter.redundancy == undecided == 132
 
 
 class TestNeighbors:
